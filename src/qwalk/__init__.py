@@ -28,7 +28,6 @@ from .errors import (
 )
 from .walk1d import (
     Distribution1D,
-    PhaseParameter,
     QubitState,
     WaveField1D,
     distribution_1d,
@@ -36,6 +35,7 @@ from .walk1d import (
     init_1d,
     moment_1d,
     step_1d,
+    trajectory_1d,
 )
 from .walk2d import (
     Distribution2D,
@@ -46,6 +46,7 @@ from .walk2d import (
     init_2d,
     joint_moment_2d,
     step_2d,
+    trajectory_2d,
 )
 from .closedform import (
     LaurentCoefficients,
@@ -64,6 +65,7 @@ from .spectral import (
     group_velocity,
     limit_moment_1d,
     limit_moment_2d,
+    limit_moments_2d,
     sigma,
 )
 from .symmetry import (
@@ -105,11 +107,11 @@ __all__ = [
     "kernel_2d",
     # line walk
     "QubitState",
-    "PhaseParameter",
     "WaveField1D",
     "Distribution1D",
     "init_1d",
     "step_1d",
+    "trajectory_1d",
     "evolve_1d",
     "distribution_1d",
     "moment_1d",
@@ -119,6 +121,7 @@ __all__ = [
     "Distribution2D",
     "init_2d",
     "step_2d",
+    "trajectory_2d",
     "evolve_2d",
     "distribution_2d",
     "joint_moment_2d",
@@ -137,6 +140,7 @@ __all__ = [
     "eigensystem_1d",
     "eigensystem_2d",
     "limit_moment_1d",
+    "limit_moments_2d",
     "limit_moment_2d",
     "convergence_report",
     # symmetry

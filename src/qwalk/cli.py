@@ -17,6 +17,7 @@ import numpy as np
 from . import __version__
 from .errors import QwalkError
 from .localization import (
+    validate_epsilon,
     localization_verdict,
     time_averaged_probability_1d,
     time_averaged_probability_2d,
@@ -28,7 +29,7 @@ from .symmetry import (
     extract_ab,
     kns_check,
 )
-from .validation import A_TABLE_HALF, B_TABLE_HALF, run_checks, worker_count
+from .validation import reference_table_deviation, run_checks, worker_count
 from .walk1d import QubitState, distribution_1d, evolve_1d, moment_1d
 from .walk2d import QuditState, distribution_2d, evolve_2d, joint_moment_2d
 
@@ -113,15 +114,13 @@ def _parse_grid(n: int) -> QuadratureGrid:
 
 
 def _parse_ladder(text: str) -> tuple[int, ...]:
+    """Comma-separated integers; the library checks their order and range."""
     try:
-        lad = tuple(int(tk) for tk in text.split(","))
+        return tuple(int(tk) for tk in text.split(","))
     except ValueError:
         raise _CliError(
             _EXIT_BAD_INPUT, f"--ladder must be comma-separated integers, got {text!r}"
         ) from None
-    if len(lad) < 1 or any(b <= a for a, b in zip(lad, lad[1:])):
-        raise _CliError(_EXIT_BAD_INPUT, "--ladder must be strictly increasing")
-    return lad
 
 
 def _write_output(text: str, path: str) -> None:
@@ -147,8 +146,6 @@ def _meta_line(model: str, args, convention: str, extra: dict) -> str:
 def cmd_sim1d(args) -> int:
     p = _parse_p(args.p)
     vec = _parse_state(args.state, 2)
-    if args.t < 0:
-        raise _CliError(_EXIT_BAD_INPUT, f"--t must be >= 0, got {args.t}")
     field = evolve_1d(QubitState(vec[0], vec[1]), p, args.t, args.k)
     dist = distribution_1d(field)
     moments = {1: moment_1d(dist, 1), 2: moment_1d(dist, 2)}
@@ -179,8 +176,6 @@ def cmd_sim1d(args) -> int:
 def cmd_sim2d(args) -> int:
     p = _parse_p(args.p)
     vec = _parse_state(args.state, 4)
-    if args.t < 0:
-        raise _CliError(_EXIT_BAD_INPUT, f"--t must be >= 0, got {args.t}")
     field = evolve_2d(QuditState(*vec), p, args.t, args.k)
     dist = distribution_2d(field)
     orders = ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2))
@@ -269,7 +264,8 @@ def cmd_symmetry(args) -> int:
     p = _parse_p(args.p)
     lines: list[str] = []
     if args.table:
-        horizon = max(args.t, 2)
+        # extract_ab rejects --t < 1 and kns_check --t < 2 (exit 2, no output)
+        horizon = args.t
         table = extract_ab(p, horizon)
         lines.append(
             f"# model=symmetry-table p={_fmt(p)} t={horizon} state=canonical-pair "
@@ -279,10 +275,7 @@ def cmd_symmetry(args) -> int:
         for t in range(1, horizon + 1):
             lines.append(f"{t},{_fmt(table.a[t - 1])},{_fmt(table.b[t - 1])}")
         if abs(p - 0.5) < 1e-15 and horizon >= 10:
-            dev = max(
-                float(np.max(np.abs(table.a[:10] - np.asarray(A_TABLE_HALF)))),
-                float(np.max(np.abs(table.b[:10] - np.asarray(B_TABLE_HALF)))),
-            )
+            dev = reference_table_deviation(table)
             verdict = "PASS" if dev <= 1e-12 else "FAIL"
             lines.append(f"# reference-table deviation={dev:.3e} verdict={verdict}")
         lines.append(f"# kns={str(kns_check(table)).lower()}")
@@ -293,8 +286,6 @@ def cmd_symmetry(args) -> int:
     vec = _parse_state(args.state, 2)
     theta = QubitState(vec[0], vec[1])
     horizon = args.t
-    if horizon < 1:
-        raise _CliError(_EXIT_BAD_INPUT, f"--t must be >= 1, got {horizon}")
     verdict = classify_1d(theta, p, horizon)
     series = expectation_series(theta, p, horizon)
     lines.append(_meta_line("symmetry", args, CONVENTION_1D, {"t": horizon}))
@@ -311,6 +302,7 @@ def cmd_symmetry(args) -> int:
 def cmd_localize(args) -> int:
     p = _parse_p(args.p)
     ladder = _parse_ladder(args.ladder)
+    validate_epsilon(args.epsilon)
     if args.dim == 1:
         vec = _parse_state(args.state, 2)
         try:

@@ -37,8 +37,8 @@ from typing import Iterator
 import numpy as np
 
 from .coin import CoinParameter, as_coin
-from .errors import InvalidParameterError
-from .walk1d import PhaseParameter, QubitState, WaveField1D, as_qubit, init_1d
+from .errors import InvalidParameterError, require_int, require_real
+from .walk1d import QubitState, WaveField1D, as_qubit, init_1d
 
 __all__ = [
     "chebyshev_u",
@@ -168,10 +168,9 @@ def alpha_coefficients(p: CoinParameter | float, t: int) -> LaurentCoefficients:
     ``sum_m C(t-1-m, m) (2 c)^{t-1-2m}`` expanded in ``e^{-i x'}``; see
     :func:`double_sum_coefficient` for the fully expanded double sum.
     """
-    if t < 1:
-        raise InvalidParameterError(f"recurrence index must be >= 1, got {t}")
-    cur, _ = _alpha_pair(as_coin(p), int(t))
-    return LaurentCoefficients(int(t), cur)
+    t = require_int(t, "recurrence index", 1)
+    cur, _ = _alpha_pair(as_coin(p), t)
+    return LaurentCoefficients(t, cur)
 
 
 def double_sum_coefficient(p: CoinParameter | float, t: int, j: int) -> float:
@@ -216,21 +215,19 @@ def closed_form_field(
     theta: QubitState | tuple | list | np.ndarray,
     p: CoinParameter | float,
     t: int,
-    k: PhaseParameter | float = 0.0,
+    k: float = 0.0,
 ) -> WaveField1D:
     """Amplitude field at time ``t`` computed without stepping.
 
-    Must equal ``evolve_1d(theta, p, t, k)`` amplitude-by-amplitude.
+    Must equal ``evolve_1d(theta, p, t, k)`` amplitude-by-amplitude, and
+    rejects the same inputs.
     """
-    if t < 0:
-        raise InvalidParameterError(f"time must be nonnegative, got {t}")
-    th = as_qubit(theta)
+    t, kk = require_int(t, "time"), require_real(k, "phase k")
+    th, c = as_qubit(theta), as_coin(p)
     if t == 0:
         return init_1d(th)
-    c = as_coin(p)
-    kk = k.k if isinstance(k, PhaseParameter) else float(k)
     sp, sq = math.sqrt(c.p), math.sqrt(c.q)
-    a_t, a_tm1 = _alpha_pair(c, int(t))
+    a_t, a_tm1 = _alpha_pair(c, t)
 
     phi1 = np.zeros(t + 1, dtype=np.complex128)
     phi2 = np.zeros(t + 1, dtype=np.complex128)
@@ -241,4 +238,4 @@ def closed_form_field(
         phi1[1:-1] += th.d1 * a_tm1                    # a_{t-1} at x
         phi2[1:-1] += th.d2 * a_tm1
     phase = np.exp(1j * kk * t)
-    return WaveField1D(int(t), phase * phi1, phase * phi2)
+    return WaveField1D(t, phase * phi1, phase * phi2)

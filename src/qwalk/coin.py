@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, require_real
 
 __all__ = [
     "CoinParameter",
@@ -36,7 +36,6 @@ __all__ = [
     "kernel_1d",
     "kernel_2d",
     "kernel_1d_derivative",
-    "kernel_2d_derivative",
 ]
 
 
@@ -46,24 +45,25 @@ class CoinParameter:
 
     Parameters
     ----------
-    p : float
-        Must lie strictly inside (0, 1).
+    p : numbers.Real
+        Must lie strictly inside (0, 1); stored as a float.
 
     Raises
     ------
     InvalidParameterError
-        If ``p`` is not a finite number in the open interval (0, 1).
+        If ``p`` is not a real number, or not finite in the open interval
+        (0, 1).
     """
 
     p: float
 
     def __post_init__(self) -> None:
-        p = self.p
-        if not (isinstance(p, (int, float)) and math.isfinite(p) and 0.0 < p < 1.0):
+        p = require_real(self.p, "coin parameter p")
+        if not 0.0 < p < 1.0:
             raise InvalidParameterError(
-                f"coin parameter p must lie in the open interval (0, 1), got {p!r}"
+                f"coin parameter p must lie in the open interval (0, 1), got {self.p!r}"
             )
-        object.__setattr__(self, "p", float(p))
+        object.__setattr__(self, "p", p)
 
     @property
     def q(self) -> float:
@@ -178,29 +178,4 @@ def kernel_2d(
         [np.exp(-1j * m), np.exp(1j * m), np.exp(-1j * n), np.exp(1j * n)],
         dtype=np.complex128,
     )
-    return phases[:, None] * coin_2d(c)
-
-
-def kernel_2d_derivative(
-    p: CoinParameter | float,
-    wavenumber_x: float,
-    wavenumber_y: float,
-    axis: int,
-) -> np.ndarray:
-    """Derivative of :func:`kernel_2d` along one wavenumber axis (0 or 1)."""
-    c = as_coin(p)
-    m = validate_wavenumber(wavenumber_x)
-    n = validate_wavenumber(wavenumber_y)
-    if axis == 0:
-        phases = np.array(
-            [-1j * np.exp(-1j * m), 1j * np.exp(1j * m), 0.0, 0.0],
-            dtype=np.complex128,
-        )
-    elif axis == 1:
-        phases = np.array(
-            [0.0, 0.0, -1j * np.exp(-1j * n), 1j * np.exp(1j * n)],
-            dtype=np.complex128,
-        )
-    else:
-        raise InvalidParameterError(f"axis must be 0 or 1, got {axis!r}")
     return phases[:, None] * coin_2d(c)

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the scalar input checks
+that raise them."""
+
+import math
+import numbers
 
 __all__ = [
     "QwalkError",
@@ -6,6 +10,8 @@ __all__ = [
     "InvalidStateError",
     "DegenerateSpectrumError",
     "PreconditionError",
+    "require_int",
+    "require_real",
 ]
 
 
@@ -31,3 +37,31 @@ class DegenerateSpectrumError(QwalkError, ArithmeticError):
 
 class PreconditionError(QwalkError, ValueError):
     """An operation was called with inputs outside its documented domain."""
+
+
+def require_int(value, name: str, minimum: int | None = 0) -> int:
+    """Return ``value`` as an int if it is an integer ``>= minimum``.
+
+    Bools and non-integral numbers such as 2.7 are rejected rather than
+    truncated; numpy integer scalars are accepted.  ``minimum=None`` admits
+    any integer.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InvalidParameterError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def require_real(value, name: str) -> float:
+    """Return ``value`` as a float if it is a finite real number.
+
+    Any ``numbers.Real`` is accepted (numpy scalars, ``Fraction``); bools,
+    strings and complex numbers are not.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
+    v = float(value)
+    if not math.isfinite(v):
+        raise InvalidParameterError(f"{name} must be finite, got {value!r}")
+    return v

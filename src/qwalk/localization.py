@@ -19,18 +19,20 @@ doubling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .coin import CoinParameter
-from .errors import InvalidParameterError, PreconditionError
-from .walk1d import init_1d, step_1d
-from .walk2d import init_2d, step_2d
+from .errors import InvalidParameterError, PreconditionError, require_int, require_real
+from .walk1d import trajectory_1d
+from .walk2d import trajectory_2d
 
 __all__ = [
     "DeltaIntensityEstimate",
     "time_averaged_probability_1d",
     "time_averaged_probability_2d",
+    "validate_epsilon",
     "localization_verdict",
 ]
 
@@ -50,14 +52,24 @@ class DeltaIntensityEstimate:
 
 
 def _validate_ladder(ladder: tuple[int, ...]) -> tuple[int, ...]:
-    lad = tuple(int(t) for t in ladder)
+    lad = tuple(require_int(t, "horizon", 8) for t in ladder)
     if len(lad) < 1:
         raise InvalidParameterError("horizon ladder must be non-empty")
-    if any(t < 8 for t in lad):
-        raise InvalidParameterError("every horizon must be >= 8")
     if any(b <= a for a, b in zip(lad, lad[1:])):
         raise InvalidParameterError("horizon ladder must be strictly increasing")
     return lad
+
+
+def _cesaro(fields, ladder: tuple[int, ...], probability) -> tuple[float, ...]:
+    """Running means of ``probability(field)`` over t = 1..T, at each ladder T."""
+    acc = 0.0
+    averages = []
+    want = set(ladder)
+    for field in islice(fields, 1, None):
+        acc += probability(field)
+        if field.t in want:
+            averages.append(acc / field.t)
+    return tuple(averages)
 
 
 def time_averaged_probability_1d(
@@ -68,19 +80,14 @@ def time_averaged_probability_1d(
 ) -> DeltaIntensityEstimate:
     """Cesaro averages of ``P(site, t)`` on the line, one evolution pass."""
     lad = _validate_ladder(ladder)
-    site = int(site)
-    field = init_1d(theta)
-    acc = 0.0
-    averages = []
-    want = set(lad)
-    for t in range(1, lad[-1] + 1):
-        field = step_1d(field, p)
+    site = require_int(site, "site", None)
+
+    def probability(field) -> float:
         i = field.site_index(site)
-        if i is not None:
-            acc += abs(field.phi1[i]) ** 2 + abs(field.phi2[i]) ** 2
-        if t in want:
-            averages.append(acc / t)
-    return DeltaIntensityEstimate(site=site, horizons=lad, averages=tuple(averages))
+        return 0.0 if i is None else abs(field.phi1[i]) ** 2 + abs(field.phi2[i]) ** 2
+
+    averages = _cesaro(trajectory_1d(theta, p, lad[-1]), lad, probability)
+    return DeltaIntensityEstimate(site=site, horizons=lad, averages=averages)
 
 
 def time_averaged_probability_2d(
@@ -91,22 +98,27 @@ def time_averaged_probability_2d(
 ) -> DeltaIntensityEstimate:
     """Cesaro averages of ``P(site, t)`` on the square lattice."""
     lad = _validate_ladder(ladder)
-    x0, y0 = int(site[0]), int(site[1])
-    field = init_2d(theta)
-    acc = 0.0
-    averages = []
-    want = set(lad)
-    for t in range(1, lad[-1] + 1):
-        field = step_2d(field, p)
+    if len(site) != 2:
+        raise InvalidParameterError(f"lattice site needs 2 coordinates, got {site!r}")
+    x0, y0 = (require_int(v, "site coordinate", None) for v in site)
+
+    def probability(field) -> float:
         idx = field.site_index(x0, y0)
-        if idx is not None:
-            i, j = idx
-            acc += float(np.sum(np.abs(field.amps[:, i, j]) ** 2))
-        if t in want:
-            averages.append(acc / t)
-    return DeltaIntensityEstimate(
-        site=(x0, y0), horizons=lad, averages=tuple(averages)
-    )
+        if idx is None:
+            return 0.0
+        i, j = idx
+        return float(np.sum(np.abs(field.amps[:, i, j]) ** 2))
+
+    averages = _cesaro(trajectory_2d(theta, p, lad[-1]), lad, probability)
+    return DeltaIntensityEstimate(site=(x0, y0), horizons=lad, averages=averages)
+
+
+def validate_epsilon(epsilon: float) -> float:
+    """The verdict threshold as a float; it must be a real number in (0, 1]."""
+    eps = require_real(epsilon, "epsilon")
+    if not 0.0 < eps <= 1.0:
+        raise InvalidParameterError(f"epsilon must lie in (0, 1], got {epsilon}")
+    return eps
 
 
 def localization_verdict(
@@ -119,6 +131,5 @@ def localization_verdict(
     """
     if len(estimate.horizons) < 3:
         raise PreconditionError("verdict needs a ladder of at least 3 horizons")
-    if not 0.0 < epsilon <= 1.0:
-        raise InvalidParameterError(f"epsilon must lie in (0, 1], got {epsilon}")
+    epsilon = validate_epsilon(epsilon)
     return estimate.averages[-1] >= epsilon and not estimate.decaying

@@ -15,10 +15,15 @@ wavenumber torus,
     lim <(X_t/t)^a (Y_t/t)^b> = int2 sum_j |c_j|^2 v_{x,j}^a v_{y,j}^b,
 
 with ``c_j`` the projection of the initial state on the j-th eigenvector.
-The midpoint rule on an offset power-of-two grid is spectrally accurate here
-(smooth periodic integrands) and its nodes avoid every symmetry point where
-branches could cross.  Moment quadratures are cross-validated against the
-position-space oracle through :func:`convergence_report`.
+Both are evaluated by the midpoint rule on an offset power-of-two grid whose
+nodes avoid every symmetry point where branches could cross.  On the line
+the integrand is smooth and periodic and the rule converges spectrally
+(criterion 11 holds N = 1024 and N = 4096 within 1e-10).  On the square
+lattice it does not: the branch-sorted integrand is not smooth, and the
+convergence is algebraic, about ``N^-1.5``.  For state (1, 0, 0, 0) at
+p = 1/2, order (1, 0), the value moves by 2.37e-4, 8.39e-5 and 2.96e-5 at
+N = 64 -> 128 -> 256 -> 512.  Moment quadratures are cross-validated
+against the position-space oracle through :func:`convergence_report`.
 """
 
 from __future__ import annotations
@@ -35,22 +40,20 @@ from .coin import (
     kernel_1d_derivative,
     validate_wavenumber,
 )
-from .errors import DegenerateSpectrumError, InvalidParameterError
+from .errors import DegenerateSpectrumError, InvalidParameterError, require_int
 from .walk1d import (
     QubitState,
     as_qubit,
     distribution_1d,
-    init_1d,
     moment_1d,
-    step_1d,
+    trajectory_1d,
 )
 from .walk2d import (
     QuditState,
     as_qudit,
     distribution_2d,
-    init_2d,
     joint_moment_2d,
-    step_2d,
+    trajectory_2d,
 )
 
 __all__ = [
@@ -62,6 +65,7 @@ __all__ = [
     "eigensystem_1d",
     "limit_moment_1d",
     "eigensystem_2d",
+    "limit_moments_2d",
     "limit_moment_2d",
     "convergence_report",
 ]
@@ -151,6 +155,21 @@ def _hf_velocity(h: np.ndarray, dS: np.ndarray, lam: complex) -> float:
     return float(-np.imag(np.vdot(h, dS @ h) / lam))
 
 
+def _branch_vectors_1d(c: CoinParameter, x):
+    """Unnormalized eigenvectors of the 1D kernel at wavenumber(s) ``x``.
+
+    Returns ``(lam1, b, g, nrm2)``: ``(b, g)`` is an eigenvector for
+    ``lam1 = cos(sigma) - i sin(sigma)``, ``(-conj(g), conj(b))`` one for
+    ``lam2 = -conj(lam1)``, and both have squared norm ``nrm2``.
+    """
+    sp, sq = math.sqrt(c.p), math.sqrt(c.q)
+    s = sp * np.sin(x)
+    lam1 = np.sqrt(1.0 - s * s) - 1j * s
+    e = np.exp(-1j * x)
+    g = lam1 - sp * e
+    return lam1, sq * e, g, c.q + np.abs(g) ** 2
+
+
 def eigensystem_1d(
     p: CoinParameter | float,
     wavenumber: float,
@@ -167,20 +186,13 @@ def eigensystem_1d(
     c = as_coin(p)
     x = validate_wavenumber(wavenumber)
     th = as_qubit(theta).as_array()
-    sp, sq = math.sqrt(c.p), math.sqrt(c.q)
-    s = sp * math.sin(x)
-    cs = math.sqrt(1.0 - s * s)
-    lam1 = complex(cs, -s)
-    lam2 = complex(-cs, -s)
-    a = sp * np.exp(-1j * x)
-    b = sq * np.exp(-1j * x)
-    g = lam1 - a
-    nrm = math.sqrt(c.q + abs(g) ** 2)
+    lam1, b, g, nrm2 = _branch_vectors_1d(c, x)
+    nrm = math.sqrt(nrm2)
     h1 = np.array([b, g], dtype=np.complex128) / nrm
     h2 = np.array([-np.conj(g), np.conj(b)], dtype=np.complex128) / nrm
     dS = kernel_1d_derivative(c, x)
     branches = []
-    for lam, h in ((lam1, h1), (lam2, h2)):
+    for lam, h in ((complex(lam1), h1), (-complex(lam1).conjugate(), h2)):
         w = abs(np.vdot(h, th)) ** 2
         v = _hf_velocity(h, dS, lam)
         branches.append(EigenBranch(lam, h, float(w), (v,)))
@@ -201,23 +213,15 @@ def limit_moment_1d(
     pairwise summation, so the result is reproducible bit-for-bit at a
     fixed grid size.
     """
-    if alpha < 1:
-        raise InvalidParameterError(f"moment order must be >= 1, got {alpha}")
+    alpha = require_int(alpha, "moment order", 1)
     c = as_coin(p)
     g = QuadratureGrid(grid) if isinstance(grid, int) else grid
     th = as_qubit(theta).as_array()
     x = g.nodes()
-    sp, sq = math.sqrt(c.p), math.sqrt(c.q)
-    s = sp * np.sin(x)
-    cs = np.sqrt(1.0 - s * s)
-    lam1 = cs - 1j * s
-    a = sp * np.exp(-1j * x)
-    b = sq * np.exp(-1j * x)
-    gg = lam1 - a
-    nrm2 = c.q + np.abs(gg) ** 2
+    _, b, gg, nrm2 = _branch_vectors_1d(c, x)
     w1 = np.abs(np.conj(b) * th[0] + np.conj(gg) * th[1]) ** 2 / nrm2
     w2 = np.abs(-gg * th[0] + b * th[1]) ** 2 / nrm2
-    v = sp * np.cos(x) / np.sqrt(1.0 - c.p * np.sin(x) ** 2)
+    v = math.sqrt(c.p) * np.cos(x) / np.sqrt(1.0 - c.p * np.sin(x) ** 2)
     integrand = w1 * v**alpha + w2 * (-v) ** alpha
     return float(np.sum(integrand) / g.n)
 
@@ -294,6 +298,46 @@ def eigensystem_2d(
     return tuple(out)
 
 
+def limit_moments_2d(
+    thetas,
+    p: CoinParameter | float,
+    orders,
+    grid: QuadratureGrid | int = QuadratureGrid(512),
+) -> np.ndarray:
+    """Limits of ``<(X_t/t)^alpha (Y_t/t)^beta>`` for many states and orders.
+
+    One batched eigendecomposition sweep over the tensor grid, in fixed-size
+    chunks, serves every state in ``thetas`` and every ``(alpha, beta)`` in
+    ``orders``; the result has shape ``(len(thetas), len(orders))``.  Chunk
+    partial sums are accumulated in a fixed order, so results are
+    reproducible at a fixed grid size.  Propagates
+    :class:`DegenerateSpectrumError` from the eigensolver.
+    """
+    orders = [(require_int(a, "alpha"), require_int(b, "beta")) for a, b in orders]
+    if not orders or any(a + b < 1 for a, b in orders):
+        raise InvalidParameterError(
+            f"need moment orders (alpha, beta) >= 0 with alpha + beta >= 1, "
+            f"got {orders}"
+        )
+    c = as_coin(p)
+    g = QuadratureGrid(grid) if isinstance(grid, int) else grid
+    ths = [as_qudit(th).as_array() for th in thetas]
+    nodes = g.nodes()
+    mm, nn = np.meshgrid(nodes, nodes, indexing="ij")
+    ms, ns = mm.ravel(), nn.ravel()
+    starts = range(0, ms.size, _CHUNK)
+    partials = np.empty((len(ths), len(orders), len(starts)))
+    for ci, s in enumerate(starts):
+        lam, Q, vx, vy = _batch_eigensystem(c, ms[s : s + _CHUNK], ns[s : s + _CHUNK])
+        for si, th in enumerate(ths):
+            wgt = np.abs(np.einsum("bik,i->bk", Q.conj(), th)) ** 2
+            for oi, (a, b) in enumerate(orders):
+                partials[si, oi, ci] = np.sum(wgt * vx**a * vy**b)
+    # each entry's chunk partials are summed as one 1D array, in a fixed order
+    sums = [np.sum(row) for row in partials.reshape(-1, len(starts))]
+    return np.reshape(sums, partials.shape[:2]) / g.n**2
+
+
 def limit_moment_2d(
     theta: QuditState | tuple | list | np.ndarray,
     p: CoinParameter | float,
@@ -303,52 +347,9 @@ def limit_moment_2d(
 ) -> float:
     """Long-time limit of ``<(X_t/t)^alpha (Y_t/t)^beta>`` on the tensor grid.
 
-    Evaluated by batched eigendecomposition over the full tensor grid in
-    fixed-size chunks; chunk partial sums are accumulated in a fixed order,
-    so results are reproducible at a fixed grid size.  Propagates
-    :class:`DegenerateSpectrumError` from the eigensolver.
+    The one-state, one-order case of :func:`limit_moments_2d`.
     """
-    if alpha < 0 or beta < 0 or alpha + beta < 1:
-        raise InvalidParameterError(
-            f"moment orders must be nonnegative with alpha + beta >= 1, "
-            f"got ({alpha}, {beta})"
-        )
-    c = as_coin(p)
-    g = QuadratureGrid(grid) if isinstance(grid, int) else grid
-    th = as_qudit(theta).as_array()
-    nodes = g.nodes()
-    mm, nn = np.meshgrid(nodes, nodes, indexing="ij")
-    ms, ns = mm.ravel(), nn.ravel()
-    partials = []
-    for s in range(0, ms.size, _CHUNK):
-        lam, Q, vx, vy = _batch_eigensystem(c, ms[s : s + _CHUNK], ns[s : s + _CHUNK])
-        wgt = np.abs(np.einsum("bik,i->bk", Q.conj(), th)) ** 2
-        partials.append(float(np.sum(wgt * vx**alpha * vy**beta)))
-    return float(np.sum(np.asarray(partials)) / g.n**2)
-
-
-def _ladder_moments_1d(theta, p, alpha, ladder):
-    field = init_1d(theta)
-    out = []
-    tmax = ladder[-1]
-    want = set(ladder)
-    for t in range(1, tmax + 1):
-        field = step_1d(field, p)
-        if t in want:
-            out.append(moment_1d(distribution_1d(field), alpha))
-    return out
-
-
-def _ladder_moments_2d(theta, p, alpha, beta, ladder):
-    field = init_2d(theta)
-    out = []
-    tmax = ladder[-1]
-    want = set(ladder)
-    for t in range(1, tmax + 1):
-        field = step_2d(field, p)
-        if t in want:
-            out.append(joint_moment_2d(distribution_2d(field), alpha, beta))
-    return out
+    return float(limit_moments_2d([theta], p, [(alpha, beta)], grid)[0, 0])
 
 
 def convergence_report(
@@ -366,36 +367,33 @@ def convergence_report(
     the whole ladder.  ``alpha (+ beta) = 0`` is the trivial moment: both
     sides are exactly 1 and every gap is 0.
     """
-    ladder = tuple(int(t) for t in ladder)
+    ladder = tuple(require_int(t, "ladder time", 1) for t in ladder)
     if len(ladder) < 1 or any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise InvalidParameterError("time ladder must be strictly increasing")
-    if any(t < 1 for t in ladder):
-        raise InvalidParameterError("ladder times must be >= 1")
-    if alpha < 0 or (beta is not None and beta < 0):
-        raise InvalidParameterError("moment orders must be nonnegative")
+    alpha = require_int(alpha, "alpha")
+    beta = None if beta is None else require_int(beta, "beta")
 
     comps = list(theta.as_array()) if hasattr(theta, "as_array") else list(theta)
-    if len(comps) == 2:
-        th = as_qubit(theta)
-        total_order = alpha
-        if total_order == 0:
-            quad, sims = 1.0, [1.0] * len(ladder)
-        else:
-            g = QuadratureGrid(4096) if grid is None else grid
-            quad = limit_moment_1d(th, p, alpha, g)
-            sims = _ladder_moments_1d(th, p, alpha, ladder)
-        rep_beta = None
+    one_d = len(comps) == 2
+    th = as_qubit(theta) if one_d else as_qudit(theta)
+    rep_beta = None if one_d else (0 if beta is None else beta)
+    want = set(ladder)
+    if alpha + (rep_beta or 0) == 0:
+        quad, sims = 1.0, [1.0] * len(ladder)
+    elif one_d:
+        quad = limit_moment_1d(th, p, alpha, QuadratureGrid(4096) if grid is None else grid)
+        fields = trajectory_1d(th, p, ladder[-1])
+        sims = [moment_1d(distribution_1d(f), alpha) for f in fields if f.t in want]
     else:
-        th = as_qudit(theta)
-        b = 0 if beta is None else beta
-        total_order = alpha + b
-        if total_order == 0:
-            quad, sims = 1.0, [1.0] * len(ladder)
-        else:
-            g = QuadratureGrid(512) if grid is None else grid
-            quad = limit_moment_2d(th, p, alpha, b, g)
-            sims = _ladder_moments_2d(th, p, alpha, b, ladder)
-        rep_beta = b
+        quad = limit_moment_2d(
+            th, p, alpha, rep_beta, QuadratureGrid(512) if grid is None else grid
+        )
+        fields = trajectory_2d(th, p, ladder[-1])
+        sims = [
+            joint_moment_2d(distribution_2d(f), alpha, rep_beta)
+            for f in fields
+            if f.t in want
+        ]
 
     gaps = tuple(abs(s - quad) for s in sims)
     return MomentReport(

@@ -41,20 +41,14 @@ coefficient sequences ``a_t`` (from state (1, 0)) and ``b_t`` (from state
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .coin import CoinParameter
-from .errors import InvalidParameterError, PreconditionError
-from .walk1d import (
-    QubitState,
-    as_qubit,
-    distribution_1d,
-    evolve_1d,
-    init_1d,
-    step_1d,
-)
-from .walk2d import QuditState, as_qudit, evolve_2d, init_2d, step_2d
+from .errors import InvalidParameterError, PreconditionError, require_int
+from .walk1d import QubitState, as_qubit, distribution_1d, evolve_1d, trajectory_1d
+from .walk2d import QuditState, as_qudit, distribution_2d, evolve_2d, trajectory_2d
 
 __all__ = [
     "EXCHANGE_1D",
@@ -132,27 +126,16 @@ def in_phi_perp(theta) -> bool:
 
 def empirical_symmetric_1d(theta, p: CoinParameter | float, horizon: int) -> bool:
     """True iff ``P(x, t) = P(-x, t)`` within 1e-12 for every ``t <= horizon``."""
-    if horizon < 1:
-        raise InvalidParameterError(f"horizon must be >= 1, got {horizon}")
-    field = init_1d(theta)
-    for _ in range(horizon):
-        field = step_1d(field, p)
-        masses = distribution_1d(field).masses
-        if np.max(np.abs(masses - masses[::-1])) > _SYM_TOL:
-            return False
-    return True
+    fields = trajectory_1d(theta, p, require_int(horizon, "horizon", 1))
+    masses = (distribution_1d(f).masses for f in fields)
+    return all(np.max(np.abs(m - m[::-1])) <= _SYM_TOL for m in masses)
 
 
 def expectation_series(theta, p: CoinParameter | float, horizon: int) -> np.ndarray:
     """``E(X_t)`` for ``t = 1..horizon`` from the position-space oracle."""
-    if horizon < 1:
-        raise InvalidParameterError(f"horizon must be >= 1, got {horizon}")
-    field = init_1d(theta)
-    out = np.empty(horizon)
-    for t in range(horizon):
-        field = step_1d(field, p)
-        out[t] = distribution_1d(field).mean_position()
-    return out
+    horizon = require_int(horizon, "horizon", 1)
+    fields = islice(trajectory_1d(theta, p, horizon), 1, None)
+    return np.array([distribution_1d(f).mean_position() for f in fields])
 
 
 def zero_mean_1d(theta, p: CoinParameter | float, horizon: int) -> bool:
@@ -211,8 +194,7 @@ def reflection_identity_1d(theta, p: CoinParameter | float, t: int) -> float:
     """
     th = as_qubit(theta)
     branch = _pattern_branch_1d(th)
-    if t < 1:
-        raise InvalidParameterError(f"time must be >= 1, got {t}")
+    t = require_int(t, "time", 1)
     field = evolve_1d(th, p, t)
     c = (-1) ** t * (1j * branch)
     r1 = field.phi1[::-1] + c * field.phi2
@@ -241,12 +223,8 @@ def empirical_symmetric_2d(
     full axis-mirror equality ``P(-x, y) = P(x, -y) = P(-x, -y) = P(x, y)``,
     which no nontrivial state family satisfies here (see module docstring).
     """
-    if horizon < 1:
-        raise InvalidParameterError(f"horizon must be >= 1, got {horizon}")
-    field = init_2d(theta)
-    for _ in range(horizon):
-        field = step_2d(field, p)
-        grid = np.sum(np.abs(field.amps) ** 2, axis=0)
+    fields = trajectory_2d(theta, p, require_int(horizon, "horizon", 1))
+    for grid in (distribution_2d(f).grid for f in fields):
         inverted = grid[::-1, ::-1]
         if np.max(np.abs(grid - inverted)) > _SYM_TOL:
             return False
@@ -280,8 +258,7 @@ def reflection_identity_2d(theta, p: CoinParameter | float, t: int) -> float:
     """
     th = as_qudit(theta)
     branch = _pattern_branch_2d(th)
-    if t < 1:
-        raise InvalidParameterError(f"time must be >= 1, got {t}")
+    t = require_int(t, "time", 1)
     field = evolve_2d(th, p, t)
     c = (-1) ** t * (1j * branch)
     a1, a2, a3, a4 = field.amps

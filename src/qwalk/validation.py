@@ -18,19 +18,15 @@ from typing import Callable
 import numpy as np
 
 from .closedform import alpha_coefficients, closed_form_field, double_sum_coefficient
-from .coin import CoinParameter
 from .errors import InvalidParameterError
 from .localization import (
     localization_verdict,
     time_averaged_probability_1d,
     time_averaged_probability_2d,
 )
-from .spectral import (
-    QuadratureGrid,
-    _batch_eigensystem,
-    limit_moment_1d,
-)
+from .spectral import QuadratureGrid, limit_moment_1d, limit_moments_2d
 from .symmetry import (
+    ABTable,
     empirical_symmetric_1d,
     empirical_symmetric_2d,
     extract_ab,
@@ -40,22 +36,16 @@ from .symmetry import (
     reflection_identity_1d,
     reflection_identity_2d,
 )
-from .walk1d import (
-    QubitState,
-    distribution_1d,
-    evolve_1d,
-    init_1d,
-    moment_1d,
-    step_1d,
-)
-from .walk2d import (
-    QuditState,
-    distribution_2d,
-    evolve_2d,
-    joint_moment_2d,
-)
+from .walk1d import QubitState, distribution_1d, evolve_1d, moment_1d, trajectory_1d
+from .walk2d import QuditState, distribution_2d, evolve_2d, joint_moment_2d
 
-__all__ = ["CheckResult", "ALL_CHECKS", "run_checks", "worker_count"]
+__all__ = [
+    "CheckResult",
+    "ALL_CHECKS",
+    "run_checks",
+    "worker_count",
+    "reference_table_deviation",
+]
 
 _SEED = 20240811
 _P_GRID = (0.25, 0.5, 0.75)
@@ -140,17 +130,14 @@ def check_closed_form(quick: bool = False) -> tuple[bool, str]:
     ps = (0.25, 0.5) if quick else (0.1, 0.25, 0.5, 0.75, 0.9)
     dense = range(1, min(tmax, 50) + 1)
     sparse = [t for t in (60, 80, 100, 125, 150, 175, 200) if t <= tmax]
-    times = sorted(set(dense) | set(sparse))
+    times = set(dense) | set(sparse)
     worst = 0.0
     for p in ps:
         for th in _random_qubits(nstate, rng):
-            field = init_1d(th)
-            t = 0
-            for target in times:
-                while t < target:
-                    field = step_1d(field, p)
-                    t += 1
-                cf = closed_form_field(th, p, t)
+            for field in trajectory_1d(th, p, max(times)):
+                if field.t not in times:
+                    continue
+                cf = closed_form_field(th, p, field.t)
                 dev = max(
                     np.max(np.abs(cf.phi1 - field.phi1)),
                     np.max(np.abs(cf.phi2 - field.phi2)),
@@ -187,11 +174,8 @@ def check_limit_1d(quick: bool = False) -> tuple[bool, str]:
     for p in _P_GRID:
         for th in _random_qubits(nstate, rng):
             sims = {1: [], 2: []}
-            field = init_1d(th)
-            want = set(ladder)
-            for t in range(1, ladder[-1] + 1):
-                field = step_1d(field, p)
-                if t in want:
+            for field in trajectory_1d(th, p, ladder[-1]):
+                if field.t in ladder:
                     d = distribution_1d(field)
                     sims[1].append(moment_1d(d, 1))
                     sims[2].append(moment_1d(d, 2))
@@ -223,45 +207,30 @@ def check_limit_2d(quick: bool = False) -> tuple[bool, str]:
         ]
     p = 0.5
     orders = ((1, 0), (0, 1), (1, 1), (2, 0))
-    sims = {}
-    for si, th in enumerate(states):
-        d = distribution_2d(evolve_2d(th, p, tmax))
-        for ab in orders:
-            sims[si, ab] = joint_moment_2d(d, *ab)
     # one eigensolve sweep over the tensor grid covers every state and order
-    grid = QuadratureGrid(gridn)
-    nodes = grid.nodes()
-    mm, nn = np.meshgrid(nodes, nodes, indexing="ij")
-    ms, ns = mm.ravel(), nn.ravel()
-    thetas = np.stack([th.as_array() for th in states])
-    quads = {key: [] for key in ((si, ab) for si in range(len(states)) for ab in orders)}
-    chunk = 16384
-    for s in range(0, ms.size, chunk):
-        lam, Q, vx, vy = _batch_eigensystem(
-            CoinParameter(p), ms[s : s + chunk], ns[s : s + chunk]
-        )
-        proj = np.einsum("bik,si->sbk", Q.conj(), thetas)
-        wgt = np.abs(proj) ** 2
-        for si in range(len(states)):
-            for ab in orders:
-                a, b = ab
-                quads[si, ab].append(float(np.sum(wgt[si] * vx**a * vy**b)))
+    quads = limit_moments_2d(states, p, orders, QuadratureGrid(gridn))
     worst = 0.0
-    for key, partials in quads.items():
-        quad = float(np.sum(np.asarray(partials)) / gridn**2)
-        worst = max(worst, abs(quad - sims[key]))
+    for th, row in zip(states, quads):
+        d = distribution_2d(evolve_2d(th, p, tmax))
+        for (a, b), quad in zip(orders, row):
+            worst = max(worst, abs(float(quad) - joint_moment_2d(d, a, b)))
     return worst <= tol, (
         f"max |sim(t={tmax}) - quad(N={gridn})| = {worst:.3e} (tol {tol:g})"
+    )
+
+
+def reference_table_deviation(table: ABTable) -> float:
+    """Max deviation of the first ten ``a_t``, ``b_t`` from the p = 1/2 values."""
+    return max(
+        float(np.max(np.abs(table.a[:10] - np.asarray(A_TABLE_HALF)))),
+        float(np.max(np.abs(table.b[:10] - np.asarray(B_TABLE_HALF)))),
     )
 
 
 def check_ab_table(quick: bool = False) -> tuple[bool, str]:
     """7: the unbiased-coin expectation table and its first-difference law."""
     table = extract_ab(0.5, 10)
-    dev = max(
-        float(np.max(np.abs(table.a - np.asarray(A_TABLE_HALF)))),
-        float(np.max(np.abs(table.b - np.asarray(B_TABLE_HALF)))),
-    )
+    dev = reference_table_deviation(table)
     kns = kns_check(table)
     ok = dev <= 1e-12 and kns
     return ok, f"max table deviation = {dev:.3e} (tol 1e-12); first-difference law: {kns}"

@@ -15,27 +15,32 @@ closed-form, spectral, symmetry, and localization modules.
 
 The global phase ``k`` cancels in every probability; it is kept only for
 amplitude-level identity tests.
+
+:func:`trajectory_1d` is the only loop over :func:`step_1d` in the package:
+every evolution, ladder and time average iterates it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from typing import Iterator
 
 import numpy as np
 
 from .coin import CoinParameter, as_coin
-from .errors import InvalidParameterError, InvalidStateError
+from .errors import InvalidParameterError, InvalidStateError, require_int, require_real
 
 __all__ = [
     "QubitState",
-    "PhaseParameter",
     "WaveField1D",
     "Distribution1D",
     "init_1d",
     "step_1d",
+    "trajectory_1d",
     "evolve_1d",
     "distribution_1d",
     "moment_1d",
@@ -89,19 +94,28 @@ def as_qubit(theta: QubitState | tuple | list | np.ndarray) -> QubitState:
     return QubitState(seq[0], seq[1])
 
 
-@dataclass(frozen=True)
-class PhaseParameter:
-    """Global phase applied once per step; any real value is admissible."""
-
-    k: float = 0.0
+def _phase(k: float) -> complex:
+    """Per-step phase factor ``e^{ik}``; ``k`` must be a finite real number."""
+    return cmath.exp(1j * require_real(k, "phase k"))
 
 
-def _phase(k: PhaseParameter | float) -> complex:
-    kk = k.k if isinstance(k, PhaseParameter) else float(k)
-    return cmath.exp(1j * kk)
+class _Support1D:
+    """Site bookkeeping shared by fields and distributions at time ``t``."""
+
+    __slots__ = ()
+
+    def site_index(self, x: int) -> int | None:
+        """Dense index of site ``x``, or None if outside the support lattice."""
+        if (x + self.t) % 2 != 0 or abs(x) > self.t:
+            return None
+        return (x + self.t) // 2
+
+    def sites(self) -> np.ndarray:
+        """All lattice sites of the correct parity, ascending."""
+        return 2 * np.arange(self.t + 1) - self.t
 
 
-class WaveField1D:
+class WaveField1D(_Support1D):
     """Amplitude field at a fixed time, stored densely over its support.
 
     ``phi1[i]`` and ``phi2[i]`` are the two components at site
@@ -123,22 +137,12 @@ class WaveField1D:
         self.phi1.flags.writeable = False
         self.phi2.flags.writeable = False
 
-    def site_index(self, x: int) -> int | None:
-        """Dense index of site ``x``, or None if outside the support lattice."""
-        if (x + self.t) % 2 != 0 or abs(x) > self.t:
-            return None
-        return (x + self.t) // 2
-
     def amplitude(self, x: int) -> tuple[complex, complex]:
         """Both components at site ``x`` (zero off the support)."""
         i = self.site_index(x)
         if i is None:
             return 0j, 0j
         return complex(self.phi1[i]), complex(self.phi2[i])
-
-    def sites(self) -> np.ndarray:
-        """All lattice sites of the correct parity, ascending."""
-        return 2 * np.arange(self.t + 1) - self.t
 
     def items(self) -> Iterator[tuple[int, tuple[complex, complex]]]:
         """Iterate occupied sites only (both components exactly zero -> absent)."""
@@ -151,7 +155,7 @@ class WaveField1D:
         return float(np.sum(np.abs(self.phi1) ** 2 + np.abs(self.phi2) ** 2))
 
 
-class Distribution1D:
+class Distribution1D(_Support1D):
     """Probability masses over the support of a :class:`WaveField1D`."""
 
     __slots__ = ("t", "masses")
@@ -161,13 +165,9 @@ class Distribution1D:
         self.masses = np.ascontiguousarray(masses, dtype=np.float64)
         self.masses.flags.writeable = False
 
-    def sites(self) -> np.ndarray:
-        return 2 * np.arange(self.t + 1) - self.t
-
     def mass(self, x: int) -> float:
-        if (x + self.t) % 2 != 0 or abs(x) > self.t:
-            return 0.0
-        return float(self.masses[(x + self.t) // 2])
+        i = self.site_index(x)
+        return 0.0 if i is None else float(self.masses[i])
 
     def items(self) -> Iterator[tuple[int, float]]:
         for x, m in zip(self.sites(), self.masses):
@@ -197,7 +197,7 @@ def init_1d(theta: QubitState | tuple | list | np.ndarray) -> WaveField1D:
 def step_1d(
     field: WaveField1D,
     p: CoinParameter | float,
-    k: PhaseParameter | float = 0.0,
+    k: float = 0.0,
 ) -> WaveField1D:
     """Advance the field one step; the norm is preserved exactly.
 
@@ -214,19 +214,32 @@ def step_1d(
     return WaveField1D(field.t + 1, new1, new2)
 
 
+def trajectory_1d(
+    theta: QubitState | tuple | list | np.ndarray,
+    p: CoinParameter | float,
+    horizon: int,
+    k: float = 0.0,
+) -> Iterator[WaveField1D]:
+    """Fields at ``t = 0, 1, ..., horizon``, one :func:`step_1d` apart.
+
+    Every input is checked here, before the first field is produced: the
+    horizon must be an integer ``>= 0`` and ``k`` a finite real number.
+    The returned iterator is lazy, so a caller may stop early.
+    """
+    n, c, field = require_int(horizon, "horizon"), as_coin(p), init_1d(theta)
+    _phase(k)
+    # step_1d is looked up at every step, so a rebound (traced) step is seen
+    return accumulate(repeat(None, n), lambda f, _: step_1d(f, c, k), initial=field)
+
+
 def evolve_1d(
     theta: QubitState | tuple | list | np.ndarray,
     p: CoinParameter | float,
     t: int,
-    k: PhaseParameter | float = 0.0,
+    k: float = 0.0,
 ) -> WaveField1D:
-    """t-fold composition of :func:`step_1d` starting from :func:`init_1d`."""
-    if t < 0:
-        raise InvalidParameterError(f"time must be nonnegative, got {t}")
-    field = init_1d(theta)
-    for _ in range(int(t)):
-        field = step_1d(field, p, k)
-    return field
+    """The last field of :func:`trajectory_1d`: ``t`` steps from :func:`init_1d`."""
+    return deque(trajectory_1d(theta, p, t, k), maxlen=1).pop()
 
 
 def distribution_1d(field: WaveField1D) -> Distribution1D:
@@ -241,8 +254,7 @@ def moment_1d(dist: Distribution1D, alpha: int) -> float:
     ``alpha = 0`` always returns 1.  At ``t = 0`` the walker has no velocity,
     so the moment is 1 for ``alpha = 0`` and 0 otherwise.
     """
-    if alpha < 0:
-        raise InvalidParameterError(f"moment order must be >= 0, got {alpha}")
+    alpha = require_int(alpha, "moment order")
     if alpha == 0:
         return 1.0
     if dist.t == 0:

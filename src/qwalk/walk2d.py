@@ -14,19 +14,23 @@ stored densely on that grid: component arrays of shape ``(t+1, t+1)`` where
 index ``(i, j)`` holds the site with ``u = 2i - t``, ``v = 2j - t``, i.e.
 ``x = i + j - t``, ``y = i - j``.  This packing wastes no parity zeros and
 keeps each step to a handful of contiguous slice operations.
+
+:func:`trajectory_2d` is the only loop over :func:`step_2d` in the package.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from typing import Iterator
 
 import numpy as np
 
 from .coin import CoinParameter, as_coin, coin_2d
-from .errors import InvalidParameterError, InvalidStateError
-from .walk1d import PhaseParameter, _phase
+from .errors import InvalidParameterError, InvalidStateError, require_int
+from .walk1d import _phase
 
 __all__ = [
     "QuditState",
@@ -34,6 +38,7 @@ __all__ = [
     "Distribution2D",
     "init_2d",
     "step_2d",
+    "trajectory_2d",
     "evolve_2d",
     "distribution_2d",
     "joint_moment_2d",
@@ -82,7 +87,27 @@ def as_qudit(theta: QuditState | tuple | list | np.ndarray) -> QuditState:
     return QuditState(*seq)
 
 
-class WaveField2D:
+class _Support2D:
+    """Rotated-grid site bookkeeping shared by fields and distributions."""
+
+    __slots__ = ()
+
+    def site_index(self, x: int, y: int) -> tuple[int, int] | None:
+        """Grid index of site ``(x, y)``, or None if off the support lattice."""
+        u, v = x + y, x - y
+        if (u + self.t) % 2 != 0 or abs(u) > self.t or abs(v) > self.t:
+            return None
+        return (u + self.t) // 2, (v + self.t) // 2
+
+    def site_grids(self) -> tuple[np.ndarray, np.ndarray]:
+        """Arrays X, Y of shape (t+1, t+1) giving the site of each grid cell."""
+        i = np.arange(self.t + 1)
+        x = i[:, None] + i[None, :] - self.t
+        y = i[:, None] - i[None, :]
+        return x, y
+
+
+class WaveField2D(_Support2D):
     """Amplitude field at a fixed time over the rotated-coordinate grid.
 
     ``amps`` has shape ``(4, t+1, t+1)``; ``amps[c, i, j]`` is component
@@ -100,26 +125,12 @@ class WaveField2D:
         self.amps = np.ascontiguousarray(amps, dtype=np.complex128)
         self.amps.flags.writeable = False
 
-    def site_index(self, x: int, y: int) -> tuple[int, int] | None:
-        """Grid index of site ``(x, y)``, or None if off the support lattice."""
-        u, v = x + y, x - y
-        if (u + self.t) % 2 != 0 or abs(u) > self.t or abs(v) > self.t:
-            return None
-        return (u + self.t) // 2, (v + self.t) // 2
-
     def amplitude(self, x: int, y: int) -> tuple[complex, complex, complex, complex]:
         idx = self.site_index(x, y)
         if idx is None:
             return 0j, 0j, 0j, 0j
         i, j = idx
         return tuple(complex(self.amps[c, i, j]) for c in range(4))
-
-    def site_grids(self) -> tuple[np.ndarray, np.ndarray]:
-        """Arrays X, Y of shape (t+1, t+1) giving the site of each grid cell."""
-        i = np.arange(self.t + 1)
-        x = i[:, None] + i[None, :] - self.t
-        y = i[:, None] - i[None, :]
-        return x, y
 
     def items(self) -> Iterator[tuple[tuple[int, int], tuple[complex, ...]]]:
         """Iterate occupied sites (any nonzero component), row-major in (i, j)."""
@@ -134,7 +145,7 @@ class WaveField2D:
         return float(np.sum(np.abs(self.amps) ** 2))
 
 
-class Distribution2D:
+class Distribution2D(_Support2D):
     """Joint probability masses on the rotated-coordinate grid."""
 
     __slots__ = ("t", "grid")
@@ -144,17 +155,9 @@ class Distribution2D:
         self.grid = np.ascontiguousarray(grid, dtype=np.float64)
         self.grid.flags.writeable = False
 
-    def site_grids(self) -> tuple[np.ndarray, np.ndarray]:
-        i = np.arange(self.t + 1)
-        x = i[:, None] + i[None, :] - self.t
-        y = i[:, None] - i[None, :]
-        return x, y
-
     def mass(self, x: int, y: int) -> float:
-        u, v = x + y, x - y
-        if (u + self.t) % 2 != 0 or abs(u) > self.t or abs(v) > self.t:
-            return 0.0
-        return float(self.grid[(u + self.t) // 2, (v + self.t) // 2])
+        idx = self.site_index(x, y)
+        return 0.0 if idx is None else float(self.grid[idx])
 
     def items(self) -> Iterator[tuple[tuple[int, int], float]]:
         """Iterate nonzero masses in ascending (x, y) lexicographic order."""
@@ -183,7 +186,7 @@ def init_2d(theta: QuditState | tuple | list | np.ndarray) -> WaveField2D:
 def step_2d(
     field: WaveField2D,
     p: CoinParameter | float,
-    k: PhaseParameter | float = 0.0,
+    k: float = 0.0,
 ) -> WaveField2D:
     """Advance the field one step; norm preserved exactly.
 
@@ -206,19 +209,31 @@ def step_2d(
     return WaveField2D(t + 1, new)
 
 
+def trajectory_2d(
+    theta: QuditState | tuple | list | np.ndarray,
+    p: CoinParameter | float,
+    horizon: int,
+    k: float = 0.0,
+) -> Iterator[WaveField2D]:
+    """Fields at ``t = 0, 1, ..., horizon``, one :func:`step_2d` apart.
+
+    Inputs are checked as in :func:`qwalk.walk1d.trajectory_1d`, before the
+    first field is produced; the iterator is lazy.
+    """
+    n, c, field = require_int(horizon, "horizon"), as_coin(p), init_2d(theta)
+    _phase(k)
+    # step_2d is looked up at every step, so a rebound (traced) step is seen
+    return accumulate(repeat(None, n), lambda f, _: step_2d(f, c, k), initial=field)
+
+
 def evolve_2d(
     theta: QuditState | tuple | list | np.ndarray,
     p: CoinParameter | float,
     t: int,
-    k: PhaseParameter | float = 0.0,
+    k: float = 0.0,
 ) -> WaveField2D:
-    """t-fold composition of :func:`step_2d` starting from :func:`init_2d`."""
-    if t < 0:
-        raise InvalidParameterError(f"time must be nonnegative, got {t}")
-    field = init_2d(theta)
-    for _ in range(int(t)):
-        field = step_2d(field, p, k)
-    return field
+    """The last field of :func:`trajectory_2d`: ``t`` steps from :func:`init_2d`."""
+    return deque(trajectory_2d(theta, p, t, k), maxlen=1).pop()
 
 
 def distribution_2d(field: WaveField2D) -> Distribution2D:
@@ -229,8 +244,7 @@ def distribution_2d(field: WaveField2D) -> Distribution2D:
 
 def joint_moment_2d(dist: Distribution2D, alpha: int, beta: int) -> float:
     """Joint pseudo-velocity moment ``sum (x/t)^alpha (y/t)^beta P(x, y, t)``."""
-    if alpha < 0 or beta < 0:
-        raise InvalidParameterError("moment orders must be >= 0")
+    alpha, beta = require_int(alpha, "moment order"), require_int(beta, "moment order")
     if alpha == 0 and beta == 0:
         return 1.0
     if dist.t == 0:

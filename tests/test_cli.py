@@ -7,6 +7,8 @@ import pytest
 
 from qwalk import cli
 from qwalk.spectral import MomentReport
+from qwalk.symmetry import extract_ab
+from qwalk.validation import reference_table_deviation
 
 
 def run(argv):
@@ -66,6 +68,11 @@ class TestSim1D:
         assert run(args + ["-o", str(a)]) == 0
         assert run(args + ["-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_nan_phase_exits_2_without_output(self, capsys):
+        rc = run(["sim1d", "--p", "0.5", "--state", "1,0", "--t", "3", "--k", "nan"])
+        assert rc == 2
+        assert capsys.readouterr().out == ""
 
     def test_unwritable_output_exits_4(self):
         rc = run(["sim1d", "--p", "0.5", "--state", "1,0", "--t", "5",
@@ -161,6 +168,19 @@ class TestSymmetry:
         assert "kns=true" in out
         assert out.count("\n") >= 12  # header + 10 rows + verdicts
 
+    @pytest.mark.parametrize("t", ["-5", "1"])
+    def test_table_needs_two_steps(self, t, capsys):
+        assert run(["symmetry", "--p", "0.5", "--table", "--t", t]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_table_verdict_comes_from_validation_helper(self, monkeypatch, capsys):
+        dev = reference_table_deviation(extract_ab(0.5, 12))
+        assert run(["symmetry", "--p", "0.5", "--table", "--t", "12"]) == 0
+        assert f"deviation={dev:.3e} verdict=PASS" in capsys.readouterr().out
+        monkeypatch.setattr(cli, "reference_table_deviation", lambda table: 1.0)
+        assert run(["symmetry", "--p", "0.5", "--table", "--t", "12"]) == 0
+        assert "verdict=FAIL" in capsys.readouterr().out
+
     def test_needs_state_or_table(self):
         assert run(["symmetry", "--p", "0.5"]) == 2
 
@@ -185,6 +205,12 @@ class TestLocalize:
                   "--site", "0", "--ladder", "16,32,64", "--epsilon", "0.5"])
         assert rc == 0
         assert "epsilon=0.5" in capsys.readouterr().out
+
+    def test_bad_epsilon_exits_2_without_verdict(self, capsys):
+        rc = run(["localize", "--dim", "1", "--p", "0.5", "--state", "1,0",
+                  "--site", "0", "--ladder", "64,128", "--epsilon", "7"])
+        assert rc == 2
+        assert capsys.readouterr().out == ""
 
     def test_bad_site_exits_2(self):
         rc = run(["localize", "--dim", "2", "--p", "0.5", "--state", "1,0,0,0",

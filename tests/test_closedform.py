@@ -144,3 +144,14 @@ class TestClosedFormField:
         for p in (0.25, 0.75):
             f = closed_form_field(QubitState.random(rng), p, 120)
             assert abs(f.total_probability() - 1.0) <= 1e-12
+
+
+class TestClosedFormInputs:
+    def test_rejects_non_finite_phase(self):
+        with pytest.raises(InvalidParameterError):
+            closed_form_field(QubitState(1.0, 0.0), 0.5, 5, k=float("nan"))
+
+    @pytest.mark.parametrize("bad", [2.7, True, -1])
+    def test_rejects_non_integral_time(self, bad):
+        with pytest.raises(InvalidParameterError):
+            closed_form_field(QubitState(1.0, 0.0), 0.5, bad)

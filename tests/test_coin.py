@@ -1,6 +1,7 @@
 """Coin matrices and wavenumber kernels."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,6 +33,15 @@ class TestCoinParameter:
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.5, float("nan"), float("inf")])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(InvalidParameterError):
+            CoinParameter(bad)
+
+    @pytest.mark.parametrize("value", [np.float32(0.5), np.float64(0.5), Fraction(1, 2)])
+    def test_accepts_any_real_scalar(self, value):
+        assert CoinParameter(value).p == 0.5
+
+    @pytest.mark.parametrize("bad", ["0.5", 0.5 + 0j, None, True])
+    def test_non_real_named_as_such(self, bad):
+        with pytest.raises(InvalidParameterError, match="must be a real number"):
             CoinParameter(bad)
 
     def test_wavenumber_half_open_interval(self):

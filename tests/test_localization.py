@@ -7,6 +7,7 @@ import pytest
 from qwalk.errors import InvalidParameterError, PreconditionError
 from qwalk.localization import (
     DeltaIntensityEstimate,
+    validate_epsilon,
     localization_verdict,
     time_averaged_probability_1d,
     time_averaged_probability_2d,
@@ -45,6 +46,20 @@ class TestEstimates1D:
             time_averaged_probability_1d(th, 0.5, 0, (4, 8))      # horizon < 8
         with pytest.raises(InvalidParameterError):
             time_averaged_probability_1d(th, 0.5, 0, (16, 16))    # not increasing
+        with pytest.raises(InvalidParameterError):
+            time_averaged_probability_1d(th, 0.5, 0, (10.5, 20.9))  # not truncated
+        with pytest.raises(InvalidParameterError):
+            time_averaged_probability_2d(QuditState(1, 0, 0, 0), 0.5, (0, 0), (16, 32.5))
+
+    def test_site_not_truncated(self):
+        with pytest.raises(InvalidParameterError):
+            time_averaged_probability_1d(QubitState(1.0, 0.0), 0.5, 1.7, (8, 16))
+        with pytest.raises(InvalidParameterError):
+            time_averaged_probability_2d(QuditState(1, 0, 0, 0), 0.5, (0, 0.5), (8, 16))
+        with pytest.raises(InvalidParameterError):
+            time_averaged_probability_2d(QuditState(1, 0, 0, 0), 0.5, (0, 0, 1), (8, 16))
+        est = time_averaged_probability_2d(QuditState(1, 0, 0, 0), 0.5, (-2, 0), (8, 16))
+        assert est.site == (-2, 0)
 
     def test_halving_ratio_band(self):
         est = time_averaged_probability_1d(
@@ -120,3 +135,9 @@ class TestVerdict:
         )
         with pytest.raises(InvalidParameterError):
             localization_verdict(est, epsilon=0.0)
+
+    @pytest.mark.parametrize("bad", [0.0, 7.0, float("nan"), "0.5"])
+    def test_epsilon_check_without_estimate(self, bad):
+        with pytest.raises(InvalidParameterError):
+            validate_epsilon(bad)
+        assert validate_epsilon(1) == 1.0

@@ -14,6 +14,7 @@ from qwalk.spectral import (
     group_velocity,
     limit_moment_1d,
     limit_moment_2d,
+    limit_moments_2d,
     sigma,
 )
 from qwalk.walk1d import QubitState
@@ -224,5 +225,26 @@ class TestConvergenceReport:
         assert len(rep.simulated) == 2
 
     def test_rejects_bad_ladder(self):
+        for ladder in ((100, 50), (10.5, 20.9), (0, 10)):  # 10.5 is not truncated
+            with pytest.raises(InvalidParameterError):
+                convergence_report(QubitState(1.0, 0.0), 0.5, 1, ladder=ladder, grid=64)
+
+
+class TestLimitMoments2D:
+    ORDERS = ((1, 0), (0, 1), (1, 1), (2, 0), (0, 3))
+
+    def test_every_entry_equals_single_limit_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        states = [QuditState(1, 0, 0, 0), QuditState.random(rng), QuditState.random(rng)]
+        table = limit_moments_2d(states, 0.35, self.ORDERS, grid=QuadratureGrid(32))
+        assert table.shape == (len(states), len(self.ORDERS))
+        for th, row in zip(states, table):
+            for (a, b), v in zip(self.ORDERS, row):
+                single = limit_moment_2d(th, 0.35, a, b, grid=QuadratureGrid(32))
+                assert float(v).hex() == single.hex()
+
+    @pytest.mark.parametrize("orders", [(), ((0, 0),), ((1, -1),), ((1.5, 0),)])
+    def test_rejects_bad_orders(self, orders):
         with pytest.raises(InvalidParameterError):
-            convergence_report(QubitState(1.0, 0.0), 0.5, 1, ladder=(100, 50))
+            limit_moments_2d([QuditState(1, 0, 0, 0)], 0.5, orders, grid=32)
+

@@ -1,0 +1,39 @@
+"""Source-level design invariants of the package."""
+
+import ast
+from pathlib import Path
+
+import qwalk
+
+SRC = Path(qwalk.__file__).parent
+
+
+def _tree(module: str) -> ast.Module:
+    return ast.parse((SRC / f"{module}.py").read_text())
+
+
+def test_only_trajectories_call_the_step_functions():
+    calls = set()
+    for path in SRC.glob("*.py"):
+        for top in _tree(path.stem).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in ("step_1d", "step_2d"):
+                    calls.add((path.stem, getattr(top, "name", None), name))
+    assert calls == {
+        ("walk1d", "trajectory_1d", "step_1d"),
+        ("walk2d", "trajectory_2d", "step_2d"),
+    }
+
+
+def test_validation_imports_no_private_name():
+    imported = [
+        alias.name
+        for node in ast.walk(_tree("validation"))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert imported and not [n for n in imported if n.split(".")[-1].startswith("_")]

@@ -13,6 +13,7 @@ from qwalk.walk1d import (
     init_1d,
     moment_1d,
     step_1d,
+    trajectory_1d,
 )
 
 R = 1 / math.sqrt(2)
@@ -148,3 +149,40 @@ def test_orientation_anchor_expectation_series():
         f = step_1d(f, 0.5)
         mean = distribution_1d(f).mean_position()
         assert mean == pytest.approx(expected, abs=1e-12), f"t={t}"
+
+
+class TestTrajectory:
+    def test_fields_equal_stepping_and_evolve_bit_for_bit(self):
+        th = QubitState(0.6, 0.8j)
+        fields = list(trajectory_1d(th, 0.3, 25, k=0.4))
+        assert [f.t for f in fields] == list(range(26))
+        ref = init_1d(th)
+        for f in fields:
+            for other in (ref, evolve_1d(th, 0.3, f.t, k=0.4)):
+                assert f.phi1.tobytes() == other.phi1.tobytes()
+                assert f.phi2.tobytes() == other.phi2.tobytes()
+            ref = step_1d(ref, 0.3, k=0.4)
+
+    @pytest.mark.parametrize("bad", [2.7, 3.0, True, -1, "3"])
+    def test_rejects_non_integral_or_bool_horizon(self, bad):
+        with pytest.raises(InvalidParameterError):
+            evolve_1d(QubitState(1.0, 0.0), 0.5, bad)
+
+    def test_accepts_numpy_integer_horizon(self):
+        assert evolve_1d(QubitState(1.0, 0.0), 0.5, np.int64(5)).t == 5
+
+    def test_inputs_checked_before_first_field(self):
+        with pytest.raises(InvalidParameterError):
+            trajectory_1d(QubitState(1.0, 0.0), 0.5, 4, k=float("nan"))
+        with pytest.raises(InvalidParameterError):
+            trajectory_1d(QubitState(1.0, 0.0), 1.5, 4)
+
+    @pytest.mark.parametrize("k", [float("nan"), float("inf"), 1j, "0.1"])
+    def test_rejects_non_finite_or_non_real_phase(self, k):
+        with pytest.raises(InvalidParameterError):
+            evolve_1d(QubitState(1.0, 0.0), 0.5, 3, k)
+
+    def test_moment_order_must_be_integral(self):
+        d = distribution_1d(evolve_1d(QubitState(1.0, 0.0), 0.5, 3))
+        with pytest.raises(InvalidParameterError):
+            moment_1d(d, 1.5)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qwalk.errors import InvalidStateError
+from qwalk.errors import InvalidParameterError, InvalidStateError
 from qwalk.walk1d import QubitState, distribution_1d, evolve_1d
 from qwalk.walk2d import (
     QuditState,
@@ -14,6 +14,7 @@ from qwalk.walk2d import (
     init_2d,
     joint_moment_2d,
     step_2d,
+    trajectory_2d,
 )
 
 
@@ -132,3 +133,24 @@ def test_rotated_marginals_do_not_reduce_to_line_walks():
     # the marginals are still genuine distributions
     assert u_marginal.sum() == pytest.approx(1.0, abs=1e-12)
     assert v_marginal.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+class TestTrajectory:
+    def test_fields_equal_stepping_and_evolve_bit_for_bit(self):
+        th = QuditState(0.5, 0.5j, -0.5, 0.5j)
+        fields = list(trajectory_2d(th, 0.3, 12, k=-0.8))
+        assert [f.t for f in fields] == list(range(13))
+        ref = init_2d(th)
+        for f in fields:
+            assert f.amps.tobytes() == ref.amps.tobytes()
+            assert f.amps.tobytes() == evolve_2d(th, 0.3, f.t, k=-0.8).amps.tobytes()
+            ref = step_2d(ref, 0.3, k=-0.8)
+
+    @pytest.mark.parametrize("bad", [2.7, True, -1])
+    def test_rejects_non_integral_or_bool_horizon(self, bad):
+        with pytest.raises(InvalidParameterError):
+            trajectory_2d(QuditState(1, 0, 0, 0), 0.5, bad)
+
+    def test_rejects_non_finite_phase(self):
+        with pytest.raises(InvalidParameterError):
+            evolve_2d(QuditState(1, 0, 0, 0), 0.5, 3, float("nan"))
