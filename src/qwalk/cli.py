@@ -15,7 +15,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import QwalkError
+from .coin import CoinParameter
+from .errors import InvalidParameterError, QwalkError
 from .localization import (
     validate_epsilon,
     localization_verdict,
@@ -97,11 +98,11 @@ def _parse_state(text: str, dim: int) -> np.ndarray:
 
 
 def _parse_p(value: float) -> float:
-    if not 0.0 < value < 1.0:
-        raise _CliError(
-            _EXIT_BAD_INPUT, f"--p must lie in the open interval (0,1), got {value}"
-        )
-    return value
+    """``--p`` checked by :class:`CoinParameter`, with the flag named."""
+    try:
+        return CoinParameter(value).p
+    except InvalidParameterError as exc:
+        raise _CliError(_EXIT_BAD_INPUT, f"--p: {exc}") from None
 
 
 def _parse_grid(n: int) -> QuadratureGrid:

@@ -15,15 +15,21 @@ wavenumber torus,
     lim <(X_t/t)^a (Y_t/t)^b> = int2 sum_j |c_j|^2 v_{x,j}^a v_{y,j}^b,
 
 with ``c_j`` the projection of the initial state on the j-th eigenvector.
-Both are evaluated by the midpoint rule on an offset power-of-two grid whose
-nodes avoid every symmetry point where branches could cross.  On the line
-the integrand is smooth and periodic and the rule converges spectrally
-(criterion 11 holds N = 1024 and N = 4096 within 1e-10).  On the square
-lattice it does not: the branch-sorted integrand is not smooth, and the
-convergence is algebraic, about ``N^-1.5``.  For state (1, 0, 0, 0) at
-p = 1/2, order (1, 0), the value moves by 2.37e-4, 8.39e-5 and 2.96e-5 at
-N = 64 -> 128 -> 256 -> 512.  Moment quadratures are cross-validated
-against the position-space oracle through :func:`convergence_report`.
+The 4x4 eigenvectors come from ``eigh`` on the kernel's Hermitian part
+``(S + S^dag)/2``, which shares them with the unitary ``S`` wherever the
+eigenphases have distinct cosines.  Every node is checked by its cosine gap
+and its residual ``|S u - lambda u|``, and the nodes that fail (all of the
+diagonal m = n among them) are solved again with the general ``eig`` and a
+QR re-orthonormalization.  Both moments are evaluated by the midpoint rule
+on an offset power-of-two grid whose nodes avoid every symmetry point where
+branches could cross.  On the line the integrand is smooth and periodic and
+the rule converges spectrally (criterion 11 holds N = 1024 and N = 4096
+within 1e-10).  On the square lattice it does not: the branch-sorted
+integrand is not smooth, and the convergence is algebraic, about
+``N^-1.5``.  For state (1, 0, 0, 0) at p = 1/2, order (1, 0), the value
+moves by 2.37e-4, 8.39e-5 and 2.96e-5 at N = 64 -> 128 -> 256 -> 512.
+Moment quadratures are cross-validated against the position-space oracle
+through :func:`convergence_report`.
 """
 
 from __future__ import annotations
@@ -71,6 +77,8 @@ __all__ = [
 ]
 
 _PHASE_GAP_MIN = 1e-8
+_COSINE_GAP_MIN = 1e-3   # closer cosines: eigh may mix two eigenvectors of S
+_RESIDUAL_MAX = 1e-12
 _GAP_FLOOR = 1e-12   # below this, simulated and limit moments are both "zero"
 _CHUNK = 16384
 
@@ -87,14 +95,17 @@ class QuadratureGrid:
     n: int
 
     def __post_init__(self) -> None:
-        n = self.n
-        if not (isinstance(n, int) and n >= 2 and (n & (n - 1)) == 0):
-            raise InvalidParameterError(
-                f"grid size must be a power of two >= 2, got {n!r}"
-            )
+        n = require_int(self.n, "grid size", 2)
+        if n & (n - 1):
+            raise InvalidParameterError(f"grid size must be a power of two, got {n}")
+        object.__setattr__(self, "n", n)
 
     def nodes(self) -> np.ndarray:
         return -np.pi + (np.arange(self.n) + 0.5) * (2.0 * np.pi / self.n)
+
+
+def _as_grid(grid: QuadratureGrid | int) -> QuadratureGrid:
+    return grid if isinstance(grid, QuadratureGrid) else QuadratureGrid(grid)
 
 
 @dataclass(frozen=True)
@@ -215,7 +226,7 @@ def limit_moment_1d(
     """
     alpha = require_int(alpha, "moment order", 1)
     c = as_coin(p)
-    g = QuadratureGrid(grid) if isinstance(grid, int) else grid
+    g = _as_grid(grid)
     th = as_qubit(theta).as_array()
     x = g.nodes()
     _, b, gg, nrm2 = _branch_vectors_1d(c, x)
@@ -232,28 +243,53 @@ def _batch_eigensystem(
     """Sorted eigensystem of the 4x4 kernel at a batch of wavenumber pairs.
 
     Returns ``(lam, Q, vx, vy)`` with shapes (B, 4), (B, 4, 4), (B, 4),
-    (B, 4); ``Q`` columns are orthonormalized eigenvectors ordered by
-    eigenvalue phase.  Raises :class:`DegenerateSpectrumError` if any two
-    phases at one node are closer than 1e-8 (the caller must move the node;
-    nothing is perturbed silently).
+    (B, 4); ``Q`` columns are orthonormal eigenvectors ordered by eigenvalue
+    phase.  Raises :class:`DegenerateSpectrumError` if any two phases at one
+    node are closer than 1e-8 (the caller must move the node; nothing is
+    perturbed silently).
+
+    The kernel ``S`` is unitary, so its Hermitian part ``(S + S^dag)/2`` has
+    the same eigenvectors wherever its eigenvalues, the cosines of the
+    eigenphases, are distinct; ``eigh`` on that part gives them.  Each node
+    is then checked: it is recomputed with the general ``eig`` followed by a
+    QR re-orthonormalization if two cosines lie closer than 1e-3 (on the
+    diagonal m = n they coincide exactly) or if the residual
+    ``max_k |S u_k - lam_k u_k|`` exceeds 1e-12.  With ``T = conj(Q) * (S Q)``
+    elementwise, the eigenvalues are the Rayleigh quotients
+    ``lam_k = sum_i T_ik`` and the Hellmann-Feynman velocities
+    ``-Im(u^dag dS u / lam)`` reduce to ``Re((T_0k - T_1k) / lam_k)`` along x
+    and ``Re((T_2k - T_3k) / lam_k)`` along y, since the derivative of each
+    diagonal phase ``exp(-+i m)`` is ``-+i`` times itself.
     """
     H = coin_2d(p).real
-    B = ms.size
-    em, epm = np.exp(-1j * ms), np.exp(1j * ms)
-    en, epn = np.exp(-1j * ns), np.exp(1j * ns)
-    phases = np.stack([em, epm, en, epn], axis=1)
-    S = phases[:, :, None] * H[None, :, :]
-    dphx = np.stack([-1j * em, 1j * epm, np.zeros(B), np.zeros(B)], axis=1)
-    dphy = np.stack([np.zeros(B), np.zeros(B), -1j * en, 1j * epn], axis=1)
-    dSx = dphx[:, :, None] * H[None, :, :]
-    dSy = dphy[:, :, None] * H[None, :, :]
+    phases = np.stack(
+        [np.exp(-1j * ms), np.exp(1j * ms), np.exp(-1j * ns), np.exp(1j * ns)], axis=1
+    )
+    S = phases[:, :, None] * H
 
-    w, V = np.linalg.eig(S)
-    order = np.argsort(np.angle(w), axis=1)
-    w = np.take_along_axis(w, order, axis=1)
-    V = np.take_along_axis(V, order[:, None, :], axis=2)
+    cosines, Q = np.linalg.eigh(0.5 * (S + S.conj().swapaxes(1, 2)))
+    SQ = S @ Q
+    lam = np.sum(Q.conj() * SQ, axis=1)
+    residual = np.linalg.norm(SQ - Q * lam[:, None, :], axis=1).max(axis=1)
+    bad = (np.diff(cosines, axis=1).min(axis=1) < _COSINE_GAP_MIN) | (
+        residual > _RESIDUAL_MAX
+    )
+    if bad.any():
+        w, V = np.linalg.eig(S[bad])
+        V = np.take_along_axis(V, np.argsort(np.angle(w), axis=1)[:, None, :], axis=2)
+        # for a normal kernel with separated branches the QR factor differs
+        # from the raw eigenvectors only by column phases
+        Q[bad], _ = np.linalg.qr(V)
+        SQ[bad] = S[bad] @ Q[bad]
 
-    ph = np.angle(w)
+    T = Q.conj() * SQ
+    lam = np.sum(T, axis=1)
+    order = np.argsort(np.angle(lam), axis=1)
+    lam = np.take_along_axis(lam, order, axis=1)
+    Q = np.take_along_axis(Q, order[:, None, :], axis=2)
+    T = np.take_along_axis(T, order[:, None, :], axis=2)
+
+    ph = np.angle(lam)
     gaps = np.diff(np.concatenate([ph, ph[:, :1] + 2.0 * np.pi], axis=1), axis=1)
     gmin = float(gaps.min())
     if gmin < _PHASE_GAP_MIN:
@@ -261,13 +297,8 @@ def _batch_eigensystem(
             f"eigenvalue phases separated by {gmin:.3e} < {_PHASE_GAP_MIN:g}; "
             "evaluate at a node away from the degenerate set"
         )
-
-    # re-orthonormalize: for a normal kernel with separated branches the QR
-    # factor differs from the raw eigenvectors only by column phases
-    Q, _ = np.linalg.qr(V)
-    lam = np.einsum("bik,bij,bjk->bk", Q.conj(), S, Q)
-    vx = -np.imag(np.einsum("bik,bij,bjk->bk", Q.conj(), dSx, Q) / lam)
-    vy = -np.imag(np.einsum("bik,bij,bjk->bk", Q.conj(), dSy, Q) / lam)
+    vx = np.real((T[:, 0] - T[:, 1]) / lam)
+    vy = np.real((T[:, 2] - T[:, 3]) / lam)
     return lam, Q, vx, vy
 
 
@@ -320,7 +351,7 @@ def limit_moments_2d(
             f"got {orders}"
         )
     c = as_coin(p)
-    g = QuadratureGrid(grid) if isinstance(grid, int) else grid
+    g = _as_grid(grid)
     ths = [as_qudit(th).as_array() for th in thetas]
     nodes = g.nodes()
     mm, nn = np.meshgrid(nodes, nodes, indexing="ij")

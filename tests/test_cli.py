@@ -49,6 +49,14 @@ class TestSim1D:
         assert rc == 2
         assert "--p" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p", ["1.5", "nan"])
+    def test_out_of_range_or_nan_p_exits_2_without_output(self, p, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        assert run(["sim1d", "--p", p, "--state", "1,0", "--t", "5", "-o", str(out)]) == 2
+        assert not out.exists()
+        assert run(["sim1d", "--p", p, "--state", "1,0", "--t", "5"]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_bad_state_component_exits_2(self):
         assert run(["sim1d", "--p", "0.5", "--state", "1,zz", "--t", "5"]) == 2
 

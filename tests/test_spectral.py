@@ -39,6 +39,20 @@ class TestQuadratureGrid:
         with pytest.raises(InvalidParameterError):
             QuadratureGrid(bad)
 
+    def test_numpy_integer_size(self):
+        g = QuadratureGrid(np.int64(64))
+        assert g.n == 64 and type(g.n) is int
+        assert np.array_equal(g.nodes(), QuadratureGrid(64).nodes())
+
+    def test_numpy_integer_size_1d_limit(self):
+        a = limit_moment_1d((1, 0), 0.5, 1, np.int64(64))
+        assert a == limit_moment_1d((1, 0), 0.5, 1, 64)
+
+    def test_numpy_integer_size_2d_limits(self):
+        th = [QuditState(1, 0, 0, 0)]
+        a = limit_moments_2d(th, 0.5, [(1, 0)], np.int64(32))
+        assert np.array_equal(a, limit_moments_2d(th, 0.5, [(1, 0)], 32))
+
 
 class TestDispersion:
     def test_sigma_at_zero(self):
@@ -160,11 +174,13 @@ class TestEigensystem2D:
     def test_eigen_residual(self):
         from qwalk.coin import kernel_2d
 
-        p, m, n = 0.3, 0.7, -1.2
-        s = kernel_2d(p, m, n)
-        for b in eigensystem_2d(p, m, n, QuditState(1, 0, 0, 0)):
-            res = np.max(np.abs(s @ b.eigenvector - b.eigenvalue * b.eigenvector))
-            assert res <= 1e-12
+        p = 0.3
+        # the diagonal nodes have coinciding cosines and take the eig fallback
+        for m, n in ((0.7, -1.2), (0.7, 0.7), (-1.1, -1.1), (2.3, 2.3)):
+            s = kernel_2d(p, m, n)
+            for b in eigensystem_2d(p, m, n, QuditState(1, 0, 0, 0)):
+                res = np.max(np.abs(s @ b.eigenvector - b.eigenvalue * b.eigenvector))
+                assert res <= 1e-12
 
 
 class TestLimitMoment2D:
@@ -187,6 +203,55 @@ class TestLimitMoment2D:
             quad = limit_moment_2d(th, 0.5, *order, grid=QuadratureGrid(64))
             sim = joint_moment_2d(d, *order)
             assert abs(quad - sim) <= 2e-2
+
+    def test_grid_stability(self):
+        # algebraic convergence; measured |N=128 - N=256| for these orders:
+        # 8.39e-5, 7.29e-5, 3.65e-5, 4.50e-5
+        orders = ((1, 0), (0, 1), (1, 1), (2, 0))
+        th = [QuditState(1, 0, 0, 0)]
+        a = limit_moments_2d(th, 0.5, orders, grid=128)
+        b = limit_moments_2d(th, 0.5, orders, grid=256)
+        assert np.max(np.abs(a - b)) <= 1e-4
+
+
+def _eig_qr_moments(thetas, p, orders, n):
+    """Reference 2D limit moments: general eig, phase sort, QR, triple products."""
+    from qwalk.coin import coin_2d
+
+    nodes = QuadratureGrid(n).nodes()
+    mm, nn = np.meshgrid(nodes, nodes, indexing="ij")
+    ms, ns = mm.ravel(), nn.ravel()
+    z = np.zeros_like(ms)
+    ph = np.stack([np.exp(-1j * ms), np.exp(1j * ms), np.exp(-1j * ns), np.exp(1j * ns)], 1)
+    dphx = np.stack([-1j * ph[:, 0], 1j * ph[:, 1], z, z], 1)
+    dphy = np.stack([z, z, -1j * ph[:, 2], 1j * ph[:, 3]], 1)
+    H = coin_2d(p).real
+    S, dSx, dSy = (d[:, :, None] * H for d in (ph, dphx, dphy))
+    w, V = np.linalg.eig(S)
+    V = np.take_along_axis(V, np.argsort(np.angle(w), axis=1)[:, None, :], axis=2)
+    Q, _ = np.linalg.qr(V)
+    lam = np.einsum("bik,bij,bjk->bk", Q.conj(), S, Q)
+    vx = -np.imag(np.einsum("bik,bij,bjk->bk", Q.conj(), dSx, Q) / lam)
+    vy = -np.imag(np.einsum("bik,bij,bjk->bk", Q.conj(), dSy, Q) / lam)
+    out = np.empty((len(thetas), len(orders)))
+    for si, th in enumerate(thetas):
+        wgt = np.abs(np.einsum("bik,i->bk", Q.conj(), th.as_array())) ** 2
+        for oi, (a, b) in enumerate(orders):
+            out[si, oi] = np.sum(wgt * vx**a * vy**b) / n**2
+    return out
+
+
+class TestLimitMoments2DAgainstEigQR:
+    ORDERS = ((1, 0), (0, 1), (1, 1), (2, 0))
+
+    @pytest.mark.parametrize("p", [0.1, 0.25, 0.5, 0.75, 0.9])
+    def test_matches_eig_qr_reference(self, p):
+        rng = np.random.default_rng(11)
+        states = [QuditState(1, 0, 0, 0), QuditState(0.5, 0.5j, 0.5j, -0.5)]
+        states.append(QuditState.random(rng))
+        got = limit_moments_2d(states, p, self.ORDERS, grid=64)
+        ref = _eig_qr_moments(states, p, self.ORDERS, 64)
+        assert np.max(np.abs(got - ref)) <= 1e-13
 
 
 class TestConvergenceReport:

@@ -37,3 +37,23 @@ def test_validation_imports_no_private_name():
         for alias in node.names
     ]
     assert imported and not [n for n in imported if n.split(".")[-1].startswith("_")]
+
+
+def test_spectral_solves_2d_with_eigh_and_falls_back_to_eig_in_one_place():
+    calls = set()
+    for top in _tree("spectral").body:
+        for node in ast.walk(top):
+            f = getattr(node, "func", None)
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(f, ast.Attribute)
+                and isinstance(f.value, ast.Attribute)
+                and f.value.attr == "linalg"
+                and f.attr in ("eig", "eigh", "qr")
+            ):
+                calls.add((getattr(top, "name", None), f.attr))
+    assert calls == {
+        ("_batch_eigensystem", "eigh"),
+        ("_batch_eigensystem", "eig"),
+        ("_batch_eigensystem", "qr"),
+    }
