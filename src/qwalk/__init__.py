@@ -51,7 +51,6 @@ from .walk2d import (
 from .closedform import (
     LaurentCoefficients,
     alpha_coefficients,
-    chebyshev_u,
     closed_form_field,
     double_sum_coefficient,
 )
@@ -127,7 +126,6 @@ __all__ = [
     "joint_moment_2d",
     # closed form
     "LaurentCoefficients",
-    "chebyshev_u",
     "alpha_coefficients",
     "double_sum_coefficient",
     "closed_form_field",

@@ -144,65 +144,51 @@ def _meta_line(model: str, args, convention: str, extra: dict) -> str:
     return "# " + " ".join(f"{k}={v}" for k, v in fields.items())
 
 
-def cmd_sim1d(args) -> int:
+def _cmd_sim(args, dim: int) -> int:
     p = _parse_p(args.p)
-    vec = _parse_state(args.state, 2)
-    field = evolve_1d(QubitState(vec[0], vec[1]), p, args.t, args.k)
-    dist = distribution_1d(field)
-    moments = {1: moment_1d(dist, 1), 2: moment_1d(dist, 2)}
+    vec = _parse_state(args.state, 2 * dim)
+    if dim == 1:
+        dist = distribution_1d(evolve_1d(QubitState(*vec), p, args.t, args.k))
+        orders, moment, convention = ((1,), (2,)), moment_1d, CONVENTION_1D
+    else:
+        dist = distribution_2d(evolve_2d(QuditState(*vec), p, args.t, args.k))
+        orders = ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2))
+        moment, convention = joint_moment_2d, CONVENTION_2D
+    # 1D sites are bare ints; every row gets the site's coordinates then its mass
+    rows = [((site,) if dim == 1 else site) + (m,) for site, m in dist.items()]
+    moments = {
+        " ".join(f"{n}={a}" for n, a in zip(("alpha", "beta"), ab)): moment(dist, *ab)
+        for ab in orders
+    }
+    model = f"sim{dim}d"
     if args.format == "csv":
-        lines = [_meta_line("sim1d", args, CONVENTION_1D, {"t": args.t, "k": args.k})]
-        lines.append("x,probability")
-        for x, m in dist.items():
-            lines.append(f"{x},{_fmt(m)}")
-        for a, v in moments.items():
-            lines.append(f"# moment alpha={a} value={_fmt(v)}")
+        lines = [_meta_line(model, args, convention, {"t": args.t, "k": args.k})]
+        lines.append("x,probability" if dim == 1 else "x,y,probability")
+        lines.extend(",".join(map(str, row[:-1])) + f",{_fmt(row[-1])}" for row in rows)
+        lines.extend(f"# moment {label} value={_fmt(v)}" for label, v in moments.items())
         _write_output("\n".join(lines) + "\n", args.output)
     else:
         doc = {
-            "model": "sim1d",
+            "model": model,
             "p": p,
             "t": args.t,
             "k": args.k,
             "state": args.state,
-            "convention": CONVENTION_1D,
+            "convention": convention,
             "version": __version__,
-            "masses": [[x, m] for x, m in dist.items()],
-            "moments": {f"alpha={a}": v for a, v in moments.items()},
+            "masses": [list(row) for row in rows],
+            "moments": moments,
         }
         _write_output(json.dumps(doc, indent=2) + "\n", args.output)
     return _EXIT_OK
+
+
+def cmd_sim1d(args) -> int:
+    return _cmd_sim(args, 1)
 
 
 def cmd_sim2d(args) -> int:
-    p = _parse_p(args.p)
-    vec = _parse_state(args.state, 4)
-    field = evolve_2d(QuditState(*vec), p, args.t, args.k)
-    dist = distribution_2d(field)
-    orders = ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2))
-    moments = {ab: joint_moment_2d(dist, *ab) for ab in orders}
-    if args.format == "csv":
-        lines = [_meta_line("sim2d", args, CONVENTION_2D, {"t": args.t, "k": args.k})]
-        lines.append("x,y,probability")
-        for (x, y), m in dist.items():
-            lines.append(f"{x},{y},{_fmt(m)}")
-        for (a, b), v in moments.items():
-            lines.append(f"# moment alpha={a} beta={b} value={_fmt(v)}")
-        _write_output("\n".join(lines) + "\n", args.output)
-    else:
-        doc = {
-            "model": "sim2d",
-            "p": p,
-            "t": args.t,
-            "k": args.k,
-            "state": args.state,
-            "convention": CONVENTION_2D,
-            "version": __version__,
-            "masses": [[x, y, m] for (x, y), m in dist.items()],
-            "moments": {f"alpha={a} beta={b}": v for (a, b), v in moments.items()},
-        }
-        _write_output(json.dumps(doc, indent=2) + "\n", args.output)
-    return _EXIT_OK
+    return _cmd_sim(args, 2)
 
 
 def _cmd_limit(args, dim: int) -> int:
@@ -393,13 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output", "-o", default="-", help="output path or - for stdout")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    sp = sub.add_parser("sim1d", help="evolve on the line; write distribution")
-    add_common(sp, 2)
-    sp.set_defaults(func=cmd_sim1d)
-
-    sp = sub.add_parser("sim2d", help="evolve on the lattice; write distribution")
-    add_common(sp, 4)
-    sp.set_defaults(func=cmd_sim2d)
+    for name, dim, where in (("sim1d", 1, "line"), ("sim2d", 2, "lattice")):
+        sp = sub.add_parser(name, help=f"evolve on the {where}; write distribution")
+        add_common(sp, 2 * dim)
+        sp.set_defaults(func=cmd_sim1d if dim == 1 else cmd_sim2d)
 
     for name, dim in (("limit1d", 1), ("limit2d", 2)):
         sp = sub.add_parser(name, help=f"weak-limit moment report ({dim}D)")

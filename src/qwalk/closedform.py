@@ -30,7 +30,6 @@ tested invariant, not an assumption.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -41,68 +40,11 @@ from .errors import InvalidParameterError, require_int, require_real
 from .walk1d import QubitState, WaveField1D, as_qubit, init_1d
 
 __all__ = [
-    "chebyshev_u",
-    "ChebyshevTable",
-    "chebyshev_table",
     "LaurentCoefficients",
     "alpha_coefficients",
     "double_sum_coefficient",
     "closed_form_field",
 ]
-
-
-def chebyshev_u(n: int, y: complex) -> complex:
-    """Second-kind Chebyshev value ``U_n(y)`` by the three-term recurrence.
-
-    Valid for complex ``y``; ``U_0 = 1``, ``U_1 = 2 y``,
-    ``U_n = 2 y U_{n-1} - U_{n-2}``.
-    """
-    if n < 0:
-        raise InvalidParameterError(f"degree must be >= 0, got {n}")
-    if n == 0:
-        return 1 + 0j
-    prev, cur = 1 + 0j, 2 * complex(y)
-    for _ in range(n - 1):
-        prev, cur = cur, 2 * complex(y) * cur - prev
-    return cur
-
-
-@dataclass(frozen=True)
-class ChebyshevTable:
-    """Exact integer coefficient rows for ``U_0 .. U_n``.
-
-    ``rows[k]`` lists the coefficients of ``U_k`` in ascending powers of the
-    argument.  Built and stored in exact integer arithmetic so the recurrence
-    can be checked without rounding.
-    """
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def degree(self) -> int:
-        return len(self.rows) - 1
-
-    def evaluate(self, n: int, y: complex) -> complex:
-        coeffs = self.rows[n]
-        acc = 0j
-        power = 1 + 0j
-        for c in coeffs:
-            acc += c * power
-            power *= y
-        return acc
-
-
-def chebyshev_table(n: int) -> ChebyshevTable:
-    """Build the exact coefficient table for degrees 0..n."""
-    if n < 0:
-        raise InvalidParameterError(f"degree must be >= 0, got {n}")
-    rows: list[list[int]] = [[1]]
-    if n >= 1:
-        rows.append([0, 2])
-    for k in range(2, n + 1):
-        doubled = [0] + [2 * c for c in rows[k - 1]]
-        prev = rows[k - 2] + [0] * (len(doubled) - len(rows[k - 2]))
-        rows.append([a - b for a, b in zip(doubled, prev)])
-    return ChebyshevTable(tuple(tuple(r) for r in rows))
 
 
 class LaurentCoefficients:
@@ -191,6 +133,7 @@ def double_sum_coefficient(p: CoinParameter | float, t: int, j: int) -> float:
     once at the end.
     """
     c = as_coin(p)
+    t, j = require_int(t, "degree t"), require_int(j, "index j", None)
     if not 0 <= j <= t:
         raise InvalidParameterError(f"index j must lie in [0, {t}], got {j}")
     p_exact = Fraction(c.p)
@@ -229,13 +172,11 @@ def closed_form_field(
     sp, sq = math.sqrt(c.p), math.sqrt(c.q)
     a_t, a_tm1 = _alpha_pair(c, t)
 
-    phi1 = np.zeros(t + 1, dtype=np.complex128)
-    phi2 = np.zeros(t + 1, dtype=np.complex128)
+    amps = np.zeros((2, t + 1), dtype=np.complex128)
     # site x = 2 m - t;  a_t[.] packed with frequency n = 2 i - (t - 1)
-    phi1[1:] += (sp * th.d1 + sq * th.d2) * a_t        # needs a_t at x - 1
-    phi2[:-1] += (sq * th.d1 - sp * th.d2) * a_t       # needs a_t at x + 1
+    amps[0, 1:] += (sp * th.d1 + sq * th.d2) * a_t     # needs a_t at x - 1
+    amps[1, :-1] += (sq * th.d1 - sp * th.d2) * a_t    # needs a_t at x + 1
     if t >= 2:
-        phi1[1:-1] += th.d1 * a_tm1                    # a_{t-1} at x
-        phi2[1:-1] += th.d2 * a_tm1
-    phase = np.exp(1j * kk * t)
-    return WaveField1D(t, phase * phi1, phase * phi2)
+        amps[0, 1:-1] += th.d1 * a_tm1                 # a_{t-1} at x
+        amps[1, 1:-1] += th.d2 * a_tm1
+    return WaveField1D(t, np.exp(1j * kk * t) * amps)

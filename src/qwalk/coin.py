@@ -77,13 +77,13 @@ def as_coin(p: CoinParameter | float) -> CoinParameter:
 
 
 def validate_wavenumber(value: float) -> float:
-    """Check that a wavenumber lies in the half-open interval [-pi, pi).
+    """Check that a wavenumber is a real number in the half-open interval [-pi, pi).
 
     Returns the value as a float; raises :class:`InvalidParameterError`
-    otherwise.
+    otherwise, also for bools, strings and complex numbers.
     """
-    v = float(value)
-    if not (math.isfinite(v) and -math.pi <= v < math.pi):
+    v = require_real(value, "wavenumber")
+    if not -math.pi <= v < math.pi:
         raise InvalidParameterError(
             f"wavenumber must lie in [-pi, pi), got {value!r}"
         )

@@ -60,13 +60,13 @@ def _validate_ladder(ladder: tuple[int, ...]) -> tuple[int, ...]:
     return lad
 
 
-def _cesaro(fields, ladder: tuple[int, ...], probability) -> tuple[float, ...]:
-    """Running means of ``probability(field)`` over t = 1..T, at each ladder T."""
+def _cesaro(fields, ladder: tuple[int, ...], site: tuple[int, ...]) -> tuple[float, ...]:
+    """Running means of ``P(site, t)`` over t = 1..T, at each ladder T."""
     acc = 0.0
     averages = []
     want = set(ladder)
     for field in islice(fields, 1, None):
-        acc += probability(field)
+        acc += float(np.sum(np.abs(field.amplitude(*site)) ** 2))
         if field.t in want:
             averages.append(acc / field.t)
     return tuple(averages)
@@ -81,12 +81,7 @@ def time_averaged_probability_1d(
     """Cesaro averages of ``P(site, t)`` on the line, one evolution pass."""
     lad = _validate_ladder(ladder)
     site = require_int(site, "site", None)
-
-    def probability(field) -> float:
-        i = field.site_index(site)
-        return 0.0 if i is None else abs(field.phi1[i]) ** 2 + abs(field.phi2[i]) ** 2
-
-    averages = _cesaro(trajectory_1d(theta, p, lad[-1]), lad, probability)
+    averages = _cesaro(trajectory_1d(theta, p, lad[-1]), lad, (site,))
     return DeltaIntensityEstimate(site=site, horizons=lad, averages=averages)
 
 
@@ -100,17 +95,9 @@ def time_averaged_probability_2d(
     lad = _validate_ladder(ladder)
     if len(site) != 2:
         raise InvalidParameterError(f"lattice site needs 2 coordinates, got {site!r}")
-    x0, y0 = (require_int(v, "site coordinate", None) for v in site)
-
-    def probability(field) -> float:
-        idx = field.site_index(x0, y0)
-        if idx is None:
-            return 0.0
-        i, j = idx
-        return float(np.sum(np.abs(field.amps[:, i, j]) ** 2))
-
-    averages = _cesaro(trajectory_2d(theta, p, lad[-1]), lad, probability)
-    return DeltaIntensityEstimate(site=(x0, y0), horizons=lad, averages=averages)
+    site = tuple(require_int(v, "site coordinate", None) for v in site)
+    averages = _cesaro(trajectory_2d(theta, p, lad[-1]), lad, site)
+    return DeltaIntensityEstimate(site=site, horizons=lad, averages=averages)
 
 
 def validate_epsilon(epsilon: float) -> float:

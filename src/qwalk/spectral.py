@@ -396,13 +396,14 @@ def convergence_report(
     The dimension is taken from the state length (2 or 4 components); for the
     square lattice ``beta`` defaults to 0.  A single evolution pass supplies
     the whole ladder.  ``alpha (+ beta) = 0`` is the trivial moment: both
-    sides are exactly 1 and every gap is 0.
+    sides are exactly 1 and every gap is 0, but ``p`` is checked all the same.
     """
     ladder = tuple(require_int(t, "ladder time", 1) for t in ladder)
     if len(ladder) < 1 or any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise InvalidParameterError("time ladder must be strictly increasing")
     alpha = require_int(alpha, "alpha")
     beta = None if beta is None else require_int(beta, "beta")
+    p = as_coin(p)
 
     comps = list(theta.as_array()) if hasattr(theta, "as_array") else list(theta)
     one_d = len(comps) == 2

@@ -30,6 +30,12 @@ notion of a symmetric 2D distribution is inversion symmetry; the stricter
 four-way axis-mirror equality is available behind ``four_way=True`` and
 genuinely fails for these dynamics.
 
+One residual serves both lattices: ``reflection_identity_1d`` and
+``reflection_identity_2d`` return ``max |flip(amps) - c E amps|`` with
+``c = (-1)^t (+-i)``, where ``flip`` reverses every spatial axis of the
+amplitude block and ``E`` is the module's own ``EXCHANGE_1D`` or
+``EXCHANGE_2D``; the residual code holds no copy of either constant.
+
 The expectation table extractor reproduces, at p = 1/2, the classical
 coefficient sequences ``a_t`` (from state (1, 0)) and ``b_t`` (from state
 (1, 1)/sqrt(2)) under this engine's orientation, where
@@ -41,6 +47,7 @@ coefficient sequences ``a_t`` (from state (1, 0)) and ``b_t`` (from state
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice
 
 import numpy as np
@@ -48,7 +55,7 @@ import numpy as np
 from .coin import CoinParameter
 from .errors import InvalidParameterError, PreconditionError, require_int
 from .walk1d import QubitState, as_qubit, distribution_1d, evolve_1d, trajectory_1d
-from .walk2d import QuditState, as_qudit, distribution_2d, evolve_2d, trajectory_2d
+from .walk2d import as_qudit, distribution_2d, evolve_2d, trajectory_2d
 
 __all__ = [
     "EXCHANGE_1D",
@@ -117,18 +124,35 @@ class ABTable:
         return self.b[1:] - self.a[:-1] - 1.0
 
 
+def _balanced(state) -> bool:
+    """Equal component moduli and vanishing cross terms ``sum_{i != j} c_i conj(c_j)``."""
+    arr = state.as_array()
+    mods = np.abs(arr)
+    cross = abs(np.sum(arr)) ** 2 - float(np.sum(mods**2))
+    return bool(np.max(mods) - np.min(mods) <= _CLASS_TOL and abs(cross) <= _CLASS_TOL)
+
+
+def _inversion_symmetric(masses, four_way: bool = False) -> bool:
+    """True iff every mass array equals its inversion through the origin
+    within 1e-12 (and, with ``four_way``, its transposed inversion too)."""
+    for m in masses:
+        inverted = np.flip(m)
+        if np.max(np.abs(m - inverted)) > _SYM_TOL:
+            return False
+        if four_way and np.max(np.abs(m - inverted.T)) > _SYM_TOL:
+            return False
+    return True
+
+
 def in_phi_perp(theta) -> bool:
     """Balanced-orthogonal test: ``|d1| = |d2|`` and vanishing cross term."""
-    th = as_qubit(theta)
-    cross = th.d1 * th.d2.conjugate() + th.d1.conjugate() * th.d2
-    return abs(abs(th.d1) - abs(th.d2)) <= _CLASS_TOL and abs(cross) <= _CLASS_TOL
+    return _balanced(as_qubit(theta))
 
 
 def empirical_symmetric_1d(theta, p: CoinParameter | float, horizon: int) -> bool:
     """True iff ``P(x, t) = P(-x, t)`` within 1e-12 for every ``t <= horizon``."""
     fields = trajectory_1d(theta, p, require_int(horizon, "horizon", 1))
-    masses = (distribution_1d(f).masses for f in fields)
-    return all(np.max(np.abs(m - m[::-1])) <= _SYM_TOL for m in masses)
+    return _inversion_symmetric(distribution_1d(f).masses for f in fields)
 
 
 def expectation_series(theta, p: CoinParameter | float, horizon: int) -> np.ndarray:
@@ -168,46 +192,50 @@ def kns_check(table: ABTable, tol: float = 1e-10) -> bool:
     return bool(np.max(np.abs(table.kns_residuals())) <= tol)
 
 
-def _pattern_branch_1d(th: QubitState) -> int:
-    """+1 / -1 for states proportional to (1, +i) / (1, -i); error otherwise."""
-    if abs(th.d1) < _PATTERN_TOL:
-        raise PreconditionError(
-            "reflection identity needs a state proportional to (1, +-i)"
-        )
-    r = th.d2 / th.d1
-    if abs(r - 1j) <= _PATTERN_TOL:
-        return 1
-    if abs(r + 1j) <= _PATTERN_TOL:
-        return -1
+_PATTERNS = {2: "(1, +-i)", 4: "(1, +-i, +-i, -1)"}
+
+
+def _pattern_branch(state) -> int:
+    """+1 / -1 for states proportional to ``(1, +i)`` / ``(1, -i)`` on the
+    line or to its Kronecker square ``(1, +-i, +-i, -1)`` on the lattice;
+    error otherwise."""
+    arr = state.as_array()
+    if abs(arr[0]) >= _PATTERN_TOL:
+        for branch in (1, -1):
+            target = reduce(np.kron, [np.array([1.0, 1j * branch])] * (len(arr) // 2))
+            if np.max(np.abs(arr / arr[0] - target)) <= _PATTERN_TOL:
+                return branch
     raise PreconditionError(
-        f"reflection identity needs a state proportional to (1, +-i); "
-        f"component ratio is {r!r}"
+        f"reflection identity needs a state proportional to {_PATTERNS[len(arr)]}"
     )
+
+
+def _reflection_residual(state, evolve, exchange: np.ndarray, p, t: int) -> float:
+    """``max |flip(amps) - c exchange amps|`` at time ``t``, ``c = (-1)^t (+-i)``.
+
+    ``flip`` reverses every spatial axis, so each site is paired with its
+    inversion image: the identity is evaluated on the reflected field.
+    """
+    branch = _pattern_branch(state)
+    field = evolve(state, p, require_int(t, "time", 1))
+    amps, c = field.amps, (-1) ** field.t * (1j * branch)
+    flipped = np.flip(amps, axis=tuple(range(1, amps.ndim)))
+    return float(np.max(np.abs(flipped - c * np.tensordot(exchange, amps, axes=1))))
 
 
 def reflection_identity_1d(theta, p: CoinParameter | float, t: int) -> float:
     """Max amplitude residual of the 1D exchange identity at time ``t``.
 
-    The identity is evaluated on the reflected field (the mirrored walk
-    orientation); the caller asserts the returned residual against its
-    tolerance.
+    Uses ``EXCHANGE_1D``; evaluated on the reflected field (the mirrored
+    walk orientation).  The caller asserts the returned residual against
+    its tolerance.
     """
-    th = as_qubit(theta)
-    branch = _pattern_branch_1d(th)
-    t = require_int(t, "time", 1)
-    field = evolve_1d(th, p, t)
-    c = (-1) ** t * (1j * branch)
-    r1 = field.phi1[::-1] + c * field.phi2
-    r2 = field.phi2[::-1] - c * field.phi1
-    return float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
+    return _reflection_residual(as_qubit(theta), evolve_1d, EXCHANGE_1D, p, t)
 
 
 def in_phi_perp_2d(theta) -> bool:
     """Equal component moduli and vanishing off-diagonal cross-term sum."""
-    th = as_qudit(theta).as_array()
-    mods = np.abs(th)
-    cross = abs(np.sum(th)) ** 2 - float(np.sum(mods**2))
-    return bool(np.max(mods) - np.min(mods) <= _CLASS_TOL and abs(cross) <= _CLASS_TOL)
+    return _balanced(as_qudit(theta))
 
 
 def empirical_symmetric_2d(
@@ -224,30 +252,7 @@ def empirical_symmetric_2d(
     which no nontrivial state family satisfies here (see module docstring).
     """
     fields = trajectory_2d(theta, p, require_int(horizon, "horizon", 1))
-    for grid in (distribution_2d(f).grid for f in fields):
-        inverted = grid[::-1, ::-1]
-        if np.max(np.abs(grid - inverted)) > _SYM_TOL:
-            return False
-        if four_way and np.max(np.abs(grid - inverted.T)) > _SYM_TOL:
-            return False
-    return True
-
-
-def _pattern_branch_2d(th: QuditState) -> int:
-    """+1 / -1 for states proportional to (1, +-i, +-i, -1); error otherwise."""
-    arr = th.as_array()
-    if abs(arr[0]) < _PATTERN_TOL:
-        raise PreconditionError(
-            "reflection identity needs a state proportional to (1, +-i, +-i, -1)"
-        )
-    r = arr / arr[0]
-    for branch in (1, -1):
-        target = np.array([1.0, 1j * branch, 1j * branch, -1.0])
-        if np.max(np.abs(r - target)) <= _PATTERN_TOL:
-            return branch
-    raise PreconditionError(
-        "reflection identity needs a state proportional to (1, +-i, +-i, -1)"
-    )
+    return _inversion_symmetric((distribution_2d(f).grid for f in fields), four_way)
 
 
 def reflection_identity_2d(theta, p: CoinParameter | float, t: int) -> float:
@@ -256,16 +261,4 @@ def reflection_identity_2d(theta, p: CoinParameter | float, t: int) -> float:
     Uses the operative constant ``EXCHANGE_2D``; evaluated on the reflected
     field, pairing each site with its inversion image.
     """
-    th = as_qudit(theta)
-    branch = _pattern_branch_2d(th)
-    t = require_int(t, "time", 1)
-    field = evolve_2d(th, p, t)
-    c = (-1) ** t * (1j * branch)
-    a1, a2, a3, a4 = field.amps
-    res = (
-        np.max(np.abs(a1[::-1, ::-1] + c * a2)),
-        np.max(np.abs(a2[::-1, ::-1] - c * a1)),
-        np.max(np.abs(a3[::-1, ::-1] + c * a4)),
-        np.max(np.abs(a4[::-1, ::-1] - c * a3)),
-    )
-    return float(max(res))
+    return _reflection_residual(as_qudit(theta), evolve_2d, EXCHANGE_2D, p, t)

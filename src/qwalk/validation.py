@@ -12,7 +12,9 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import reduce
+from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -78,12 +80,8 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _random_qubits(n: int, rng: np.random.Generator) -> list[QubitState]:
-    return [QubitState.random(rng) for _ in range(n)]
-
-
-def _random_qudits(n: int, rng: np.random.Generator) -> list[QuditState]:
-    return [QuditState.random(rng) for _ in range(n)]
+def _random_states(cls, n: int, rng: np.random.Generator) -> list:
+    return [cls.random(rng) for _ in range(n)]
 
 
 def check_unitarity(quick: bool = False) -> tuple[bool, str]:
@@ -92,10 +90,10 @@ def check_unitarity(quick: bool = False) -> tuple[bool, str]:
     t1, t2, nstate = (100, 40, 3) if quick else (1000, 300, 10)
     worst = 0.0
     for p in _P_GRID:
-        for th in _random_qubits(nstate, rng):
+        for th in _random_states(QubitState, nstate, rng):
             dev = abs(evolve_1d(th, p, t1).total_probability() - 1.0)
             worst = max(worst, dev)
-        for th in _random_qudits(nstate, rng):
+        for th in _random_states(QuditState, nstate, rng):
             dev = abs(evolve_2d(th, p, t2).total_probability() - 1.0)
             worst = max(worst, dev)
     return worst <= 1e-12, f"max |sum P - 1| = {worst:.3e} (tol 1e-12, t1={t1}, t2={t2})"
@@ -133,7 +131,7 @@ def check_closed_form(quick: bool = False) -> tuple[bool, str]:
     times = set(dense) | set(sparse)
     worst = 0.0
     for p in ps:
-        for th in _random_qubits(nstate, rng):
+        for th in _random_states(QubitState, nstate, rng):
             for field in trajectory_1d(th, p, max(times)):
                 if field.t not in times:
                     continue
@@ -172,7 +170,7 @@ def check_limit_1d(quick: bool = False) -> tuple[bool, str]:
     worst_gap = 0.0
     nondec = 0
     for p in _P_GRID:
-        for th in _random_qubits(nstate, rng):
+        for th in _random_states(QubitState, nstate, rng):
             sims = {1: [], 2: []}
             for field in trajectory_1d(th, p, ladder[-1]):
                 if field.t in ladder:
@@ -236,26 +234,15 @@ def check_ab_table(quick: bool = False) -> tuple[bool, str]:
     return ok, f"max table deviation = {dev:.3e} (tol 1e-12); first-difference law: {kns}"
 
 
-def _phi_perp_states_1d(n: int) -> list[QubitState]:
+def _phi_perp_states(cls, n: int) -> list:
+    """``n`` balanced states: the line's patterns ``(1, +-i)``, or their four
+    Kronecker products on the lattice, at evenly spaced global phases."""
+    line = (np.array([1, 1j]), np.array([1, -1j]))
+    patterns = [reduce(np.kron, c) for c in product(line, repeat=len(fields(cls)) // 2)]
     out = []
-    r = 1 / math.sqrt(2)
-    gammas = np.linspace(0.0, 2 * np.pi, (n + 1) // 2, endpoint=False)
-    for g in gammas:
-        ph = complex(np.exp(1j * g))
-        out.append(QubitState(ph * r, ph * r * 1j))
-        out.append(QubitState(ph * r, ph * r * -1j))
-    return out[:n]
-
-
-def _phi_perp_states_2d(n: int) -> list[QuditState]:
-    out = []
-    gammas = np.linspace(0.0, 2 * np.pi, (n + 3) // 4, endpoint=False)
-    for g in gammas:
-        ph = complex(np.exp(1j * g)) / 2
-        out.append(QuditState(ph, ph * 1j, ph * 1j, -ph))
-        out.append(QuditState(ph, ph * -1j, ph * -1j, -ph))
-        out.append(QuditState(ph, ph * 1j, ph * -1j, ph))
-        out.append(QuditState(ph, ph * -1j, ph * 1j, ph))
+    for g in np.linspace(0.0, 2 * np.pi, -(-n // len(patterns)), endpoint=False):
+        ph = complex(np.exp(1j * g)) / math.sqrt(len(patterns[0]))
+        out.extend(cls(*(ph * v)) for v in patterns)
     return out[:n]
 
 
@@ -265,8 +252,8 @@ def check_symmetry(quick: bool = False) -> tuple[bool, str]:
         n1, t1, n2, t2 = 10, 20, 8, 10
     else:
         n1, t1, n2, t2 = 50, 50, 20, 20
-    states1 = _phi_perp_states_1d(n1)
-    states2 = _phi_perp_states_2d(n2)
+    states1 = _phi_perp_states(QubitState, n1)
+    states2 = _phi_perp_states(QuditState, n2)
     bad = []
     for p in _P_GRID:
         for th in states1:

@@ -8,13 +8,18 @@ difference equations
 
 so component 1 moves in +x and component 2 in -x.  The walker starts at the
 origin; after ``t`` steps the support lies in ``{-t, -t+2, ..., t}``, which is
-stored densely as arrays of length ``t + 1`` (index ``i`` holds site
+stored densely as one block of shape ``(2, t + 1)`` (column ``i`` holds site
 ``x = 2 i - t``).  No truncation is ever applied, so evolution is exact up to
 floating-point rounding and serves as the ground-truth oracle for the
 closed-form, spectral, symmetry, and localization modules.
 
 The global phase ``k`` cancels in every probability; it is kept only for
 amplitude-level identity tests.
+
+This module also holds the core that :mod:`qwalk.walk2d` shares: the state,
+field and distribution bases and the one step body, :func:`_step`.  The two
+lattices differ only in their support bookkeeping (``_Support1D`` here,
+``_Support2D`` there) and their coin.
 
 :func:`trajectory_1d` is the only loop over :func:`step_1d` in the package:
 every evolution, ladder and time average iterates it.
@@ -25,13 +30,13 @@ from __future__ import annotations
 import cmath
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import accumulate, repeat
 from typing import Iterator
 
 import numpy as np
 
-from .coin import CoinParameter, as_coin
+from .coin import CoinParameter, as_coin, coin_1d
 from .errors import InvalidParameterError, InvalidStateError, require_int, require_real
 
 __all__ = [
@@ -49,8 +54,53 @@ __all__ = [
 _NORM_TOL = 1e-12
 
 
+class _State:
+    """Normalized initial chirality state, as a frozen dataclass of components.
+
+    Subclasses name their ``_KIND`` for messages.
+
+    Raises
+    ------
+    InvalidStateError
+        If the squared moduli sum differs from 1 by more than 1e-12.
+    """
+
+    def __post_init__(self) -> None:
+        names = [f.name for f in fields(self)]
+        comps = [complex(getattr(self, n)) for n in names]
+        norm = sum(abs(c) ** 2 for c in comps)
+        if not math.isfinite(norm) or abs(norm - 1.0) > _NORM_TOL:
+            raise InvalidStateError(
+                f"{self._KIND} state must be normalized within {_NORM_TOL}, "
+                f"got sum |c|^2 = {norm!r}"
+            )
+        for n, c in zip(names, comps):
+            object.__setattr__(self, n, c)
+
+    def as_array(self) -> np.ndarray:
+        return np.array([getattr(self, f.name) for f in fields(self)], dtype=np.complex128)
+
+    @classmethod
+    def random(cls, rng: np.random.Generator):
+        """Draw a Haar-uniform state."""
+        n = len(fields(cls))
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        v /= np.linalg.norm(v)
+        return cls(*v)
+
+    @classmethod
+    def _coerce(cls, theta):
+        """Coerce a sequence of the right length into a validated state."""
+        if isinstance(theta, cls):
+            return theta
+        seq, n = list(theta), len(fields(cls))
+        if len(seq) != n:
+            raise InvalidStateError(f"{cls._KIND} state needs {n} components, got {len(seq)}")
+        return cls(*seq)
+
+
 @dataclass(frozen=True)
-class QubitState:
+class QubitState(_State):
     """Normalized two-component initial chirality state.
 
     Raises
@@ -59,39 +109,12 @@ class QubitState:
         If ``|d1|^2 + |d2|^2`` differs from 1 by more than 1e-12.
     """
 
+    _KIND = "qubit"
     d1: complex
     d2: complex
 
-    def __post_init__(self) -> None:
-        d1, d2 = complex(self.d1), complex(self.d2)
-        norm = abs(d1) ** 2 + abs(d2) ** 2
-        if not math.isfinite(norm) or abs(norm - 1.0) > _NORM_TOL:
-            raise InvalidStateError(
-                f"qubit state must be normalized within {_NORM_TOL}, "
-                f"got |d1|^2+|d2|^2 = {norm!r}"
-            )
-        object.__setattr__(self, "d1", d1)
-        object.__setattr__(self, "d2", d2)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.d1, self.d2], dtype=np.complex128)
-
-    @staticmethod
-    def random(rng: np.random.Generator) -> "QubitState":
-        """Draw a Haar-uniform qubit state."""
-        v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        v /= np.linalg.norm(v)
-        return QubitState(v[0], v[1])
-
-
-def as_qubit(theta: QubitState | tuple | list | np.ndarray) -> QubitState:
-    """Coerce a length-2 sequence into a validated :class:`QubitState`."""
-    if isinstance(theta, QubitState):
-        return theta
-    seq = list(theta)
-    if len(seq) != 2:
-        raise InvalidStateError(f"qubit state needs 2 components, got {len(seq)}")
-    return QubitState(seq[0], seq[1])
+as_qubit = QubitState._coerce
 
 
 def _phase(k: float) -> complex:
@@ -99,10 +122,16 @@ def _phase(k: float) -> complex:
     return cmath.exp(1j * require_real(k, "phase k"))
 
 
+# where a component's block lands in the support grown by one step, per axis
+_UP, _DOWN = slice(1, None), slice(None, -1)
+
+
 class _Support1D:
     """Site bookkeeping shared by fields and distributions at time ``t``."""
 
     __slots__ = ()
+    _DIM = 1
+    _SHIFTS = ((_UP,), (_DOWN,))  # +x mover, -x mover
 
     def site_index(self, x: int) -> int | None:
         """Dense index of site ``x``, or None if outside the support lattice."""
@@ -114,71 +143,141 @@ class _Support1D:
         """All lattice sites of the correct parity, ascending."""
         return 2 * np.arange(self.t + 1) - self.t
 
+    def _grids(self) -> tuple[np.ndarray, ...]:
+        return (self.sites(),)
 
-class WaveField1D(_Support1D):
-    """Amplitude field at a fixed time, stored densely over its support.
+    def _site(self, idx: tuple[int, ...]) -> int:
+        return int(2 * idx[0] - self.t)
 
-    ``phi1[i]`` and ``phi2[i]`` are the two components at site
-    ``x = 2 i - t`` for ``i = 0..t``; sites of the opposite parity carry no
-    amplitude and are not stored.  Instances are immutable; the backing
-    arrays are marked read-only so fields can be shared freely.
+
+class _Field:
+    """Immutable amplitude block ``amps`` of a ``d``-dimensional support.
+
+    ``amps`` has shape ``(2 d, t+1, ..., t+1)``, one leading row per
+    component; the subclass's support mixin says which site each cell holds
+    (``_DIM``, ``site_index``, ``_site``, ``_grids``) and where each
+    component moves (``_SHIFTS``).  The block is marked read-only so fields
+    can be shared freely.
     """
 
-    __slots__ = ("t", "phi1", "phi2")
+    __slots__ = ("t", "amps")
 
-    def __init__(self, t: int, phi1: np.ndarray, phi2: np.ndarray) -> None:
-        if phi1.shape != (t + 1,) or phi2.shape != (t + 1,):
-            raise InvalidParameterError(
-                f"field arrays must have length t+1 = {t + 1}"
-            )
+    def __init__(self, t: int, amps: np.ndarray) -> None:
+        shape = (2 * self._DIM,) + (t + 1,) * self._DIM
+        if amps.shape != shape:
+            raise InvalidParameterError(f"amplitude block must have shape {shape}")
         self.t = int(t)
-        self.phi1 = np.ascontiguousarray(phi1, dtype=np.complex128)
-        self.phi2 = np.ascontiguousarray(phi2, dtype=np.complex128)
-        self.phi1.flags.writeable = False
-        self.phi2.flags.writeable = False
+        self.amps = np.ascontiguousarray(amps, dtype=np.complex128)
+        self.amps.flags.writeable = False
 
-    def amplitude(self, x: int) -> tuple[complex, complex]:
-        """Both components at site ``x`` (zero off the support)."""
-        i = self.site_index(x)
-        if i is None:
-            return 0j, 0j
-        return complex(self.phi1[i]), complex(self.phi2[i])
+    def amplitude(self, *site: int) -> tuple[complex, ...]:
+        """Every component at ``site`` (zeros off the support)."""
+        idx = self.site_index(*site)
+        if idx is None:
+            return (0j,) * len(self.amps)
+        return tuple(complex(a[idx]) for a in self.amps)
 
-    def items(self) -> Iterator[tuple[int, tuple[complex, complex]]]:
-        """Iterate occupied sites only (both components exactly zero -> absent)."""
-        for i, x in enumerate(self.sites()):
-            a1, a2 = self.phi1[i], self.phi2[i]
-            if a1 != 0 or a2 != 0:
-                yield int(x), (complex(a1), complex(a2))
+    def items(self) -> Iterator[tuple]:
+        """Occupied sites (any nonzero component) with their amplitudes, in storage order."""
+        for idx in zip(*np.nonzero(np.any(self.amps != 0, axis=0))):
+            yield self._site(idx), tuple(complex(a[idx]) for a in self.amps)
 
     def total_probability(self) -> float:
-        return float(np.sum(np.abs(self.phi1) ** 2 + np.abs(self.phi2) ** 2))
+        return float(np.sum(np.abs(self.amps) ** 2))
+
+    def _masses(self) -> np.ndarray:
+        """Per-site probability: the squared moduli summed over components."""
+        return np.sum(np.abs(self.amps) ** 2, axis=0)
 
 
-class Distribution1D(_Support1D):
-    """Probability masses over the support of a :class:`WaveField1D`."""
+class _Distribution:
+    """Immutable probability masses over the support of a field at time ``t``."""
 
-    __slots__ = ("t", "masses")
+    __slots__ = ("t", "_values")
 
     def __init__(self, t: int, masses: np.ndarray) -> None:
         self.t = int(t)
-        self.masses = np.ascontiguousarray(masses, dtype=np.float64)
-        self.masses.flags.writeable = False
+        self._values = np.ascontiguousarray(masses, dtype=np.float64)
+        self._values.flags.writeable = False
 
-    def mass(self, x: int) -> float:
-        i = self.site_index(x)
-        return 0.0 if i is None else float(self.masses[i])
+    def mass(self, *site: int) -> float:
+        idx = self.site_index(*site)
+        return 0.0 if idx is None else float(self._values[idx])
 
-    def items(self) -> Iterator[tuple[int, float]]:
-        for x, m in zip(self.sites(), self.masses):
-            if m != 0.0:
-                yield int(x), float(m)
+    def items(self) -> Iterator[tuple]:
+        """Nonzero masses in ascending site order."""
+        nonzero = zip(*np.nonzero(self._values))
+        return iter(sorted((self._site(idx), float(self._values[idx])) for idx in nonzero))
 
-    def to_dict(self) -> dict[int, float]:
+    def to_dict(self) -> dict:
         return dict(self.items())
 
     def total(self) -> float:
-        return float(np.sum(self.masses))
+        return float(np.sum(self._values))
+
+
+def _step(field: _Field, coin: np.ndarray, k: float) -> _Field:
+    """One step on either lattice: mix the components at every site by
+    ``coin``, then move each component along its entry of ``_SHIFTS``.
+
+    Reads only from the previous field and writes a fresh block, so
+    independent evolutions may run concurrently.
+    """
+    ph = _phase(k)
+    a = field.amps
+    mixed = (coin @ a.reshape(len(a), -1)).reshape(a.shape)
+    if ph != 1.0:
+        mixed = ph * mixed
+    new = np.zeros((len(a),) + tuple(n + 1 for n in a.shape[1:]), dtype=np.complex128)
+    for c, shift in enumerate(field._SHIFTS):
+        new[(c, *shift)] = mixed[c]
+    return type(field)(field.t + 1, new)
+
+
+def _moment(dist: _Distribution, orders: tuple[int, ...]) -> float:
+    """``sum_site prod_d (x_d / t)^{a_d} P(site, t)`` over the axes ``d``.
+
+    Order zero always returns 1.  At ``t = 0`` the walker has no velocity,
+    so any other order returns 0.
+    """
+    orders = [require_int(a, "moment order") for a in orders]
+    if not any(orders):
+        return 1.0
+    if dist.t == 0:
+        return 0.0
+    weights = math.prod((g / dist.t) ** a for g, a in zip(dist._grids(), orders))
+    return float(np.sum(weights * dist._values))
+
+
+class WaveField1D(_Support1D, _Field):
+    """Amplitude field on the line at a fixed time, stored densely over its support.
+
+    ``amps`` has shape ``(2, t+1)``; ``amps[c, i]`` is component ``c+1`` at
+    site ``x = 2 i - t``, and ``phi1``, ``phi2`` are its two rows as
+    read-only views.  Sites of the opposite parity carry no amplitude and
+    are not stored.  Immutable.
+    """
+
+    __slots__ = ()
+
+    @property
+    def phi1(self) -> np.ndarray:
+        return self.amps[0]
+
+    @property
+    def phi2(self) -> np.ndarray:
+        return self.amps[1]
+
+
+class Distribution1D(_Support1D, _Distribution):
+    """Probability masses over the support of a :class:`WaveField1D`."""
+
+    __slots__ = ()
+
+    @property
+    def masses(self) -> np.ndarray:
+        """Read-only masses; index ``i`` holds site ``x = 2 i - t``."""
+        return self._values
 
     def mean_position(self) -> float:
         return float(np.sum(self.sites() * self.masses))
@@ -186,12 +285,7 @@ class Distribution1D(_Support1D):
 
 def init_1d(theta: QubitState | tuple | list | np.ndarray) -> WaveField1D:
     """Field at t = 0: the whole state sits at the origin."""
-    th = as_qubit(theta)
-    return WaveField1D(
-        0,
-        np.array([th.d1], dtype=np.complex128),
-        np.array([th.d2], dtype=np.complex128),
-    )
+    return WaveField1D(0, as_qubit(theta).as_array().reshape(2, 1))
 
 
 def step_1d(
@@ -203,15 +297,7 @@ def step_1d(
 
     The support grows by one site on each side and the time index by one.
     """
-    c = as_coin(p)
-    ph = _phase(k)
-    sp, sq = math.sqrt(c.p), math.sqrt(c.q)
-    n = field.t + 1
-    new1 = np.zeros(n + 1, dtype=np.complex128)
-    new2 = np.zeros(n + 1, dtype=np.complex128)
-    new1[1:] = ph * (sp * field.phi1 + sq * field.phi2)
-    new2[:-1] = ph * (sq * field.phi1 - sp * field.phi2)
-    return WaveField1D(field.t + 1, new1, new2)
+    return _step(field, coin_1d(p), k)
 
 
 def trajectory_1d(
@@ -244,8 +330,7 @@ def evolve_1d(
 
 def distribution_1d(field: WaveField1D) -> Distribution1D:
     """Per-site probability ``|phi1|^2 + |phi2|^2``; sums to one."""
-    masses = np.abs(field.phi1) ** 2 + np.abs(field.phi2) ** 2
-    return Distribution1D(field.t, masses)
+    return Distribution1D(field.t, field._masses())
 
 
 def moment_1d(dist: Distribution1D, alpha: int) -> float:
@@ -254,10 +339,4 @@ def moment_1d(dist: Distribution1D, alpha: int) -> float:
     ``alpha = 0`` always returns 1.  At ``t = 0`` the walker has no velocity,
     so the moment is 1 for ``alpha = 0`` and 0 otherwise.
     """
-    alpha = require_int(alpha, "moment order")
-    if alpha == 0:
-        return 1.0
-    if dist.t == 0:
-        return 0.0
-    v = dist.sites() / dist.t
-    return float(np.sum(v**alpha * dist.masses))
+    return _moment(dist, (alpha,))

@@ -15,12 +15,15 @@ index ``(i, j)`` holds the site with ``u = 2i - t``, ``v = 2j - t``, i.e.
 ``x = i + j - t``, ``y = i - j``.  This packing wastes no parity zeros and
 keeps each step to a handful of contiguous slice operations.
 
+The states, fields, distributions, moments and the step body are the line's
+(:mod:`qwalk.walk1d`); only the support bookkeeping (``_Support2D``) and the
+coin are the lattice's own.
+
 :func:`trajectory_2d` is the only loop over :func:`step_2d` in the package.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, repeat
@@ -29,8 +32,8 @@ from typing import Iterator
 import numpy as np
 
 from .coin import CoinParameter, as_coin, coin_2d
-from .errors import InvalidParameterError, InvalidStateError, require_int
-from .walk1d import _phase
+from .errors import require_int
+from .walk1d import _DOWN, _UP, _Distribution, _Field, _State, _moment, _phase, _step
 
 __all__ = [
     "QuditState",
@@ -44,53 +47,28 @@ __all__ = [
     "joint_moment_2d",
 ]
 
-_NORM_TOL = 1e-12
-
 
 @dataclass(frozen=True)
-class QuditState:
+class QuditState(_State):
     """Normalized four-component initial chirality state."""
 
+    _KIND = "qudit"
     k1: complex
     k2: complex
     k3: complex
     k4: complex
 
-    def __post_init__(self) -> None:
-        comps = [complex(getattr(self, f"k{i}")) for i in (1, 2, 3, 4)]
-        norm = sum(abs(c) ** 2 for c in comps)
-        if not math.isfinite(norm) or abs(norm - 1.0) > _NORM_TOL:
-            raise InvalidStateError(
-                f"qudit state must be normalized within {_NORM_TOL}, "
-                f"got sum |k_i|^2 = {norm!r}"
-            )
-        for name, c in zip(("k1", "k2", "k3", "k4"), comps):
-            object.__setattr__(self, name, c)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.k1, self.k2, self.k3, self.k4], dtype=np.complex128)
-
-    @staticmethod
-    def random(rng: np.random.Generator) -> "QuditState":
-        v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        v /= np.linalg.norm(v)
-        return QuditState(*v)
-
-
-def as_qudit(theta: QuditState | tuple | list | np.ndarray) -> QuditState:
-    """Coerce a length-4 sequence into a validated :class:`QuditState`."""
-    if isinstance(theta, QuditState):
-        return theta
-    seq = list(theta)
-    if len(seq) != 4:
-        raise InvalidStateError(f"qudit state needs 4 components, got {len(seq)}")
-    return QuditState(*seq)
+as_qudit = QuditState._coerce
 
 
 class _Support2D:
     """Rotated-grid site bookkeeping shared by fields and distributions."""
 
     __slots__ = ()
+    _DIM = 2
+    # +x: (u, v) -> (u+1, v+1); -x: (u-1, v-1); +y: (u+1, v-1); -y: (u-1, v+1)
+    _SHIFTS = ((_UP, _UP), (_DOWN, _DOWN), (_UP, _DOWN), (_DOWN, _UP))
 
     def site_index(self, x: int, y: int) -> tuple[int, int] | None:
         """Grid index of site ``(x, y)``, or None if off the support lattice."""
@@ -106,81 +84,37 @@ class _Support2D:
         y = i[:, None] - i[None, :]
         return x, y
 
+    _grids = site_grids
 
-class WaveField2D(_Support2D):
+    def _site(self, idx: tuple[int, ...]) -> tuple[int, int]:
+        i, j = idx
+        return int(i + j - self.t), int(i - j)
+
+
+class WaveField2D(_Support2D, _Field):
     """Amplitude field at a fixed time over the rotated-coordinate grid.
 
     ``amps`` has shape ``(4, t+1, t+1)``; ``amps[c, i, j]`` is component
     ``c+1`` at the site with ``x = i + j - t``, ``y = i - j``.  Immutable.
     """
 
-    __slots__ = ("t", "amps")
-
-    def __init__(self, t: int, amps: np.ndarray) -> None:
-        if amps.shape != (4, t + 1, t + 1):
-            raise InvalidParameterError(
-                f"amplitude block must have shape (4, {t + 1}, {t + 1})"
-            )
-        self.t = int(t)
-        self.amps = np.ascontiguousarray(amps, dtype=np.complex128)
-        self.amps.flags.writeable = False
-
-    def amplitude(self, x: int, y: int) -> tuple[complex, complex, complex, complex]:
-        idx = self.site_index(x, y)
-        if idx is None:
-            return 0j, 0j, 0j, 0j
-        i, j = idx
-        return tuple(complex(self.amps[c, i, j]) for c in range(4))
-
-    def items(self) -> Iterator[tuple[tuple[int, int], tuple[complex, ...]]]:
-        """Iterate occupied sites (any nonzero component), row-major in (i, j)."""
-        occupied = np.any(self.amps != 0, axis=0)
-        xs, ys = self.site_grids()
-        for i, j in zip(*np.nonzero(occupied)):
-            yield (int(xs[i, j]), int(ys[i, j])), tuple(
-                complex(self.amps[c, i, j]) for c in range(4)
-            )
-
-    def total_probability(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2))
+    __slots__ = ()
 
 
-class Distribution2D(_Support2D):
+class Distribution2D(_Support2D, _Distribution):
     """Joint probability masses on the rotated-coordinate grid."""
 
-    __slots__ = ("t", "grid")
+    __slots__ = ()
 
-    def __init__(self, t: int, grid: np.ndarray) -> None:
-        self.t = int(t)
-        self.grid = np.ascontiguousarray(grid, dtype=np.float64)
-        self.grid.flags.writeable = False
-
-    def mass(self, x: int, y: int) -> float:
-        idx = self.site_index(x, y)
-        return 0.0 if idx is None else float(self.grid[idx])
-
-    def items(self) -> Iterator[tuple[tuple[int, int], float]]:
-        """Iterate nonzero masses in ascending (x, y) lexicographic order."""
-        xs, ys = self.site_grids()
-        triples = sorted(
-            (int(xs[i, j]), int(ys[i, j]), float(self.grid[i, j]))
-            for i, j in zip(*np.nonzero(self.grid))
-        )
-        for x, y, m in triples:
-            yield (x, y), m
-
-    def to_dict(self) -> dict[tuple[int, int], float]:
-        return {site: m for site, m in self.items()}
-
-    def total(self) -> float:
-        return float(np.sum(self.grid))
+    @property
+    def grid(self) -> np.ndarray:
+        """Read-only masses; cell ``(i, j)`` holds site ``(i + j - t, i - j)``."""
+        return self._values
 
 
 def init_2d(theta: QuditState | tuple | list | np.ndarray) -> WaveField2D:
     """Field at t = 0: the whole state sits at the origin."""
-    th = as_qudit(theta)
-    amps = th.as_array().reshape(4, 1, 1)
-    return WaveField2D(0, amps)
+    return WaveField2D(0, as_qudit(theta).as_array().reshape(4, 1, 1))
 
 
 def step_2d(
@@ -190,23 +124,10 @@ def step_2d(
 ) -> WaveField2D:
     """Advance the field one step; norm preserved exactly.
 
-    Reads only from the previous field and writes a fresh block
-    (double-buffered), so independent evolutions may run concurrently.
+    Reads only from the previous field and writes a fresh block, so
+    independent evolutions may run concurrently.
     """
-    c = as_coin(p)
-    coin = coin_2d(c).real  # coin entries are real
-    ph = _phase(k)
-    t = field.t
-    a = field.amps
-    mixed = np.tensordot(coin, a, axes=(1, 0))
-    if ph != 1.0:
-        mixed = ph * mixed
-    new = np.zeros((4, t + 2, t + 2), dtype=np.complex128)
-    new[0, 1:, 1:] = mixed[0]   # +x: (u, v) -> (u+1, v+1)
-    new[1, :-1, :-1] = mixed[1]  # -x
-    new[2, 1:, :-1] = mixed[2]   # +y: (u+1, v-1)
-    new[3, :-1, 1:] = mixed[3]   # -y
-    return WaveField2D(t + 1, new)
+    return _step(field, coin_2d(p), k)
 
 
 def trajectory_2d(
@@ -238,18 +159,9 @@ def evolve_2d(
 
 def distribution_2d(field: WaveField2D) -> Distribution2D:
     """Per-site sum of the four squared moduli."""
-    grid = np.sum(np.abs(field.amps) ** 2, axis=0)
-    return Distribution2D(field.t, grid)
+    return Distribution2D(field.t, field._masses())
 
 
 def joint_moment_2d(dist: Distribution2D, alpha: int, beta: int) -> float:
     """Joint pseudo-velocity moment ``sum (x/t)^alpha (y/t)^beta P(x, y, t)``."""
-    alpha, beta = require_int(alpha, "moment order"), require_int(beta, "moment order")
-    if alpha == 0 and beta == 0:
-        return 1.0
-    if dist.t == 0:
-        return 0.0
-    x, y = dist.site_grids()
-    vx = x / dist.t
-    vy = y / dist.t
-    return float(np.sum(vx**alpha * vy**beta * dist.grid))
+    return _moment(dist, (alpha, beta))

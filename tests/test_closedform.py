@@ -7,41 +7,11 @@ import pytest
 
 from qwalk.closedform import (
     alpha_coefficients,
-    chebyshev_table,
-    chebyshev_u,
     closed_form_field,
     double_sum_coefficient,
 )
 from qwalk.errors import InvalidParameterError
 from qwalk.walk1d import QubitState, distribution_1d, evolve_1d
-
-
-class TestChebyshev:
-    def test_degree_zero(self):
-        assert chebyshev_u(0, 1.7) == 1
-        assert chebyshev_u(0, 2j) == 1
-
-    def test_degree_one(self):
-        assert chebyshev_u(1, 0.3) == pytest.approx(0.6)
-
-    def test_degree_two(self):
-        assert chebyshev_u(2, 1.0) == pytest.approx(3.0)
-
-    def test_table_recurrence_exact(self):
-        table = chebyshev_table(12)
-        rows = table.rows
-        for n in range(2, 13):
-            doubled = (0,) + tuple(2 * c for c in rows[n - 1])
-            prev = rows[n - 2] + (0,) * (len(doubled) - len(rows[n - 2]))
-            assert rows[n] == tuple(a - b for a, b in zip(doubled, prev))
-
-    def test_table_matches_recurrence_evaluation(self):
-        table = chebyshev_table(9)
-        for n in (3, 6, 9):
-            for y in (0.25, -1.3, 0.4 + 0.2j):
-                assert table.evaluate(n, y) == pytest.approx(
-                    chebyshev_u(n, y), abs=1e-10
-                )
 
 
 class TestAlphaCoefficients:
@@ -100,6 +70,11 @@ class TestDoubleSum:
             double_sum_coefficient(0.5, 3, 4)
         with pytest.raises(InvalidParameterError):
             double_sum_coefficient(0.5, 3, -1)
+
+    @pytest.mark.parametrize("t, j", [(2.5, 1), (3, 1.5), (True, 1)])
+    def test_rejects_non_integral_indices(self, t, j):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            double_sum_coefficient(0.5, t, j)
 
     @pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
     def test_agrees_with_recurrence(self, p):

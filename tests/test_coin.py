@@ -51,6 +51,13 @@ class TestCoinParameter:
         with pytest.raises(InvalidParameterError):
             validate_wavenumber(4.0)
 
+    @pytest.mark.parametrize("bad", [True, "1.0", 1j])
+    def test_wavenumber_must_be_real(self, bad):
+        with pytest.raises(InvalidParameterError, match="must be a real number"):
+            validate_wavenumber(bad)
+        with pytest.raises(InvalidParameterError, match="must be a real number"):
+            kernel_1d(0.5, bad)
+
 
 class TestCoin1D:
     def test_unbiased_is_hadamard(self):

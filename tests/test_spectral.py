@@ -268,6 +268,14 @@ class TestConvergenceReport:
         assert rep.gaps == (0.0, 0.0)
         assert rep.converged
 
+    @pytest.mark.parametrize(
+        "theta, p, beta",
+        [(QubitState(1, 0), 1.5, None), ((1, 0, 0, 0), float("nan"), 0)],
+    )
+    def test_trivial_order_still_checks_p(self, theta, p, beta):
+        with pytest.raises(InvalidParameterError):
+            convergence_report(theta, p, 0, beta, ladder=(10, 20))
+
     def test_balanced_state_stays_near_zero(self):
         rep = convergence_report(
             QubitState(R, R * 1j), 0.5, 1, ladder=(125, 250, 500)

@@ -29,6 +29,18 @@ def test_only_trajectories_call_the_step_functions():
     }
 
 
+def test_both_step_functions_call_the_one_shared_step():
+    for module, name in (("walk1d", "step_1d"), ("walk2d", "step_2d")):
+        (body,) = [f for f in _tree(module).body if getattr(f, "name", None) == name]
+        called = {
+            node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(body)
+            if isinstance(node, ast.Call)
+        }
+        assert "_step" in called, name
+        assert not called & {"zeros", "empty", "zeros_like", "empty_like"}, name
+
+
 def test_validation_imports_no_private_name():
     imported = [
         alias.name
