@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .coin import CoinParameter
-from .errors import InvalidParameterError, QwalkError
+from .errors import InvalidParameterError, QwalkError, require_int
 from .localization import (
     validate_epsilon,
     localization_verdict,
@@ -30,7 +30,7 @@ from .symmetry import (
     extract_ab,
     kns_check,
 )
-from .validation import reference_table_deviation, run_checks, worker_count
+from .validation import reference_table_deviation, run_checks
 from .walk1d import QubitState, distribution_1d, evolve_1d, moment_1d
 from .walk2d import QuditState, distribution_2d, evolve_2d, joint_moment_2d
 
@@ -106,12 +106,14 @@ def _parse_p(value: float) -> float:
 
 
 def _parse_grid(n: int) -> QuadratureGrid:
-    if n < 64 or n > 65536 or (n & (n - 1)) != 0:
-        raise _CliError(
-            _EXIT_BAD_INPUT,
-            f"--grid must be a power of two in [64, 65536], got {n}",
-        )
-    return QuadratureGrid(n)
+    """``--grid`` within the CLI's [64, 65536]; :class:`QuadratureGrid` checks
+    the power of two, with the flag named."""
+    if not 64 <= n <= 65536:
+        raise _CliError(_EXIT_BAD_INPUT, f"--grid must lie in [64, 65536], got {n}")
+    try:
+        return QuadratureGrid(n)
+    except InvalidParameterError as exc:
+        raise _CliError(_EXIT_BAD_INPUT, f"--grid: {exc}") from None
 
 
 def _parse_ladder(text: str) -> tuple[int, ...]:
@@ -147,6 +149,7 @@ def _meta_line(model: str, args, convention: str, extra: dict) -> str:
 def _cmd_sim(args, dim: int) -> int:
     p = _parse_p(args.p)
     vec = _parse_state(args.state, 2 * dim)
+    require_int(args.t, "--t", 0)
     if dim == 1:
         dist = distribution_1d(evolve_1d(QubitState(*vec), p, args.t, args.k))
         orders, moment, convention = ((1,), (2,)), moment_1d, CONVENTION_1D
@@ -193,36 +196,21 @@ def cmd_sim2d(args) -> int:
 
 def _cmd_limit(args, dim: int) -> int:
     p = _parse_p(args.p)
-    vec = _parse_state(args.state, 2 if dim == 1 else 4)
+    vec = _parse_state(args.state, 2 * dim)
     grid = _parse_grid(args.grid)
     ladder = _parse_ladder(args.ladder)
-    if dim == 1:
-        if args.alpha < 1:
-            raise _CliError(_EXIT_BAD_INPUT, "--alpha must be >= 1 for limit1d")
-        theta = QubitState(vec[0], vec[1])
-        report = convergence_report(theta, p, args.alpha, ladder=ladder, grid=grid)
-        convention, model = CONVENTION_1D, "limit1d"
-        order_fields = {"alpha": args.alpha}
-    else:
-        beta = args.beta
-        if args.alpha < 0 or beta < 0 or args.alpha + beta < 1:
-            raise _CliError(
-                _EXIT_BAD_INPUT, "--alpha/--beta must be >= 0 with alpha + beta >= 1"
-            )
-        theta = QuditState(*vec)
-        report = convergence_report(
-            theta, p, args.alpha, beta=beta, ladder=ladder, grid=grid
+    flags = ("alpha", "beta")[:dim]
+    orders = tuple(getattr(args, f) for f in flags)
+    if min(orders) < 0 or sum(orders) < 1:
+        raise _CliError(
+            _EXIT_BAD_INPUT,
+            f"{'/'.join('--' + f for f in flags)} must be >= 0 with a sum >= 1",
         )
-        convention, model = CONVENTION_2D, "limit2d"
-        order_fields = {"alpha": args.alpha, "beta": beta}
-    lines = [
-        _meta_line(
-            model,
-            args,
-            convention,
-            {**order_fields, "grid": grid.n, "ladder": ",".join(map(str, ladder))},
-        )
-    ]
+    theta = (QubitState, QuditState)[dim - 1](*vec)
+    report = convergence_report(theta, p, *orders, ladder=ladder, grid=grid)
+    convention = (CONVENTION_1D, CONVENTION_2D)[dim - 1]
+    extra = {**dict(zip(flags, orders)), "grid": grid.n, "ladder": ",".join(map(str, ladder))}
+    lines = [_meta_line(f"limit{dim}d", args, convention, extra)]
     lines.append(f"quadrature,{_fmt(report.quadrature)}")
     lines.append("t,simulated,gap")
     for t, s, g in zip(report.times, report.simulated, report.gaps):
@@ -251,8 +239,7 @@ def cmd_symmetry(args) -> int:
     p = _parse_p(args.p)
     lines: list[str] = []
     if args.table:
-        # extract_ab rejects --t < 1 and kns_check --t < 2 (exit 2, no output)
-        horizon = args.t
+        horizon = require_int(args.t, "--t", 2)  # kns_check needs t = 1, 2
         table = extract_ab(p, horizon)
         lines.append(
             f"# model=symmetry-table p={_fmt(p)} t={horizon} state=canonical-pair "
@@ -272,7 +259,7 @@ def cmd_symmetry(args) -> int:
         raise _CliError(_EXIT_BAD_INPUT, "symmetry needs --state or --table")
     vec = _parse_state(args.state, 2)
     theta = QubitState(vec[0], vec[1])
-    horizon = args.t
+    horizon = require_int(args.t, "--t", 1)
     verdict = classify_1d(theta, p, horizon)
     series = expectation_series(theta, p, horizon)
     lines.append(_meta_line("symmetry", args, CONVENTION_1D, {"t": horizon}))
@@ -290,31 +277,23 @@ def cmd_localize(args) -> int:
     p = _parse_p(args.p)
     ladder = _parse_ladder(args.ladder)
     validate_epsilon(args.epsilon)
-    if args.dim == 1:
-        vec = _parse_state(args.state, 2)
-        try:
-            site = int(args.site)
-        except ValueError:
-            raise _CliError(
-                _EXIT_BAD_INPUT, f"--site must be an integer for --dim 1, got {args.site!r}"
-            ) from None
-        est = time_averaged_probability_1d(QubitState(vec[0], vec[1]), p, site, ladder)
-        convention = CONVENTION_1D
-    else:
-        vec = _parse_state(args.state, 4)
-        parts = args.site.split(",")
-        if len(parts) != 2:
-            raise _CliError(
-                _EXIT_BAD_INPUT, f"--site must be x,y for --dim 2, got {args.site!r}"
-            )
-        try:
-            site = (int(parts[0]), int(parts[1]))
-        except ValueError:
-            raise _CliError(
-                _EXIT_BAD_INPUT, f"--site must be integer x,y, got {args.site!r}"
-            ) from None
-        est = time_averaged_probability_2d(QuditState(*vec), p, site, ladder)
-        convention = CONVENTION_2D
+    dim = args.dim
+    vec = _parse_state(args.state, 2 * dim)
+    try:
+        site = tuple(int(tk) for tk in args.site.split(","))
+    except ValueError:
+        site = ()
+    if len(site) != dim:
+        raise _CliError(
+            _EXIT_BAD_INPUT,
+            f"--site needs {dim} comma-separated integers for --dim {dim}, got {args.site!r}",
+        )
+    state, average = (
+        (QubitState, time_averaged_probability_1d),
+        (QuditState, time_averaged_probability_2d),
+    )[dim - 1]
+    est = average(state(*vec), p, site[0] if dim == 1 else site, ladder)
+    convention = (CONVENTION_1D, CONVENTION_2D)[dim - 1]
     localized = localization_verdict(est, args.epsilon) if len(ladder) >= 3 else None
     lines = [
         _meta_line(
@@ -339,7 +318,7 @@ def cmd_localize(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        results = run_checks(quick=args.quick, only=args.only, max_workers=worker_count())
+        results = run_checks(quick=args.quick, only=args.only)
     except QwalkError as exc:
         raise _CliError(_EXIT_BAD_INPUT, str(exc)) from exc
     failures = []

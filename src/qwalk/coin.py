@@ -35,7 +35,6 @@ __all__ = [
     "coin_2d",
     "kernel_1d",
     "kernel_2d",
-    "kernel_1d_derivative",
 ]
 
 
@@ -144,18 +143,6 @@ def kernel_1d(p: CoinParameter | float, wavenumber: float) -> np.ndarray:
     sp, sq = math.sqrt(c.p), math.sqrt(c.q)
     em, ep = np.exp(-1j * x), np.exp(1j * x)
     return np.array([[sp * em, sq * em], [sq * ep, -sp * ep]], dtype=np.complex128)
-
-
-def kernel_1d_derivative(p: CoinParameter | float, wavenumber: float) -> np.ndarray:
-    """Derivative of :func:`kernel_1d` with respect to the wavenumber."""
-    c = as_coin(p)
-    x = validate_wavenumber(wavenumber)
-    sp, sq = math.sqrt(c.p), math.sqrt(c.q)
-    em, ep = np.exp(-1j * x), np.exp(1j * x)
-    return np.array(
-        [[-1j * sp * em, -1j * sq * em], [1j * sq * ep, -1j * sp * ep]],
-        dtype=np.complex128,
-    )
 
 
 def kernel_2d(

@@ -2,19 +2,23 @@
 
 For ``p < 1`` the 1D kernel has eigenvalues ``exp(-i sigma(x'))`` and
 ``-exp(i sigma(x'))`` with ``sin(sigma) = sqrt(p) sin(x')``; the two branch
-velocities are ``+-dsigma/dx'`` and are computed here both in closed form
-and through the Hellmann-Feynman expression
+velocities are ``+-dsigma/dx'`` (:func:`group_velocity` is the closed form).
+On both lattices one rule gives every branch velocity from its normalized
+eigenvector ``u``: along axis ``d`` it is the mover imbalance
 
-    v_j = -Im( h_j^dag (dS/dx') h_j / lambda_j ),
+    v_d = |u_{+d}|^2 - |u_{-d}|^2.
 
-which is also what the 4x4 case uses per axis.  Long-time pseudo-velocity
-moments are integrals of branch-weighted velocity powers over the
-wavenumber torus,
+This is Hellmann-Feynman: the kernel is a diagonal mover phase times the
+coin, so ``dS/dk_d = diag(-+i on axis d's movers) S``, and with ``S u =
+lambda u`` the velocity ``-Im(u^dag (dS/dk_d) u / lambda)`` reduces to the
+imbalance.  Long-time pseudo-velocity moments are integrals of
+branch-weighted velocity powers over the wavenumber torus,
 
     lim <(X_t/t)^a>         = int dx'/2pi  sum_j |c_j|^2 v_j^a,
     lim <(X_t/t)^a (Y_t/t)^b> = int2 sum_j |c_j|^2 v_{x,j}^a v_{y,j}^b,
 
-with ``c_j`` the projection of the initial state on the j-th eigenvector.
+with ``c_j`` the projection of the initial state on the j-th eigenvector;
+one quadrature body evaluates both.  The 2x2 eigenvectors are closed form.
 The 4x4 eigenvectors come from ``eigh`` on the kernel's Hermitian part
 ``(S + S^dag)/2``, which shares them with the unitary ``S`` wherever the
 eigenphases have distinct cosines.  Every node is checked by its cosine gap
@@ -39,13 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coin import (
-    CoinParameter,
-    as_coin,
-    coin_2d,
-    kernel_1d_derivative,
-    validate_wavenumber,
-)
+from .coin import CoinParameter, as_coin, coin_2d, validate_wavenumber
 from .errors import DegenerateSpectrumError, InvalidParameterError, require_int
 from .walk1d import (
     QubitState,
@@ -161,92 +159,47 @@ def group_velocity(p: CoinParameter | float, wavenumber: float) -> float:
     return math.sqrt(c.p) * math.cos(x) / math.sqrt(1.0 - c.p * math.sin(x) ** 2)
 
 
-def _hf_velocity(h: np.ndarray, dS: np.ndarray, lam: complex) -> float:
-    """Hellmann-Feynman branch velocity ``-Im(h^dag dS h / lambda)``."""
-    return float(-np.imag(np.vdot(h, dS @ h) / lam))
+def _velocities(Q: np.ndarray) -> list[np.ndarray]:
+    """Branch velocities along each axis: the mover imbalance of each column.
+
+    ``Q`` holds normalized eigenvectors as columns, shape (B, 2 dim, 2 dim),
+    rows ordered (+x, -x[, +y, -y]).  Returns one (B, 2 dim) array per axis,
+    ``|Q_{+d,k}|^2 - |Q_{-d,k}|^2``, which is the Hellmann-Feynman velocity
+    because ``dS/dk_d`` is ``S`` with axis ``d``'s rows times ``-+i``.
+    """
+    P = np.abs(Q) ** 2
+    return [P[:, d] - P[:, d + 1] for d in range(0, Q.shape[1], 2)]
 
 
-def _branch_vectors_1d(c: CoinParameter, x):
-    """Unnormalized eigenvectors of the 1D kernel at wavenumber(s) ``x``.
+def _branch_vectors_1d(c: CoinParameter, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigensystem ``(lam, Q)`` of the 1D kernel at wavenumbers ``x``.
 
-    Returns ``(lam1, b, g, nrm2)``: ``(b, g)`` is an eigenvector for
-    ``lam1 = cos(sigma) - i sin(sigma)``, ``(-conj(g), conj(b))`` one for
-    ``lam2 = -conj(lam1)``, and both have squared norm ``nrm2``.
+    Shapes (B, 2) and (B, 2, 2).  Column 0 is ``(S12, lam - S11)`` normalized,
+    the eigenvector for the ``+cos(sigma)`` root ``lam = cos(sigma) - i
+    sin(sigma)``; column 1 is its orthogonal complement, for ``-conj(lam)``
+    (the kernel is normal with distinct eigenvalues for p < 1).  At
+    ``x' = 0`` the eigenvalues are (+1, -1).
     """
     sp, sq = math.sqrt(c.p), math.sqrt(c.q)
     s = sp * np.sin(x)
-    lam1 = np.sqrt(1.0 - s * s) - 1j * s
+    lam = np.sqrt(1.0 - s * s) - 1j * s
     e = np.exp(-1j * x)
-    g = lam1 - sp * e
-    return lam1, sq * e, g, c.q + np.abs(g) ** 2
-
-
-def eigensystem_1d(
-    p: CoinParameter | float,
-    wavenumber: float,
-    theta: QubitState | tuple | list | np.ndarray,
-) -> tuple[EigenBranch, EigenBranch]:
-    """Both eigenvalue branches of the 1D kernel at one wavenumber.
-
-    Eigenvectors come straight from the kernel entries (closed-form
-    quadratic): for eigenvalue ``lam`` the vector ``(S12, lam - S11)`` is an
-    eigenvector, and the second branch is its orthogonal complement (the
-    kernel is normal with distinct eigenvalues for p < 1).  Branch 1 carries
-    the ``+cos(sigma)`` root; at ``x' = 0`` the eigenvalues are (+1, -1).
-    """
-    c = as_coin(p)
-    x = validate_wavenumber(wavenumber)
-    th = as_qubit(theta).as_array()
-    lam1, b, g, nrm2 = _branch_vectors_1d(c, x)
-    nrm = math.sqrt(nrm2)
-    h1 = np.array([b, g], dtype=np.complex128) / nrm
-    h2 = np.array([-np.conj(g), np.conj(b)], dtype=np.complex128) / nrm
-    dS = kernel_1d_derivative(c, x)
-    branches = []
-    for lam, h in ((complex(lam1), h1), (-complex(lam1).conjugate(), h2)):
-        w = abs(np.vdot(h, th)) ** 2
-        v = _hf_velocity(h, dS, lam)
-        branches.append(EigenBranch(lam, h, float(w), (v,)))
-    return branches[0], branches[1]
-
-
-def limit_moment_1d(
-    theta: QubitState | tuple | list | np.ndarray,
-    p: CoinParameter | float,
-    alpha: int,
-    grid: QuadratureGrid | int = QuadratureGrid(4096),
-) -> float:
-    """Long-time limit of ``<(X_t/t)^alpha>`` by midpoint quadrature.
-
-    Branch velocities are ``+-group_velocity`` and branch weights are the
-    squared eigenvector projections of ``theta``; the whole integrand is
-    evaluated vectorized over the grid and reduced with numpy's fixed
-    pairwise summation, so the result is reproducible bit-for-bit at a
-    fixed grid size.
-    """
-    alpha = require_int(alpha, "moment order", 1)
-    c = as_coin(p)
-    g = _as_grid(grid)
-    th = as_qubit(theta).as_array()
-    x = g.nodes()
-    _, b, gg, nrm2 = _branch_vectors_1d(c, x)
-    w1 = np.abs(np.conj(b) * th[0] + np.conj(gg) * th[1]) ** 2 / nrm2
-    w2 = np.abs(-gg * th[0] + b * th[1]) ** 2 / nrm2
-    v = math.sqrt(c.p) * np.cos(x) / np.sqrt(1.0 - c.p * np.sin(x) ** 2)
-    integrand = w1 * v**alpha + w2 * (-v) ** alpha
-    return float(np.sum(integrand) / g.n)
+    b, g = sq * e, lam - sp * e
+    Q = np.array([[b, -g.conj()], [g, b.conj()]]).transpose(2, 0, 1)
+    Q /= np.sqrt(c.q + np.abs(g) ** 2)[:, None, None]
+    return np.stack([lam, -lam.conj()], -1), Q
 
 
 def _batch_eigensystem(
     p: CoinParameter, ms: np.ndarray, ns: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Sorted eigensystem of the 4x4 kernel at a batch of wavenumber pairs.
 
-    Returns ``(lam, Q, vx, vy)`` with shapes (B, 4), (B, 4, 4), (B, 4),
-    (B, 4); ``Q`` columns are orthonormal eigenvectors ordered by eigenvalue
-    phase.  Raises :class:`DegenerateSpectrumError` if any two phases at one
-    node are closer than 1e-8 (the caller must move the node; nothing is
-    perturbed silently).
+    Returns ``(lam, Q)`` with shapes (B, 4), (B, 4, 4); ``Q`` columns are
+    orthonormal eigenvectors ordered by eigenvalue phase.  Raises
+    :class:`DegenerateSpectrumError` if any two phases at one node are
+    closer than 1e-8 (the caller must move the node; nothing is perturbed
+    silently).
 
     The kernel ``S`` is unitary, so its Hermitian part ``(S + S^dag)/2`` has
     the same eigenvectors wherever its eigenvalues, the cosines of the
@@ -254,12 +207,13 @@ def _batch_eigensystem(
     is then checked: it is recomputed with the general ``eig`` followed by a
     QR re-orthonormalization if two cosines lie closer than 1e-3 (on the
     diagonal m = n they coincide exactly) or if the residual
-    ``max_k |S u_k - lam_k u_k|`` exceeds 1e-12.  With ``T = conj(Q) * (S Q)``
-    elementwise, the eigenvalues are the Rayleigh quotients
-    ``lam_k = sum_i T_ik`` and the Hellmann-Feynman velocities
-    ``-Im(u^dag dS u / lam)`` reduce to ``Re((T_0k - T_1k) / lam_k)`` along x
-    and ``Re((T_2k - T_3k) / lam_k)`` along y, since the derivative of each
-    diagonal phase ``exp(-+i m)`` is ``-+i`` times itself.
+    ``max_k |S u_k - lam_k u_k|`` exceeds 1e-12.  The eigenvalues are the
+    Rayleigh quotients ``u_k^dag S u_k``.  Branch velocities are the mover
+    imbalances of the columns (:func:`_velocities`): since ``S`` is
+    ``diag(exp(-+i m), exp(-+i n))`` times the coin, ``dS/dm`` is ``S`` with
+    its x rows times ``-+i``, and ``S u = lam u`` turns the Hellmann-Feynman
+    velocity ``-Im(u^dag dS u / lam)`` into ``|u_0|^2 - |u_1|^2`` along x
+    (``|u_2|^2 - |u_3|^2`` along y).
     """
     H = coin_2d(p).real
     phases = np.stack(
@@ -280,14 +234,11 @@ def _batch_eigensystem(
         # for a normal kernel with separated branches the QR factor differs
         # from the raw eigenvectors only by column phases
         Q[bad], _ = np.linalg.qr(V)
-        SQ[bad] = S[bad] @ Q[bad]
+        lam[bad] = np.sum(Q[bad].conj() * (S[bad] @ Q[bad]), axis=1)
 
-    T = Q.conj() * SQ
-    lam = np.sum(T, axis=1)
     order = np.argsort(np.angle(lam), axis=1)
     lam = np.take_along_axis(lam, order, axis=1)
     Q = np.take_along_axis(Q, order[:, None, :], axis=2)
-    T = np.take_along_axis(T, order[:, None, :], axis=2)
 
     ph = np.angle(lam)
     gaps = np.diff(np.concatenate([ph, ph[:, :1] + 2.0 * np.pi], axis=1), axis=1)
@@ -297,9 +248,42 @@ def _batch_eigensystem(
             f"eigenvalue phases separated by {gmin:.3e} < {_PHASE_GAP_MIN:g}; "
             "evaluate at a node away from the degenerate set"
         )
-    vx = np.real((T[:, 0] - T[:, 1]) / lam)
-    vy = np.real((T[:, 2] - T[:, 3]) / lam)
-    return lam, Q, vx, vy
+    return lam, Q
+
+
+def _eigensystem(p, wavenumbers, theta) -> tuple[EigenBranch, ...]:
+    """Every branch at one node: 1 wavenumber on the line, 2 on the lattice."""
+    c = as_coin(p)
+    ks = [np.array([validate_wavenumber(k)]) for k in wavenumbers]
+    dim = len(ks)
+    th = (as_qubit, as_qudit)[dim - 1](theta).as_array()
+    lam, Q = _branch_vectors_1d(c, *ks) if dim == 1 else _batch_eigensystem(c, *ks)
+    vel = _velocities(Q)
+    return tuple(
+        EigenBranch(
+            complex(lam[0, j]),
+            Q[0, :, j].copy(),
+            float(abs(np.vdot(Q[0, :, j], th)) ** 2),
+            tuple(float(v[0, j]) for v in vel),
+        )
+        for j in range(lam.shape[1])
+    )
+
+
+def eigensystem_1d(
+    p: CoinParameter | float,
+    wavenumber: float,
+    theta: QubitState | tuple | list | np.ndarray,
+) -> tuple[EigenBranch, EigenBranch]:
+    """Both eigenvalue branches of the 1D kernel at one wavenumber.
+
+    Eigenvectors come straight from the kernel entries (closed-form
+    quadratic): for eigenvalue ``lam`` the vector ``(S12, lam - S11)`` is an
+    eigenvector, and the second branch is its orthogonal complement.  Branch
+    1 carries the ``+cos(sigma)`` root; at ``x' = 0`` the eigenvalues are
+    (+1, -1).
+    """
+    return _eigensystem(p, (wavenumber,), theta)
 
 
 def eigensystem_2d(
@@ -314,19 +298,60 @@ def eigensystem_2d(
     :class:`DegenerateSpectrumError` when branch phases are closer than
     1e-8.
     """
-    c = as_coin(p)
-    m = validate_wavenumber(wavenumber_x)
-    n = validate_wavenumber(wavenumber_y)
-    th = as_qudit(theta).as_array()
-    lam, Q, vx, vy = _batch_eigensystem(c, np.array([m]), np.array([n]))
-    out = []
-    for j in range(4):
-        h = Q[0, :, j].copy()
-        w = abs(np.vdot(h, th)) ** 2
-        out.append(
-            EigenBranch(complex(lam[0, j]), h, float(w), (float(vx[0, j]), float(vy[0, j])))
+    return _eigensystem(p, (wavenumber_x, wavenumber_y), theta)
+
+
+def _limit_moments(thetas, p, orders, grid, dim: int) -> np.ndarray:
+    """Weak-limit moments on the line (``dim`` 1) or the square lattice (2).
+
+    ``orders`` holds one exponent per axis for each moment.  One chunked
+    eigensystem sweep over the ``n^dim`` grid serves every state and order:
+    weights ``|Q^dag theta|^2`` times the velocity powers, summed per chunk;
+    each entry's chunk partials are then summed as one 1D array, in a fixed
+    order, so results are reproducible at a fixed grid size.
+    """
+    names = ("alpha", "beta")[:dim]
+    orders = [tuple(require_int(a, n) for a, n in zip(o, names, strict=True)) for o in orders]
+    if not orders or any(sum(o) < 1 for o in orders):
+        raise InvalidParameterError(
+            f"need moment orders >= 0 with {' + '.join(names)} >= 1, got {orders}"
         )
-    return tuple(out)
+    c = as_coin(p)
+    g = _as_grid(grid)
+    ths = [(as_qubit, as_qudit)[dim - 1](th).as_array() for th in thetas]
+    axes = [a.ravel() for a in np.meshgrid(*[g.nodes()] * dim, indexing="ij")]
+    starts = range(0, axes[0].size, _CHUNK)
+    partials = np.empty((len(ths), len(orders), len(starts)))
+    for ci, s in enumerate(starts):
+        ks = [a[s : s + _CHUNK] for a in axes]
+        lam, Q = _branch_vectors_1d(c, *ks) if dim == 1 else _batch_eigensystem(c, *ks)
+        vel = _velocities(Q)
+        for si, th in enumerate(ths):
+            wgt = np.abs(np.einsum("bik,i->bk", Q.conj(), th)) ** 2
+            for oi, order in enumerate(orders):
+                term = wgt
+                for v, a in zip(vel, order):
+                    term = term * v**a
+                partials[si, oi, ci] = np.sum(term)
+    sums = [np.sum(row) for row in partials.reshape(-1, len(starts))]
+    return np.reshape(sums, partials.shape[:2]) / g.n**dim
+
+
+def limit_moment_1d(
+    theta: QubitState | tuple | list | np.ndarray,
+    p: CoinParameter | float,
+    alpha: int,
+    grid: QuadratureGrid | int = QuadratureGrid(4096),
+) -> float:
+    """Long-time limit of ``<(X_t/t)^alpha>`` by midpoint quadrature.
+
+    Branch weights are the squared eigenvector projections of ``theta`` and
+    branch velocities the eigenvectors' mover imbalances (``+-``
+    :func:`group_velocity`); the integrand is evaluated vectorized over the
+    grid and reduced with numpy's fixed pairwise summation, so the result is
+    reproducible bit-for-bit at a fixed grid size.
+    """
+    return float(_limit_moments([theta], p, [(alpha,)], grid, 1)[0, 0])
 
 
 def limit_moments_2d(
@@ -344,29 +369,7 @@ def limit_moments_2d(
     reproducible at a fixed grid size.  Propagates
     :class:`DegenerateSpectrumError` from the eigensolver.
     """
-    orders = [(require_int(a, "alpha"), require_int(b, "beta")) for a, b in orders]
-    if not orders or any(a + b < 1 for a, b in orders):
-        raise InvalidParameterError(
-            f"need moment orders (alpha, beta) >= 0 with alpha + beta >= 1, "
-            f"got {orders}"
-        )
-    c = as_coin(p)
-    g = _as_grid(grid)
-    ths = [as_qudit(th).as_array() for th in thetas]
-    nodes = g.nodes()
-    mm, nn = np.meshgrid(nodes, nodes, indexing="ij")
-    ms, ns = mm.ravel(), nn.ravel()
-    starts = range(0, ms.size, _CHUNK)
-    partials = np.empty((len(ths), len(orders), len(starts)))
-    for ci, s in enumerate(starts):
-        lam, Q, vx, vy = _batch_eigensystem(c, ms[s : s + _CHUNK], ns[s : s + _CHUNK])
-        for si, th in enumerate(ths):
-            wgt = np.abs(np.einsum("bik,i->bk", Q.conj(), th)) ** 2
-            for oi, (a, b) in enumerate(orders):
-                partials[si, oi, ci] = np.sum(wgt * vx**a * vy**b)
-    # each entry's chunk partials are summed as one 1D array, in a fixed order
-    sums = [np.sum(row) for row in partials.reshape(-1, len(starts))]
-    return np.reshape(sums, partials.shape[:2]) / g.n**2
+    return _limit_moments(thetas, p, orders, grid, 2)
 
 
 def limit_moment_2d(
@@ -380,7 +383,7 @@ def limit_moment_2d(
 
     The one-state, one-order case of :func:`limit_moments_2d`.
     """
-    return float(limit_moments_2d([theta], p, [(alpha, beta)], grid)[0, 0])
+    return float(_limit_moments([theta], p, [(alpha, beta)], grid, 2)[0, 0])
 
 
 def convergence_report(
@@ -406,31 +409,26 @@ def convergence_report(
     p = as_coin(p)
 
     comps = list(theta.as_array()) if hasattr(theta, "as_array") else list(theta)
-    one_d = len(comps) == 2
-    th = as_qubit(theta) if one_d else as_qudit(theta)
-    rep_beta = None if one_d else (0 if beta is None else beta)
+    dim = 1 if len(comps) == 2 else 2
+    orders = (alpha, 0 if beta is None else beta)[:dim]
+    # built per call from the module globals, so rebound names are honored
+    as_state, limit, default_grid, trajectory, distribution, moment = (
+        (as_qubit, limit_moment_1d, 4096, trajectory_1d, distribution_1d, moment_1d),
+        (as_qudit, limit_moment_2d, 512, trajectory_2d, distribution_2d, joint_moment_2d),
+    )[dim - 1]
+    th = as_state(theta)
     want = set(ladder)
-    if alpha + (rep_beta or 0) == 0:
+    if sum(orders) == 0:
         quad, sims = 1.0, [1.0] * len(ladder)
-    elif one_d:
-        quad = limit_moment_1d(th, p, alpha, QuadratureGrid(4096) if grid is None else grid)
-        fields = trajectory_1d(th, p, ladder[-1])
-        sims = [moment_1d(distribution_1d(f), alpha) for f in fields if f.t in want]
     else:
-        quad = limit_moment_2d(
-            th, p, alpha, rep_beta, QuadratureGrid(512) if grid is None else grid
-        )
-        fields = trajectory_2d(th, p, ladder[-1])
-        sims = [
-            joint_moment_2d(distribution_2d(f), alpha, rep_beta)
-            for f in fields
-            if f.t in want
-        ]
+        quad = limit(th, p, *orders, default_grid if grid is None else grid)
+        fields = trajectory(th, p, ladder[-1])
+        sims = [moment(distribution(f), *orders) for f in fields if f.t in want]
 
     gaps = tuple(abs(s - quad) for s in sims)
     return MomentReport(
         alpha=alpha,
-        beta=rep_beta,
+        beta=orders[1] if dim == 2 else None,
         quadrature=float(quad),
         times=ladder,
         simulated=tuple(float(s) for s in sims),

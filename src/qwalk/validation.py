@@ -45,7 +45,6 @@ __all__ = [
     "CheckResult",
     "ALL_CHECKS",
     "run_checks",
-    "worker_count",
     "reference_table_deviation",
 ]
 
@@ -66,7 +65,7 @@ class CheckResult:
     seconds: float
 
 
-def worker_count() -> int:
+def _worker_count() -> int:
     """Worker cap: QWALK_THREADS if set, else machine parallelism."""
     env = os.environ.get("QWALK_THREADS")
     if env:
@@ -385,7 +384,7 @@ def run_checks(
     ]
     if not selected:
         raise InvalidParameterError(f"no acceptance section matches {only!r}")
-    workers = max_workers if max_workers is not None else worker_count()
+    workers = max_workers if max_workers is not None else _worker_count()
 
     def run_one(entry) -> CheckResult:
         number, section, desc, fn = entry

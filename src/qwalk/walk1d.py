@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, fields
 from itertools import accumulate, repeat
@@ -62,12 +63,20 @@ class _State:
     Raises
     ------
     InvalidStateError
-        If the squared moduli sum differs from 1 by more than 1e-12.
+        If a component is not a number (``numbers.Complex``, bools and
+        strings excluded; numpy scalars pass) or the squared moduli sum
+        differs from 1 by more than 1e-12.
     """
 
     def __post_init__(self) -> None:
         names = [f.name for f in fields(self)]
-        comps = [complex(getattr(self, n)) for n in names]
+        comps = [getattr(self, n) for n in names]
+        for c in comps:
+            if isinstance(c, bool) or not isinstance(c, numbers.Complex):
+                raise InvalidStateError(
+                    f"{self._KIND} state components must be numbers, got {c!r}"
+                )
+        comps = [complex(c) for c in comps]
         norm = sum(abs(c) ** 2 for c in comps)
         if not math.isfinite(norm) or abs(norm - 1.0) > _NORM_TOL:
             raise InvalidStateError(

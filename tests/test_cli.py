@@ -82,6 +82,13 @@ class TestSim1D:
         assert rc == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("cmd, state", [("sim1d", "1,0"), ("sim2d", "1,0,0,0")])
+    def test_negative_t_names_the_flag(self, cmd, state, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        assert run([cmd, "--p", "0.5", "--state", state, "--t", "-1", "-o", str(out)]) == 2
+        assert "--t" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_output_exits_4(self):
         rc = run(["sim1d", "--p", "0.5", "--state", "1,0", "--t", "5",
                   "-o", "/nonexistent-dir-qwalk/x.csv"])
@@ -129,6 +136,20 @@ class TestLimit:
         rc = run(["limit1d", "--p", "0.5", "--state", "1,0", "--alpha", "1",
                   "--grid", "100"])
         assert rc == 2
+
+    @pytest.mark.parametrize("grid", ["100", "32", "131072"])
+    def test_bad_grid_names_the_flag(self, grid, capsys):
+        rc = run(["limit2d", "--p", "0.5", "--state", "1,0,0,0", "--alpha", "1",
+                  "--grid", grid, "--ladder", "10,20"])
+        assert rc == 2
+        assert "--grid" in capsys.readouterr().err
+
+    def test_limit2d_orders_need_positive_sum(self, capsys):
+        for alpha, beta in (("0", "0"), ("-1", "2")):
+            rc = run(["limit2d", "--p", "0.5", "--state", "1,0,0,0", "--alpha", alpha,
+                      "--beta", beta, "--grid", "64", "--ladder", "10,20"])
+            assert rc == 2
+        assert capsys.readouterr().out == ""
 
     def test_limit2d_balanced_state_near_zero(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -181,6 +202,16 @@ class TestSymmetry:
         assert run(["symmetry", "--p", "0.5", "--table", "--t", t]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "extra", [["--table", "--t", "1"], ["--state", "1,0", "--t", "0"]]
+    )
+    def test_bad_t_names_the_flag(self, extra, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run(["symmetry", "--p", "0.5", *extra, "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "--t" in captured.err and captured.out == ""
+        assert not out.exists()
+
     def test_table_verdict_comes_from_validation_helper(self, monkeypatch, capsys):
         dev = reference_table_deviation(extract_ab(0.5, 12))
         assert run(["symmetry", "--p", "0.5", "--table", "--t", "12"]) == 0
@@ -224,6 +255,13 @@ class TestLocalize:
         rc = run(["localize", "--dim", "2", "--p", "0.5", "--state", "1,0,0,0",
                   "--site", "0", "--ladder", "16,32,64"])
         assert rc == 2
+
+    @pytest.mark.parametrize("site", ["1,2", "x", ""])
+    def test_line_site_is_one_integer(self, site, capsys):
+        rc = run(["localize", "--dim", "1", "--p", "0.5", "--state", "1,0",
+                  "--site", site, "--ladder", "16,32,64"])
+        assert rc == 2
+        assert "--site" in capsys.readouterr().err
 
 
 class TestValidate:

@@ -11,7 +11,6 @@ from qwalk.coin import (
     coin_1d,
     coin_2d,
     kernel_1d,
-    kernel_1d_derivative,
     kernel_2d,
     validate_wavenumber,
 )
@@ -104,11 +103,6 @@ class TestKernel1D:
     @pytest.mark.parametrize("x", [-2.5, -0.4, 0.9, 3.0])
     def test_determinant(self, p, x):
         assert np.linalg.det(kernel_1d(p, x)) == pytest.approx(-1.0, abs=1e-14)
-
-    def test_derivative_is_finite_difference(self):
-        p, x, h = 0.35, 0.8, 1e-6
-        fd = (kernel_1d(p, x + h) - kernel_1d(p, x - h)) / (2 * h)
-        np.testing.assert_allclose(kernel_1d_derivative(p, x), fd, atol=1e-9)
 
 
 class TestKernel2D:

@@ -142,6 +142,34 @@ class TestLimitMoment1D:
             assert abs(a - b) <= 1e-10
 
 
+def _closed_form_moment_1d(theta, p, alpha, n):
+    """Reference 1D limit: closed-form branch weights ``w1, w2`` and
+    velocities ``+-group_velocity``, integrand ``w1 v^a + w2 (-v)^a``."""
+    th = theta.as_array()
+    x = QuadratureGrid(n).nodes()
+    sp, sq = math.sqrt(p), math.sqrt(1 - p)
+    s = sp * np.sin(x)
+    b = sq * np.exp(-1j * x)
+    g = np.sqrt(1 - s * s) - 1j * s - sp * np.exp(-1j * x)
+    nrm2 = 1 - p + np.abs(g) ** 2
+    w1 = np.abs(np.conj(b) * th[0] + np.conj(g) * th[1]) ** 2 / nrm2
+    w2 = np.abs(-g * th[0] + b * th[1]) ** 2 / nrm2
+    v = np.array([group_velocity(p, xx) for xx in x])
+    return float(np.sum(w1 * v**alpha + w2 * (-v) ** alpha) / n)
+
+
+class TestLimitMoment1DAgainstClosedForm:
+    @pytest.mark.parametrize("p", [0.1, 0.25, 0.5, 0.75, 0.9])
+    def test_matches_closed_form_integrand(self, p):
+        rng = np.random.default_rng(13)
+        states = [QubitState(1.0, 0.0), QubitState(0.6, 0.8j), QubitState.random(rng)]
+        for th in states:
+            for alpha in (1, 2, 3):
+                got = limit_moment_1d(th, p, alpha)
+                ref = _closed_form_moment_1d(th, p, alpha, 4096)
+                assert abs(got - ref) <= 1e-15
+
+
 class TestEigensystem2D:
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(3)

@@ -69,3 +69,41 @@ def test_spectral_solves_2d_with_eigh_and_falls_back_to_eig_in_one_place():
         ("_batch_eigensystem", "eig"),
         ("_batch_eigensystem", "qr"),
     }
+
+
+def _calls_by_function(module: str) -> dict[str, set[str]]:
+    """Names each top-level function of ``module`` calls, by function name."""
+    out = {}
+    for top in _tree(module).body:
+        if isinstance(top, ast.FunctionDef):
+            out[top.name] = {
+                node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                for node in ast.walk(top)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, (ast.Name, ast.Attribute))
+            }
+    return out
+
+
+def test_every_limit_calls_the_one_quadrature_body():
+    calls = _calls_by_function("spectral")
+    for name in ("limit_moment_1d", "limit_moments_2d", "limit_moment_2d"):
+        assert "_limit_moments" in calls[name], name
+
+
+def test_only_the_velocity_helper_computes_branch_velocities():
+    calls = _calls_by_function("spectral")
+    # the replaced formulas: closed-form cos(x) / sqrt(...), Hellmann-Feynman
+    # -Im(h^dag dS h / lam), and the T-quotient Re((T_0k - T_1k) / lam_k);
+    # group_velocity stays as the closed-form reference
+    formulas = {n for n, called in calls.items() if called & {"cos", "imag", "real"}}
+    assert formulas == {"group_velocity"}
+    assert {n for n, called in calls.items() if "_velocities" in called} == {
+        "_eigensystem",
+        "_limit_moments",
+    }
+
+
+def test_coin_has_no_kernel_derivative():
+    names = {getattr(node, "name", None) for node in _tree("coin").body}
+    assert "kernel_1d_derivative" not in names

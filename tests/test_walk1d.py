@@ -36,6 +36,17 @@ class TestQubitState:
             th = QubitState.random(rng)
             assert abs(abs(th.d1) ** 2 + abs(th.d2) ** 2 - 1) <= 1e-12
 
+    def test_components_must_be_numbers(self):
+        # strings were parsed by complex(), None raised TypeError, bools passed
+        for bad in (("0.6", "0.8j"), (None, 1), (True, False)):
+            with pytest.raises(InvalidStateError):
+                QubitState(*bad)
+        for bad in ("10", "ab"):
+            with pytest.raises(InvalidStateError):
+                evolve_1d(bad, 0.5, 3)
+        th = QubitState(np.float64(0.6), np.complex128(0.8j))
+        assert th.as_array().tolist() == [0.6, 0.8j]
+
 
 class TestInit:
     def test_point_mass_at_origin(self):
