@@ -3,11 +3,13 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qwalk.closedform import alpha_coefficients, closed_form_field
 from qwalk.coin import coin_1d, coin_2d, kernel_1d, kernel_2d
-from qwalk.spectral import eigensystem_1d, group_velocity
+from qwalk.errors import DegenerateSpectrumError, QwalkError
+from qwalk.spectral import eigensystem_1d, eigensystem_2d, group_velocity, limit_moments_2d
 from qwalk.symmetry import in_phi_perp
 from qwalk.walk1d import QubitState, distribution_1d, evolve_1d, moment_1d
 from qwalk.walk2d import QuditState, distribution_2d, evolve_2d
@@ -143,3 +145,50 @@ def test_branch_weights_and_velocities(theta, p, x):
 def test_lattice_distribution_sums_to_one(theta, p, t):
     d = distribution_2d(evolve_2d(theta, p, t))
     assert abs(d.total() - 1.0) <= 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(theta=qudit_strategy, p=p_strategy, m=wavenumber_strategy, n=wavenumber_strategy)
+def test_lattice_branches_match_eigvals(theta, p, m, n):
+    try:
+        branches = eigensystem_2d(p, m, n, theta)
+    except DegenerateSpectrumError:
+        return
+    lam = np.array([b.eigenvalue for b in branches])
+    d = np.abs(lam[:, None] - np.linalg.eigvals(kernel_2d(p, m, n))[None, :])
+    assert max(d.min(axis=0).max(), d.min(axis=1).max()) <= 1e-13
+    assert abs(sum(b.weight for b in branches) - 1.0) <= 1e-10
+    for b in branches:
+        assert abs(b.velocity[0]) + abs(b.velocity[1]) <= 1.0 + 1e-10
+
+
+exponent = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.floats(allow_nan=True),
+    st.booleans(),
+    st.text(max_size=2),
+    st.none(),
+)
+order_strategy = st.one_of(
+    exponent,
+    st.lists(exponent, max_size=4),
+    st.tuples(exponent, exponent),
+    st.tuples(st.tuples(exponent, exponent), exponent),
+)
+
+
+def _well_formed(order):
+    return (
+        isinstance(order, (tuple, list))
+        and len(order) == 2
+        and all(isinstance(a, int) and not isinstance(a, bool) and a >= 0 for a in order)
+        and sum(order) >= 1
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(order=order_strategy)
+def test_malformed_lattice_order_raises_qwalk_error(order):
+    assume(not _well_formed(order))
+    with pytest.raises(QwalkError):
+        limit_moments_2d([QuditState(1, 0, 0, 0)], 0.5, [order], grid=8)

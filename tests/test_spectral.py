@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from qwalk.coin import as_coin, coin_2d, kernel_2d
 from qwalk.errors import DegenerateSpectrumError, InvalidParameterError
 from qwalk.spectral import (
     QuadratureGrid,
+    _batch_eigensystem,
     convergence_report,
     eigensystem_1d,
     eigensystem_2d,
@@ -200,10 +202,8 @@ class TestEigensystem2D:
             eigensystem_2d(0.5, 0.0, 0.0, QuditState(1, 0, 0, 0))
 
     def test_eigen_residual(self):
-        from qwalk.coin import kernel_2d
-
         p = 0.3
-        # the diagonal nodes have coinciding cosines and take the eig fallback
+        # diagonal nodes m = n included: every node takes the same closed form
         for m, n in ((0.7, -1.2), (0.7, 0.7), (-1.1, -1.1), (2.3, 2.3)):
             s = kernel_2d(p, m, n)
             for b in eigensystem_2d(p, m, n, QuditState(1, 0, 0, 0)):
@@ -242,22 +242,29 @@ class TestLimitMoment2D:
         assert np.max(np.abs(a - b)) <= 1e-4
 
 
-def _eig_qr_moments(thetas, p, orders, n):
-    """Reference 2D limit moments: general eig, phase sort, QR, triple products."""
-    from qwalk.coin import coin_2d
-
+def _grid_2d(n):
     nodes = QuadratureGrid(n).nodes()
     mm, nn = np.meshgrid(nodes, nodes, indexing="ij")
-    ms, ns = mm.ravel(), nn.ravel()
-    z = np.zeros_like(ms)
+    return mm.ravel(), nn.ravel()
+
+
+def _eig_qr(p, ms, ns):
+    """Reference 2D eigensystem: mover phases, general eig, phase sort, QR."""
     ph = np.stack([np.exp(-1j * ms), np.exp(1j * ms), np.exp(-1j * ns), np.exp(1j * ns)], 1)
+    w, V = np.linalg.eig(ph[:, :, None] * coin_2d(p).real)
+    order = np.argsort(np.angle(w), axis=1)
+    Q, _ = np.linalg.qr(np.take_along_axis(V, order[:, None, :], axis=2))
+    return ph, np.take_along_axis(w, order, axis=1), Q
+
+
+def _eig_qr_moments(thetas, p, orders, n):
+    """Reference 2D limit moments: general eig, phase sort, QR, triple products."""
+    ph, _, Q = _eig_qr(p, *_grid_2d(n))
+    z = np.zeros(len(ph))
     dphx = np.stack([-1j * ph[:, 0], 1j * ph[:, 1], z, z], 1)
     dphy = np.stack([z, z, -1j * ph[:, 2], 1j * ph[:, 3]], 1)
     H = coin_2d(p).real
     S, dSx, dSy = (d[:, :, None] * H for d in (ph, dphx, dphy))
-    w, V = np.linalg.eig(S)
-    V = np.take_along_axis(V, np.argsort(np.angle(w), axis=1)[:, None, :], axis=2)
-    Q, _ = np.linalg.qr(V)
     lam = np.einsum("bik,bij,bjk->bk", Q.conj(), S, Q)
     vx = -np.imag(np.einsum("bik,bij,bjk->bk", Q.conj(), dSx, Q) / lam)
     vy = -np.imag(np.einsum("bik,bij,bjk->bk", Q.conj(), dSy, Q) / lam)
@@ -267,6 +274,49 @@ def _eig_qr_moments(thetas, p, orders, n):
         for oi, (a, b) in enumerate(orders):
             out[si, oi] = np.sum(wgt * vx**a * vy**b) / n**2
     return out
+
+
+def _set_distance(lam, ref):
+    """Largest distance, over nodes, between two eigenvalue sets of one node."""
+    d = np.abs(lam[:, :, None] - ref[:, None, :])
+    return max(d.min(axis=2).max(), d.min(axis=1).max())
+
+
+class TestBatchEigensystemAgainstOracles:
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    def test_eigenvalues_match_eigvals_on_grid(self, p):
+        ms, ns = _grid_2d(64)
+        lam, _ = _batch_eigensystem(as_coin(p), ms, ns)
+        ref = np.linalg.eigvals(np.stack([kernel_2d(p, m, n) for m, n in zip(ms, ns)]))
+        assert _set_distance(lam, ref) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "m, n",
+        [
+            (-math.pi / 2 + 1e-3, math.pi / 2 + 1e-3),
+            (-math.pi / 2 + 1e-3, math.pi / 2 - 1e-3),
+            (-math.pi / 2 + 1e-5, math.pi / 2 - 1e-5),
+            (1e-3, 2e-3),
+        ],
+    )
+    def test_eigenvalues_match_eigvals_where_cosines_cancel(self, m, n):
+        # sqrt(1 - s^2) for the cosines, or 1 - cos^2 for sin^2((m - n)/2),
+        # misses these nodes by 1.8e-10 and 3.2e-14
+        lam, _ = _batch_eigensystem(as_coin(0.3), np.array([m]), np.array([n]))
+        ref = np.linalg.eigvals(kernel_2d(0.3, m, n))[None, :]
+        assert _set_distance(lam, ref) <= 1e-14
+
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_branch_probabilities_match_eig_qr(self, p):
+        ms, ns = _grid_2d(128)
+        lam, Q = _batch_eigensystem(as_coin(p), ms, ns)
+        _, w, V = _eig_qr(p, ms, ns)
+        # pair branches by eigenvalue: at p = 1/2 an eigenvalue sits at -1 on
+        # m = -n, and a ~1e-17 imaginary part decides which end of the phase
+        # order it takes
+        pair = np.abs(lam[:, :, None] - w[:, None, :]).argmin(axis=2)
+        V = np.take_along_axis(V, pair[:, None, :], axis=2)
+        assert np.max(np.abs(np.abs(Q) ** 2 - np.abs(V) ** 2)) <= 1e-11
 
 
 class TestLimitMoments2DAgainstEigQR:
@@ -325,6 +375,10 @@ class TestConvergenceReport:
         assert rep.beta == 0
         assert len(rep.simulated) == 2
 
+    def test_line_state_rejects_beta(self):
+        with pytest.raises(InvalidParameterError):
+            convergence_report(QubitState(1, 0), 0.5, 1, beta=3, ladder=(10, 20), grid=64)
+
     def test_rejects_bad_ladder(self):
         for ladder in ((100, 50), (10.5, 20.9), (0, 10)):  # 10.5 is not truncated
             with pytest.raises(InvalidParameterError):
@@ -344,7 +398,9 @@ class TestLimitMoments2D:
                 single = limit_moment_2d(th, 0.35, a, b, grid=QuadratureGrid(32))
                 assert float(v).hex() == single.hex()
 
-    @pytest.mark.parametrize("orders", [(), ((0, 0),), ((1, -1),), ((1.5, 0),)])
+    @pytest.mark.parametrize(
+        "orders", [(), ((0, 0),), ((1, -1),), ((1.5, 0),), ((1, 0, 0),), (1,)]
+    )
     def test_rejects_bad_orders(self, orders):
         with pytest.raises(InvalidParameterError):
             limit_moments_2d([QuditState(1, 0, 0, 0)], 0.5, orders, grid=32)
