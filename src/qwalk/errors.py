@@ -11,6 +11,7 @@ __all__ = [
     "DegenerateSpectrumError",
     "PreconditionError",
     "require_int",
+    "require_ladder",
     "require_real",
 ]
 
@@ -51,6 +52,21 @@ def require_int(value, name: str, minimum: int | None = 0) -> int:
     if minimum is not None and value < minimum:
         raise InvalidParameterError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def require_ladder(ladder, name: str, minimum: int) -> tuple[int, ...]:
+    """Return ``ladder`` as a non-empty, strictly increasing tuple of integers
+    ``>= minimum``, each checked by :func:`require_int` under ``name``; a
+    ladder that is not iterable is rejected too."""
+    try:
+        lad = tuple(require_int(t, name, minimum) for t in ladder)
+    except TypeError:
+        raise InvalidParameterError(f"need a ladder of {name}s, got {ladder!r}") from None
+    if not lad or any(b <= a for a, b in zip(lad, lad[1:])):
+        raise InvalidParameterError(
+            f"need a non-empty, strictly increasing ladder of {name}s, got {lad}"
+        )
+    return lad
 
 
 def require_real(value, name: str) -> float:

@@ -24,8 +24,14 @@ from itertools import islice
 import numpy as np
 
 from .coin import CoinParameter
-from .errors import InvalidParameterError, PreconditionError, require_int, require_real
-from .walk1d import trajectory_1d
+from .errors import (
+    InvalidParameterError,
+    PreconditionError,
+    require_int,
+    require_ladder,
+    require_real,
+)
+from .walk1d import _site_coordinates, trajectory_1d
 from .walk2d import trajectory_2d
 
 __all__ = [
@@ -51,15 +57,6 @@ class DeltaIntensityEstimate:
         return all(b < a for a, b in zip(self.averages, self.averages[1:]))
 
 
-def _validate_ladder(ladder: tuple[int, ...]) -> tuple[int, ...]:
-    lad = tuple(require_int(t, "horizon", 8) for t in ladder)
-    if len(lad) < 1:
-        raise InvalidParameterError("horizon ladder must be non-empty")
-    if any(b <= a for a, b in zip(lad, lad[1:])):
-        raise InvalidParameterError("horizon ladder must be strictly increasing")
-    return lad
-
-
 def _cesaro(fields, ladder: tuple[int, ...], site: tuple[int, ...]) -> tuple[float, ...]:
     """Running means of ``P(site, t)`` over t = 1..T, at each ladder T."""
     acc = 0.0
@@ -79,7 +76,7 @@ def time_averaged_probability_1d(
     ladder: tuple[int, ...],
 ) -> DeltaIntensityEstimate:
     """Cesaro averages of ``P(site, t)`` on the line, one evolution pass."""
-    lad = _validate_ladder(ladder)
+    lad = require_ladder(ladder, "horizon", 8)
     site = require_int(site, "site", None)
     averages = _cesaro(trajectory_1d(theta, p, lad[-1]), lad, (site,))
     return DeltaIntensityEstimate(site=site, horizons=lad, averages=averages)
@@ -92,10 +89,8 @@ def time_averaged_probability_2d(
     ladder: tuple[int, ...],
 ) -> DeltaIntensityEstimate:
     """Cesaro averages of ``P(site, t)`` on the square lattice."""
-    lad = _validate_ladder(ladder)
-    if len(site) != 2:
-        raise InvalidParameterError(f"lattice site needs 2 coordinates, got {site!r}")
-    site = tuple(require_int(v, "site coordinate", None) for v in site)
+    lad = require_ladder(ladder, "horizon", 8)
+    site = _site_coordinates(site, 2)
     averages = _cesaro(trajectory_2d(theta, p, lad[-1]), lad, site)
     return DeltaIntensityEstimate(site=site, horizons=lad, averages=averages)
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coin import CoinParameter, as_coin, coin_2d, validate_wavenumber
-from .errors import DegenerateSpectrumError, InvalidParameterError, require_int
+from .errors import DegenerateSpectrumError, InvalidParameterError, require_int, require_ladder
 from .walk1d import (
     QubitState,
     as_qubit,
@@ -323,6 +323,9 @@ def _limit_moments(thetas, p, orders, grid, dim: int) -> np.ndarray:
     order, so results are reproducible at a fixed grid size.
     """
     names = ("alpha", "beta")[:dim]
+    for name, arg in (("thetas", thetas), ("orders", orders)):
+        if not np.iterable(arg):
+            raise InvalidParameterError(f"{name} must be a sequence, got {arg!r}")
     orders = [tuple(o) if np.iterable(o) else (o,) for o in orders]
     if not orders or any(len(o) != dim for o in orders):
         raise InvalidParameterError(
@@ -419,15 +422,13 @@ def convergence_report(
     the whole ladder.  ``alpha (+ beta) = 0`` is the trivial moment: both
     sides are exactly 1 and every gap is 0, but ``p`` is checked all the same.
     """
-    ladder = tuple(require_int(t, "ladder time", 1) for t in ladder)
-    if len(ladder) < 1 or any(b <= a for a, b in zip(ladder, ladder[1:])):
-        raise InvalidParameterError("time ladder must be strictly increasing")
+    ladder = require_ladder(ladder, "ladder time", 1)
     alpha = require_int(alpha, "alpha")
     beta = None if beta is None else require_int(beta, "beta")
     p = as_coin(p)
 
-    comps = list(theta.as_array()) if hasattr(theta, "as_array") else list(theta)
-    dim = 1 if len(comps) == 2 else 2
+    comps = theta.as_array() if hasattr(theta, "as_array") else theta
+    dim = 1 if not np.iterable(comps) or len(list(comps)) == 2 else 2
     if dim == 1 and beta is not None:
         raise InvalidParameterError(f"beta applies to lattice states only, got beta={beta}")
     orders = (alpha, 0 if beta is None else beta)[:dim]

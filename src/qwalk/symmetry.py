@@ -78,6 +78,7 @@ __all__ = [
 
 _CLASS_TOL = 1e-12
 _SYM_TOL = 1e-12
+_KNS_TOL = 1e-10
 _PATTERN_TOL = 1e-9
 
 EXCHANGE_1D = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -185,11 +186,12 @@ def extract_ab(p: CoinParameter | float, horizon: int) -> ABTable:
     return ABTable(a=a, b=b)
 
 
-def kns_check(table: ABTable, tol: float = 1e-10) -> bool:
-    """First-difference relation ``b_{t+1} = a_t + 1`` over the whole table."""
+def kns_check(table: ABTable) -> bool:
+    """First-difference relation ``b_{t+1} = a_t + 1`` over the whole table,
+    every residual within 1e-10."""
     if len(table) < 2:
         raise InvalidParameterError("table must cover at least t = 1, 2")
-    return bool(np.max(np.abs(table.kns_residuals())) <= tol)
+    return bool(np.max(np.abs(table.kns_residuals())) <= _KNS_TOL)
 
 
 _PATTERNS = {2: "(1, +-i)", 4: "(1, +-i, +-i, -1)"}

@@ -9,9 +9,7 @@ counts for a sub-ten-second smoke run.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import reduce
 from itertools import product
@@ -63,20 +61,6 @@ class CheckResult:
     passed: bool
     details: str
     seconds: float
-
-
-def _worker_count() -> int:
-    """Worker cap: QWALK_THREADS if set, else machine parallelism."""
-    env = os.environ.get("QWALK_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise InvalidParameterError(f"QWALK_THREADS must be an integer: {env!r}") from exc
-        if n < 1:
-            raise InvalidParameterError("QWALK_THREADS must be >= 1")
-        return n
-    return os.cpu_count() or 1
 
 
 def _random_states(cls, n: int, rng: np.random.Generator) -> list:
@@ -374,34 +358,24 @@ def run_checks(
 ) -> list[CheckResult]:
     """Run the acceptance checks, optionally filtered by section substring.
 
-    Independent checks run concurrently up to the worker cap; results come
-    back ordered by criterion number regardless of completion order.
+    The selected checks run one after another on the calling thread, in
+    criterion order, so each result's ``seconds`` is that check's own,
+    uncontended time.  ``max_workers`` remains only so that existing callers
+    that name the serial run (``None`` or ``1``) keep working; any other
+    value raises :class:`InvalidParameterError`.
     """
-    selected = [
-        entry
-        for entry in ALL_CHECKS
-        if only is None or only.lower() in entry[1].lower()
-    ]
-    if not selected:
-        raise InvalidParameterError(f"no acceptance section matches {only!r}")
-    workers = max_workers if max_workers is not None else _worker_count()
-
-    def run_one(entry) -> CheckResult:
-        number, section, desc, fn = entry
+    if max_workers is True or max_workers not in (None, 1):
+        raise InvalidParameterError(
+            f"the checks run serially: max_workers must be None or 1, got {max_workers!r}"
+        )
+    results = []
+    for number, section, desc, fn in ALL_CHECKS:
+        if only is not None and only.lower() not in section.lower():
+            continue
         start = time.perf_counter()
         passed, details = fn(quick=quick)
-        return CheckResult(
-            number=number,
-            section=section,
-            description=desc,
-            passed=passed,
-            details=details,
-            seconds=time.perf_counter() - start,
-        )
-
-    if workers <= 1 or len(selected) == 1:
-        results = [run_one(e) for e in selected]
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, len(selected))) as pool:
-            results = list(pool.map(run_one, selected))
-    return sorted(results, key=lambda r: r.number)
+        seconds = time.perf_counter() - start
+        results.append(CheckResult(number, section, desc, passed, details, seconds))
+    if not results:
+        raise InvalidParameterError(f"no acceptance section matches {only!r}")
+    return results

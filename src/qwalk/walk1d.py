@@ -102,7 +102,8 @@ class _State:
         """Coerce a sequence of the right length into a validated state."""
         if isinstance(theta, cls):
             return theta
-        seq, n = list(theta), len(fields(cls))
+        n = len(fields(cls))
+        seq = list(theta) if np.iterable(theta) else [theta]
         if len(seq) != n:
             raise InvalidStateError(f"{cls._KIND} state needs {n} components, got {len(seq)}")
         return cls(*seq)
@@ -129,6 +130,15 @@ as_qubit = QubitState._coerce
 def _phase(k: float) -> complex:
     """Per-step phase factor ``e^{ik}``; ``k`` must be a finite real number."""
     return cmath.exp(1j * require_real(k, "phase k"))
+
+
+def _site_coordinates(site, dim: int) -> tuple[int, ...]:
+    """``site`` as ``dim`` coordinates, each checked by ``require_int``; a bare
+    integer is one coordinate."""
+    coords = tuple(site) if np.iterable(site) else (site,)
+    if len(coords) != dim:
+        raise InvalidParameterError(f"site needs {dim} integer coordinates, got {site!r}")
+    return tuple(require_int(v, "site coordinate", None) for v in coords)
 
 
 # where a component's block lands in the support grown by one step, per axis
@@ -181,7 +191,7 @@ class _Field:
 
     def amplitude(self, *site: int) -> tuple[complex, ...]:
         """Every component at ``site`` (zeros off the support)."""
-        idx = self.site_index(*site)
+        idx = self.site_index(*_site_coordinates(site, self._DIM))
         if idx is None:
             return (0j,) * len(self.amps)
         return tuple(complex(a[idx]) for a in self.amps)
@@ -210,7 +220,7 @@ class _Distribution:
         self._values.flags.writeable = False
 
     def mass(self, *site: int) -> float:
-        idx = self.site_index(*site)
+        idx = self.site_index(*_site_coordinates(site, self._DIM))
         return 0.0 if idx is None else float(self._values[idx])
 
     def items(self) -> Iterator[tuple]:

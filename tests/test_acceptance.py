@@ -8,6 +8,7 @@ checks back the ``qwalk validate`` command.
 import pytest
 
 from qwalk import validation
+from qwalk.errors import InvalidParameterError
 
 
 def _run(number: int) -> None:
@@ -62,3 +63,17 @@ def test_criterion_10_localization_probes():
 
 def test_criterion_11_quadrature_stability():
     _run(11)
+
+
+def test_run_checks_runs_every_criterion_serially_in_order():
+    results = validation.run_checks(quick=True)
+    assert [r.number for r in results] == list(range(1, 12))
+    assert all(r.passed for r in results)
+    (hand,) = validation.run_checks(quick=True, only="hand", max_workers=1)
+    assert (hand.number, hand.details) == (2, results[1].details)
+
+
+@pytest.mark.parametrize("workers", [2, 0, True])
+def test_run_checks_rejects_parallel_max_workers(workers):
+    with pytest.raises(InvalidParameterError, match="serially"):
+        validation.run_checks(quick=True, max_workers=workers)

@@ -274,12 +274,6 @@ class TestValidate:
     def test_unknown_section_exits_2(self):
         assert run(["validate", "--only", "nosuchsection"]) == 2
 
-    def test_worker_env_respected(self, monkeypatch, capsys):
-        monkeypatch.setenv("QWALK_THREADS", "1")
-        assert run(["validate", "--quick", "--only", "coefficients"]) == 0
-        monkeypatch.setenv("QWALK_THREADS", "zero")
-        assert run(["validate", "--quick", "--only", "coefficients"]) == 2
-
 
 class TestStateParsing:
     @pytest.mark.parametrize(

@@ -9,7 +9,14 @@ from hypothesis import assume, given, settings, strategies as st
 from qwalk.closedform import alpha_coefficients, closed_form_field
 from qwalk.coin import coin_1d, coin_2d, kernel_1d, kernel_2d
 from qwalk.errors import DegenerateSpectrumError, QwalkError
-from qwalk.spectral import eigensystem_1d, eigensystem_2d, group_velocity, limit_moments_2d
+from qwalk.localization import time_averaged_probability_1d, time_averaged_probability_2d
+from qwalk.spectral import (
+    convergence_report,
+    eigensystem_1d,
+    eigensystem_2d,
+    group_velocity,
+    limit_moments_2d,
+)
 from qwalk.symmetry import in_phi_perp
 from qwalk.walk1d import QubitState, distribution_1d, evolve_1d, moment_1d
 from qwalk.walk2d import QuditState, distribution_2d, evolve_2d
@@ -192,3 +199,34 @@ def test_malformed_lattice_order_raises_qwalk_error(order):
     assume(not _well_formed(order))
     with pytest.raises(QwalkError):
         limit_moments_2d([QuditState(1, 0, 0, 0)], 0.5, [order], grid=8)
+
+
+_QUDIT = QuditState(1, 0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: limit_moments_2d([_QUDIT], 0.5, 5, grid=8),
+        lambda: limit_moments_2d(_QUDIT, 0.5, [(1, 0)], grid=8),
+        lambda: evolve_1d(5, 0.5, 3),
+        lambda: closed_form_field(5, 0.5, 3),
+        lambda: convergence_report(5, 0.5, 1, ladder=(10, 20)),
+        lambda: convergence_report(QubitState(1, 0), 0.5, 1, ladder=100, grid=64),
+        lambda: time_averaged_probability_1d(QubitState(1, 0), 0.5, 0, 64),
+        lambda: time_averaged_probability_2d(_QUDIT, 0.5, 5, (16, 32, 64)),
+    ],
+    ids=[
+        "orders",
+        "thetas",
+        "evolve_state",
+        "closed_form_state",
+        "report_state",
+        "report_ladder",
+        "average_ladder",
+        "lattice_site",
+    ],
+)
+def test_non_iterable_argument_raises_qwalk_error(call):
+    with pytest.raises(QwalkError):
+        call()

@@ -51,6 +51,24 @@ def test_validation_imports_no_private_name():
     assert imported and not [n for n in imported if n.split(".")[-1].startswith("_")]
 
 
+def test_validation_runs_checks_without_threads_or_environment():
+    tree = _tree("validation")
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module or "")
+    roots = {m.split(".")[0] for m in modules}
+    assert not roots & {"concurrent", "threading", "multiprocessing"}
+    names = {
+        getattr(node, "attr", getattr(node, "id", None))
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Attribute, ast.Name))
+    }
+    assert not names & {"environ", "getenv"}
+
+
 def test_spectral_calls_no_eigensolver_or_qr():
     # the lattice spectrum is closed form; the line's is a closed-form quadratic
     calls = set()

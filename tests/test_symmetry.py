@@ -115,6 +115,13 @@ class TestExpectationTable:
         b[1] = 1.5
         assert not kns_check(ABTable(a=np.asarray(A_HALF), b=b))
 
+    def test_tolerance_is_fixed_at_1e_10(self):
+        a, b = np.asarray(A_HALF), np.asarray(B_HALF)
+        assert kns_check(ABTable(a=a, b=b + 5e-11))
+        assert not kns_check(ABTable(a=a, b=b + np.eye(1, len(b), 1)[0] * 2e-10))
+        with pytest.raises(TypeError):
+            kns_check(ABTable(a=a, b=b), tol=float("nan"))
+
     @pytest.mark.parametrize("p", [0.25, 0.75])
     def test_difference_law_fails_for_biased_coin(self, p):
         # measured property of these dynamics: the first-difference law

@@ -15,6 +15,7 @@ from qwalk.walk1d import (
     step_1d,
     trajectory_1d,
 )
+from qwalk.walk2d import QuditState, distribution_2d, evolve_2d
 
 R = 1 / math.sqrt(2)
 
@@ -150,6 +151,47 @@ class TestDistributionAndMoments:
         assert moment_1d(d, 0) == 1.0
         assert moment_1d(d, 1) == 0.0
         assert moment_1d(d, 2) == 0.0
+
+
+# the lattice's lookups share the line's site check, so both are pinned here
+_FIELD_1D = evolve_1d(QubitState(1.0, 0.0), 0.5, 3)
+_DIST_1D = distribution_1d(_FIELD_1D)
+_DIST_2D = distribution_2d(evolve_2d(QuditState(1, 0, 0, 0), 0.5, 3))
+
+
+@pytest.mark.parametrize(
+    "lookup",
+    [
+        lambda: _DIST_1D.mass(1.5),
+        lambda: _DIST_1D.mass(True),
+        lambda: _DIST_1D.mass(1.0),
+        lambda: _DIST_1D.mass("1"),
+        lambda: _DIST_1D.mass(1, 0),
+        lambda: _FIELD_1D.amplitude(1.0),
+        lambda: _DIST_2D.mass(1.0, 0),
+        lambda: _DIST_2D.mass(1),
+    ],
+    ids=[
+        "fraction",
+        "bool",
+        "integral_float",
+        "string",
+        "two_coordinates",
+        "amplitude_float",
+        "lattice_float",
+        "lattice_one_coordinate",
+    ],
+)
+def test_site_lookup_rejects_a_malformed_site(lookup):
+    with pytest.raises(InvalidParameterError, match="site"):
+        lookup()
+
+
+def test_site_lookup_accepts_numpy_integers():
+    assert _DIST_1D.mass(np.int64(1)) == _DIST_1D.mass(1) == pytest.approx(5 / 8)
+    assert _FIELD_1D.amplitude(np.int32(-1)) == _FIELD_1D.amplitude(-1)
+    assert _DIST_2D.mass(np.int64(1), np.int64(0)) == _DIST_2D.mass(1, 0) > 0
+    assert _DIST_1D.mass(2) == _DIST_2D.mass(3, 1) == 0.0
 
 
 def test_orientation_anchor_expectation_series():
