@@ -52,6 +52,7 @@ from .closedform import (
     LaurentCoefficients,
     alpha_coefficients,
     closed_form_field,
+    closed_form_fields,
     double_sum_coefficient,
 )
 from .spectral import (
@@ -129,6 +130,7 @@ __all__ = [
     "alpha_coefficients",
     "double_sum_coefficient",
     "closed_form_field",
+    "closed_form_fields",
     # spectral
     "QuadratureGrid",
     "EigenBranch",

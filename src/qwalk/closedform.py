@@ -13,7 +13,10 @@ Note the plus sign: the three-term recurrence differs from the Chebyshev
 frequencies ``n = -(t-1), -(t-1)+2, ..., t-1``; the recurrence is run
 directly on the coefficient arrays, which stays exact in index bookkeeping
 and keeps every intermediate bounded (``|alpha_t(x')| <= 1/sqrt(q)``
-pointwise on the unit circle).
+pointwise on the unit circle).  One run of the recurrence serves a whole
+increasing ladder of times: :func:`closed_form_fields` assembles the field
+at each requested time as the run passes it, and :func:`closed_form_field`
+and :func:`alpha_coefficients` are its one-time cases.
 
 Position-space amplitudes follow by reading off Fourier coefficients of
 ``e^{i t k} (alpha_t S + alpha_{t-1} I) Theta``:
@@ -36,7 +39,7 @@ from typing import Iterator
 import numpy as np
 
 from .coin import CoinParameter, as_coin
-from .errors import InvalidParameterError, require_int, require_real
+from .errors import InvalidParameterError, require_int, require_ladder, require_real
 from .walk1d import QubitState, WaveField1D, as_qubit, init_1d
 
 __all__ = [
@@ -44,6 +47,7 @@ __all__ = [
     "alpha_coefficients",
     "double_sum_coefficient",
     "closed_form_field",
+    "closed_form_fields",
 ]
 
 
@@ -71,6 +75,7 @@ class LaurentCoefficients:
         return 2 * np.arange(self.order) - (self.order - 1)
 
     def __getitem__(self, n: int) -> complex:
+        n = require_int(n, "frequency", None)
         if (n + self.order - 1) % 2 != 0 or abs(n) > self.order - 1:
             return 0j
         return complex(self.values[(n + self.order - 1) // 2])
@@ -85,22 +90,26 @@ class LaurentCoefficients:
         return complex(np.sum(self.values * np.exp(-1j * wavenumber * self.indices())))
 
 
-def _alpha_pair(p: CoinParameter, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Packed coefficient arrays of ``alpha_t`` and ``alpha_{t-1}``.
+def _alpha_pairs(
+    p: CoinParameter, times: tuple[int, ...]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Packed coefficient arrays of ``alpha_t`` and ``alpha_{t-1}`` at each
+    ``t >= 1`` of the increasing ``times``, from one run of the recurrence.
 
-    ``alpha_0`` is the empty array.  Cost O(t^2) in time, O(t) in memory.
+    ``alpha_0`` is the empty array.  Reaching ``max(times)`` costs O(t^2) in
+    time and O(t) in memory; the yielded arrays are never written again.
     """
     sp = math.sqrt(p.p)
     prev = np.zeros(0, dtype=np.complex128)          # alpha_0
     cur = np.ones(1, dtype=np.complex128)            # alpha_1
-    for m in range(1, t):
-        new = np.zeros(m + 1, dtype=np.complex128)
-        new[1:] += sp * cur
-        new[:-1] -= sp * cur
-        if m >= 2:
-            new[1:-1] += prev
-        prev, cur = cur, new
-    return cur, prev
+    for t in times:
+        while cur.size < t:                          # cur is alpha_m, m = cur.size
+            new = np.zeros(cur.size + 1, dtype=np.complex128)
+            new[1:] += sp * cur
+            new[:-1] -= sp * cur
+            new[1:-1] += prev                        # empty for m = 1
+            prev, cur = cur, new
+        yield cur, prev
 
 
 def alpha_coefficients(p: CoinParameter | float, t: int) -> LaurentCoefficients:
@@ -111,7 +120,7 @@ def alpha_coefficients(p: CoinParameter | float, t: int) -> LaurentCoefficients:
     :func:`double_sum_coefficient` for the fully expanded double sum.
     """
     t = require_int(t, "recurrence index", 1)
-    cur, _ = _alpha_pair(as_coin(p), t)
+    cur, _ = next(_alpha_pairs(as_coin(p), (t,)))
     return LaurentCoefficients(t, cur)
 
 
@@ -154,6 +163,36 @@ def double_sum_coefficient(p: CoinParameter | float, t: int, j: int) -> float:
     return value
 
 
+def closed_form_fields(
+    theta: QubitState | tuple | list | np.ndarray,
+    p: CoinParameter | float,
+    times,
+    k: float = 0.0,
+) -> tuple[WaveField1D, ...]:
+    """Amplitude fields at each time of a strictly increasing ladder, computed
+    without stepping.
+
+    One run of the ``alpha`` recurrence serves the whole ladder, and only the
+    requested fields are assembled.  Each field must equal ``evolve_1d(theta,
+    p, t, k)`` amplitude-by-amplitude; ``t = 0`` is the initial field.
+    """
+    times, kk = require_ladder(times, "time", 0), require_real(k, "phase k")
+    th, c = as_qubit(theta), as_coin(p)
+    sp, sq = math.sqrt(c.p), math.sqrt(c.q)
+    out = [init_1d(th)] if times[0] == 0 else []
+    later = times[len(out):]
+    for t, (a_t, a_tm1) in zip(later, _alpha_pairs(c, later), strict=True):
+        amps = np.zeros((2, t + 1), dtype=np.complex128)
+        # site x = 2 m - t;  a_t[.] packed with frequency n = 2 i - (t - 1)
+        amps[0, 1:] += (sp * th.d1 + sq * th.d2) * a_t     # needs a_t at x - 1
+        amps[1, :-1] += (sq * th.d1 - sp * th.d2) * a_t    # needs a_t at x + 1
+        # a_{t-1} at x; alpha_0 is empty, so t = 1 adds nothing here
+        amps[0, 1:-1] += th.d1 * a_tm1
+        amps[1, 1:-1] += th.d2 * a_tm1
+        out.append(WaveField1D(t, np.exp(1j * kk * t) * amps))
+    return tuple(out)
+
+
 def closed_form_field(
     theta: QubitState | tuple | list | np.ndarray,
     p: CoinParameter | float,
@@ -162,21 +201,8 @@ def closed_form_field(
 ) -> WaveField1D:
     """Amplitude field at time ``t`` computed without stepping.
 
-    Must equal ``evolve_1d(theta, p, t, k)`` amplitude-by-amplitude, and
-    rejects the same inputs.
+    The one-time case of :func:`closed_form_fields`.  Must equal
+    ``evolve_1d(theta, p, t, k)`` amplitude-by-amplitude, and rejects the
+    same inputs.
     """
-    t, kk = require_int(t, "time"), require_real(k, "phase k")
-    th, c = as_qubit(theta), as_coin(p)
-    if t == 0:
-        return init_1d(th)
-    sp, sq = math.sqrt(c.p), math.sqrt(c.q)
-    a_t, a_tm1 = _alpha_pair(c, t)
-
-    amps = np.zeros((2, t + 1), dtype=np.complex128)
-    # site x = 2 m - t;  a_t[.] packed with frequency n = 2 i - (t - 1)
-    amps[0, 1:] += (sp * th.d1 + sq * th.d2) * a_t     # needs a_t at x - 1
-    amps[1, :-1] += (sq * th.d1 - sp * th.d2) * a_t    # needs a_t at x + 1
-    if t >= 2:
-        amps[0, 1:-1] += th.d1 * a_tm1                 # a_{t-1} at x
-        amps[1, 1:-1] += th.d2 * a_tm1
-    return WaveField1D(t, np.exp(1j * kk * t) * amps)
+    return closed_form_fields(theta, p, (require_int(t, "time"),), k)[0]

@@ -427,8 +427,10 @@ def convergence_report(
     beta = None if beta is None else require_int(beta, "beta")
     p = as_coin(p)
 
+    if not hasattr(theta, "as_array") and np.iterable(theta):
+        theta = list(theta)  # read an iterator once, for the dimension and the state
     comps = theta.as_array() if hasattr(theta, "as_array") else theta
-    dim = 1 if not np.iterable(comps) or len(list(comps)) == 2 else 2
+    dim = 1 if not np.iterable(comps) or len(comps) == 2 else 2
     if dim == 1 and beta is not None:
         raise InvalidParameterError(f"beta applies to lattice states only, got beta={beta}")
     orders = (alpha, 0 if beta is None else beta)[:dim]

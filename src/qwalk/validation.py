@@ -17,14 +17,14 @@ from typing import Callable
 
 import numpy as np
 
-from .closedform import alpha_coefficients, closed_form_field, double_sum_coefficient
+from .closedform import alpha_coefficients, closed_form_fields, double_sum_coefficient
 from .errors import InvalidParameterError
 from .localization import (
     localization_verdict,
     time_averaged_probability_1d,
     time_averaged_probability_2d,
 )
-from .spectral import QuadratureGrid, limit_moment_1d, limit_moments_2d
+from .spectral import QuadratureGrid, convergence_report, limit_moment_1d, limit_moments_2d
 from .symmetry import (
     ABTable,
     empirical_symmetric_1d,
@@ -36,7 +36,7 @@ from .symmetry import (
     reflection_identity_1d,
     reflection_identity_2d,
 )
-from .walk1d import QubitState, distribution_1d, evolve_1d, moment_1d, trajectory_1d
+from .walk1d import QubitState, distribution_1d, evolve_1d, trajectory_1d
 from .walk2d import QuditState, distribution_2d, evolve_2d, joint_moment_2d
 
 __all__ = [
@@ -111,14 +111,12 @@ def check_closed_form(quick: bool = False) -> tuple[bool, str]:
     ps = (0.25, 0.5) if quick else (0.1, 0.25, 0.5, 0.75, 0.9)
     dense = range(1, min(tmax, 50) + 1)
     sparse = [t for t in (60, 80, 100, 125, 150, 175, 200) if t <= tmax]
-    times = set(dense) | set(sparse)
+    times = tuple(sorted(set(dense) | set(sparse)))
     worst = 0.0
     for p in ps:
         for th in _random_states(QubitState, nstate, rng):
-            for field in trajectory_1d(th, p, max(times)):
-                if field.t not in times:
-                    continue
-                cf = closed_form_field(th, p, field.t)
+            stepped = [f for f in trajectory_1d(th, p, times[-1]) if f.t in times]
+            for field, cf in zip(stepped, closed_form_fields(th, p, times), strict=True):
                 dev = max(
                     np.max(np.abs(cf.phi1 - field.phi1)),
                     np.max(np.abs(cf.phi2 - field.phi2)),
@@ -154,18 +152,10 @@ def check_limit_1d(quick: bool = False) -> tuple[bool, str]:
     nondec = 0
     for p in _P_GRID:
         for th in _random_states(QubitState, nstate, rng):
-            sims = {1: [], 2: []}
-            for field in trajectory_1d(th, p, ladder[-1]):
-                if field.t in ladder:
-                    d = distribution_1d(field)
-                    sims[1].append(moment_1d(d, 1))
-                    sims[2].append(moment_1d(d, 2))
             for alpha in (1, 2):
-                quad = limit_moment_1d(th, p, alpha, grid)
-                gaps = [abs(s - quad) for s in sims[alpha]]
-                worst_gap = max(worst_gap, gaps[-1])
-                if gaps[-1] > max(gaps[0], 1e-12):
-                    nondec += 1
+                r = convergence_report(th, p, alpha, ladder=ladder, grid=grid)
+                worst_gap = max(worst_gap, r.gaps[-1])
+                nondec += not r.converged
     ok = worst_gap <= tol and nondec == 0
     return ok, (
         f"max final gap = {worst_gap:.3e} (tol {tol:g}); "

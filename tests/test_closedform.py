@@ -8,6 +8,7 @@ import pytest
 from qwalk.closedform import (
     alpha_coefficients,
     closed_form_field,
+    closed_form_fields,
     double_sum_coefficient,
 )
 from qwalk.errors import InvalidParameterError
@@ -31,6 +32,7 @@ class TestAlphaCoefficients:
         assert c[2] == pytest.approx(p, abs=1e-15)
         assert c[0] == pytest.approx(1 - 2 * p, abs=1e-15)
         assert c[-2] == pytest.approx(p, abs=1e-15)
+        assert c[np.int64(-2)] == c[-2]
 
     def test_parity_support(self):
         for t in (4, 7, 12):
@@ -42,6 +44,11 @@ class TestAlphaCoefficients:
         c = alpha_coefficients(0.3, 4)
         assert c[0] == 0j            # wrong parity for order 4
         assert c[99] == 0j
+
+    @pytest.mark.parametrize("n", [1.5, True, 2.0, np.float64(2.0), "2", None])
+    def test_rejects_non_integral_frequency(self, n):
+        with pytest.raises(InvalidParameterError, match="frequency"):
+            alpha_coefficients(0.3, 3)[n]
 
     def test_evaluate_matches_trace_polynomial(self):
         # alpha_2 is the kernel trace 2c = sqrt(p)(e^{-ix} - e^{ix})
@@ -130,3 +137,23 @@ class TestClosedFormInputs:
     def test_rejects_non_integral_time(self, bad):
         with pytest.raises(InvalidParameterError):
             closed_form_field(QubitState(1.0, 0.0), 0.5, bad)
+
+
+class TestClosedFormFields:
+    @pytest.mark.parametrize(
+        "times, k",
+        [((0, 1, 2, 3, 7, 40), 0.0), ((1, 5, 6, 50), 0.3), ((0,), 0.3), ((9,), 0.0)],
+    )
+    def test_equals_one_time_fields_byte_for_byte(self, times, k):
+        th = QubitState.random(np.random.default_rng(29))
+        fields = closed_form_fields(th, 0.37, times, k)
+        assert [f.t for f in fields] == list(times)
+        for t, f in zip(times, fields):
+            one = closed_form_field(th, 0.37, t, k)
+            assert f.phi1.tobytes() == one.phi1.tobytes()
+            assert f.phi2.tobytes() == one.phi2.tobytes()
+
+    @pytest.mark.parametrize("times", [(5, 3), (3, 3), (-1,), (2.5,), (True,), (), 5])
+    def test_rejects_malformed_ladder(self, times):
+        with pytest.raises(InvalidParameterError):
+            closed_form_fields(QubitState(1.0, 0.0), 0.5, times)

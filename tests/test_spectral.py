@@ -379,6 +379,16 @@ class TestConvergenceReport:
         with pytest.raises(InvalidParameterError):
             convergence_report(QubitState(1, 0), 0.5, 1, beta=3, ladder=(10, 20), grid=64)
 
+    @pytest.mark.parametrize(
+        "comps, beta", [((1, 0), None), ((0.5, 0.5j, 0.5j, -0.5), 0)]
+    )
+    def test_iterator_state_equals_tuple_state(self, comps, beta):
+        # the state is read once: the dimension test must not exhaust it
+        kw = dict(beta=beta, ladder=(10, 20), grid=64)
+        assert convergence_report(iter(comps), 0.5, 1, **kw) == convergence_report(
+            comps, 0.5, 1, **kw
+        )
+
     def test_rejects_bad_ladder(self):
         for ladder in ((100, 50), (10.5, 20.9), (0, 10)):  # 10.5 is not truncated
             with pytest.raises(InvalidParameterError):

@@ -120,6 +120,27 @@ def test_only_the_velocity_helper_computes_branch_velocities():
     }
 
 
+def test_every_closed_form_reads_the_one_recurrence_pass():
+    calls = _calls_by_function("closedform")
+    assert {n for n, called in calls.items() if "_alpha_pairs" in called} == {
+        "alpha_coefficients",
+        "closed_form_fields",
+    }
+    assert "closed_form_fields" in calls["closed_form_field"]
+
+
+def test_check_3_makes_one_closed_form_call_per_state():
+    called = _calls_by_function("validation")["check_closed_form"]
+    assert "closed_form_fields" in called
+    assert "closed_form_field" not in called
+
+
+def test_check_5_reads_its_verdict_from_convergence_report():
+    called = _calls_by_function("validation")["check_limit_1d"]
+    assert "convergence_report" in called
+    assert "moment_1d" not in called
+
+
 def test_coin_has_no_kernel_derivative():
     names = {getattr(node, "name", None) for node in _tree("coin").body}
     assert "kernel_1d_derivative" not in names
