@@ -40,7 +40,7 @@ import numpy as np
 
 from .coin import CoinParameter, as_coin
 from .errors import InvalidParameterError, require_int, require_ladder, require_real
-from .walk1d import QubitState, WaveField1D, as_qubit, init_1d
+from .walk1d import QubitState, WaveField1D, _phase, as_qubit, init_1d
 
 __all__ = [
     "LaurentCoefficients",
@@ -86,8 +86,15 @@ class LaurentCoefficients:
                 yield int(n), complex(c)
 
     def evaluate(self, wavenumber: float) -> complex:
-        """Value of the polynomial at a given wavenumber."""
-        return complex(np.sum(self.values * np.exp(-1j * wavenumber * self.indices())))
+        """Value of the polynomial at a given wavenumber.
+
+        Raises
+        ------
+        InvalidParameterError
+            If the wavenumber is not a finite real number.
+        """
+        x = require_real(wavenumber, "wavenumber")
+        return complex(np.sum(self.values * np.exp(-1j * x * self.indices())))
 
 
 def _alpha_pairs(
@@ -98,15 +105,22 @@ def _alpha_pairs(
 
     ``alpha_0`` is the empty array.  Reaching ``max(times)`` costs O(t^2) in
     time and O(t) in memory; the yielded arrays are never written again.
+
+    ``2 c = sqrt(p) (e^{-i x'} - e^{i x'})`` has the real coefficients
+    ``sqrt(p)`` and ``-sqrt(p)``, so every coefficient is real and the
+    recurrence runs on ``float64`` arrays.  With ``s = sqrt(p) a_m`` the new
+    array is ``-s[0]``, then ``s[i-1] - s[i] + a_{m-1}[i-1]``, then
+    ``s[-1]``, so every cell is written and none needs zeroing first.
     """
     sp = math.sqrt(p.p)
-    prev = np.zeros(0, dtype=np.complex128)          # alpha_0
-    cur = np.ones(1, dtype=np.complex128)            # alpha_1
+    prev = np.empty(0)                               # alpha_0
+    cur = np.ones(1)                                 # alpha_1
     for t in times:
         while cur.size < t:                          # cur is alpha_m, m = cur.size
-            new = np.zeros(cur.size + 1, dtype=np.complex128)
-            new[1:] += sp * cur
-            new[:-1] -= sp * cur
+            s = sp * cur
+            new = np.empty(cur.size + 1)
+            new[0], new[-1] = -s[0], s[-1]
+            np.subtract(s[:-1], s[1:], out=new[1:-1])
             new[1:-1] += prev                        # empty for m = 1
             prev, cur = cur, new
         yield cur, prev
@@ -176,7 +190,7 @@ def closed_form_fields(
     requested fields are assembled.  Each field must equal ``evolve_1d(theta,
     p, t, k)`` amplitude-by-amplitude; ``t = 0`` is the initial field.
     """
-    times, kk = require_ladder(times, "time", 0), require_real(k, "phase k")
+    times, ph = require_ladder(times, "time", 0), _phase(k)
     th, c = as_qubit(theta), as_coin(p)
     sp, sq = math.sqrt(c.p), math.sqrt(c.q)
     out = [init_1d(th)] if times[0] == 0 else []
@@ -189,7 +203,9 @@ def closed_form_fields(
         # a_{t-1} at x; alpha_0 is empty, so t = 1 adds nothing here
         amps[0, 1:-1] += th.d1 * a_tm1
         amps[1, 1:-1] += th.d2 * a_tm1
-        out.append(WaveField1D(t, np.exp(1j * kk * t) * amps))
+        # the stepped oracle's per-step phase raised to the t: finite for every
+        # finite k, where exp(1j * k * t) overflows once |k t| exceeds 1.8e308
+        out.append(WaveField1D(t, ph**t * amps))
     return tuple(out)
 
 

@@ -14,8 +14,10 @@ coin.  Component ordering is fixed throughout the package as
     1D: (1, 2)       = (+x, -x) movers
     2D: (1, 2, 3, 4) = (+x, -x, +y, -y) movers
 
-All constructors return fresh ``complex128`` arrays that are unitary to
-machine precision.
+All constructors return fresh arrays that are unitary to machine precision.
+The coins are real for every ``p``, so :func:`coin_1d` and :func:`coin_2d`
+return ``float64`` arrays and the stepping engine mixes amplitudes in real
+arithmetic; the kernels carry phases and are ``complex128``.
 """
 
 from __future__ import annotations
@@ -92,8 +94,8 @@ def validate_wavenumber(value: float) -> float:
 def coin_1d(p: CoinParameter | float) -> np.ndarray:
     """Return the 2x2 coin ``[[sqrt(p), sqrt(q)], [sqrt(q), -sqrt(p)]]``.
 
-    The matrix is real symmetric, unitary, and has determinant -1.  At
-    p = 1/2 it is the Hadamard matrix.
+    The matrix is real symmetric, orthogonal, and has determinant -1, and is
+    returned as ``float64``.  At p = 1/2 it is the Hadamard matrix.
 
     Raises
     ------
@@ -102,11 +104,11 @@ def coin_1d(p: CoinParameter | float) -> np.ndarray:
     """
     c = as_coin(p)
     sp, sq = math.sqrt(c.p), math.sqrt(c.q)
-    return np.array([[sp, sq], [sq, -sp]], dtype=np.complex128)
+    return np.array([[sp, sq], [sq, -sp]], dtype=np.float64)
 
 
 def coin_2d(p: CoinParameter | float) -> np.ndarray:
-    """Return the 4x4 coin, the Kronecker square of :func:`coin_1d`.
+    """Return the 4x4 ``float64`` coin, the Kronecker square of :func:`coin_1d`.
 
     Entries are written out explicitly so the printed form is the
     ground truth; equality with ``kron(coin_1d, coin_1d)`` is a tested
@@ -122,7 +124,7 @@ def coin_2d(p: CoinParameter | float) -> np.ndarray:
             [r, qq, -pp, -r],
             [qq, -r, -r, pp],
         ],
-        dtype=np.complex128,
+        dtype=np.float64,
     )
 
 

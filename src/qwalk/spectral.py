@@ -240,7 +240,7 @@ def _batch_eigensystem(
             "evaluate at a node away from the degenerate set"
         )
 
-    S = np.exp(1j * np.stack([-ms, ms, -ns, ns], axis=1))[:, :, None] * coin_2d(p).real
+    S = np.exp(1j * np.stack([-ms, ms, -ns, ns], axis=1))[:, :, None] * coin_2d(p)
     # prod_{k != j} (S - lam_k) = ((S + c1) S + c2) S + c3: synthetic division
     # of the characteristic polynomial by lam - lam_j, shaped to act on column j
     c1 = 1j * a[:, None, None] + lam[:, None, :]

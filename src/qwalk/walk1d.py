@@ -239,17 +239,26 @@ def _step(field: _Field, coin: np.ndarray, k: float) -> _Field:
     """One step on either lattice: mix the components at every site by
     ``coin``, then move each component along its entry of ``_SHIFTS``.
 
+    The coin is real, so the mix runs on the real view of the amplitudes
+    (real and imaginary parts as adjacent ``float64`` columns) and costs a
+    real matrix product instead of a complex one.  The new block is
+    allocated uninitialized: each component's shifted copy fills all of it
+    but one edge per axis (the first cell for an ``_UP`` shift, the last for
+    ``_DOWN``), and only those edges are zeroed.
+
     Reads only from the previous field and writes a fresh block, so
     independent evolutions may run concurrently.
     """
     ph = _phase(k)
     a = field.amps
-    mixed = (coin @ a.reshape(len(a), -1)).reshape(a.shape)
+    mixed = (coin @ a.view(np.float64).reshape(len(a), -1)).view(a.dtype).reshape(a.shape)
     if ph != 1.0:
-        mixed = ph * mixed
-    new = np.zeros((len(a),) + tuple(n + 1 for n in a.shape[1:]), dtype=np.complex128)
+        np.multiply(ph, mixed, out=mixed)  # phase first: rounds as ``ph * mixed`` does
+    new = np.empty((len(a),) + tuple(n + 1 for n in a.shape[1:]), dtype=a.dtype)
     for c, shift in enumerate(field._SHIFTS):
         new[(c, *shift)] = mixed[c]
+        for d, s in enumerate(shift):
+            new[(c,) + (slice(None),) * d + (0 if s is _UP else -1,)] = 0
     return type(field)(field.t + 1, new)
 
 

@@ -57,6 +57,12 @@ class TestAlphaCoefficients:
         expected = math.sqrt(p) * (np.exp(-1j * x) - np.exp(1j * x))
         assert val == pytest.approx(expected, abs=1e-14)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "0.3"])
+    def test_evaluate_rejects_non_finite_or_non_real_wavenumber(self, bad):
+        # nan and inf returned (nan+nanj) with a RuntimeWarning; '0.3' raised TypeError
+        with pytest.raises(InvalidParameterError, match="wavenumber"):
+            alpha_coefficients(0.5, 5).evaluate(bad)
+
     def test_rejects_nonpositive_order(self):
         with pytest.raises(InvalidParameterError):
             alpha_coefficients(0.5, 0)
@@ -120,6 +126,15 @@ class TestClosedFormField:
         cf = closed_form_field(th, 0.3, 17, k=0.7)
         assert np.max(np.abs(cf.phi1 - oracle.phi1)) <= 1e-13
         assert np.max(np.abs(cf.phi2 - oracle.phi2)) <= 1e-13
+
+    @pytest.mark.parametrize("k", [1e308, -1.7e308, 1e5])
+    def test_matches_oracle_at_large_phase(self, k):
+        # exp(1j * k * t) overflowed to nan once |k t| passed the float range
+        th = QubitState(0.6, 0.8j)
+        for t in (2, 3, 150):
+            cf, oracle = closed_form_field(th, 0.3, t, k=k), evolve_1d(th, 0.3, t, k=k)
+            assert np.isfinite(cf.amps).all()
+            assert np.max(np.abs(cf.amps - oracle.amps)) <= 1e-13
 
     def test_norm_is_one(self):
         rng = np.random.default_rng(23)

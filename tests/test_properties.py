@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qwalk.closedform import alpha_coefficients, closed_form_field
+from qwalk.closedform import alpha_coefficients, closed_form_field, closed_form_fields
 from qwalk.coin import coin_1d, coin_2d, kernel_1d, kernel_2d
 from qwalk.errors import DegenerateSpectrumError, QwalkError
 from qwalk.localization import time_averaged_probability_1d, time_averaged_probability_2d
@@ -230,3 +230,26 @@ _QUDIT = QuditState(1, 0, 0, 0)
 def test_non_iterable_argument_raises_qwalk_error(call):
     with pytest.raises(QwalkError):
         call()
+
+
+valid_p = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+valid_k = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    theta=qubit_strategy,
+    p=valid_p,
+    k=valid_k,
+    times=st.sets(st.integers(min_value=0, max_value=40), min_size=1).map(sorted),
+)
+def test_line_outputs_are_finite_for_valid_input(theta, p, k, times):
+    assert np.isfinite(evolve_1d(theta, p, times[-1], k).amps).all()
+    for f in closed_form_fields(theta, p, times, k):
+        assert np.isfinite(f.amps).all()
+
+
+@settings(max_examples=25, deadline=None)
+@given(theta=qudit_strategy, p=valid_p, k=valid_k, t=st.integers(min_value=0, max_value=12))
+def test_lattice_outputs_are_finite_for_valid_input(theta, p, k, t):
+    assert np.isfinite(evolve_2d(theta, p, t, k).amps).all()

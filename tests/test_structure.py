@@ -144,3 +144,17 @@ def test_check_5_reads_its_verdict_from_convergence_report():
 def test_coin_has_no_kernel_derivative():
     names = {getattr(node, "name", None) for node in _tree("coin").body}
     assert "kernel_1d_derivative" not in names
+
+
+def test_step_and_alpha_recurrence_stay_real_and_unzeroed():
+    # the coin is real: both hot loops mix in float64 and allocate with
+    # np.empty, zeroing only the cells they do not write
+    for module, name in (("walk1d", "_step"), ("closedform", "_alpha_pairs")):
+        (body,) = [f for f in _tree(module).body if getattr(f, "name", None) == name]
+        names = {
+            getattr(node, "attr", getattr(node, "id", None))
+            for node in ast.walk(body)
+            if isinstance(node, (ast.Attribute, ast.Name))
+        }
+        assert "complex128" not in names, name
+        assert not _calls_by_function(module)[name] & {"zeros", "zeros_like"}, name
