@@ -25,12 +25,16 @@ in ``sin(omega)``; each eigenvector is a column of the product of ``S -
 lambda_k`` over the other three eigenvalues, accurate to about machine
 epsilon over the node's smallest phase gap.  Both moments are evaluated by
 the midpoint rule on an offset power-of-two grid whose nodes avoid every
-symmetry point where branches could cross.  On the line the integrand is
-smooth and periodic and the rule converges spectrally (criterion 11 holds
-N = 1024 and N = 4096 within 1e-10).  On the square lattice it does not: the
-branch-sorted integrand is not smooth, and the convergence is algebraic,
-about ``N^-1.5``.  For state (1, 0, 0, 0) at p = 1/2, order (1, 0), the
-value moves by 2.37e-4, 8.39e-5 and 2.96e-5 at N = 64 -> 128 -> 256 -> 512.
+symmetry point where branches could cross.  The coin is real, so ``S(k +
+pi (1, ..., 1)) = -S(k)`` and ``S(-k) = conj S(k)``; the eigensolves run on
+a quarter of the grid, the first-axis rows ``i < n/4``, and each swept node
+also stands for its three images, whose weights are its own or ``|Q^T
+theta|^2``.  On the line the integrand is smooth and periodic and the rule
+converges spectrally (criterion 11 holds N = 1024 and N = 4096 within
+1e-10).  On the square lattice it does not: the branch-sorted integrand is
+not smooth, and the convergence is algebraic, about ``N^-1.5``.  For state
+(1, 0, 0, 0) at p = 1/2, order (1, 0), the value moves by 2.37e-4, 8.39e-5
+and 2.96e-5 at N = 64 -> 128 -> 256 -> 512.
 Moment quadratures are cross-validated against the position-space oracle
 through :func:`convergence_report`.
 """
@@ -317,10 +321,23 @@ def _limit_moments(thetas, p, orders, grid, dim: int) -> np.ndarray:
     """Weak-limit moments on the line (``dim`` 1) or the square lattice (2).
 
     ``orders`` holds one exponent per axis for each moment.  One chunked
-    eigensystem sweep over the ``n^dim`` grid serves every state and order:
-    weights ``|Q^dag theta|^2`` times the velocity powers, summed per chunk;
-    each entry's chunk partials are then summed as one 1D array, in a fixed
-    order, so results are reproducible at a fixed grid size.
+    eigensystem sweep over a quarter of the ``n^dim`` grid serves every
+    state and order.  The kernel ``diag(e^{-+ik_d}) H`` with a real coin
+    ``H`` obeys two symmetries that map grid nodes to grid nodes:
+    ``S(k + pi (1, ..., 1)) = -S(k)`` keeps eigenvectors, weights and
+    velocities; ``S(-k) = conj S(k)`` has eigenvectors ``conj Q``, so the
+    same velocities and weights ``|Q^T theta|^2``.  For ``n >= 4`` their
+    composition ``(i, j) -> (n/2 - 1 - i, (n/2 - 1 - j) mod n)`` fixes no
+    node, and every orbit of four nodes meets the first-axis rows ``i <
+    n/4`` (every other axis in full) exactly once.  At ``n = 2`` the two
+    maps coincide and row 0 meets every orbit of two nodes once.  Either
+    way the full-grid mean is the mean of ``(|Q^dag theta|^2 + |Q^T
+    theta|^2) / 2`` times the velocity powers over the swept nodes.  Phase
+    gaps are invariant under both maps, so the sweep raises
+    :class:`DegenerateSpectrumError` exactly when a full sweep would.  Each
+    chunk's terms are summed, then each entry's chunk partials are summed as
+    one 1D array, in a fixed order, so results are reproducible at a fixed
+    grid size.
     """
     names = ("alpha", "beta")[:dim]
     for name, arg in (("thetas", thetas), ("orders", orders)):
@@ -339,7 +356,9 @@ def _limit_moments(thetas, p, orders, grid, dim: int) -> np.ndarray:
     c = as_coin(p)
     g = _as_grid(grid)
     ths = [(as_qubit, as_qudit)[dim - 1](th).as_array() for th in thetas]
-    axes = [a.ravel() for a in np.meshgrid(*[g.nodes()] * dim, indexing="ij")]
+    nodes = g.nodes()
+    rows = max(g.n // 4, 1)
+    axes = [a.ravel() for a in np.meshgrid(nodes[:rows], *[nodes] * (dim - 1), indexing="ij")]
     starts = range(0, axes[0].size, _CHUNK)
     partials = np.empty((len(ths), len(orders), len(starts)))
     for ci, s in enumerate(starts):
@@ -347,14 +366,17 @@ def _limit_moments(thetas, p, orders, grid, dim: int) -> np.ndarray:
         lam, Q = _branch_vectors_1d(c, *ks) if dim == 1 else _batch_eigensystem(c, *ks)
         vel = _velocities(Q)
         for si, th in enumerate(ths):
-            wgt = np.abs(np.einsum("bik,i->bk", Q.conj(), th)) ** 2
+            wgt = (
+                np.abs(np.einsum("bik,i->bk", Q.conj(), th)) ** 2
+                + np.abs(np.einsum("bik,i->bk", Q, th)) ** 2
+            )
             for oi, order in enumerate(orders):
                 term = wgt
                 for v, a in zip(vel, order):
                     term = term * v**a
                 partials[si, oi, ci] = np.sum(term)
     sums = [np.sum(row) for row in partials.reshape(-1, len(starts))]
-    return np.reshape(sums, partials.shape[:2]) / g.n**dim
+    return np.reshape(sums, partials.shape[:2]) / (2 * axes[0].size)
 
 
 def limit_moment_1d(
@@ -382,11 +404,13 @@ def limit_moments_2d(
 ) -> np.ndarray:
     """Limits of ``<(X_t/t)^alpha (Y_t/t)^beta>`` for many states and orders.
 
-    One batched eigendecomposition sweep over the tensor grid, in fixed-size
-    chunks, serves every state in ``thetas`` and every ``(alpha, beta)`` in
-    ``orders``; the result has shape ``(len(thetas), len(orders))``.  Chunk
-    partial sums are accumulated in a fixed order, so results are
-    reproducible at a fixed grid size.  Propagates
+    One batched eigensystem sweep, in fixed-size chunks, over the quarter of
+    the tensor grid with first-axis rows ``i < n/4`` (the kernel's
+    shift-by-pi and negation symmetries supply the rest) serves every state
+    in ``thetas`` and every ``(alpha, beta)`` in ``orders``; the result has
+    shape ``(len(thetas), len(orders))``.  Chunk partial sums are
+    accumulated in a fixed order, so results are reproducible at a fixed
+    grid size.  Propagates
     :class:`DegenerateSpectrumError` from the eigensolver.
     """
     return _limit_moments(thetas, p, orders, grid, 2)

@@ -178,7 +178,7 @@ def check_limit_2d(quick: bool = False) -> tuple[bool, str]:
         ]
     p = 0.5
     orders = ((1, 0), (0, 1), (1, 1), (2, 0))
-    # one eigensolve sweep over the tensor grid covers every state and order
+    # one eigensolve sweep (over a quarter of the tensor grid) covers every state and order
     quads = limit_moments_2d(states, p, orders, QuadratureGrid(gridn))
     worst = 0.0
     for th, row in zip(states, quads):

@@ -1,5 +1,6 @@
 """Property-based invariants over randomized parameters and states."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,12 +10,18 @@ from hypothesis import assume, given, settings, strategies as st
 from qwalk.closedform import alpha_coefficients, closed_form_field, closed_form_fields
 from qwalk.coin import coin_1d, coin_2d, kernel_1d, kernel_2d
 from qwalk.errors import DegenerateSpectrumError, QwalkError
-from qwalk.localization import time_averaged_probability_1d, time_averaged_probability_2d
+from qwalk.localization import (
+    localization_verdict,
+    time_averaged_probability_1d,
+    time_averaged_probability_2d,
+)
 from qwalk.spectral import (
     convergence_report,
     eigensystem_1d,
     eigensystem_2d,
     group_velocity,
+    limit_moment_1d,
+    limit_moment_2d,
     limit_moments_2d,
 )
 from qwalk.symmetry import in_phi_perp
@@ -253,3 +260,114 @@ def test_line_outputs_are_finite_for_valid_input(theta, p, k, times):
 @given(theta=qudit_strategy, p=valid_p, k=valid_k, t=st.integers(min_value=0, max_value=12))
 def test_lattice_outputs_are_finite_for_valid_input(theta, p, k, t):
     assert np.isfinite(evolve_2d(theta, p, t, k).amps).all()
+
+
+def _finite_or_qwalk_error(call):
+    """Run ``call``; it must raise QwalkError or return only finite numbers."""
+    try:
+        out = call()
+    except QwalkError:
+        return None
+    assert _all_finite(out), out
+    return out
+
+
+def _all_finite(out):
+    if dataclasses.is_dataclass(out):
+        return all(_all_finite(getattr(out, f.name)) for f in dataclasses.fields(out))
+    if isinstance(out, (tuple, list)):
+        return all(_all_finite(v) for v in out)
+    return out is None or bool(np.isfinite(out).all())
+
+
+def _grids(max_exponent):
+    return st.integers(min_value=1, max_value=max_exponent).map(lambda e: 2**e)
+
+
+small_order = st.integers(min_value=0, max_value=4)
+lattice_order = st.tuples(small_order, small_order).filter(lambda o: sum(o) >= 1)
+small_ladder = st.sets(st.integers(min_value=1, max_value=24), min_size=1, max_size=4).map(
+    lambda s: tuple(sorted(s))
+)
+horizon_ladder = st.sets(st.integers(min_value=8, max_value=40), min_size=1, max_size=4).map(
+    lambda s: tuple(sorted(s))
+)
+site_strategy = st.integers(min_value=-50, max_value=50)
+
+
+@settings(max_examples=60, deadline=None)
+@given(theta=qubit_strategy, p=valid_p, x=wavenumber_strategy)
+def test_line_eigensystem_finite_for_valid_input(theta, p, x):
+    _finite_or_qwalk_error(lambda: eigensystem_1d(p, x, theta))
+
+
+@settings(max_examples=60, deadline=None)
+@given(theta=qudit_strategy, p=valid_p, m=wavenumber_strategy, n=wavenumber_strategy)
+def test_lattice_eigensystem_finite_for_valid_input(theta, p, m, n):
+    _finite_or_qwalk_error(lambda: eigensystem_2d(p, m, n, theta))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    theta=qubit_strategy,
+    p=valid_p,
+    alpha=st.integers(min_value=1, max_value=6),
+    grid=_grids(10),
+)
+def test_line_limit_finite_for_valid_input(theta, p, alpha, grid):
+    _finite_or_qwalk_error(lambda: limit_moment_1d(theta, p, alpha, grid))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    thetas=st.lists(qudit_strategy, min_size=1, max_size=3),
+    p=valid_p,
+    orders=st.lists(lattice_order, min_size=1, max_size=3),
+    grid=_grids(5),
+)
+def test_lattice_limits_finite_for_valid_input(thetas, p, orders, grid):
+    table = _finite_or_qwalk_error(lambda: limit_moments_2d(thetas, p, orders, grid))
+    assert table is None or table.shape == (len(thetas), len(orders))
+    a, b = orders[0]
+    _finite_or_qwalk_error(lambda: limit_moment_2d(thetas[0], p, a, b, grid))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    theta=st.one_of(qubit_strategy, qudit_strategy),
+    p=valid_p,
+    alpha=small_order,
+    beta=st.one_of(st.none(), small_order),
+    ladder=small_ladder,
+    grid=_grids(4),
+)
+def test_convergence_report_finite_for_valid_input(theta, p, alpha, beta, ladder, grid):
+    _finite_or_qwalk_error(lambda: convergence_report(theta, p, alpha, beta, ladder, grid))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    theta=qubit_strategy,
+    p=valid_p,
+    site=site_strategy,
+    ladder=horizon_ladder,
+    epsilon=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+)
+def test_line_localization_finite_for_valid_input(theta, p, site, ladder, epsilon):
+    est = _finite_or_qwalk_error(lambda: time_averaged_probability_1d(theta, p, site, ladder))
+    if est is not None:
+        _finite_or_qwalk_error(lambda: localization_verdict(est, epsilon))
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    theta=qudit_strategy,
+    p=valid_p,
+    site=st.tuples(site_strategy, site_strategy),
+    ladder=horizon_ladder,
+    epsilon=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+)
+def test_lattice_localization_finite_for_valid_input(theta, p, site, ladder, epsilon):
+    est = _finite_or_qwalk_error(lambda: time_averaged_probability_2d(theta, p, site, ladder))
+    if est is not None:
+        _finite_or_qwalk_error(lambda: localization_verdict(est, epsilon))

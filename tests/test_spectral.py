@@ -1,15 +1,19 @@
 """Eigensystems, group velocities, and weak-limit quadrature."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from qwalk.coin import as_coin, coin_2d, kernel_2d
+from qwalk import spectral
+from qwalk.coin import as_coin, coin_2d, kernel_1d, kernel_2d
 from qwalk.errors import DegenerateSpectrumError, InvalidParameterError
 from qwalk.spectral import (
     QuadratureGrid,
     _batch_eigensystem,
+    _branch_vectors_1d,
+    _velocities,
     convergence_report,
     eigensystem_1d,
     eigensystem_2d,
@@ -415,3 +419,110 @@ class TestLimitMoments2D:
         with pytest.raises(InvalidParameterError):
             limit_moments_2d([QuditState(1, 0, 0, 0)], 0.5, orders, grid=32)
 
+
+
+def _full_torus_moments(thetas, p, orders, n, dim):
+    """Reference weak-limit moments: one eigensolve at every node of the
+    ``n^dim`` grid, weights ``|Q^dag theta|^2``, no symmetry folding."""
+    nodes = QuadratureGrid(n).nodes()
+    ks = [a.ravel() for a in np.meshgrid(*[nodes] * dim, indexing="ij")]
+    c = as_coin(p)
+    _, Q = _branch_vectors_1d(c, *ks) if dim == 1 else _batch_eigensystem(c, *ks)
+    vel = _velocities(Q)
+    out = np.empty((len(thetas), len(orders)))
+    for si, th in enumerate(thetas):
+        wgt = np.abs(np.einsum("bik,i->bk", Q.conj(), th.as_array())) ** 2
+        for oi, order in enumerate(orders):
+            term = wgt
+            for v, a in zip(vel, order):
+                term = term * v**a
+            out[si, oi] = np.sum(term) / n**dim
+    return out
+
+
+class TestQuarterTorusQuadrature:
+    P = (0.05, 0.25, 0.5, 0.75, 0.95)
+
+    @pytest.mark.parametrize("p", P)
+    @pytest.mark.parametrize("n", [2, 4, 8, 1024, 4096])
+    def test_line_matches_full_torus(self, p, n):
+        rng = np.random.default_rng(17)
+        states = [QubitState(1.0, 0.0), QubitState(0.6, 0.8j), QubitState.random(rng)]
+        orders = ((1,), (2,), (3,))
+        got = [[limit_moment_1d(th, p, a, n) for (a,) in orders] for th in states]
+        ref = _full_torus_moments(states, p, orders, n, 1)
+        assert np.max(np.abs(np.array(got) - ref)) <= 1e-15
+
+    @pytest.mark.parametrize("p", P)
+    @pytest.mark.parametrize("n", [4, 8, 64, 128])
+    def test_lattice_matches_full_torus(self, p, n):
+        rng = np.random.default_rng(19)
+        states = [QuditState(1, 0, 0, 0), QuditState(0.5, 0.5j, 0.5j, -0.5)]
+        states.append(QuditState.random(rng))
+        orders = ((1, 0), (0, 1), (1, 1), (2, 0), (3, 1))
+        got = limit_moments_2d(states, p, orders, grid=n)
+        ref = _full_torus_moments(states, p, orders, n, 2)
+        assert np.max(np.abs(got - ref)) <= 1e-15
+
+    def test_line_two_node_grid_is_full_torus_value(self):
+        # at n = 2 the quarter domain is empty; row 0 holds one node per orbit
+        got = limit_moment_1d(QubitState(1.0, 0.0), 0.5, 1, 2)
+        ref = _full_torus_moments([QubitState(1.0, 0.0)], 0.5, ((1,),), 2, 1)[0, 0]
+        assert abs(got - ref) <= 1e-15
+        assert abs(got) <= 1e-30  # both nodes sit at x' = +-pi/2, where v = 0
+
+    def test_lattice_two_node_grid_raises(self):
+        with pytest.raises(DegenerateSpectrumError):
+            limit_moments_2d([QuditState(1, 0, 0, 0)], 0.5, [(1, 0)], grid=2)
+        with pytest.raises(DegenerateSpectrumError):
+            _full_torus_moments([QuditState(1, 0, 0, 0)], 0.5, ((1, 0),), 2, 2)
+
+
+class TestKernelSymmetries:
+    """The two symmetries the quarter-torus quadrature folds over."""
+
+    @pytest.mark.parametrize("p", [0.05, 0.3, 0.5, 0.9])
+    def test_line_kernel(self, p):
+        rng = np.random.default_rng(23)
+        for x in rng.uniform(-math.pi, 0.0, 50):
+            s = kernel_1d(p, x)
+            assert np.max(np.abs(kernel_1d(p, x + math.pi) + s)) <= 1e-15
+            assert np.max(np.abs(kernel_1d(p, -x) - s.conj())) <= 1e-15
+
+    @pytest.mark.parametrize("p", [0.05, 0.3, 0.5, 0.9])
+    def test_lattice_kernel(self, p):
+        rng = np.random.default_rng(29)
+        for m, n in rng.uniform(-math.pi, 0.0, (50, 2)):
+            s = kernel_2d(p, m, n)
+            assert np.max(np.abs(kernel_2d(p, m + math.pi, n + math.pi) + s)) <= 1e-15
+            assert np.max(np.abs(kernel_2d(p, -m, -n) - s.conj())) <= 1e-15
+
+
+class TestQuarterTorusNodeCount:
+    @staticmethod
+    def _count(monkeypatch, name):
+        sizes = []
+        solve = getattr(spectral, name)
+
+        def counted(c, *ks):
+            sizes.append(ks[0].size)
+            return solve(c, *ks)
+
+        monkeypatch.setattr(spectral, name, counted)
+        return sizes
+
+    @pytest.mark.parametrize("n", [4, 8, 256, 512])
+    def test_lattice_sweeps_a_quarter(self, monkeypatch, n):
+        sizes = self._count(monkeypatch, "_batch_eigensystem")
+        limit_moments_2d([QuditState(1, 0, 0, 0)], 0.4, [(1, 0)], grid=n)
+        assert sum(sizes) == n * n // 4
+
+    @pytest.mark.parametrize("n", [4, 8, 4096])
+    def test_line_sweeps_a_quarter(self, monkeypatch, n):
+        sizes = self._count(monkeypatch, "_branch_vectors_1d")
+        limit_moment_1d(QubitState(1, 0), 0.4, 1, n)
+        assert sum(sizes) == n // 4
+
+    def test_batch_eigensystem_signature(self):
+        # the benchmark's tracer wraps it by name and reads ``ms`` by position
+        assert list(inspect.signature(_batch_eigensystem).parameters) == ["p", "ms", "ns"]
