@@ -27,8 +27,8 @@ is the exchange constant of a *pair of independent line walks* instead.
 Because no constant matrix intertwines the single-axis mirror
 ``x -> -x`` here (the coin's diagonal blocks obstruct it), the operative
 notion of a symmetric 2D distribution is inversion symmetry; the stricter
-four-way axis-mirror equality is available behind ``four_way=True`` and
-genuinely fails for these dynamics.
+four-way axis-mirror equality genuinely fails for these dynamics, so
+``empirical_symmetric_2d`` tests inversion symmetry only.
 
 One residual serves both lattices: ``reflection_identity_1d`` and
 ``reflection_identity_2d`` return ``max |flip(amps) - c E amps|`` with
@@ -133,16 +133,10 @@ def _balanced(state) -> bool:
     return bool(np.max(mods) - np.min(mods) <= _CLASS_TOL and abs(cross) <= _CLASS_TOL)
 
 
-def _inversion_symmetric(masses, four_way: bool = False) -> bool:
+def _inversion_symmetric(masses) -> bool:
     """True iff every mass array equals its inversion through the origin
-    within 1e-12 (and, with ``four_way``, its transposed inversion too)."""
-    for m in masses:
-        inverted = np.flip(m)
-        if np.max(np.abs(m - inverted)) > _SYM_TOL:
-            return False
-        if four_way and np.max(np.abs(m - inverted.T)) > _SYM_TOL:
-            return False
-    return True
+    within 1e-12."""
+    return all(np.max(np.abs(m - np.flip(m))) <= _SYM_TOL for m in masses)
 
 
 def in_phi_perp(theta) -> bool:
@@ -240,21 +234,14 @@ def in_phi_perp_2d(theta) -> bool:
     return _balanced(as_qudit(theta))
 
 
-def empirical_symmetric_2d(
-    theta,
-    p: CoinParameter | float,
-    horizon: int,
-    four_way: bool = False,
-) -> bool:
-    """Distribution symmetry test for every ``t <= horizon`` within 1e-12.
-
-    Default: inversion symmetry ``P(x, y) = P(-x, -y)``, the notion these
-    dynamics realize for the balanced states.  ``four_way=True`` demands the
-    full axis-mirror equality ``P(-x, y) = P(x, -y) = P(-x, -y) = P(x, y)``,
-    which no nontrivial state family satisfies here (see module docstring).
+def empirical_symmetric_2d(theta, p: CoinParameter | float, horizon: int) -> bool:
+    """Inversion symmetry ``P(x, y) = P(-x, -y)`` within 1e-12 for every
+    ``t <= horizon``: the notion these dynamics realize for the balanced
+    states.  The full axis-mirror equality holds for no nontrivial state
+    family here (see module docstring).
     """
     fields = trajectory_2d(theta, p, require_int(horizon, "horizon", 1))
-    return _inversion_symmetric((distribution_2d(f).grid for f in fields), four_way)
+    return _inversion_symmetric(distribution_2d(f).grid for f in fields)
 
 
 def reflection_identity_2d(theta, p: CoinParameter | float, t: int) -> float:

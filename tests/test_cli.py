@@ -223,6 +223,16 @@ class TestSymmetry:
     def test_needs_state_or_table(self):
         assert run(["symmetry", "--p", "0.5"]) == 2
 
+    def test_table_and_state_are_exclusive(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        rc = run(["symmetry", "--p", "0.5", "--state", "1,0", "--table", "--t", "3",
+                  "-o", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "--state" in captured.err and "--table" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestLocalize:
     def test_line_not_localized(self, capsys):
@@ -262,6 +272,39 @@ class TestLocalize:
                   "--site", site, "--ladder", "16,32,64"])
         assert rc == 2
         assert "--site" in capsys.readouterr().err
+
+
+LOC1 = ["localize", "--dim", "1", "--p", "0.5", "--state", "1,0"]
+LIM1 = ["limit1d", "--p", "0.5", "--state", "1,0", "--alpha", "1"]
+
+
+class TestFlagErrors:
+    @pytest.mark.parametrize(
+        "flag, argv",
+        [
+            ("--epsilon", LOC1 + ["--site", "0", "--epsilon", "7"]),
+            ("--ladder", LOC1 + ["--site", "0", "--ladder", "64,x"]),
+            ("--ladder", LIM1 + ["--grid", "64", "--ladder", "64,x"]),
+            ("--site", LOC1 + ["--site", "y", "--ladder", "16,32,64"]),
+            ("--site", ["localize", "--dim", "2", "--p", "0.5", "--state", "1,0,0,0",
+                        "--site", "0,y", "--ladder", "16,32,64"]),
+            ("--grid", LIM1 + ["--grid", "96", "--ladder", "10,20"]),
+            ("--t", ["sim2d", "--p", "0.5", "--state", "1,0,0,0", "--t", "-3"]),
+            ("--t", ["symmetry", "--p", "0.5", "--table", "--t", "-1"]),
+            ("--p", LIM1 + ["--p", "0", "--grid", "64", "--ladder", "10,20"]),
+            ("--p", LOC1 + ["--p", "inf", "--site", "0"]),
+            ("--k", ["sim1d", "--p", "0.5", "--state", "1,0", "--t", "3", "--k", "inf"]),
+            ("--state", ["sim1d", "--p", "0.5", "--state", "1,i0", "--t", "3"]),
+        ],
+    )
+    def test_input_error_names_its_flag(self, flag, argv, tmp_path, capsys):
+        out = tmp_path / "o.txt"
+        assert run(argv + ["-o", str(out)]) == 2
+        assert not out.exists()
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {flag}" in captured.err
 
 
 class TestValidate:

@@ -176,6 +176,35 @@ class TestLimitMoment1DAgainstClosedForm:
                 assert abs(got - ref) <= 1e-15
 
 
+def _konno_moment(theta, p, r):
+    """Exact ``r``-th moment of the line's weak limit (Konno's law):
+    ``m_2j = 1 - sqrt(q) sum_{i<j} C(2i, i) (p/4)^i`` and
+    ``m_{2j+1} = lam m_{2j+2}`` with
+    ``lam = |a|^2 - |b|^2 + 2 sqrt(q/p) Re(a conj(b))``; no quadrature."""
+    a, b = theta.as_array()
+    q = 1 - p
+
+    def even(j):
+        return 1 - math.sqrt(q) * sum(math.comb(2 * i, i) * (p / 4) ** i for i in range(j))
+
+    if r % 2 == 0:
+        return even(r // 2)
+    lam = abs(a) ** 2 - abs(b) ** 2 + 2 * math.sqrt(q / p) * (a * np.conj(b)).real
+    return lam * even((r + 1) // 2)
+
+
+class TestLimitMoment1DAgainstKonno:
+    @pytest.mark.parametrize("p", [0.05, 0.2, 0.5, 0.77, 0.95])
+    def test_matches_exact_moments(self, p):
+        rng = np.random.default_rng(2002)
+        states = [QubitState(1.0, 0.0), QubitState(0.0, 1.0)]
+        states += [QubitState.random(rng) for _ in range(5)]
+        for th in states:
+            for r in range(1, 13):
+                got = limit_moment_1d(th, p, r, QuadratureGrid(4096))
+                assert abs(got - _konno_moment(th, p, r)) <= 1e-14, (th, r)
+
+
 class TestEigensystem2D:
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(3)

@@ -1,9 +1,11 @@
 """Source-level design invariants of the package."""
 
+import argparse
 import ast
 from pathlib import Path
 
 import qwalk
+from qwalk import cli
 
 SRC = Path(qwalk.__file__).parent
 
@@ -158,3 +160,24 @@ def test_step_and_alpha_recurrence_stay_real_and_unzeroed():
         }
         assert "complex128" not in names, name
         assert not _calls_by_function(module)[name] & {"zeros", "zeros_like"}, name
+
+
+def test_cli_has_one_command_per_subcommand_family():
+    (subparsers,) = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    funcs = {sp.get_default("func") for sp in subparsers.choices.values()}
+    assert len(subparsers.choices) == 7
+    assert funcs == {cli.cmd_sim, cli.cmd_limit, cli.cmd_symmetry, cli.cmd_localize,
+                     cli.cmd_validate}
+
+
+def test_cli_imports_no_private_library_name():
+    imported = [
+        alias.name
+        for node in ast.walk(_tree("cli"))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+    ]
+    private = [n for n in imported if n.startswith("_") and not n.endswith("__")]
+    assert imported and not private

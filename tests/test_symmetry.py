@@ -23,7 +23,7 @@ from qwalk.symmetry import (
     reflection_identity_2d,
 )
 from qwalk.walk1d import QubitState
-from qwalk.walk2d import QuditState, evolve_2d
+from qwalk.walk2d import QuditState, distribution_2d, evolve_2d, trajectory_2d
 
 R = 1 / math.sqrt(2)
 
@@ -183,7 +183,10 @@ class TestEmpiricalSymmetry2D:
         # fails by t = 3 even at the unbiased point
         th = QuditState(0.5, 0.5j, 0.5j, -0.5)
         assert empirical_symmetric_2d(th, 0.5, 20)
-        assert not empirical_symmetric_2d(th, 0.5, 3, four_way=True)
+        # four-way adds the transposed inversion P(x, y) = P(-y, -x) on the
+        # square support; it breaks for some t <= 3
+        grids = (distribution_2d(f).grid for f in trajectory_2d(th, 0.5, 3))
+        assert max(np.max(np.abs(m - np.flip(m).T)) for m in grids) > 1e-12
 
 
 class TestReflectionIdentity2D:
