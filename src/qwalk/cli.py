@@ -23,11 +23,12 @@ from .coin import CoinParameter
 from .errors import InvalidParameterError, QwalkError, require_int, require_real
 from .localization import (
     validate_epsilon,
+    validate_horizon_ladder,
     localization_verdict,
     time_averaged_probability_1d,
     time_averaged_probability_2d,
 )
-from .spectral import QuadratureGrid, convergence_report
+from .spectral import QuadratureGrid, convergence_report, validate_time_ladder
 from .symmetry import (
     classify_1d,
     expectation_series,
@@ -193,6 +194,7 @@ def cmd_limit(args) -> int:
         raise _CliError(_EXIT_BAD_INPUT, f"--grid must lie in [64, 65536], got {args.grid}")
     grid = _checked("--grid", QuadratureGrid, args.grid)
     ladder = _checked("--ladder", _ints, args.ladder)
+    ladder = _checked("--ladder", validate_time_ladder, ladder)
     flags = ("alpha", "beta")[:dim]
     orders = tuple(getattr(args, f) for f in flags)
     if min(orders) < 0 or sum(orders) < 1:
@@ -255,6 +257,7 @@ def cmd_localize(args) -> int:
     dim = args.dim
     p = _checked("--p", CoinParameter, args.p).p
     ladder = _checked("--ladder", _ints, args.ladder)
+    ladder = _checked("--ladder", validate_horizon_ladder, ladder)
     epsilon = _checked("--epsilon", validate_epsilon, args.epsilon)
     theta = _state(args)
     site = _checked("--site", _ints, args.site)

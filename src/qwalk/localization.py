@@ -38,6 +38,7 @@ __all__ = [
     "DeltaIntensityEstimate",
     "time_averaged_probability_1d",
     "time_averaged_probability_2d",
+    "validate_horizon_ladder",
     "validate_epsilon",
     "localization_verdict",
 ]
@@ -76,7 +77,7 @@ def time_averaged_probability_1d(
     ladder: tuple[int, ...],
 ) -> DeltaIntensityEstimate:
     """Cesaro averages of ``P(site, t)`` on the line, one evolution pass."""
-    lad = require_ladder(ladder, "horizon", 8)
+    lad = validate_horizon_ladder(ladder)
     site = require_int(site, "site", None)
     averages = _cesaro(trajectory_1d(theta, p, lad[-1]), lad, (site,))
     return DeltaIntensityEstimate(site=site, horizons=lad, averages=averages)
@@ -89,10 +90,16 @@ def time_averaged_probability_2d(
     ladder: tuple[int, ...],
 ) -> DeltaIntensityEstimate:
     """Cesaro averages of ``P(site, t)`` on the square lattice."""
-    lad = require_ladder(ladder, "horizon", 8)
+    lad = validate_horizon_ladder(ladder)
     site = _site_coordinates(site, 2)
     averages = _cesaro(trajectory_2d(theta, p, lad[-1]), lad, site)
     return DeltaIntensityEstimate(site=site, horizons=lad, averages=averages)
+
+
+def validate_horizon_ladder(ladder) -> tuple[int, ...]:
+    """The horizon ladder as a tuple: non-empty, strictly increasing, every
+    horizon an integer ``>= 8``."""
+    return require_ladder(ladder, "horizon", 8)
 
 
 def validate_epsilon(epsilon: float) -> float:

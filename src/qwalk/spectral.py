@@ -75,6 +75,7 @@ __all__ = [
     "limit_moments_2d",
     "limit_moment_2d",
     "convergence_report",
+    "validate_time_ladder",
 ]
 
 _PHASE_GAP_MIN = 1e-8
@@ -430,6 +431,12 @@ def limit_moment_2d(
     return float(_limit_moments([theta], p, [(alpha, beta)], grid, 2)[0, 0])
 
 
+def validate_time_ladder(ladder) -> tuple[int, ...]:
+    """The simulation times of :func:`convergence_report` as a tuple:
+    non-empty, strictly increasing, every time an integer ``>= 1``."""
+    return require_ladder(ladder, "ladder time", 1)
+
+
 def convergence_report(
     theta,
     p: CoinParameter | float,
@@ -446,7 +453,7 @@ def convergence_report(
     the whole ladder.  ``alpha (+ beta) = 0`` is the trivial moment: both
     sides are exactly 1 and every gap is 0, but ``p`` is checked all the same.
     """
-    ladder = require_ladder(ladder, "ladder time", 1)
+    ladder = validate_time_ladder(ladder)
     alpha = require_int(alpha, "alpha")
     beta = None if beta is None else require_int(beta, "beta")
     p = as_coin(p)

@@ -40,7 +40,6 @@ def test_criterion_05_weak_limit_line():
     _run(5)
 
 
-@pytest.mark.slow
 def test_criterion_06_weak_limit_lattice():
     _run(6)
 

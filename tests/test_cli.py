@@ -295,6 +295,9 @@ class TestFlagErrors:
             ("--p", LOC1 + ["--p", "inf", "--site", "0"]),
             ("--k", ["sim1d", "--p", "0.5", "--state", "1,0", "--t", "3", "--k", "inf"]),
             ("--state", ["sim1d", "--p", "0.5", "--state", "1,i0", "--t", "3"]),
+            # ladders only the library rejects: below its minimum horizon, out of order
+            ("--ladder", LOC1 + ["--site", "0", "--ladder", "4,8"]),
+            ("--ladder", LIM1 + ["--grid", "64", "--ladder", "20,10"]),
         ],
     )
     def test_input_error_names_its_flag(self, flag, argv, tmp_path, capsys):

@@ -181,3 +181,16 @@ def test_cli_imports_no_private_library_name():
     ]
     private = [n for n in imported if n.startswith("_") and not n.endswith("__")]
     assert imported and not private
+
+
+def test_closed_form_never_reads_the_flush_threshold():
+    # check 3 and the long-horizon closed-form gate compare the flushed engine
+    # with the closed form; flushing the alpha recurrence as well would make
+    # that a comparison of the flush with itself
+    names = set()
+    for node in ast.walk(_tree("closedform")):
+        if isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, (ast.Attribute, ast.Name)):
+            names.add(getattr(node, "attr", getattr(node, "id", None)))
+    assert not names & {"_TINY", "_FLUSH_EVERY", "_flush", "_underflows", "finfo", "tiny"}

@@ -133,6 +133,42 @@ class TestExpectationTable:
         assert table.b[1] - table.a[0] == pytest.approx(predicted, abs=1e-12)
 
 
+
+class TestKonnoSlopes:
+    """Slopes of the expectation table from Konno's weak limit law, with
+    ``q = 1 - p``: ``a_t / t -> 1 - sqrt(q)``, ``b_t / t -> (1 - sqrt(q))
+    sqrt(q / p)``, so ``(b_{t+1} - a_t) / t -> (1 - sqrt(q))(sqrt(q / p) - 1)``,
+    which is nonzero for p != 1/2: the KNS law fails there at a linear rate.
+
+    Each error shrinks like 1/t.  Measured ``t * |error|`` at t = 1000 and
+    2000 for p in {0.3, 0.5, 0.7}: at most 0.43 for both slopes and 1.00 for
+    the difference, halving the error from t = 1000 to t = 2000.
+    """
+
+    @staticmethod
+    def _limits(p):
+        q = 1 - p
+        a = 1 - math.sqrt(q)
+        return a, a * math.sqrt(q / p), a * (math.sqrt(q / p) - 1)
+
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
+    def test_slopes_converge_like_one_over_t(self, p):
+        table, limits = extract_ab(p, 2001), self._limits(p)
+        errors = {}
+        for t in (1000, 2000):
+            slopes = (
+                table.a[t - 1] / t,
+                table.b[t - 1] / t,
+                (table.b[t] - table.a[t - 1]) / t,
+            )
+            errors[t] = [abs(s - lim) for s, lim in zip(slopes, limits)]
+            assert max(errors[t][:2]) * t <= 0.5, (t, errors[t])
+            assert errors[t][2] * t <= 1.1, (t, errors[t])
+        assert all(e2 <= 0.6 * e1 for e1, e2 in zip(errors[1000], errors[2000]))
+        # 0.0862 at p = 0.3 and -0.1562 at p = 0.7, 0 only at p = 1/2
+        assert (abs(limits[2]) > 0.08) == (p != 0.5)
+
+
 class TestReflectionIdentity1D:
     @pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
     @pytest.mark.parametrize("sign", [1, -1])
