@@ -31,8 +31,6 @@ from .errors import InvalidParameterError, require_real
 
 __all__ = [
     "CoinParameter",
-    "as_coin",
-    "validate_wavenumber",
     "coin_1d",
     "coin_2d",
     "kernel_1d",

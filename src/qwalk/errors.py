@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the scalar input checks
-that raise them."""
+that raise them.  The checks are package helpers, imported by name and in
+no ``__all__``."""
 
 import math
 import numbers
@@ -10,9 +11,6 @@ __all__ = [
     "InvalidStateError",
     "DegenerateSpectrumError",
     "PreconditionError",
-    "require_int",
-    "require_ladder",
-    "require_real",
 ]
 
 

@@ -38,8 +38,6 @@ __all__ = [
     "DeltaIntensityEstimate",
     "time_averaged_probability_1d",
     "time_averaged_probability_2d",
-    "validate_horizon_ladder",
-    "validate_epsilon",
     "localization_verdict",
 ]
 

@@ -75,7 +75,6 @@ __all__ = [
     "limit_moments_2d",
     "limit_moment_2d",
     "convergence_report",
-    "validate_time_ladder",
 ]
 
 _PHASE_GAP_MIN = 1e-8

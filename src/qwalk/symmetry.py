@@ -40,8 +40,10 @@ The expectation table extractor reproduces, at p = 1/2, the classical
 coefficient sequences ``a_t`` (from state (1, 0)) and ``b_t`` (from state
 (1, 1)/sqrt(2)) under this engine's orientation, where
 ``E(X_t) = +a_t (|d1|^2 - |d2|^2) + b_t (d1 conj(d2) + conj(d1) d2)``, and
-``kns_check`` tests the first-difference relation ``b_{t+1} - a_t = 1``
-(exact at p = 1/2, empirically false for p != 1/2 from t = 1 on).
+``kns_check`` tests the first-difference relation ``b_{t+1} - a_t = 1``.
+It is exact at p = 1/2.  Off p = 1/2 it fails at a linear rate: with
+``q = 1 - p``, ``(b_{t+1} - a_t) / t -> (1 - sqrt(q)) (sqrt(q / p) - 1)``,
+which is nonzero for p != 1/2 (pinned by ``TestKonnoSlopes``).
 """
 
 from __future__ import annotations

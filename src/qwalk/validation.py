@@ -71,6 +71,7 @@ def check_unitarity(quick: bool = False) -> tuple[bool, str]:
     """1: total probability conserved at full horizon in both dimensions."""
     rng = np.random.default_rng(_SEED)
     t1, t2, nstate = (100, 40, 3) if quick else (1000, 300, 10)
+    tol = 1e-12
     worst = 0.0
     for p in _P_GRID:
         for th in _random_states(QubitState, nstate, rng):
@@ -79,7 +80,7 @@ def check_unitarity(quick: bool = False) -> tuple[bool, str]:
         for th in _random_states(QuditState, nstate, rng):
             dev = abs(evolve_2d(th, p, t2).total_probability() - 1.0)
             worst = max(worst, dev)
-    return worst <= 1e-12, f"max |sum P - 1| = {worst:.3e} (tol 1e-12, t1={t1}, t2={t2})"
+    return worst <= tol, f"max |sum P - 1| = {worst:.3e} (tol {tol:g}, t1={t1}, t2={t2})"
 
 
 def check_hand_distributions(quick: bool = False) -> tuple[bool, str]:
@@ -101,7 +102,7 @@ def check_hand_distributions(quick: bool = False) -> tuple[bool, str]:
         table2 = {(1, 0): p * p, (-1, 0): p * q, (0, 1): p * q, (0, -1): q * q}
         for (x, y), m in table2.items():
             worst = max(worst, abs(d.mass(x, y) - m))
-    return worst <= tol, f"max deviation from hand values = {worst:.3e} (tol 1e-14)"
+    return worst <= tol, f"max deviation from hand values = {worst:.3e} (tol {tol:g})"
 
 
 def check_closed_form(quick: bool = False) -> tuple[bool, str]:
@@ -112,6 +113,7 @@ def check_closed_form(quick: bool = False) -> tuple[bool, str]:
     dense = range(1, min(tmax, 50) + 1)
     sparse = [t for t in (60, 80, 100, 125, 150, 175, 200) if t <= tmax]
     times = tuple(sorted(set(dense) | set(sparse)))
+    tol = 1e-10
     worst = 0.0
     for p in ps:
         for th in _random_states(QubitState, nstate, rng):
@@ -122,14 +124,15 @@ def check_closed_form(quick: bool = False) -> tuple[bool, str]:
                     np.max(np.abs(cf.phi2 - field.phi2)),
                 )
                 worst = max(worst, float(dev))
-    return worst <= 1e-10, (
-        f"max amplitude deviation = {worst:.3e} over t<= {tmax} (tol 1e-10)"
+    return worst <= tol, (
+        f"max amplitude deviation = {worst:.3e} over t<= {tmax} (tol {tol:g})"
     )
 
 
 def check_coefficients(quick: bool = False) -> tuple[bool, str]:
     """4: explicit double sum equals the recurrence coefficients within 1e-12."""
     tmax = 15 if quick else 30
+    tol = 1e-12
     worst = 0.0
     for p in _P_GRID:
         for t in range(0, tmax + 1):
@@ -137,7 +140,7 @@ def check_coefficients(quick: bool = False) -> tuple[bool, str]:
             for j in range(t + 1):
                 dev = abs(double_sum_coefficient(p, t, j) - coeffs[t - 2 * j])
                 worst = max(worst, dev)
-    return worst <= 1e-12, f"max |double sum - recurrence| = {worst:.3e} (tol 1e-12)"
+    return worst <= tol, f"max |double sum - recurrence| = {worst:.3e} (tol {tol:g})"
 
 
 def check_limit_1d(quick: bool = False) -> tuple[bool, str]:
@@ -191,7 +194,12 @@ def check_limit_2d(quick: bool = False) -> tuple[bool, str]:
 
 
 def reference_table_deviation(table: ABTable) -> float:
-    """Max deviation of the first ten ``a_t``, ``b_t`` from the p = 1/2 values."""
+    """Max deviation of the first ten ``a_t``, ``b_t`` from the p = 1/2 values.
+
+    Raises :class:`InvalidParameterError` for a table of fewer than ten rows.
+    """
+    if len(table) < 10:
+        raise InvalidParameterError(f"reference table needs t = 1..10, got {len(table)} rows")
     return max(
         float(np.max(np.abs(table.a[:10] - np.asarray(A_TABLE_HALF)))),
         float(np.max(np.abs(table.b[:10] - np.asarray(B_TABLE_HALF)))),
@@ -200,11 +208,11 @@ def reference_table_deviation(table: ABTable) -> float:
 
 def check_ab_table(quick: bool = False) -> tuple[bool, str]:
     """7: the unbiased-coin expectation table and its first-difference law."""
-    table = extract_ab(0.5, 10)
+    table, tol = extract_ab(0.5, 10), 1e-12
     dev = reference_table_deviation(table)
     kns = kns_check(table)
-    ok = dev <= 1e-12 and kns
-    return ok, f"max table deviation = {dev:.3e} (tol 1e-12); first-difference law: {kns}"
+    ok = dev <= tol and kns
+    return ok, f"max table deviation = {dev:.3e} (tol {tol:g}); first-difference law: {kns}"
 
 
 def _phi_perp_states(cls, n: int) -> list:
@@ -254,7 +262,7 @@ def check_symmetry(quick: bool = False) -> tuple[bool, str]:
 def check_reflection(quick: bool = False) -> tuple[bool, str]:
     """9: exchange-identity residuals stay at rounding level."""
     t1max, t2max = (10, 5) if quick else (20, 10)
-    r = 1 / math.sqrt(2)
+    r, tol = 1 / math.sqrt(2), 1e-12
     worst = 0.0
     for p in _P_GRID:
         for sgn in (1, -1):
@@ -264,7 +272,7 @@ def check_reflection(quick: bool = False) -> tuple[bool, str]:
             th2 = QuditState(0.5, 0.5j * sgn, 0.5j * sgn, -0.5)
             for t in range(1, t2max + 1):
                 worst = max(worst, reflection_identity_2d(th2, p, t))
-    return worst <= 1e-12, f"max residual = {worst:.3e} (tol 1e-12)"
+    return worst <= tol, f"max residual = {worst:.3e} (tol {tol:g})"
 
 
 def check_localization(quick: bool = False) -> tuple[bool, str]:
@@ -312,6 +320,7 @@ def check_quadrature_stability(quick: bool = False) -> tuple[bool, str]:
     rng = np.random.default_rng(_SEED + 11)
     states = [QubitState(1.0, 0.0), QubitState.random(rng)]
     coarse, fine = (512, 2048) if quick else (1024, 4096)
+    tol = 1e-10
     worst = 0.0
     for p in _P_GRID:
         for th in states:
@@ -321,8 +330,8 @@ def check_quadrature_stability(quick: bool = False) -> tuple[bool, str]:
                     - limit_moment_1d(th, p, alpha, QuadratureGrid(fine))
                 )
                 worst = max(worst, d)
-    return worst <= 1e-10, (
-        f"max |N={coarse} - N={fine}| = {worst:.3e} (tol 1e-10)"
+    return worst <= tol, (
+        f"max |N={coarse} - N={fine}| = {worst:.3e} (tol {tol:g})"
     )
 
 

@@ -185,6 +185,24 @@ class _Support1D:
         return int(2 * idx[0] - self.t)
 
 
+def _checked_block(obj, t, block, lead: tuple[int, ...], dtype) -> tuple[int, np.ndarray]:
+    """``t`` as an integer ``>= 0`` and ``block`` as a read-only, contiguous
+    array of ``dtype`` with shape ``lead + (t + 1,) * obj._DIM``, every entry
+    finite; otherwise :class:`InvalidParameterError`."""
+    t, kind = require_int(t, "time"), type(obj).__name__
+    try:
+        arr = np.ascontiguousarray(block, dtype=dtype)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"{kind} needs a numeric block, got {block!r}") from None
+    shape = lead + (t + 1,) * obj._DIM
+    if arr.shape != shape:
+        raise InvalidParameterError(f"{kind} block must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise InvalidParameterError(f"{kind} block must be finite")
+    arr.flags.writeable = False
+    return t, arr
+
+
 class _Field:
     """Immutable amplitude block ``amps`` of a ``d``-dimensional support.
 
@@ -199,18 +217,14 @@ class _Field:
     Every cell outside it is exactly 0, and :func:`_step` mixes only the
     cells inside it.  Counted from the end, the same slices address the box
     grown by one cell per axis in the next, one-larger block.  A field built
-    directly has the whole block as its box.
+    directly has the whole block as its box, and its ``t`` and block pass
+    :func:`_checked_block`.
     """
 
     __slots__ = ("t", "amps", "_box")
 
     def __init__(self, t: int, amps: np.ndarray) -> None:
-        shape = (2 * self._DIM,) + (t + 1,) * self._DIM
-        if amps.shape != shape:
-            raise InvalidParameterError(f"amplitude block must have shape {shape}")
-        self.t = int(t)
-        self.amps = np.ascontiguousarray(amps, dtype=np.complex128)
-        self.amps.flags.writeable = False
+        self.t, self.amps = _checked_block(self, t, amps, (2 * self._DIM,), np.complex128)
         self._box = (slice(0, None),) * self._DIM  # the whole block
 
     @classmethod
@@ -245,14 +259,13 @@ class _Field:
 
 
 class _Distribution:
-    """Immutable probability masses over the support of a field at time ``t``."""
+    """Immutable probability masses over the support of a field at time ``t``,
+    checked on construction as a field's amplitudes are (:func:`_checked_block`)."""
 
     __slots__ = ("t", "_values")
 
     def __init__(self, t: int, masses: np.ndarray) -> None:
-        self.t = int(t)
-        self._values = np.ascontiguousarray(masses, dtype=np.float64)
-        self._values.flags.writeable = False
+        self.t, self._values = _checked_block(self, t, masses, (), np.float64)
 
     def mass(self, *site: int) -> float:
         idx = self.site_index(*_site_coordinates(site, self._DIM))
@@ -262,9 +275,6 @@ class _Distribution:
         """Nonzero masses in ascending site order."""
         nonzero = zip(*np.nonzero(self._values))
         return iter(sorted((self._site(idx), float(self._values[idx])) for idx in nonzero))
-
-    def to_dict(self) -> dict:
-        return dict(self.items())
 
     def total(self) -> float:
         return float(np.sum(self._values))

@@ -77,14 +77,12 @@ class _Support2D:
             return None
         return (u + self.t) // 2, (v + self.t) // 2
 
-    def site_grids(self) -> tuple[np.ndarray, np.ndarray]:
+    def _grids(self) -> tuple[np.ndarray, np.ndarray]:
         """Arrays X, Y of shape (t+1, t+1) giving the site of each grid cell."""
         i = np.arange(self.t + 1)
         x = i[:, None] + i[None, :] - self.t
         y = i[:, None] - i[None, :]
         return x, y
-
-    _grids = site_grids
 
     def _site(self, idx: tuple[int, ...]) -> tuple[int, int]:
         i, j = idx

@@ -9,6 +9,7 @@ import pytest
 
 from qwalk import validation
 from qwalk.errors import InvalidParameterError
+from qwalk.symmetry import extract_ab
 
 
 def _run(number: int) -> None:
@@ -76,3 +77,14 @@ def test_run_checks_runs_every_criterion_serially_in_order():
 def test_run_checks_rejects_parallel_max_workers(workers):
     with pytest.raises(InvalidParameterError, match="serially"):
         validation.run_checks(quick=True, max_workers=workers)
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 9])
+def test_reference_table_deviation_rejects_a_short_table(horizon):
+    table = extract_ab(0.5, horizon)
+    with pytest.raises(InvalidParameterError, match="t = 1..10"):
+        validation.reference_table_deviation(table)
+
+
+def test_reference_table_deviation_reads_the_first_ten_rows():
+    assert validation.reference_table_deviation(extract_ab(0.5, 12)) <= 1e-12

@@ -2,6 +2,11 @@
 
 import argparse
 import ast
+import importlib
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import qwalk
@@ -194,3 +199,100 @@ def test_closed_form_never_reads_the_flush_threshold():
         elif isinstance(node, (ast.Attribute, ast.Name)):
             names.add(getattr(node, "attr", getattr(node, "id", None)))
     assert not names & {"_TINY", "_FLUSH_EVERY", "_flush", "_underflows", "finfo", "tiny"}
+
+
+LAYERS = ("errors", "coin", "walk1d", "walk2d", "closedform", "spectral", "symmetry",
+          "localization")
+
+# the top-level names before the package re-exported each layer's __all__ as is
+EXPORTED_BEFORE = {
+    "errors": "QwalkError InvalidParameterError InvalidStateError DegenerateSpectrumError "
+    "PreconditionError",
+    "coin": "CoinParameter coin_1d coin_2d kernel_1d kernel_2d",
+    "walk1d": "QubitState WaveField1D Distribution1D init_1d step_1d trajectory_1d evolve_1d "
+    "distribution_1d moment_1d",
+    "walk2d": "QuditState WaveField2D Distribution2D init_2d step_2d trajectory_2d evolve_2d "
+    "distribution_2d joint_moment_2d",
+    "closedform": "LaurentCoefficients alpha_coefficients double_sum_coefficient "
+    "closed_form_field closed_form_fields",
+    "spectral": "QuadratureGrid EigenBranch MomentReport sigma group_velocity eigensystem_1d "
+    "eigensystem_2d limit_moment_1d limit_moments_2d limit_moment_2d convergence_report",
+    "symmetry": "SymmetryVerdict1D ABTable in_phi_perp in_phi_perp_2d empirical_symmetric_1d "
+    "empirical_symmetric_2d classify_1d expectation_series extract_ab kns_check "
+    "reflection_identity_1d reflection_identity_2d",
+    "localization": "DeltaIntensityEstimate time_averaged_probability_1d "
+    "time_averaged_probability_2d localization_verdict",
+}
+
+# input checks the modules share by name; not public
+HELPERS = {
+    "errors": ("require_int", "require_ladder", "require_real"),
+    "coin": ("as_coin", "validate_wavenumber"),
+    "spectral": ("validate_time_ladder",),
+    "localization": ("validate_horizon_ladder", "validate_epsilon"),
+}
+
+
+def test_package_all_is_the_layers_all_in_order():
+    layers = [importlib.import_module(f"qwalk.{m}") for m in LAYERS]
+    expected = ["__version__"] + [n for mod in layers for n in mod.__all__]
+    assert qwalk.__all__ == expected
+    assert len(set(expected)) == len(expected)
+    for mod in layers:
+        for n in mod.__all__:
+            assert getattr(qwalk, n) is getattr(mod, n), n
+
+
+def test_package_init_lists_no_public_name_by_hand():
+    tree = _tree("__init__")
+    strings = {
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    assert strings & set(qwalk.__all__) == {"__version__"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 1, ast.dump(node)
+            names = [a.name for a in node.names]
+            assert names == ["*"] or set(names) <= set(LAYERS), names
+            assert node.module in (None, *LAYERS), node.module
+
+
+def test_import_qwalk_loads_neither_validation_nor_cli():
+    code = "import sys, qwalk; print(*sorted(m for m in sys.modules if m.startswith('qwalk')))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert set(run.stdout.split()) == {"qwalk", *(f"qwalk.{m}" for m in LAYERS)}
+
+
+def test_every_earlier_top_level_name_resolves_to_the_same_object():
+    assert sum(len(v.split()) for v in EXPORTED_BEFORE.values()) == 60
+    for module, names in EXPORTED_BEFORE.items():
+        mod = importlib.import_module(f"qwalk.{module}")
+        for n in names.split():
+            assert n in qwalk.__all__ and getattr(qwalk, n) is getattr(mod, n), n
+    assert qwalk.__version__ == "0.1.0"
+
+
+def test_shared_input_checks_are_importable_but_not_public():
+    every_all = {n for m in (*LAYERS, "validation", "cli")
+                 for n in importlib.import_module(f"qwalk.{m}").__all__}
+    for module, names in HELPERS.items():
+        mod = importlib.import_module(f"qwalk.{module}")
+        for n in names:
+            assert callable(getattr(mod, n)) and n not in every_all, n
+            assert not hasattr(qwalk, n), n
+    assert not hasattr(qwalk.WaveField2D, "site_grids")
+    assert not hasattr(qwalk.Distribution1D, "to_dict")
+
+
+def test_each_check_prints_the_tolerance_it_tests():
+    # a tolerance in a check's detail text is formatted from the value the
+    # pass test reads, never written a second time as a literal
+    for node in ast.walk(_tree("validation")):
+        if isinstance(node, ast.JoinedStr):
+            for part in node.values:
+                if isinstance(part, ast.Constant):
+                    assert not re.search(r"tol \d", part.value), part.value

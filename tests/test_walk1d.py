@@ -7,7 +7,9 @@ import pytest
 
 from qwalk.errors import InvalidParameterError, InvalidStateError
 from qwalk.walk1d import (
+    Distribution1D,
     QubitState,
+    WaveField1D,
     distribution_1d,
     evolve_1d,
     init_1d,
@@ -15,7 +17,7 @@ from qwalk.walk1d import (
     step_1d,
     trajectory_1d,
 )
-from qwalk.walk2d import QuditState, distribution_2d, evolve_2d
+from qwalk.walk2d import Distribution2D, QuditState, WaveField2D, distribution_2d, evolve_2d
 
 R = 1 / math.sqrt(2)
 
@@ -128,7 +130,7 @@ class TestEvolve:
 class TestDistributionAndMoments:
     def test_quarter_bias_single_step(self):
         d = distribution_1d(evolve_1d(QubitState(1.0, 0.0), 0.25, 1))
-        assert d.to_dict() == pytest.approx({1: 0.25, -1: 0.75}, abs=1e-15)
+        assert dict(d.items()) == pytest.approx({1: 0.25, -1: 0.75}, abs=1e-15)
 
     def test_masses_sum_to_one(self):
         d = distribution_1d(evolve_1d(QubitState(1.0, 0.0), 0.5, 3))
@@ -239,3 +241,66 @@ class TestTrajectory:
         d = distribution_1d(evolve_1d(QubitState(1.0, 0.0), 0.5, 3))
         with pytest.raises(InvalidParameterError):
             moment_1d(d, 1.5)
+
+
+class TestDirectConstruction:
+    """Fields and distributions built directly take an integer ``t >= 0``, a
+    block of the support's shape and finite entries, or raise
+    ``InvalidParameterError``; stepping and ``distribution_*`` build them
+    through the same contract."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: WaveField1D(-1, np.zeros((2, 0))),
+            lambda: WaveField1D(True, np.zeros((2, 2))),
+            lambda: WaveField1D(1.0, np.zeros((2, 2))),
+            lambda: WaveField1D(1, [[float("nan"), 0], [0, 0]]),
+            lambda: WaveField1D(1, np.array([[0, 0], [complex("inf"), 0]])),
+            lambda: WaveField1D(1, np.zeros((2, 3))),
+            lambda: WaveField1D(1, [["a", 0], [0, 0]]),
+            lambda: WaveField2D(-1, np.zeros((4, 0, 0))),
+            lambda: WaveField2D(1, np.full((4, 2, 2), np.nan)),
+            lambda: WaveField2D(1, np.zeros((2, 2))),
+            lambda: Distribution1D(2, np.array([0.1, 0.2])),
+            lambda: Distribution1D(-1, np.zeros(0)),
+            lambda: Distribution1D(np.True_, np.zeros(2)),
+            lambda: Distribution1D(1, np.array([np.inf, 0.0])),
+            lambda: Distribution2D(1, np.zeros(4)),
+            lambda: Distribution2D(0, np.array([[np.nan]])),
+        ],
+        ids=[
+            "field_negative_t",
+            "field_bool_t",
+            "field_float_t",
+            "field_nan",
+            "field_inf",
+            "field_shape",
+            "field_string",
+            "lattice_negative_t",
+            "lattice_nan",
+            "lattice_shape",
+            "dist_short",
+            "dist_negative_t",
+            "dist_bool_t",
+            "dist_inf",
+            "lattice_dist_shape",
+            "lattice_dist_nan",
+        ],
+    )
+    def test_rejects(self, build):
+        with pytest.raises(InvalidParameterError):
+            build()
+
+    def test_accepts_a_valid_block_and_numpy_time(self):
+        f = WaveField1D(np.int64(1), [[0.6, 0], [0, 0.8j]])
+        assert (f.t, type(f.t)) == (1, int)
+        assert f.total_probability() == pytest.approx(1.0, abs=1e-15)
+        d = Distribution1D(2, [0.25, 0.5, 0.25])
+        assert d.mass(2) == 0.25 and d.total() == 1.0
+        assert Distribution2D(1, np.eye(2)).mass(1, 0) == 1.0
+        assert not f.amps.flags.writeable and not d.masses.flags.writeable
+
+    def test_step_keeps_the_contract(self):
+        f = step_1d(WaveField1D(0, np.array([[1.0], [0.0]])), 0.5)
+        assert f.t == 1 and distribution_1d(f).total() == pytest.approx(1.0, abs=1e-15)
