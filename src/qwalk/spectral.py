@@ -19,22 +19,26 @@ branch-weighted velocity powers over the wavenumber torus,
 
 with ``c_j`` the projection of the initial state on the j-th eigenvector;
 one quadrature body evaluates both.  Both eigensystems are closed form and
-every node takes the same path.  The 2x2 kernel's is a quadratic.  The 4x4
-kernel's characteristic polynomial is palindromic and reduces to a quadratic
-in ``sin(omega)``; each eigenvector is a column of the product of ``S -
-lambda_k`` over the other three eigenvalues, accurate to about machine
-epsilon over the node's smallest phase gap.  Both moments are evaluated by
-the midpoint rule on an offset power-of-two grid whose nodes avoid every
-symmetry point where branches could cross.  The coin is real, so ``S(k +
-pi (1, ..., 1)) = -S(k)`` and ``S(-k) = conj S(k)``; the eigensolves run on
-a quarter of the grid, the first-axis rows ``i < n/4``, and each swept node
-also stands for its three images, whose weights are its own or ``|Q^T
-theta|^2``.  On the line the integrand is smooth and periodic and the rule
-converges spectrally (criterion 11 holds N = 1024 and N = 4096 within
-1e-10).  On the square lattice it does not: the branch-sorted integrand is
-not smooth, and the convergence is algebraic, about ``N^-1.5``.  For state
-(1, 0, 0, 0) at p = 1/2, order (1, 0), the value moves by 2.37e-4, 8.39e-5
-and 2.96e-5 at N = 64 -> 128 -> 256 -> 512.
+every node takes the same path.  The 2x2 kernel's is a quadratic, and the
+line sweep reads its eigenvectors.  The 4x4 kernel's characteristic
+polynomial is palindromic and reduces to a quadratic in ``sin(omega)``, and
+the lattice sweep builds no eigenvector: ``|u_ij|^2`` and ``|c_j|^2`` are
+entries of the spectral projector ``P_j = prod_{k != j} (S - lambda_k) /
+(lambda_j - lambda_k)`` (Sylvester's formula), whose diagonal and form
+``theta^dag P_j theta`` follow from those of ``S``, ``S^2`` and ``S^3``.
+Per-node accuracy is about machine epsilon over the node's smallest phase
+gap.  Both moments are evaluated by the midpoint rule on an offset
+power-of-two grid whose nodes avoid every symmetry point where branches
+could cross.  The coin is real, so ``S(k + pi (1, ..., 1)) = -S(k)`` and
+``S(-k) = conj S(k)``; the eigensolves run on a quarter of the grid, the
+first-axis rows ``i < n/4``, and each swept node also stands for its three
+images, whose weights are its own or ``|Q^T theta|^2``.  On the line the
+integrand is smooth and periodic and the rule converges spectrally
+(criterion 11 holds N = 1024 and N = 4096 within 1e-10).  On the square
+lattice it does not: the branch-sorted integrand is not smooth, and the
+convergence is algebraic, about ``N^-1.5``.  For state (1, 0, 0, 0) at p =
+1/2, order (1, 0), the value moves by 2.37e-4, 8.39e-5 and 2.96e-5 at N =
+64 -> 128 -> 256 -> 512.
 Moment quadratures are cross-validated against the position-space oracle
 through :func:`convergence_report`.
 """
@@ -79,7 +83,7 @@ __all__ = [
 
 _PHASE_GAP_MIN = 1e-8
 _GAP_FLOOR = 1e-12   # below this, simulated and limit moments are both "zero"
-_CHUNK = 16384
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -160,16 +164,18 @@ def group_velocity(p: CoinParameter | float, wavenumber: float) -> float:
     return math.sqrt(c.p) * math.cos(x) / math.sqrt(1.0 - c.p * math.sin(x) ** 2)
 
 
-def _velocities(Q: np.ndarray) -> list[np.ndarray]:
-    """Branch velocities along each axis: the mover imbalance of each column.
+def _velocities(P: np.ndarray) -> list[np.ndarray]:
+    """Branch velocities along each axis: the mover imbalance of each branch.
 
-    ``Q`` holds normalized eigenvectors as columns, shape (B, 2 dim, 2 dim),
-    rows ordered (+x, -x[, +y, -y]).  Returns one (B, 2 dim) array per axis,
-    ``|Q_{+d,k}|^2 - |Q_{-d,k}|^2``, which is the Hellmann-Feynman velocity
-    because ``dS/dk_d`` is ``S`` with axis ``d``'s rows times ``-+i``.
+    ``P`` holds squared moduli ``|u_ij|^2`` of normalized eigenvectors, row
+    ``i`` the component and column ``j`` the branch, shape (B, 2 dim, 2
+    dim), rows ordered (+x, -x[, +y, -y]): ``|Q|^2`` on the line, the
+    spectral projectors' diagonals on the lattice.  Returns one (B, 2 dim)
+    array per axis, ``P_{+d,j} - P_{-d,j}``, which is the Hellmann-Feynman
+    velocity because ``dS/dk_d`` is ``S`` with axis ``d``'s rows times
+    ``-+i``.
     """
-    P = np.abs(Q) ** 2
-    return [P[:, d] - P[:, d + 1] for d in range(0, Q.shape[1], 2)]
+    return [P[:, d] - P[:, d + 1] for d in range(0, P.shape[1], 2)]
 
 
 def _branch_vectors_1d(c: CoinParameter, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -191,16 +197,29 @@ def _branch_vectors_1d(c: CoinParameter, x: np.ndarray) -> tuple[np.ndarray, np.
     return np.stack([lam, -lam.conj()], -1), Q
 
 
+def _real_sum(fbar: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """``Re(sum_m f[..., m] K[:, j, m])`` for each branch ``j``, from
+    ``fbar = conj(f)``, as one real product of the two real views:
+    ``Re(f K) = Re(fbar) Re(K) + Im(fbar) Im(K)``.  ``fbar``'s last axis
+    must be contiguous.
+    """
+    return fbar.view(np.float64) @ K.view(np.float64).swapaxes(-1, -2)
+
+
 def _batch_eigensystem(
     p: CoinParameter, ms: np.ndarray, ns: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted eigensystem of the 4x4 kernel at a batch of wavenumber pairs.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted eigenvalues and spectral projectors of the 4x4 kernel at a
+    batch of wavenumber pairs; no eigenvector is built.
 
-    Returns ``(lam, Q)`` with shapes (B, 4), (B, 4, 4); ``Q`` columns are
-    orthonormal eigenvectors ordered by eigenvalue phase.  Raises
-    :class:`DegenerateSpectrumError` if any two phases at one node are
-    closer than 1e-8 (the caller must move the node; nothing is perturbed
-    silently).
+    Returns ``(lam, P, K, e)`` with shapes (B, 4), (B, 4, 4), (B, 4, 4)
+    and (B, 4).  ``lam`` is ordered by eigenvalue phase.  ``e`` holds the
+    mover phases, so the kernel is ``S = e[:, :, None] * coin_2d(p)``.
+    Branch ``j``'s projector is ``P_j = sum_m K[:, j, m] S^m`` (m = 0..3),
+    and ``P[:, i, j]`` is its real diagonal entry ``(P_j)_ii = |u_ij|^2``.
+    Raises :class:`DegenerateSpectrumError` if any two phases at one node
+    are closer than 1e-8 (the caller must move the node; nothing is
+    perturbed silently).
 
     Every node takes one closed-form path.  With ``sx = sin m``, ``sy =
     sin n``, ``C = cos^2((m-n)/2)``, ``D = sin^2((m-n)/2)`` and ``a = 2p
@@ -210,14 +229,21 @@ def _batch_eigensystem(
     Each root ``s`` gives the pair ``+-c + i s``, the cosine ``c`` coming
     from the factored ``1 - s^2`` (``2 +- 2a - b = 4[qC + p(1 +- sx)(1 -+
     sy)]``), never from ``sqrt(1 - s^2)``, which cancels as ``|s| -> 1``.
-    The eigenvector of ``lam_j`` is the column of ``prod_{k != j} (S -
-    lam_k)`` with the largest diagonal entry, normalized, then one
-    Newton-Schulz step ``Q (3 - Q^dag Q) / 2`` squares the columns' residual
-    overlaps so branch weights sum to 1 even next to a crossing.  Per-node
-    accuracy is about machine epsilon over the node's smallest phase gap:
-    ``|Q|^2`` agrees with a general ``eig`` plus QR within 1e-12 where that
-    gap exceeds 1e-3, and within 1e-11 at the few nodes of a 512 grid where
-    it does not; the quadrature moments do not see the difference.
+    The projectors follow Sylvester's formula ``P_j = prod_{k != j} (S -
+    lam_k) / prod_{k != j} (lam_j - lam_k)``: synthetic division of the
+    characteristic polynomial by ``lam - lam_j`` writes the numerator as
+    ``S^3 + c1 S^2 + c2 S + c3``, and ``K`` holds its coefficients over the
+    denominator, a product of eigenvalue differences.  ``S`` is a diagonal
+    phase times the real symmetric coin ``H``, so the diagonals of its
+    powers are constant real coefficients against the phase vector,
+    ``(S^2)_ii = e_i sum_k H_ik^2 e_k`` and ``(S^3)_ii = e_i sum_kl H_ik
+    H_kl H_li e_k e_l``, and a state's weights need only ``theta^dag S^m
+    theta`` (:func:`_weights_2d`).  Per-node accuracy is
+    about machine epsilon over the node's smallest phase gap: on the N =
+    128 grid, for p from 0.05 to 0.95, the diagonals agree with a general
+    ``eig`` plus QR within 1.4e-12 and the weights within 2.8e-12, and on
+    the swept quarter of the N = 2048 grid the weights of a state sum to 2
+    within 2e-13; the quadrature moments do not see the difference.
     """
     sx, sy, half = np.sin(ms), np.sin(ns), 0.5 * (ms - ns)
     C, D = np.cos(half) ** 2, np.sin(half) ** 2
@@ -244,27 +270,76 @@ def _batch_eigensystem(
             "evaluate at a node away from the degenerate set"
         )
 
-    S = np.exp(1j * np.stack([-ms, ms, -ns, ns], axis=1))[:, :, None] * coin_2d(p)
-    # prod_{k != j} (S - lam_k) = ((S + c1) S + c2) S + c3: synthetic division
-    # of the characteristic polynomial by lam - lam_j, shaped to act on column j
-    c1 = 1j * a[:, None, None] + lam[:, None, :]
-    c2 = (-2.0 - 4.0 * s_hi * s_lo)[:, None, None] + lam[:, None, :] * c1
-    c3 = -lam.conj()[:, None, :]
-    # row of the largest diagonal entry of prod_{k != j} (S - lam_k), per branch j
-    r = np.argmax(
-        np.abs(
-            np.einsum("bik,bkl,bli->bi", S, S, S)[:, :, None]
-            + np.einsum("bik,bki->bi", S, S)[:, :, None] * c1
-            + np.diagonal(S, axis1=1, axis2=2)[:, :, None] * c2
-            + c3
-        ),
-        axis=1,
-    )[:, None, :]
-    E = r == np.arange(4)[:, None]  # one-hot selector; S @ E gathers columns r of S
-    Q = S @ (S @ (np.take_along_axis(S, r, axis=2) + c1 * E) + c2 * E) + c3 * E
+    H = coin_2d(p)
+    e = np.exp(1j * np.stack([-ms, ms, -ns, ns], axis=1))
+    # dbar[:, i, m] = conj((S^m)_ii): the same sums over the phases conj(e)
+    # of S^dag, as _real_sum takes them; g[:, i, l] = sum_k H_ik H_kl H_li ec_k
+    ec = e.conj()
+    g = (ec @ np.einsum("ik,kl,li->kil", H, H, H).reshape(4, 16)).reshape(-1, 4, 4)
+    dbar = np.stack(
+        [
+            np.ones_like(e),
+            np.diagonal(H) * ec,
+            (ec @ (H * H)) * ec,
+            np.einsum("bil,bl->bi", g, ec) * ec,
+        ],
+        axis=2,
+    )
+    # K[:, j, m]: coefficient of S^m in prod_{k != j} (S - lam_k), by synthetic
+    # division, over prod_{k != j} (lam_j - lam_k), the branch axis rolled by 1..3
+    c1 = 1j * a[:, None] + lam
+    c2 = (-2.0 - 4.0 * s_hi * s_lo)[:, None] + lam * c1
+    K = np.stack([-lam.conj(), c2, c1, np.ones_like(lam)], axis=2)
+    K /= math.prod(lam - np.roll(lam, r, axis=1) for r in (1, 2, 3))[:, :, None]
+    return lam, _real_sum(dbar, K), K, e
+
+
+def _branch_vectors_2d(
+    c: CoinParameter, ms: np.ndarray, ns: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigensystem ``(lam, Q)`` of the 4x4 kernel at wavenumber pairs.
+
+    Shapes (B, 4) and (B, 4, 4), built from :func:`_batch_eigensystem`'s
+    projectors: column ``j`` is the column of ``P_j`` through its largest
+    diagonal entry, ``u_j conj(u_rj)``, normalized, then one Newton-Schulz
+    step ``Q (3 - Q^dag Q) / 2`` squares the columns' residual overlaps so
+    branch weights sum to 1 even next to a crossing.
+    """
+    lam, P, K, e = _batch_eigensystem(c, ms, ns)
+    S = e[:, :, None] * coin_2d(c)
+    E = np.argmax(P, axis=1)[:, None, :] == np.arange(4)[:, None]  # one-hot rows
+    Q = K[:, None, :, 3] * E
+    for m in (2, 1, 0):  # Horner: P_j e_r = sum_m K_jm S^m e_r
+        Q = S @ Q + K[:, None, :, m] * E
     Q /= np.linalg.norm(Q, axis=1, keepdims=True)
-    # one Newton-Schulz step: overlaps of order eps/gap become their squares
     return lam, Q @ (1.5 * np.eye(4) - 0.5 * Q.conj().swapaxes(1, 2) @ Q)
+
+
+def _weights_2d(
+    H: np.ndarray, e: np.ndarray, K: np.ndarray, th: np.ndarray
+) -> np.ndarray:
+    """Branch weights ``|Q^dag theta|^2 + |Q^T theta|^2`` without ``Q``.
+
+    The result has shape (B, 4).  The weights are ``theta^dag P_j theta + conj(theta)^dag P_j conj(theta)``, so
+    only the forms ``t^dag S^m t`` (m = 0..3) are needed: with ``x = S t``
+    and ``z = conj(S^dag t)``, they are ``|t|^2``, ``conj(t) . x``, ``z .
+    x`` and ``z . S x``.  ``H``, ``e`` and ``K`` are the coin and
+    :func:`_batch_eigensystem`'s phases and projector coefficients.
+    """
+    forms = 0.0
+    for t in (th, th.conj()):
+        x = e * (t @ H)
+        z = (e * t.conj()) @ H
+        forms = forms + np.stack(
+            [
+                np.full(len(e), np.vdot(t, t)),
+                x @ t.conj(),
+                np.einsum("bi,bi->b", z, x),
+                np.einsum("bi,bi->b", z, e * (x @ H)),
+            ],
+            axis=1,
+        )
+    return _real_sum(forms.conj()[:, None, :], K)[:, 0]
 
 
 def _eigensystem(p, wavenumbers, theta) -> tuple[EigenBranch, ...]:
@@ -273,8 +348,8 @@ def _eigensystem(p, wavenumbers, theta) -> tuple[EigenBranch, ...]:
     ks = [np.array([validate_wavenumber(k)]) for k in wavenumbers]
     dim = len(ks)
     th = (as_qubit, as_qudit)[dim - 1](theta).as_array()
-    lam, Q = _branch_vectors_1d(c, *ks) if dim == 1 else _batch_eigensystem(c, *ks)
-    vel = _velocities(Q)
+    lam, Q = _branch_vectors_1d(c, *ks) if dim == 1 else _branch_vectors_2d(c, *ks)
+    vel = _velocities(np.abs(Q) ** 2)
     return tuple(
         EigenBranch(
             complex(lam[0, j]),
@@ -322,7 +397,9 @@ def _limit_moments(thetas, p, orders, grid, dim: int) -> np.ndarray:
 
     ``orders`` holds one exponent per axis for each moment.  One chunked
     eigensystem sweep over a quarter of the ``n^dim`` grid serves every
-    state and order.  The kernel ``diag(e^{-+ik_d}) H`` with a real coin
+    state and order; the line reads its eigenvectors, the lattice its
+    spectral projectors (:func:`_batch_eigensystem`, :func:`_weights_2d`).
+    The kernel ``diag(e^{-+ik_d}) H`` with a real coin
     ``H`` obeys two symmetries that map grid nodes to grid nodes:
     ``S(k + pi (1, ..., 1)) = -S(k)`` keeps eigenvectors, weights and
     velocities; ``S(-k) = conj S(k)`` has eigenvectors ``conj Q``, so the
@@ -363,13 +440,20 @@ def _limit_moments(thetas, p, orders, grid, dim: int) -> np.ndarray:
     partials = np.empty((len(ths), len(orders), len(starts)))
     for ci, s in enumerate(starts):
         ks = [a[s : s + _CHUNK] for a in axes]
-        lam, Q = _branch_vectors_1d(c, *ks) if dim == 1 else _batch_eigensystem(c, *ks)
-        vel = _velocities(Q)
-        for si, th in enumerate(ths):
-            wgt = (
+        if dim == 1:
+            _, Q = _branch_vectors_1d(c, *ks)
+            P = np.abs(Q) ** 2
+            wgts = [
                 np.abs(np.einsum("bik,i->bk", Q.conj(), th)) ** 2
                 + np.abs(np.einsum("bik,i->bk", Q, th)) ** 2
-            )
+                for th in ths
+            ]
+        else:
+            _, P, K, e = _batch_eigensystem(c, *ks)
+            H = coin_2d(c)
+            wgts = [_weights_2d(H, e, K, th) for th in ths]
+        vel = _velocities(P)
+        for si, wgt in enumerate(wgts):
             for oi, order in enumerate(orders):
                 term = wgt
                 for v, a in zip(vel, order):

@@ -185,13 +185,18 @@ class _Support1D:
         return int(2 * idx[0] - self.t)
 
 
-def _checked_block(obj, t, block, lead: tuple[int, ...], dtype) -> tuple[int, np.ndarray]:
+def _checked_block(
+    obj, t, block, lead: tuple[int, ...], masses: bool = False
+) -> tuple[int, np.ndarray]:
     """``t`` as an integer ``>= 0`` and ``block`` as a read-only, contiguous
-    array of ``dtype`` with shape ``lead + (t + 1,) * obj._DIM``, every entry
-    finite; otherwise :class:`InvalidParameterError`."""
+    ``complex128`` copy with shape ``lead + (t + 1,) * obj._DIM``, every
+    entry finite; for ``masses``, a ``float64`` copy whose entries had zero
+    imaginary parts and are non-negative.  Otherwise
+    :class:`InvalidParameterError`.  The copy leaves the caller's array
+    writeable and unshared."""
     t, kind = require_int(t, "time"), type(obj).__name__
     try:
-        arr = np.ascontiguousarray(block, dtype=dtype)
+        arr = np.array(block, dtype=np.complex128)
     except (TypeError, ValueError):
         raise InvalidParameterError(f"{kind} needs a numeric block, got {block!r}") from None
     shape = lead + (t + 1,) * obj._DIM
@@ -199,6 +204,12 @@ def _checked_block(obj, t, block, lead: tuple[int, ...], dtype) -> tuple[int, np
         raise InvalidParameterError(f"{kind} block must have shape {shape}, got {arr.shape}")
     if not np.isfinite(arr).all():
         raise InvalidParameterError(f"{kind} block must be finite")
+    if masses:
+        if arr.imag.any():
+            raise InvalidParameterError(f"{kind} masses must be real")
+        arr = arr.real.copy()
+        if (arr < 0).any():
+            raise InvalidParameterError(f"{kind} masses must be non-negative")
     arr.flags.writeable = False
     return t, arr
 
@@ -224,7 +235,7 @@ class _Field:
     __slots__ = ("t", "amps", "_box")
 
     def __init__(self, t: int, amps: np.ndarray) -> None:
-        self.t, self.amps = _checked_block(self, t, amps, (2 * self._DIM,), np.complex128)
+        self.t, self.amps = _checked_block(self, t, amps, (2 * self._DIM,))
         self._box = (slice(0, None),) * self._DIM  # the whole block
 
     @classmethod
@@ -265,7 +276,18 @@ class _Distribution:
     __slots__ = ("t", "_values")
 
     def __init__(self, t: int, masses: np.ndarray) -> None:
-        self.t, self._values = _checked_block(self, t, masses, (), np.float64)
+        self.t, self._values = _checked_block(self, t, masses, (), masses=True)
+
+    @classmethod
+    def _of(cls, field: _Field) -> "_Distribution":
+        """The masses of ``field``: a fresh, finite, non-negative ``float64``
+        block of the right shape, so the constructor's checks and copy are
+        skipped."""
+        self = object.__new__(cls)
+        values = field._masses()
+        values.flags.writeable = False
+        self.t, self._values = field.t, values
+        return self
 
     def mass(self, *site: int) -> float:
         idx = self.site_index(*_site_coordinates(site, self._DIM))
@@ -448,7 +470,7 @@ def evolve_1d(
 
 def distribution_1d(field: WaveField1D) -> Distribution1D:
     """Per-site probability ``|phi1|^2 + |phi2|^2``; sums to one."""
-    return Distribution1D(field.t, field._masses())
+    return Distribution1D._of(field)
 
 
 def moment_1d(dist: Distribution1D, alpha: int) -> float:

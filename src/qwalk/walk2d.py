@@ -157,7 +157,7 @@ def evolve_2d(
 
 def distribution_2d(field: WaveField2D) -> Distribution2D:
     """Per-site sum of the four squared moduli."""
-    return Distribution2D(field.t, field._masses())
+    return Distribution2D._of(field)
 
 
 def joint_moment_2d(dist: Distribution2D, alpha: int, beta: int) -> float:

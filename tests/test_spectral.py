@@ -13,7 +13,9 @@ from qwalk.spectral import (
     QuadratureGrid,
     _batch_eigensystem,
     _branch_vectors_1d,
+    _branch_vectors_2d,
     _velocities,
+    _weights_2d,
     convergence_report,
     eigensystem_1d,
     eigensystem_2d,
@@ -309,6 +311,18 @@ def _eig_qr_moments(thetas, p, orders, n):
     return out
 
 
+def _paired_eig_qr(p, ms, ns, lam):
+    """eig + QR eigenvectors with columns in the branch order of ``lam``.
+
+    Branches are paired by eigenvalue: at p = 1/2 an eigenvalue sits at -1
+    on m = -n, and a ~1e-17 imaginary part decides which end of the phase
+    order it takes.
+    """
+    _, w, V = _eig_qr(p, ms, ns)
+    pair = np.abs(lam[:, :, None] - w[:, None, :]).argmin(axis=2)
+    return np.take_along_axis(V, pair[:, None, :], axis=2)
+
+
 def _set_distance(lam, ref):
     """Largest distance, over nodes, between two eigenvalue sets of one node."""
     d = np.abs(lam[:, :, None] - ref[:, None, :])
@@ -319,7 +333,7 @@ class TestBatchEigensystemAgainstOracles:
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     def test_eigenvalues_match_eigvals_on_grid(self, p):
         ms, ns = _grid_2d(64)
-        lam, _ = _batch_eigensystem(as_coin(p), ms, ns)
+        lam = _batch_eigensystem(as_coin(p), ms, ns)[0]
         ref = np.linalg.eigvals(np.stack([kernel_2d(p, m, n) for m, n in zip(ms, ns)]))
         assert _set_distance(lam, ref) <= 1e-14
 
@@ -335,21 +349,98 @@ class TestBatchEigensystemAgainstOracles:
     def test_eigenvalues_match_eigvals_where_cosines_cancel(self, m, n):
         # sqrt(1 - s^2) for the cosines, or 1 - cos^2 for sin^2((m - n)/2),
         # misses these nodes by 1.8e-10 and 3.2e-14
-        lam, _ = _batch_eigensystem(as_coin(0.3), np.array([m]), np.array([n]))
+        lam = _batch_eigensystem(as_coin(0.3), np.array([m]), np.array([n]))[0]
         ref = np.linalg.eigvals(kernel_2d(0.3, m, n))[None, :]
         assert _set_distance(lam, ref) <= 1e-14
 
     @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_branch_probabilities_match_eig_qr(self, p):
         ms, ns = _grid_2d(128)
-        lam, Q = _batch_eigensystem(as_coin(p), ms, ns)
-        _, w, V = _eig_qr(p, ms, ns)
-        # pair branches by eigenvalue: at p = 1/2 an eigenvalue sits at -1 on
-        # m = -n, and a ~1e-17 imaginary part decides which end of the phase
-        # order it takes
-        pair = np.abs(lam[:, :, None] - w[:, None, :]).argmin(axis=2)
-        V = np.take_along_axis(V, pair[:, None, :], axis=2)
+        lam, P, _, _ = _batch_eigensystem(as_coin(p), ms, ns)
+        V = _paired_eig_qr(p, ms, ns, lam)
+        assert np.max(np.abs(P - np.abs(V) ** 2)) <= 1e-11
+
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_sweep_weights_match_eig_qr(self, p):
+        # the folded weights |Q^dag theta|^2 + |Q^T theta|^2 the sweep reads
+        # from the projectors, node by node; the test above checks their
+        # diagonals
+        ms, ns = _grid_2d(128)
+        c = as_coin(p)
+        lam, _, K, e = _batch_eigensystem(c, ms, ns)
+        V = _paired_eig_qr(p, ms, ns, lam)
+        rng = np.random.default_rng(37)
+        states = [QuditState(1, 0, 0, 0), QuditState(0.5, 0.5j, 0.5j, -0.5)]
+        for th in states + [QuditState.random(rng) for _ in range(3)]:
+            t = th.as_array()
+            ref = np.abs(t @ V.conj()) ** 2 + np.abs(t @ V) ** 2
+            assert np.max(np.abs(_weights_2d(coin_2d(c), e, K, t) - ref)) <= 1e-11
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    def test_eigenvectors_match_eig_qr(self, p):
+        ms, ns = _grid_2d(64)
+        lam, Q = _branch_vectors_2d(as_coin(p), ms, ns)
+        V = _paired_eig_qr(p, ms, ns, lam)
         assert np.max(np.abs(np.abs(Q) ** 2 - np.abs(V) ** 2)) <= 1e-11
+        overlap = np.abs(np.einsum("bik,bik->bk", Q.conj(), V))
+        assert np.max(np.abs(overlap - 1.0)) <= 1e-11
+
+
+def _phase_gap(p, ms, ns):
+    """Smallest circular gap between the kernel's eigenphases, per node."""
+    ph = np.angle(_batch_eigensystem(as_coin(p), np.atleast_1d(ms), np.atleast_1d(ns))[0])
+    return np.diff(np.concatenate([ph, ph[:, :1] + 2 * np.pi], axis=1), axis=1).min(axis=1)
+
+
+class TestDegeneratePoints:
+    """The 4x4 kernel is degenerate at exactly four points, where the
+    per-node error of the sweep, about machine epsilon over the smallest
+    phase gap, peaks.  The discriminant vanishes only at (0, 0) and (pi, pi):
+    Dirac points, where the gap opens linearly in every direction.  The
+    factored cosines vanish only at (pi/2, -pi/2) and (-pi/2, pi/2):
+    semi-Dirac touchings, where it opens linearly across the diagonal but
+    quadratically along (1, 1).  Measured at p = 0.3; ``d`` is the
+    Euclidean distance from the point.
+    """
+
+    P = 0.3
+    DIRAC = ((0.0, 0.0), (-math.pi, -math.pi))
+    SEMI_DIRAC = ((math.pi / 2, -math.pi / 2), (-math.pi / 2, math.pi / 2))
+    DIAG, ANTI, X = (R, R), (R, -R), (1.0, 0.0)
+
+    def _gaps(self, point, direction, ds):
+        (m, n), (u, v) = point, direction
+        return _phase_gap(self.P, m + ds * u, n + ds * v)
+
+    @pytest.mark.parametrize("m, n", DIRAC + SEMI_DIRAC)
+    def test_each_point_is_degenerate(self, m, n):
+        ref = np.linalg.eigvals(kernel_2d(self.P, m, n))
+        assert np.min(np.abs(ref[:, None] - ref[None, :]) + np.eye(4)) <= 1e-12
+        with pytest.raises(DegenerateSpectrumError):
+            eigensystem_2d(self.P, m, n, QuditState(1, 0, 0, 0))
+
+    def test_no_other_point_is_degenerate(self):
+        # on a 256^2 grid the gap is at least 0.2 r^2 (measured 0.235 r^2),
+        # r the distance to the nearest of the four points
+        ms, ns = _grid_2d(256)
+        r = np.full(ms.shape, np.inf)
+        for m, n in self.DIRAC + self.SEMI_DIRAC:
+            dm, dn = (np.angle(np.exp(1j * (k - k0))) for k, k0 in ((ms, m), (ns, n)))
+            r = np.minimum(r, np.hypot(dm, dn))
+        assert np.min(_phase_gap(self.P, ms, ns) / r**2) >= 0.2
+
+    @pytest.mark.parametrize("point", DIRAC)
+    def test_dirac_gap_opens_linearly(self, point):
+        ds = np.array([1e-2, 1e-3, 1e-4])
+        assert np.allclose(self._gaps(point, self.DIAG, ds) / ds, 0.7746, atol=1e-3)
+        assert np.allclose(self._gaps(point, self.X, ds) / ds, 0.8888, atol=1e-3)
+
+    @pytest.mark.parametrize("point", SEMI_DIRAC)
+    def test_semi_dirac_gap_is_quadratic_along_the_diagonal(self, point):
+        ds = np.array([1e-1, 1e-2, 1e-3])
+        # 3.27e-3, 3.27e-5 and 3.27e-7
+        assert np.allclose(self._gaps(point, self.DIAG, ds) / ds**2, 0.327, atol=1e-3)
+        assert np.allclose(self._gaps(point, self.ANTI, ds) / ds, 1.4142, atol=1e-3)
 
 
 class TestLimitMoments2DAgainstEigQR:
@@ -456,8 +547,8 @@ def _full_torus_moments(thetas, p, orders, n, dim):
     nodes = QuadratureGrid(n).nodes()
     ks = [a.ravel() for a in np.meshgrid(*[nodes] * dim, indexing="ij")]
     c = as_coin(p)
-    _, Q = _branch_vectors_1d(c, *ks) if dim == 1 else _batch_eigensystem(c, *ks)
-    vel = _velocities(Q)
+    _, Q = _branch_vectors_1d(c, *ks) if dim == 1 else _branch_vectors_2d(c, *ks)
+    vel = _velocities(np.abs(Q) ** 2)
     out = np.empty((len(thetas), len(orders)))
     for si, th in enumerate(thetas):
         wgt = np.abs(np.einsum("bik,i->bk", Q.conj(), th.as_array())) ** 2

@@ -9,6 +9,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import qwalk
 from qwalk import cli
 
@@ -125,6 +128,19 @@ def test_only_the_velocity_helper_computes_branch_velocities():
         "_eigensystem",
         "_limit_moments",
     }
+
+
+def test_lattice_sweep_builds_no_eigenvector():
+    # the sweep reads spectral projectors; only the one-node eigensystem_2d
+    # turns them into eigenvectors (column selection, normalization,
+    # Newton-Schulz)
+    calls = _calls_by_function("spectral")
+    assert {n for n, called in calls.items() if "_branch_vectors_2d" in called} == {
+        "_eigensystem"
+    }
+    for name in ("_limit_moments", "_batch_eigensystem", "_weights_2d"):
+        assert not calls[name] & {"_branch_vectors_2d", "argmax", "norm"}, name
+    assert {"_batch_eigensystem", "_weights_2d"} <= calls["_limit_moments"]
 
 
 def test_every_closed_form_reads_the_one_recurrence_pass():
@@ -296,3 +312,10 @@ def test_each_check_prints_the_tolerance_it_tests():
             for part in node.values:
                 if isinstance(part, ast.Constant):
                     assert not re.search(r"tol \d", part.value), part.value
+
+
+def test_the_test_run_fails_on_complex_warning():
+    # tests/conftest.py makes the warning an error, so a test that casts a
+    # complex value to a real dtype fails instead of passing with a warning
+    with pytest.raises(getattr(np, "exceptions", np).ComplexWarning):  # numpy 1.24: top level
+        np.array([1 + 1j]).astype(np.float64)

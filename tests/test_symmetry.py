@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qwalk.errors import PreconditionError
+from qwalk.spectral import limit_moment_1d
 from qwalk.symmetry import (
     EXCHANGE_1D,
     EXCHANGE_2D,
@@ -167,6 +168,27 @@ class TestKonnoSlopes:
         assert all(e2 <= 0.6 * e1 for e1, e2 in zip(errors[1000], errors[2000]))
         # 0.0862 at p = 0.3 and -0.1562 at p = 0.7, 0 only at p = 1/2
         assert (abs(limits[2]) > 0.08) == (p != 0.5)
+
+
+class TestSymmetricLimitCircle:
+    """Konno's limit law is symmetric exactly on the circle ``lambda(theta)
+    = |a|^2 - |b|^2 + 2 sqrt(q/p) Re(a conj(b)) = 0``, which strictly
+    contains the balanced states.  At p = 0.3 the real state on it is not
+    in Phi-perp: every odd limit moment vanishes, yet its mean position
+    stays near -1/2 at every finite time (-0.523 at t = 10, -0.495 at
+    t = 4000), so the limit is symmetrized while no finite time is."""
+
+    def test_unbalanced_real_state_on_the_circle(self):
+        p = 0.3
+        phi = -math.atan(math.sqrt(p / (1 - p))) / 2
+        th = QubitState(math.cos(phi), math.sin(phi))
+        assert abs(math.cos(2 * phi) + math.sqrt((1 - p) / p) * math.sin(2 * phi)) <= 1e-15
+        assert not in_phi_perp(th)
+        for alpha in (1, 3, 5):
+            assert abs(limit_moment_1d(th, p, alpha)) <= 1e-15, alpha
+        means = expectation_series(th, p, 4000)
+        for t in (10, 4000):
+            assert -0.53 < means[t - 1] < -0.49, t
 
 
 class TestReflectionIdentity1D:

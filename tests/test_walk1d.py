@@ -268,6 +268,10 @@ class TestDirectConstruction:
             lambda: Distribution1D(1, np.array([np.inf, 0.0])),
             lambda: Distribution2D(1, np.zeros(4)),
             lambda: Distribution2D(0, np.array([[np.nan]])),
+            lambda: Distribution1D(1, np.array([0.5 + 2j, -0.5])),
+            lambda: Distribution1D(1, np.array([0.5 + 0j, 0.5 + 1e-300j])),
+            lambda: Distribution1D(1, [1.5, -0.5]),
+            lambda: Distribution2D(1, np.array([[1.0, 0.5], [-0.5, 0.0]])),
         ],
         ids=[
             "field_negative_t",
@@ -286,6 +290,10 @@ class TestDirectConstruction:
             "dist_inf",
             "lattice_dist_shape",
             "lattice_dist_nan",
+            "dist_complex",
+            "dist_tiny_imaginary",
+            "dist_negative",
+            "lattice_dist_negative",
         ],
     )
     def test_rejects(self, build):
@@ -300,6 +308,28 @@ class TestDirectConstruction:
         assert d.mass(2) == 0.25 and d.total() == 1.0
         assert Distribution2D(1, np.eye(2)).mass(1, 0) == 1.0
         assert not f.amps.flags.writeable and not d.masses.flags.writeable
+        # masses given as complex numbers with zero imaginary parts are real
+        assert Distribution1D(1, np.array([0.5 + 0j, 0.5])).total() == 1.0
+
+    @pytest.mark.parametrize(
+        "build, shape, dtype, name",
+        [
+            (WaveField1D, (2, 2), complex, "amps"),
+            (WaveField2D, (4, 2, 2), complex, "amps"),
+            (Distribution1D, (2,), float, "masses"),
+            (Distribution2D, (2, 2), float, "grid"),
+        ],
+    )
+    def test_copies_the_callers_array(self, build, shape, dtype, name):
+        # the caller's array stays writeable, and writing it leaves the
+        # object unchanged
+        a = np.zeros(shape, dtype=dtype)
+        block = getattr(build(1, a), name)
+        assert not np.shares_memory(block, a)
+        assert a.flags.writeable and not block.flags.writeable
+        a[(0,) * a.ndim] = 1.0
+        assert not block.any()
+        assert not block.any()
 
     def test_step_keeps_the_contract(self):
         f = step_1d(WaveField1D(0, np.array([[1.0], [0.0]])), 0.5)
