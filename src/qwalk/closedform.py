@@ -204,8 +204,10 @@ def closed_form_fields(
         amps[0, 1:-1] += th.d1 * a_tm1
         amps[1, 1:-1] += th.d2 * a_tm1
         # the stepped oracle's per-step phase raised to the t: finite for every
-        # finite k, where exp(1j * k * t) overflows once |k t| exceeds 1.8e308
-        out.append(WaveField1D(t, ph**t * amps))
+        # finite k, where exp(1j * k * t) overflows once |k t| exceeds 1.8e308;
+        # in place, since the field constructor copies its block
+        amps *= ph**t
+        out.append(WaveField1D(t, amps))
     return tuple(out)
 
 
