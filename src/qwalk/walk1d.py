@@ -9,10 +9,16 @@ difference equations
 so component 1 moves in +x and component 2 in -x.  The walker starts at the
 origin; after ``t`` steps the support lies in ``{-t, -t+2, ..., t}``, which is
 stored densely as one block of shape ``(2, t + 1)`` (column ``i`` holds site
-``x = 2 i - t``).  The only truncation is a flush to zero at the edge of the
-light cone.  The step keeps a live box, the range of columns (on the lattice,
-of rows and of columns) that it still mixes; every cell outside it is exactly
-0.  Every 16 steps the box sheds the outermost column at either end, set to
+``x = 2 i - t``).  A step allocates one new block and writes each pair of
+components straight into its shifted place in it: one real matrix product
+of the pair's two coin rows with the previous block, whose output is a
+strided view of the new block with the pair's two destinations as rows.
+No mixed block is built and copied.
+
+The only truncation is a flush to zero at the edge of the light cone.  The
+step keeps a live box, the range of columns (on the lattice, of rows and of
+columns) that it still mixes; every cell outside it is exactly 0.  Every 16
+steps the box sheds the outermost column at either end, set to
 exactly 0, while every real and imaginary part in that column is below the
 smallest normal ``float64``, ``np.finfo(np.float64).tiny``.  Such a column
 carries no probability, since its squared moduli underflow to 0, but
@@ -41,7 +47,9 @@ import math
 import numbers
 from collections import deque
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from itertools import accumulate, repeat
+from operator import mul
 from typing import Iterator
 
 import numpy as np
@@ -141,6 +149,33 @@ def _phase(k: float) -> complex:
     return cmath.exp(1j * require_real(k, "phase k"))
 
 
+_float_phase = lru_cache(maxsize=64)(_phase)
+
+
+@lru_cache(maxsize=64)
+def _frozen_coin(coin, p: float) -> np.ndarray:
+    """``coin(p)`` (:func:`coin_1d` or :func:`coin_2d`), built once per
+    ``p`` and read-only: a trajectory steps by the same coin at every step."""
+    matrix = coin(p)
+    matrix.setflags(write=False)
+    return matrix
+
+
+def _step_phase(k: float) -> complex:
+    """:func:`_phase`, cached for a float ``k``: a trajectory asks for the
+    same phase at every step.  ``-0.0`` may get the phase of ``0.0``; the
+    step only compares the phase with 1, so it cannot tell them apart."""
+    return (_float_phase if type(k) is float else _phase)(k)
+
+
+def _of_type(obj, cls: type):
+    """``obj`` if it is a ``cls``, else :class:`InvalidParameterError`; so a
+    field or distribution of the other lattice is rejected, not misread."""
+    if not isinstance(obj, cls):
+        raise InvalidParameterError(f"need a {cls.__name__}, got {type(obj).__name__}")
+    return obj
+
+
 def _site_coordinates(site, dim: int) -> tuple[int, ...]:
     """``site`` as ``dim`` coordinates, each checked by ``require_int``; a bare
     integer is one coordinate."""
@@ -152,6 +187,28 @@ def _site_coordinates(site, dim: int) -> tuple[int, ...]:
 
 # where a component's block lands in the support grown by one step, per axis
 _UP, _DOWN = slice(1, None), slice(None, -1)
+
+
+def _geometry(shifts: tuple[tuple[slice, ...], ...]) -> tuple[tuple, tuple, tuple]:
+    """What :func:`_step` needs of a lattice's ``_SHIFTS``, worked out once.
+
+    Returns ``(axes, corners, edges)``: the axis order that moves the
+    component axis of a block next to its last axis; each component's
+    corner in the grown block, the index of its destination's first cell
+    (``c``, then 1 on each axis it moves ``_UP``, else 0); and the edge cells
+    each component's shift leaves unwritten, one per axis (the first for
+    ``_UP``, the last for ``_DOWN``), as indices into the grown live box.
+    """
+    dim = len(shifts[0])
+    axes = (*range(1, dim), 0, dim)
+    corners = tuple((c, *(int(s is _UP) for s in shift)) for c, shift in enumerate(shifts))
+    edges = tuple(
+        (c,) + (slice(None),) * d + (0 if s is _UP else -1,)
+        for c, shift in enumerate(shifts)
+        for d, s in enumerate(shift)
+    )
+    return axes, corners, edges
+
 
 # the smallest normal float64: a part below it is subnormal or zero, and its
 # square underflows to 0
@@ -167,6 +224,7 @@ class _Support1D:
     __slots__ = ()
     _DIM = 1
     _SHIFTS = ((_UP,), (_DOWN,))  # +x mover, -x mover
+    _MIX_AXES, _CORNERS, _EDGES = _geometry(_SHIFTS)
 
     def site_index(self, x: int) -> int | None:
         """Dense index of site ``x``, or None if outside the support lattice."""
@@ -244,7 +302,7 @@ class _Field:
         contiguous ``complex128`` block of the right shape, so the
         constructor's checks and copy are skipped."""
         self = object.__new__(cls)
-        amps.flags.writeable = False
+        amps.setflags(write=False)
         self.t, self.amps, self._box = t, amps, box
         return self
 
@@ -302,39 +360,52 @@ class _Distribution:
         return float(np.sum(self._values))
 
 
-def _step(field: _Field, coin: np.ndarray, k: float) -> _Field:
+def _step(field: _Field, coin: np.ndarray, ph: complex) -> _Field:
     """One step on either lattice: mix the components at every site of the
-    live box by ``coin``, then move each component along its entry of
-    ``_SHIFTS``.
+    live box by ``coin`` and write each mixed component straight into its
+    shifted place in a fresh block, then multiply by the phase ``ph``.
 
-    The coin is real, so the mix runs on the real view of the amplitudes
-    (real and imaginary parts as adjacent ``float64`` columns) and costs a
-    real matrix product instead of a complex one.  The new block is
-    allocated uninitialized: each component's shifted copy fills all of the
-    box, grown by one cell per axis, but one edge per axis (the first cell
-    for an ``_UP`` shift, the last for ``_DOWN``); those edges and every
-    cell outside the box are zeroed.  When the new time is a multiple of
-    ``_FLUSH_EVERY``, :func:`_flush` then shrinks the box past underflowed
-    faces.  A box that
-    never shrank is the whole block, so the mix runs on the contiguous
-    block as it would without one.
+    The components are mixed in pairs, (1, 2) and on the lattice (3, 4).
+    One strided view of the new block has the pair's two shifted
+    destinations as its rows: component ``c``'s destination starts at the
+    box corner plus its own corner in the grown block (``_CORNERS``), and
+    the view's row stride is the distance between the two corners.  The
+    previous block is read with its component axis moved next to its last
+    axis (``_MIX_AXES``), so on the lattice the product runs batched over
+    rows, and one ``matmul`` of the pair's two coin rows writes the whole
+    pair; no mixed block is allocated or copied.  The coin is real, so the
+    product runs on the real view of the amplitudes (real and imaginary
+    parts as adjacent ``float64`` columns) and costs a real matrix product
+    instead of a complex one.
+
+    The new block is allocated uninitialized: each component's destination
+    is all of the box, grown by one cell per axis, but one edge per axis
+    (the first cell for an ``_UP`` shift, the last for ``_DOWN``); those
+    edges (``_EDGES``) and every cell outside the box are zeroed.  When the
+    new time is a multiple of ``_FLUSH_EVERY``, :func:`_flush` then shrinks
+    the box past underflowed faces.
 
     Reads only from the previous field and writes a fresh block, so
     independent evolutions may run concurrently.
     """
-    ph = _phase(k)
     a, box = field.amps, field._box
     live = (slice(None),) + box  # same cells of the grown block: stops count from the end
-    src = a[live]
-    mixed = (coin @ src.view(np.float64).reshape(len(a), -1)).view(a.dtype).reshape(src.shape)
-    if ph != 1.0:
-        np.multiply(ph, mixed, out=mixed)  # phase first: rounds as ``ph * mixed`` does
+    src = a[live].transpose(field._MIX_AXES).view(np.float64)
     new = np.empty((len(a),) + (a.shape[1] + 1,) * field._DIM, dtype=a.dtype)
-    dst = new[live]
-    for c, shift in enumerate(field._SHIFTS):
-        dst[(c, *shift)] = mixed[c]
-        for d, s in enumerate(shift):
-            dst[(c,) + (slice(None),) * d + (0 if s is _UP else -1,)] = 0
+    strides = new.strides
+    base = sum(map(mul, (s.start for s in box), strides[1:]))  # the box corner, in bytes
+    corners = [sum(map(mul, corner, strides)) for corner in field._CORNERS]
+    shape = src.shape[:-2] + (2, src.shape[-1])
+    for c in range(0, len(a), 2):
+        pair_strides = strides[1:-1] + (corners[c + 1] - corners[c], src.itemsize)
+        dst = np.ndarray(shape, np.float64, new, base + corners[c], pair_strides)
+        np.matmul(coin[c : c + 2], src, out=dst)
+        if ph != 1.0:
+            dst = dst.view(a.dtype)
+            np.multiply(ph, dst, out=dst)  # phase first: rounds as ``ph * dst`` does
+    grown = new[live]
+    for edge in field._EDGES:
+        grown[edge] = 0
     for d, s in enumerate(box):
         if s.start:
             new[(slice(None),) * (d + 1) + (slice(None, s.start),)] = 0
@@ -437,7 +508,8 @@ def step_1d(
 
     The support grows by one site on each side and the time index by one.
     """
-    return _step(field, coin_1d(p), k)
+    field, coin = _of_type(field, WaveField1D), _frozen_coin(coin_1d, as_coin(p).p)
+    return _step(field, coin, _step_phase(k))
 
 
 def trajectory_1d(
@@ -470,7 +542,7 @@ def evolve_1d(
 
 def distribution_1d(field: WaveField1D) -> Distribution1D:
     """Per-site probability ``|phi1|^2 + |phi2|^2``; sums to one."""
-    return Distribution1D._of(field)
+    return Distribution1D._of(_of_type(field, WaveField1D))
 
 
 def moment_1d(dist: Distribution1D, alpha: int) -> float:
@@ -479,4 +551,4 @@ def moment_1d(dist: Distribution1D, alpha: int) -> float:
     ``alpha = 0`` always returns 1.  At ``t = 0`` the walker has no velocity,
     so the moment is 1 for ``alpha = 0`` and 0 otherwise.
     """
-    return _moment(dist, (alpha,))
+    return _moment(_of_type(dist, Distribution1D), (alpha,))

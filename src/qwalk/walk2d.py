@@ -33,7 +33,20 @@ import numpy as np
 
 from .coin import CoinParameter, as_coin, coin_2d
 from .errors import require_int
-from .walk1d import _DOWN, _UP, _Distribution, _Field, _State, _moment, _phase, _step
+from .walk1d import (
+    _DOWN,
+    _UP,
+    _Distribution,
+    _Field,
+    _State,
+    _frozen_coin,
+    _geometry,
+    _moment,
+    _of_type,
+    _phase,
+    _step,
+    _step_phase,
+)
 
 __all__ = [
     "QuditState",
@@ -69,6 +82,7 @@ class _Support2D:
     _DIM = 2
     # +x: (u, v) -> (u+1, v+1); -x: (u-1, v-1); +y: (u+1, v-1); -y: (u-1, v+1)
     _SHIFTS = ((_UP, _UP), (_DOWN, _DOWN), (_UP, _DOWN), (_DOWN, _UP))
+    _MIX_AXES, _CORNERS, _EDGES = _geometry(_SHIFTS)
 
     def site_index(self, x: int, y: int) -> tuple[int, int] | None:
         """Grid index of site ``(x, y)``, or None if off the support lattice."""
@@ -125,7 +139,8 @@ def step_2d(
     Reads only from the previous field and writes a fresh block, so
     independent evolutions may run concurrently.
     """
-    return _step(field, coin_2d(p), k)
+    field, coin = _of_type(field, WaveField2D), _frozen_coin(coin_2d, as_coin(p).p)
+    return _step(field, coin, _step_phase(k))
 
 
 def trajectory_2d(
@@ -157,9 +172,9 @@ def evolve_2d(
 
 def distribution_2d(field: WaveField2D) -> Distribution2D:
     """Per-site sum of the four squared moduli."""
-    return Distribution2D._of(field)
+    return Distribution2D._of(_of_type(field, WaveField2D))
 
 
 def joint_moment_2d(dist: Distribution2D, alpha: int, beta: int) -> float:
     """Joint pseudo-velocity moment ``sum (x/t)^alpha (y/t)^beta P(x, y, t)``."""
-    return _moment(dist, (alpha, beta))
+    return _moment(_of_type(dist, Distribution2D), (alpha, beta))

@@ -145,6 +145,27 @@ def test_lattice_flush_sheds_underflowed_faces():
     assert np.all(nxt.amps[:, ~_box_mask(nxt)] == 0)
 
 
+@pytest.mark.parametrize("k", [0.0, 0.3])
+def test_lattice_steps_a_shrunken_box_byte_for_byte(k):
+    # a hand-built block one step before a flush, subnormal on all four
+    # faces: the flush shrinks the box on both ends of both axes, and every
+    # later step writes its strided pairs from a box corner off the origin
+    t, p, rng = _FLUSH_EVERY - 1, 0.37, np.random.default_rng(8)
+    amps = rng.normal(size=(4, t + 1, t + 1)) + 1j * rng.normal(size=(4, t + 1, t + 1))
+    amps[:, [0, -1], :] *= 1e-310
+    amps[:, :, [0, -1]] *= 1e-310
+    coin, shifts = coin_2d(p), WaveField2D._SHIFTS
+    field = WaveField2D(t, amps)
+    for _ in range(2 * _FLUSH_EVERY + 1):
+        expected = _unflushed_step(field.amps, coin, shifts, k)
+        field = step_2d(field, p, k)
+        outside = ~_box_mask(field)
+        assert np.abs(expected[:, outside]).max(initial=0.0) < _TINY, field.t
+        expected[:, outside] = 0
+        assert _same_bits(field.amps, expected), field.t
+        assert field._box == (slice(1, -1),) * 2, field.t
+
+
 def test_flush_keeps_one_cell_of_an_empty_field():
     t = _FLUSH_EVERY - 1
     field = step_1d(WaveField1D(t, np.zeros((2, t + 1), dtype=complex)), 0.5)

@@ -1,15 +1,16 @@
 """Real arithmetic for the real coin: dtypes, agreement with complex stepping,
-and the step's edge zeroing."""
+the step's edge zeroing and its one allocation."""
 
 import cmath
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qwalk.closedform import _alpha_pairs, closed_form_field, closed_form_fields
 from qwalk.coin import CoinParameter, coin_1d, coin_2d, kernel_1d, kernel_2d
-from qwalk.walk1d import evolve_1d, trajectory_1d
-from qwalk.walk2d import trajectory_2d
+from qwalk.walk1d import evolve_1d, step_1d, trajectory_1d
+from qwalk.walk2d import evolve_2d, step_2d, trajectory_2d
 
 LINE_STATE = (0.6, 0.8j)
 LATTICE_STATE = (0.5, 0.5j, -0.5, 0.5)
@@ -40,6 +41,24 @@ def test_coins_are_float64_and_kernels_complex():
         assert coin_2d(p).dtype == np.float64
         assert kernel_1d(p, 0.3).dtype == np.complex128
         assert kernel_2d(p, 0.3, -1.1).dtype == np.complex128
+
+
+@pytest.mark.parametrize(
+    "coin, step, field",
+    [
+        (coin_1d, step_1d, lambda c: evolve_1d(LINE_STATE, c, 5)),
+        (coin_2d, step_2d, lambda c: evolve_2d(LATTICE_STATE, c, 5)),
+    ],
+    ids=["line", "lattice"],
+)
+def test_coins_are_fresh_and_stepping_ignores_them(coin, step, field):
+    c = CoinParameter(0.37)
+    field = field(c)
+    before = step(field, c)
+    a, b = coin(c), coin(c)
+    assert a is not b and a.flags.writeable
+    a[...] = 0.0
+    assert np.array_equal(step(field, c).amps, before.amps)
 
 
 def test_alpha_recurrence_runs_in_float64():
@@ -125,3 +144,33 @@ def test_lattice_step_writes_every_cell(nan_empty, k):
             for edges in _LATTICE_EDGES:
                 assert all(np.all(f.amps[idx] == 0) for idx in edges)
 
+
+def test_line_step_writes_every_cell_of_a_shrunken_box(nan_empty):
+    # by t = 4000 at p = 0.37 the box has shed 338 columns at either end
+    for f in trajectory_1d(LINE_STATE, 0.37, 4000):
+        assert np.isfinite(f.amps).all(), f.t
+        (box,) = f._box
+        outside = np.ones(f.t + 1, dtype=bool)
+        outside[box] = False
+        assert np.all(f.amps[:, outside] == 0), f.t
+    assert f._box == (slice(338, -338),)
+
+
+@pytest.mark.parametrize(
+    "step, field",
+    [
+        (step_1d, lambda: evolve_1d(LINE_STATE, 0.37, 2000)),
+        (step_2d, lambda: evolve_2d(LATTICE_STATE, 0.37, 200)),
+    ],
+    ids=["line", "lattice"],
+)
+def test_step_allocates_only_the_new_block(step, field):
+    # tracemalloc sees numpy's buffers: no mixed block beside the new one
+    field, c = field(), CoinParameter(0.37)
+    tracemalloc.start()
+    try:
+        nbytes = step(field, c).amps.nbytes
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / nbytes <= 1.1

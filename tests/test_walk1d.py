@@ -17,7 +17,15 @@ from qwalk.walk1d import (
     step_1d,
     trajectory_1d,
 )
-from qwalk.walk2d import Distribution2D, QuditState, WaveField2D, distribution_2d, evolve_2d
+from qwalk.walk2d import (
+    Distribution2D,
+    QuditState,
+    WaveField2D,
+    distribution_2d,
+    evolve_2d,
+    joint_moment_2d,
+    step_2d,
+)
 
 R = 1 / math.sqrt(2)
 
@@ -187,6 +195,32 @@ _DIST_2D = distribution_2d(evolve_2d(QuditState(1, 0, 0, 0), 0.5, 3))
 def test_site_lookup_rejects_a_malformed_site(lookup):
     with pytest.raises(InvalidParameterError, match="site"):
         lookup()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: step_1d(evolve_2d(QuditState(1, 0, 0, 0), 0.5, 2), 0.5),
+        lambda: step_1d("x", 0.5),
+        lambda: step_2d(_FIELD_1D, 0.5),
+        lambda: distribution_1d(evolve_2d(QuditState(1, 0, 0, 0), 0.5, 2)),
+        lambda: distribution_2d(_FIELD_1D),
+        lambda: moment_1d(_DIST_2D, 1),
+        lambda: joint_moment_2d(_DIST_1D, 1, 0),
+    ],
+    ids=[
+        "step_1d_lattice_field",
+        "step_1d_string",
+        "step_2d_line_field",
+        "distribution_1d_lattice_field",
+        "distribution_2d_line_field",
+        "moment_1d_lattice_distribution",
+        "joint_moment_2d_line_distribution",
+    ],
+)
+def test_rejects_a_field_or_distribution_of_the_other_lattice(call):
+    with pytest.raises(InvalidParameterError, match="need a"):
+        call()
 
 
 def test_site_lookup_accepts_numpy_integers():
