@@ -103,7 +103,8 @@ def _parse_state(text: str, dim: int) -> np.ndarray:
             f"--state needs {dim} comma-separated components, got {len(parts)}",
         )
     vec = np.array([_parse_complex(tk) for tk in parts], dtype=np.complex128)
-    norm = float(np.sum(np.abs(vec) ** 2))
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, and rejected below
+        norm = float(np.sum(np.abs(vec) ** 2))
     dev = abs(norm - 1.0)
     if dev > _WARN_NORM:
         raise _CliError(

@@ -67,19 +67,73 @@ def _random_states(cls, n: int, rng: np.random.Generator) -> list:
     return [cls.random(rng) for _ in range(n)]
 
 
+def _packed_gram(evolve: Callable, theta: tuple, p: float, t: int) -> np.ndarray:
+    """``2 v^T v`` for ``v``, the amplitudes of ``evolve(theta, p, t)`` read
+    with no copy as two ``float64`` columns, real parts and imaginary parts.
+
+    For ``theta = (u + i w) / s`` with real ``u`` and ``w`` this is ``2 / s^2``
+    times ``[[|U^t u|^2, <U^t u, U^t w>], [., |U^t w|^2]]``.  Doubling is
+    exact, where scaling the field by ``sqrt(2)`` would round.  The field is
+    dropped on return, so a caller holds only the 2x2 result.
+    """
+    v = evolve(theta, p, t).amps.reshape(-1).view(np.float64).reshape(-1, 2)
+    return 2 * (v.T @ v)
+
+
+_R = 1 / math.sqrt(2)
+
+
+def _basis_gram_1d(p: float, t: int) -> np.ndarray:
+    """The line's Gram matrix ``<U^t e_i, U^t e_j>``, from one evolution."""
+    return _packed_gram(evolve_1d, (_R, _R * 1j), p, t)
+
+
+def _basis_gram_2d(p: float, t: int) -> np.ndarray:
+    """The lattice's Gram matrix ``<U^t e_i, U^t e_j>``, from four evolutions:
+    two for the diagonal 2x2 blocks, then ``(1, i, 1, i) / 2`` and
+    ``(1, i, i, 1) / 2``, whose diagonals give the four cross terms by
+    polarization: ``|U^t (e_i + e_j)|^2 / 2 = (G_ii + G_jj) / 2 + G_ij``."""
+    g = np.zeros((4, 4))
+    g[:2, :2] = _packed_gram(evolve_2d, (_R, _R * 1j, 0, 0), p, t)
+    g[2:, 2:] = _packed_gram(evolve_2d, (0, 0, _R, _R * 1j), p, t)
+    for theta, pairs in (
+        ((0.5, 0.5j, 0.5, 0.5j), ((0, 2), (1, 3))),
+        ((0.5, 0.5j, 0.5j, 0.5), ((0, 3), (1, 2))),
+    ):
+        m = _packed_gram(evolve_2d, theta, p, t)
+        for (i, j), mij in zip(pairs, np.diag(m)):
+            g[i, j] = g[j, i] = mij - (g[i, i] + g[j, j]) / 2
+    return g
+
+
 def check_unitarity(quick: bool = False) -> tuple[bool, str]:
-    """1: total probability conserved at full horizon in both dimensions."""
+    """1: total probability conserved at full horizon in both dimensions.
+
+    The walk is linear: a state ``theta`` evolves to ``sum_c theta_c U^t e_c``,
+    so its total probability is ``theta^H G theta``, where ``G_ij = <U^t e_i,
+    U^t e_j>`` is the Gram matrix of the evolved chirality basis.  One ``G``
+    per lattice and ``p`` serves every random state.
+
+    ``G`` comes from packed evolutions (:func:`_packed_gram`).  The coin is
+    real and the check runs at ``k = 0``, so a step maps the real and the
+    imaginary parts of a field apart, and ``(u + i w) / sqrt(2)`` with real
+    ``u``, ``w`` evolves to ``(U^t u + i U^t w) / sqrt(2)``: one evolution
+    gives a 2x2 block of ``G``, which is real and symmetric.  A complex coin
+    or a phase ``e^{ik} != 1`` would mix the two parts.  The line takes one
+    evolution per ``p``; the lattice takes four, two for its diagonal blocks
+    and two for its cross terms by polarization (:func:`_basis_gram_2d`).
+    Each block is read before the next evolution starts, so no more fields
+    are alive at once than within one evolution.
+    """
     rng = np.random.default_rng(_SEED)
     t1, t2, nstate = (100, 40, 3) if quick else (1000, 300, 10)
     tol = 1e-12
     worst = 0.0
     for p in _P_GRID:
-        for th in _random_states(QubitState, nstate, rng):
-            dev = abs(evolve_1d(th, p, t1).total_probability() - 1.0)
-            worst = max(worst, dev)
-        for th in _random_states(QuditState, nstate, rng):
-            dev = abs(evolve_2d(th, p, t2).total_probability() - 1.0)
-            worst = max(worst, dev)
+        for cls, g in ((QubitState, _basis_gram_1d(p, t1)), (QuditState, _basis_gram_2d(p, t2))):
+            for th in _random_states(cls, nstate, rng):
+                a = th.as_array()
+                worst = max(worst, abs(float(np.vdot(a, g @ a).real) - 1.0))
     return worst <= tol, f"max |sum P - 1| = {worst:.3e} (tol {tol:g}, t1={t1}, t2={t2})"
 
 
@@ -359,10 +413,13 @@ def run_checks(
 
     The selected checks run one after another on the calling thread, in
     criterion order, so each result's ``seconds`` is that check's own,
-    uncontended time.  ``max_workers`` remains only so that existing callers
-    that name the serial run (``None`` or ``1``) keep working; any other
-    value raises :class:`InvalidParameterError`.
+    uncontended time.  ``only`` must be None or a string.  ``max_workers``
+    remains only so that existing callers that name the serial run (``None``
+    or ``1``) keep working; any other value raises
+    :class:`InvalidParameterError`.
     """
+    if only is not None and not isinstance(only, str):
+        raise InvalidParameterError(f"only must be a section name, got {only!r}")
     if max_workers is True or max_workers not in (None, 1):
         raise InvalidParameterError(
             f"the checks run serially: max_workers must be None or 1, got {max_workers!r}"

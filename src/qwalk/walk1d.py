@@ -82,7 +82,7 @@ class _State:
     InvalidStateError
         If a component is not a number (``numbers.Complex``, bools and
         strings excluded; numpy scalars pass) or the squared moduli sum
-        differs from 1 by more than 1e-12.
+        differs from 1 by more than 1e-12, or overflows.
     """
 
     def __post_init__(self) -> None:
@@ -93,8 +93,11 @@ class _State:
                 raise InvalidStateError(
                     f"{self._KIND} state components must be numbers, got {c!r}"
                 )
-        comps = [complex(c) for c in comps]
-        norm = sum(abs(c) ** 2 for c in comps)
+        try:
+            comps = [complex(c) for c in comps]
+            norm = sum(abs(c) ** 2 for c in comps)
+        except OverflowError:  # a component or its square beyond float range
+            norm = math.inf
         if not math.isfinite(norm) or abs(norm - 1.0) > _NORM_TOL:
             raise InvalidStateError(
                 f"{self._KIND} state must be normalized within {_NORM_TOL}, "
@@ -108,7 +111,10 @@ class _State:
 
     @classmethod
     def random(cls, rng: np.random.Generator):
-        """Draw a Haar-uniform state."""
+        """Draw a Haar-uniform state from ``rng``, a ``numpy.random.Generator``
+        (else :class:`InvalidParameterError`)."""
+        if not isinstance(rng, np.random.Generator):
+            raise InvalidParameterError(f"need a numpy.random.Generator, got {rng!r}")
         n = len(fields(cls))
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         v /= np.linalg.norm(v)

@@ -79,6 +79,13 @@ def test_run_checks_rejects_parallel_max_workers(workers):
         validation.run_checks(quick=True, max_workers=workers)
 
 
+@pytest.mark.parametrize("only", [5, b"hand", ["hand"]])
+def test_run_checks_rejects_a_section_that_is_not_a_string(only):
+    # only.lower() was called on whatever came in: a bare AttributeError
+    with pytest.raises(InvalidParameterError, match="section name"):
+        validation.run_checks(quick=True, only=only)
+
+
 @pytest.mark.parametrize("horizon", [1, 2, 9])
 def test_reference_table_deviation_rejects_a_short_table(horizon):
     table = extract_ab(0.5, horizon)

@@ -63,6 +63,12 @@ class TestSim1D:
     def test_unnormalized_state_exits_2(self):
         assert run(["sim1d", "--p", "0.5", "--state", "1,1", "--t", "5"]) == 2
 
+    def test_overflowing_state_exits_2_without_a_runtime_warning(self, capsys):
+        # numpy warned "overflow encountered in square" first; the test run
+        # makes that warning an error
+        assert run(["sim1d", "--p", "0.5", "--state", "1e200,0", "--t", "3"]) == 2
+        assert "not normalized" in capsys.readouterr().err
+
     def test_slightly_off_state_renormalized_with_warning(self, tmp_path, capsys):
         out = tmp_path / "d.csv"
         rc = run(["sim1d", "--p", "0.5", "--state", "0.70710678,0.70710678i",

@@ -1,0 +1,100 @@
+"""Criterion 1's Gram path: the evolved chirality basis stands in for every state.
+
+Check 1 reads each random state's total probability as ``theta^H G theta``
+from the Gram matrix ``G`` of the evolved basis, built from packed and
+polarized evolutions.  These tests hold that ``G`` against the basis fields
+evolved one by one and against states evolved directly, bound every state's
+deviation at once, and pin the check's evolution count and its sensitivity
+to a planted leak.
+"""
+
+import numpy as np
+import pytest
+
+from qwalk import validation, walk1d, walk2d
+from qwalk.walk1d import QubitState, evolve_1d
+from qwalk.walk2d import QuditState, evolve_2d
+
+LATTICES = {
+    1: (validation._basis_gram_1d, evolve_1d, QubitState),
+    2: (validation._basis_gram_2d, evolve_2d, QuditState),
+}
+
+
+def _direct_gram(evolve, n: int, p: float, t: int) -> np.ndarray:
+    """The Gram matrix of all ``n`` basis fields, each evolved and held at once."""
+    fields = np.array([evolve(np.eye(n)[c], p, t).amps.ravel() for c in range(n)])
+    return (fields.conj() @ fields.T).real
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
+def test_packed_gram_equals_the_gram_of_the_basis_fields(dim, p):
+    gram, evolve, _ = LATTICES[dim]
+    t = 120
+    direct = _direct_gram(evolve, 2 * dim, p, t)
+    assert np.max(np.abs(gram(p, t) - direct)) <= 1e-14
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
+def test_gram_gives_each_haar_state_its_total_probability(dim, p):
+    gram, evolve, cls = LATTICES[dim]
+    rng = np.random.default_rng(dim * 100 + int(p * 100))
+    t = 120 if dim == 1 else 60
+    g = gram(p, t)
+    for _ in range(3):
+        th = cls.random(rng)
+        a = th.as_array()
+        direct = evolve(th, p, t).total_probability()
+        assert abs(float(np.vdot(a, g @ a).real) - direct) <= 1e-14
+
+
+@pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
+def test_gram_bounds_every_state_at_the_quick_scales(p):
+    # |theta^H (G - I) theta| <= len(G) * max|G - I| for every unit theta
+    for dim, t in ((1, 100), (2, 40)):
+        g = LATTICES[dim][0](p, t)
+        assert len(g) * np.max(np.abs(g - np.eye(len(g)))) <= 1e-12, (dim, p)
+
+
+def test_check_1_evolves_the_basis_three_times_on_the_line_and_twelve_on_the_lattice(
+    monkeypatch,
+):
+    # each call records its horizon and returns the t = 0 field: the count
+    # and horizons are pinned without stepping
+    calls = {1: [], 2: []}
+    for dim, name, evolve in ((1, "evolve_1d", evolve_1d), (2, "evolve_2d", evolve_2d)):
+
+        def counted(theta, p, t, evolve=evolve, seen=calls[dim]):
+            seen.append(t)
+            return evolve(theta, p, 0)
+
+        monkeypatch.setattr(validation, name, counted)
+    passed, _ = validation.check_unitarity()
+    assert passed
+    assert calls == {1: [1000] * 3, 2: [300] * 12}
+
+
+@pytest.mark.parametrize(
+    "module,name,factor,worst",
+    [
+        (walk2d, "step_2d", 1 - 1e-6, "7.800e-05"),
+        (walk1d, "step_1d", 1 - 1e-9, "1.980e-07"),
+    ],
+)
+def test_check_1_fails_a_leak_planted_from_the_second_step(
+    monkeypatch, module, name, factor, worst
+):
+    # every step from t = 2 on scales the amplitudes by ``factor``: the
+    # horizon's norm is then factor^(2 (t - 1)), at every state alike
+    step = getattr(module, name)
+
+    def leaky(field, p, k=0.0):
+        new = step(field, p, k)
+        return new if new.t < 2 else type(new)(new.t, new.amps * factor)
+
+    monkeypatch.setattr(module, name, leaky)
+    passed, details = validation.check_unitarity(quick=True)
+    assert not passed
+    assert details.startswith(f"max |sum P - 1| = {worst} ")

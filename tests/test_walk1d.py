@@ -47,6 +47,22 @@ class TestQubitState:
             th = QubitState.random(rng)
             assert abs(abs(th.d1) ** 2 + abs(th.d2) ** 2 - 1) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "cls,comps",
+        [(QubitState, (1e200, 0)), (QuditState, (1e200, 0, 0, 0)), (QubitState, (10**400, 0))],
+    )
+    def test_overflowing_norm_is_a_state_error(self, cls, comps):
+        # a component or its squared modulus overflowed a Python float: a
+        # bare OverflowError
+        with pytest.raises(InvalidStateError, match="inf"):
+            cls(*comps)
+
+    @pytest.mark.parametrize("cls,rng", [(QubitState, 3), (QuditState, None)])
+    def test_random_needs_a_generator(self, cls, rng):
+        # rng.normal was read from whatever came in: a bare AttributeError
+        with pytest.raises(InvalidParameterError, match="Generator"):
+            cls.random(rng)
+
     def test_components_must_be_numbers(self):
         # strings were parsed by complex(), None raised TypeError, bools passed
         for bad in (("0.6", "0.8j"), (None, 1), (True, False)):
