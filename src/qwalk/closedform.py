@@ -40,7 +40,7 @@ import numpy as np
 
 from .coin import CoinParameter, as_coin
 from .errors import InvalidParameterError, require_int, require_ladder, require_real
-from .walk1d import QubitState, WaveField1D, _phase, as_qubit, init_1d
+from .walk1d import QubitState, WaveField1D, _checked_array, _phase, as_qubit, init_1d
 
 __all__ = [
     "LaurentCoefficients",
@@ -62,13 +62,8 @@ class LaurentCoefficients:
     __slots__ = ("order", "values")
 
     def __init__(self, order: int, values: np.ndarray) -> None:
-        if values.shape != (order,):
-            raise InvalidParameterError(
-                f"coefficient array for order {order} must have length {order}"
-            )
-        self.order = int(order)
-        self.values = np.ascontiguousarray(values, dtype=np.complex128)
-        self.values.flags.writeable = False
+        self.order = require_int(order, "order")
+        self.values = _checked_array(values, "coefficients", (self.order,))
 
     def indices(self) -> np.ndarray:
         """Frequencies carrying (potentially) nonzero coefficients, ascending."""

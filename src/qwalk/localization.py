@@ -31,7 +31,7 @@ from .errors import (
     require_ladder,
     require_real,
 )
-from .walk1d import _site_coordinates, trajectory_1d
+from .walk1d import _of_type, _site_coordinates, trajectory_1d
 from .walk2d import trajectory_2d
 
 __all__ = [
@@ -116,7 +116,7 @@ def localization_verdict(
     The decay check is mandatory so a slowly decaying sequence is never
     reported as localized merely because its current average is still large.
     """
-    if len(estimate.horizons) < 3:
+    if len(_of_type(estimate, DeltaIntensityEstimate).horizons) < 3:
         raise PreconditionError("verdict needs a ladder of at least 3 horizons")
     epsilon = validate_epsilon(epsilon)
     return estimate.averages[-1] >= epsilon and not estimate.decaying

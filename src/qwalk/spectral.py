@@ -19,13 +19,13 @@ branch-weighted velocity powers over the wavenumber torus,
 
 with ``c_j`` the projection of the initial state on the j-th eigenvector;
 one quadrature body evaluates both.  Both eigensystems are closed form and
-every node takes the same path.  The 2x2 kernel's is a quadratic, and the
-line sweep reads its eigenvectors.  The 4x4 kernel's characteristic
-polynomial is palindromic and reduces to a quadratic in ``sin(omega)``, and
-the lattice sweep builds no eigenvector: ``|u_ij|^2`` and ``|c_j|^2`` are
-entries of the spectral projector ``P_j = prod_{k != j} (S - lambda_k) /
-(lambda_j - lambda_k)`` (Sylvester's formula), whose diagonal and form
-``theta^dag P_j theta`` follow from those of ``S``, ``S^2`` and ``S^3``.
+every node takes the same path: the 2x2 kernel's is a quadratic, and the 4x4
+kernel's characteristic polynomial is palindromic and reduces to a quadratic
+in ``sin(omega)``.  Neither sweep builds an eigenvector: ``|u_ij|^2`` and
+``|c_j|^2`` are entries of the spectral projector ``P_j = prod_{k != j} (S -
+lambda_k) / (lambda_j - lambda_k)`` (Sylvester's formula), whose diagonal
+and form ``theta^dag P_j theta`` follow from those of the powers ``S^m``,
+``m`` below the kernel's size.
 Per-node accuracy is about machine epsilon over the node's smallest phase
 gap.  Both moments are evaluated by the midpoint rule on an offset
 power-of-two grid whose nodes avoid every symmetry point where branches
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coin import CoinParameter, as_coin, coin_2d, validate_wavenumber
+from .coin import CoinParameter, as_coin, coin_1d, coin_2d, validate_wavenumber
 from .errors import DegenerateSpectrumError, InvalidParameterError, require_int, require_ladder
 from .walk1d import (
     QubitState,
@@ -169,32 +169,13 @@ def _velocities(P: np.ndarray) -> list[np.ndarray]:
 
     ``P`` holds squared moduli ``|u_ij|^2`` of normalized eigenvectors, row
     ``i`` the component and column ``j`` the branch, shape (B, 2 dim, 2
-    dim), rows ordered (+x, -x[, +y, -y]): ``|Q|^2`` on the line, the
-    spectral projectors' diagonals on the lattice.  Returns one (B, 2 dim)
+    dim), rows ordered (+x, -x[, +y, -y]): the spectral projectors'
+    diagonals in the sweeps, ``|Q|^2`` at one node.  Returns one (B, 2 dim)
     array per axis, ``P_{+d,j} - P_{-d,j}``, which is the Hellmann-Feynman
     velocity because ``dS/dk_d`` is ``S`` with axis ``d``'s rows times
     ``-+i``.
     """
     return [P[:, d] - P[:, d + 1] for d in range(0, P.shape[1], 2)]
-
-
-def _branch_vectors_1d(c: CoinParameter, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigensystem ``(lam, Q)`` of the 1D kernel at wavenumbers ``x``.
-
-    Shapes (B, 2) and (B, 2, 2).  Column 0 is ``(S12, lam - S11)`` normalized,
-    the eigenvector for the ``+cos(sigma)`` root ``lam = cos(sigma) - i
-    sin(sigma)``; column 1 is its orthogonal complement, for ``-conj(lam)``
-    (the kernel is normal with distinct eigenvalues for p < 1).  At
-    ``x' = 0`` the eigenvalues are (+1, -1).
-    """
-    sp, sq = math.sqrt(c.p), math.sqrt(c.q)
-    s = sp * np.sin(x)
-    lam = np.sqrt(1.0 - s * s) - 1j * s
-    e = np.exp(-1j * x)
-    b, g = sq * e, lam - sp * e
-    Q = np.array([[b, -g.conj()], [g, b.conj()]]).transpose(2, 0, 1)
-    Q /= np.sqrt(c.q + np.abs(g) ** 2)[:, None, None]
-    return np.stack([lam, -lam.conj()], -1), Q
 
 
 def _real_sum(fbar: np.ndarray, K: np.ndarray) -> np.ndarray:
@@ -204,6 +185,30 @@ def _real_sum(fbar: np.ndarray, K: np.ndarray) -> np.ndarray:
     must be contiguous.
     """
     return fbar.view(np.float64) @ K.view(np.float64).swapaxes(-1, -2)
+
+
+def _line_spectrum(
+    c: CoinParameter, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues and spectral projectors of the 2x2 kernel at wavenumbers
+    ``x``: ``(lam, P, K, e)`` in the shapes and meaning of
+    :func:`_batch_eigensystem`, with 2 in place of 4.
+
+    ``lam`` is ``(cos(sigma) - i sin(sigma), -cos(sigma) - i sin(sigma))``,
+    the cosine taken as ``sqrt(1 - p sin^2 x')``; at ``x' = 0`` it is (+1,
+    -1).  Sylvester's formula for two branches is ``P_j = (S - lam_k) /
+    (lam_j - lam_k)``, so ``K[:, j] = (-lam_k, 1) / (lam_j - lam_k)``.  The
+    gap ``lam_0 - lam_1 = 2 cos(sigma)`` is at least ``2 sqrt(q)``, so no
+    node is degenerate.
+    """
+    s = math.sqrt(c.p) * np.sin(x)
+    lam = np.sqrt(1.0 - s * s) - 1j * s
+    lam = np.stack([lam, -lam.conj()], axis=1)
+    other = lam[:, ::-1]
+    K = np.stack([-other, np.ones_like(lam)], axis=2) / (lam - other)[:, :, None]
+    e = np.exp(1j * np.stack([-x, x], axis=1))
+    dbar = np.stack([np.ones_like(e), np.diagonal(coin_1d(c)) * e.conj()], axis=2)
+    return lam, _real_sum(dbar, K), K, e
 
 
 def _batch_eigensystem(
@@ -238,7 +243,7 @@ def _batch_eigensystem(
     powers are constant real coefficients against the phase vector,
     ``(S^2)_ii = e_i sum_k H_ik^2 e_k`` and ``(S^3)_ii = e_i sum_kl H_ik
     H_kl H_li e_k e_l``, and a state's weights need only ``theta^dag S^m
-    theta`` (:func:`_weights_2d`).  Per-node accuracy is
+    theta`` (:func:`_weights`).  Per-node accuracy is
     about machine epsilon over the node's smallest phase gap: on the N =
     128 grid, for p from 0.05 to 0.95, the diagonals agree with a general
     ``eig`` plus QR within 1.4e-12 and the weights within 2.8e-12, and on
@@ -294,51 +299,46 @@ def _batch_eigensystem(
     return lam, _real_sum(dbar, K), K, e
 
 
-def _branch_vectors_2d(
-    c: CoinParameter, ms: np.ndarray, ns: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigensystem ``(lam, Q)`` of the 4x4 kernel at wavenumber pairs.
+def _branch_vectors(c: CoinParameter, *ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigensystem ``(lam, Q)`` of the kernel at wavenumbers ``ks``, one
+    array per axis.
 
-    Shapes (B, 4) and (B, 4, 4), built from :func:`_batch_eigensystem`'s
-    projectors: column ``j`` is the column of ``P_j`` through its largest
-    diagonal entry, ``u_j conj(u_rj)``, normalized, then one Newton-Schulz
-    step ``Q (3 - Q^dag Q) / 2`` squares the columns' residual overlaps so
-    branch weights sum to 1 even next to a crossing.
+    Shapes (B, n) and (B, n, n), built from the spectral projectors of
+    :func:`_line_spectrum` or :func:`_batch_eigensystem`: column ``j`` is
+    the column of ``P_j`` through its largest diagonal entry, ``u_j
+    conj(u_rj)``, normalized, so its component ``r`` is real and positive;
+    then one Newton-Schulz step ``Q (3 - Q^dag Q) / 2`` squares the columns'
+    residual overlaps so branch weights sum to 1 even next to a crossing.
     """
-    lam, P, K, e = _batch_eigensystem(c, ms, ns)
-    S = e[:, :, None] * coin_2d(c)
-    E = np.argmax(P, axis=1)[:, None, :] == np.arange(4)[:, None]  # one-hot rows
-    Q = K[:, None, :, 3] * E
-    for m in (2, 1, 0):  # Horner: P_j e_r = sum_m K_jm S^m e_r
+    # looked up per call, so rebound module names are honored
+    spectrum, coin = ((_line_spectrum, coin_1d), (_batch_eigensystem, coin_2d))[len(ks) - 1]
+    lam, P, K, e = spectrum(c, *ks)
+    n = lam.shape[1]
+    S = e[:, :, None] * coin(c)
+    E = np.argmax(P, axis=1)[:, None, :] == np.arange(n)[:, None]  # one-hot rows
+    Q = K[:, None, :, n - 1] * E
+    for m in range(n - 2, -1, -1):  # Horner: P_j e_r = sum_m K_jm S^m e_r
         Q = S @ Q + K[:, None, :, m] * E
     Q /= np.linalg.norm(Q, axis=1, keepdims=True)
-    return lam, Q @ (1.5 * np.eye(4) - 0.5 * Q.conj().swapaxes(1, 2) @ Q)
+    return lam, Q @ (1.5 * np.eye(n) - 0.5 * Q.conj().swapaxes(1, 2) @ Q)
 
 
-def _weights_2d(
-    H: np.ndarray, e: np.ndarray, K: np.ndarray, th: np.ndarray
-) -> np.ndarray:
+def _weights(H: np.ndarray, e: np.ndarray, K: np.ndarray, th: np.ndarray) -> np.ndarray:
     """Branch weights ``|Q^dag theta|^2 + |Q^T theta|^2`` without ``Q``.
 
-    The result has shape (B, 4).  The weights are ``theta^dag P_j theta + conj(theta)^dag P_j conj(theta)``, so
-    only the forms ``t^dag S^m t`` (m = 0..3) are needed: with ``x = S t``
-    and ``z = conj(S^dag t)``, they are ``|t|^2``, ``conj(t) . x``, ``z .
-    x`` and ``z . S x``.  ``H``, ``e`` and ``K`` are the coin and
-    :func:`_batch_eigensystem`'s phases and projector coefficients.
+    The result has shape (B, n).  The weights are ``theta^dag P_j theta +
+    conj(theta)^dag P_j conj(theta)``, so only the forms ``t^dag S^m t`` (m
+    < n) are needed; ``S^m t`` is ``e * (x @ H)`` of ``x = S^(m-1) t``, the
+    coin ``H`` being symmetric.  ``H``, ``e`` and ``K`` are the coin and the
+    spectrum's phases and projector coefficients.
     """
-    forms = 0.0
+    forms = np.zeros(e.shape, np.complex128)
     for t in (th, th.conj()):
-        x = e * (t @ H)
-        z = (e * t.conj()) @ H
-        forms = forms + np.stack(
-            [
-                np.full(len(e), np.vdot(t, t)),
-                x @ t.conj(),
-                np.einsum("bi,bi->b", z, x),
-                np.einsum("bi,bi->b", z, e * (x @ H)),
-            ],
-            axis=1,
-        )
+        x = t
+        forms[:, 0] += np.vdot(t, t)
+        for m in range(1, K.shape[2]):
+            x = e * (x @ H)
+            forms[:, m] += x @ t.conj()
     return _real_sum(forms.conj()[:, None, :], K)[:, 0]
 
 
@@ -346,9 +346,8 @@ def _eigensystem(p, wavenumbers, theta) -> tuple[EigenBranch, ...]:
     """Every branch at one node: 1 wavenumber on the line, 2 on the lattice."""
     c = as_coin(p)
     ks = [np.array([validate_wavenumber(k)]) for k in wavenumbers]
-    dim = len(ks)
-    th = (as_qubit, as_qudit)[dim - 1](theta).as_array()
-    lam, Q = _branch_vectors_1d(c, *ks) if dim == 1 else _branch_vectors_2d(c, *ks)
+    th = (as_qubit, as_qudit)[len(ks) - 1](theta).as_array()
+    lam, Q = _branch_vectors(c, *ks)
     vel = _velocities(np.abs(Q) ** 2)
     return tuple(
         EigenBranch(
@@ -368,11 +367,11 @@ def eigensystem_1d(
 ) -> tuple[EigenBranch, EigenBranch]:
     """Both eigenvalue branches of the 1D kernel at one wavenumber.
 
-    Eigenvectors come straight from the kernel entries (closed-form
-    quadratic): for eigenvalue ``lam`` the vector ``(S12, lam - S11)`` is an
-    eigenvector, and the second branch is its orthogonal complement.  Branch
-    1 carries the ``+cos(sigma)`` root; at ``x' = 0`` the eigenvalues are
-    (+1, -1).
+    Eigenvectors are read from the closed-form spectral projectors, as on
+    the lattice: each is its projector's column through the largest
+    diagonal entry, normalized, so that component is real and positive.
+    The first branch carries the ``+cos(sigma)`` root; at ``x' = 0`` the
+    eigenvalues are (+1, -1).
     """
     return _eigensystem(p, (wavenumber,), theta)
 
@@ -397,8 +396,8 @@ def _limit_moments(thetas, p, orders, grid, dim: int) -> np.ndarray:
 
     ``orders`` holds one exponent per axis for each moment.  One chunked
     eigensystem sweep over a quarter of the ``n^dim`` grid serves every
-    state and order; the line reads its eigenvectors, the lattice its
-    spectral projectors (:func:`_batch_eigensystem`, :func:`_weights_2d`).
+    state and order from the kernel's spectral projectors
+    (:func:`_line_spectrum` or :func:`_batch_eigensystem`, :func:`_weights`).
     The kernel ``diag(e^{-+ik_d}) H`` with a real coin
     ``H`` obeys two symmetries that map grid nodes to grid nodes:
     ``S(k + pi (1, ..., 1)) = -S(k)`` keeps eigenvectors, weights and
@@ -433,27 +432,19 @@ def _limit_moments(thetas, p, orders, grid, dim: int) -> np.ndarray:
     c = as_coin(p)
     g = _as_grid(grid)
     ths = [(as_qubit, as_qudit)[dim - 1](th).as_array() for th in thetas]
+    # looked up per call, so rebound module names are honored
+    spectrum, coin = ((_line_spectrum, coin_1d), (_batch_eigensystem, coin_2d))[dim - 1]
+    H = coin(c)
     nodes = g.nodes()
     rows = max(g.n // 4, 1)
     axes = [a.ravel() for a in np.meshgrid(nodes[:rows], *[nodes] * (dim - 1), indexing="ij")]
     starts = range(0, axes[0].size, _CHUNK)
     partials = np.empty((len(ths), len(orders), len(starts)))
     for ci, s in enumerate(starts):
-        ks = [a[s : s + _CHUNK] for a in axes]
-        if dim == 1:
-            _, Q = _branch_vectors_1d(c, *ks)
-            P = np.abs(Q) ** 2
-            wgts = [
-                np.abs(np.einsum("bik,i->bk", Q.conj(), th)) ** 2
-                + np.abs(np.einsum("bik,i->bk", Q, th)) ** 2
-                for th in ths
-            ]
-        else:
-            _, P, K, e = _batch_eigensystem(c, *ks)
-            H = coin_2d(c)
-            wgts = [_weights_2d(H, e, K, th) for th in ths]
+        _, P, K, e = spectrum(c, *(a[s : s + _CHUNK] for a in axes))
         vel = _velocities(P)
-        for si, wgt in enumerate(wgts):
+        for si, th in enumerate(ths):
+            wgt = _weights(H, e, K, th)
             for oi, order in enumerate(orders):
                 term = wgt
                 for v, a in zip(vel, order):
@@ -471,9 +462,9 @@ def limit_moment_1d(
 ) -> float:
     """Long-time limit of ``<(X_t/t)^alpha>`` by midpoint quadrature.
 
-    Branch weights are the squared eigenvector projections of ``theta`` and
-    branch velocities the eigenvectors' mover imbalances (``+-``
-    :func:`group_velocity`); the integrand is evaluated vectorized over the
+    Branch weights (the squared eigenvector projections of ``theta``) and
+    branch velocities (the mover imbalances, ``+-`` :func:`group_velocity`)
+    are read from the spectral projectors; the integrand is evaluated vectorized over the
     grid and reduced with numpy's fixed pairwise summation, so the result is
     reproducible bit-for-bit at a fixed grid size.
     """

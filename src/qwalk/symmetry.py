@@ -56,7 +56,15 @@ import numpy as np
 
 from .coin import CoinParameter
 from .errors import InvalidParameterError, PreconditionError, require_int
-from .walk1d import QubitState, as_qubit, distribution_1d, evolve_1d, trajectory_1d
+from .walk1d import (
+    QubitState,
+    _checked_array,
+    _of_type,
+    as_qubit,
+    distribution_1d,
+    evolve_1d,
+    trajectory_1d,
+)
 from .walk2d import as_qudit, distribution_2d, evolve_2d, trajectory_2d
 
 __all__ = [
@@ -106,14 +114,15 @@ class SymmetryVerdict1D:
 
 @dataclass(frozen=True)
 class ABTable:
-    """Expectation coefficients ``a_t``, ``b_t`` for ``t = 1..T``."""
+    """Expectation coefficients ``a_t``, ``b_t`` for ``t = 1..T``, held as
+    read-only ``float64`` copies of finite real input."""
 
     a: np.ndarray
     b: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.a, dtype=np.float64)
-        b = np.asarray(self.b, dtype=np.float64)
+        a = _checked_array(self.a, "a", None, real=True)
+        b = _checked_array(self.b, "b", None, real=True)
         if a.shape != b.shape or a.ndim != 1:
             raise InvalidParameterError("a and b must be 1D arrays of equal length")
         object.__setattr__(self, "a", a)
@@ -185,7 +194,7 @@ def extract_ab(p: CoinParameter | float, horizon: int) -> ABTable:
 def kns_check(table: ABTable) -> bool:
     """First-difference relation ``b_{t+1} = a_t + 1`` over the whole table,
     every residual within 1e-10."""
-    if len(table) < 2:
+    if len(_of_type(table, ABTable)) < 2:
         raise InvalidParameterError("table must cover at least t = 1, 2")
     return bool(np.max(np.abs(table.kns_residuals())) <= _KNS_TOL)
 

@@ -250,8 +250,11 @@ def check_limit_2d(quick: bool = False) -> tuple[bool, str]:
 def reference_table_deviation(table: ABTable) -> float:
     """Max deviation of the first ten ``a_t``, ``b_t`` from the p = 1/2 values.
 
-    Raises :class:`InvalidParameterError` for a table of fewer than ten rows.
+    Raises :class:`InvalidParameterError` for anything but an
+    :class:`ABTable` of at least ten rows.
     """
+    if not isinstance(table, ABTable):
+        raise InvalidParameterError(f"need an ABTable, got {type(table).__name__}")
     if len(table) < 10:
         raise InvalidParameterError(f"reference table needs t = 1..10, got {len(table)} rows")
     return max(

@@ -249,32 +249,40 @@ class _Support1D:
         return int(2 * idx[0] - self.t)
 
 
+def _checked_array(
+    values, name: str, shape: tuple[int, ...] | None, real: bool = False
+) -> np.ndarray:
+    """``values`` as a read-only, contiguous ``complex128`` copy, every entry
+    finite and, unless ``shape`` is None, of that shape; for ``real``, a
+    ``float64`` copy whose entries had zero imaginary parts.  Otherwise
+    :class:`InvalidParameterError`.  The copy leaves the caller's array
+    writeable and unshared."""
+    try:
+        arr = np.array(values, dtype=np.complex128)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"{name} must be numeric, got {values!r}") from None
+    if shape is not None and arr.shape != shape:
+        raise InvalidParameterError(f"{name} must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise InvalidParameterError(f"{name} must be finite")
+    if real:
+        if arr.imag.any():
+            raise InvalidParameterError(f"{name} must be real")
+        arr = arr.real.copy()
+    arr.flags.writeable = False
+    return arr
+
+
 def _checked_block(
     obj, t, block, lead: tuple[int, ...], masses: bool = False
 ) -> tuple[int, np.ndarray]:
-    """``t`` as an integer ``>= 0`` and ``block`` as a read-only, contiguous
-    ``complex128`` copy with shape ``lead + (t + 1,) * obj._DIM``, every
-    entry finite; for ``masses``, a ``float64`` copy whose entries had zero
-    imaginary parts and are non-negative.  Otherwise
-    :class:`InvalidParameterError`.  The copy leaves the caller's array
-    writeable and unshared."""
+    """``t`` as an integer ``>= 0`` and ``block`` as :func:`_checked_array`'s
+    copy with shape ``lead + (t + 1,) * obj._DIM``; for ``masses``, a real
+    copy whose entries are non-negative."""
     t, kind = require_int(t, "time"), type(obj).__name__
-    try:
-        arr = np.array(block, dtype=np.complex128)
-    except (TypeError, ValueError):
-        raise InvalidParameterError(f"{kind} needs a numeric block, got {block!r}") from None
-    shape = lead + (t + 1,) * obj._DIM
-    if arr.shape != shape:
-        raise InvalidParameterError(f"{kind} block must have shape {shape}, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise InvalidParameterError(f"{kind} block must be finite")
-    if masses:
-        if arr.imag.any():
-            raise InvalidParameterError(f"{kind} masses must be real")
-        arr = arr.real.copy()
-        if (arr < 0).any():
-            raise InvalidParameterError(f"{kind} masses must be non-negative")
-    arr.flags.writeable = False
+    arr = _checked_array(block, f"{kind} block", lead + (t + 1,) * obj._DIM, masses)
+    if masses and (arr < 0).any():
+        raise InvalidParameterError(f"{kind} masses must be non-negative")
     return t, arr
 
 

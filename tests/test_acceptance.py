@@ -9,7 +9,8 @@ import pytest
 
 from qwalk import validation
 from qwalk.errors import InvalidParameterError
-from qwalk.symmetry import extract_ab
+from qwalk.localization import localization_verdict
+from qwalk.symmetry import extract_ab, kns_check
 
 
 def _run(number: int) -> None:
@@ -84,6 +85,21 @@ def test_run_checks_rejects_a_section_that_is_not_a_string(only):
     # only.lower() was called on whatever came in: a bare AttributeError
     with pytest.raises(InvalidParameterError, match="section name"):
         validation.run_checks(quick=True, only=only)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: kns_check([1, 2, 3]),
+        lambda: validation.reference_table_deviation([0] * 10),
+        lambda: localization_verdict("x"),
+    ],
+    ids=["kns_check", "reference_table_deviation", "localization_verdict"],
+)
+def test_table_and_estimate_readers_reject_other_types(call):
+    # each read an attribute of whatever came in: a bare AttributeError
+    with pytest.raises(InvalidParameterError, match="need a"):
+        call()
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 9])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qwalk.closedform import (
+    LaurentCoefficients,
     alpha_coefficients,
     closed_form_field,
     closed_form_fields,
@@ -66,6 +67,39 @@ class TestAlphaCoefficients:
     def test_rejects_nonpositive_order(self):
         with pytest.raises(InvalidParameterError):
             alpha_coefficients(0.5, 0)
+
+
+class TestLaurentCoefficientsInput:
+    def test_copies_the_callers_array(self):
+        # the array was made read-only in place and shared with the caller
+        arr = np.array([1.0, 2.0, 3.0], dtype=np.complex128)
+        c = LaurentCoefficients(3, arr)
+        assert arr.flags.writeable and not np.shares_memory(arr, c.values)
+        arr[0] = 9.0
+        assert c[-2] == 1.0
+        with pytest.raises(ValueError):
+            c.values[0] = 5.0
+
+    def test_accepts_a_list(self):
+        # values.shape was read from whatever came in: a bare AttributeError
+        c = LaurentCoefficients(2, [1, -1])
+        assert dict(c.items()) == {-1: 1, 1: -1}
+
+    @pytest.mark.parametrize(
+        "order, values",
+        [
+            (1.5, [1.0]),
+            (True, [1.0]),
+            (3, [1.0, 2.0]),
+            (2, ["a", "b"]),
+            (2, [1.0, object()]),
+            (2, [1.0, float("nan")]),
+            (2, [1.0, float("inf")]),
+        ],
+    )
+    def test_rejects_bad_input(self, order, values):
+        with pytest.raises(InvalidParameterError):
+            LaurentCoefficients(order, values)
 
 
 class TestDoubleSum:

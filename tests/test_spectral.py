@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 
 from qwalk import spectral
-from qwalk.coin import as_coin, coin_2d, kernel_1d, kernel_2d
+from qwalk.coin import as_coin, coin_1d, coin_2d, kernel_1d, kernel_2d
 from qwalk.errors import DegenerateSpectrumError, InvalidParameterError
 from qwalk.spectral import (
     QuadratureGrid,
     _batch_eigensystem,
-    _branch_vectors_1d,
-    _branch_vectors_2d,
+    _branch_vectors,
+    _line_spectrum,
     _velocities,
-    _weights_2d,
+    _weights,
     convergence_report,
     eigensystem_1d,
     eigensystem_2d,
@@ -374,16 +374,37 @@ class TestBatchEigensystemAgainstOracles:
         for th in states + [QuditState.random(rng) for _ in range(3)]:
             t = th.as_array()
             ref = np.abs(t @ V.conj()) ** 2 + np.abs(t @ V) ** 2
-            assert np.max(np.abs(_weights_2d(coin_2d(c), e, K, t) - ref)) <= 1e-11
+            assert np.max(np.abs(_weights(coin_2d(c), e, K, t) - ref)) <= 1e-11
 
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     def test_eigenvectors_match_eig_qr(self, p):
         ms, ns = _grid_2d(64)
-        lam, Q = _branch_vectors_2d(as_coin(p), ms, ns)
+        lam, Q = _branch_vectors(as_coin(p), ms, ns)
         V = _paired_eig_qr(p, ms, ns, lam)
         assert np.max(np.abs(np.abs(Q) ** 2 - np.abs(V) ** 2)) <= 1e-11
         overlap = np.abs(np.einsum("bik,bik->bk", Q.conj(), V))
         assert np.max(np.abs(overlap - 1.0)) <= 1e-11
+
+
+class TestLineSpectrumAgainstEig:
+    """The line's projectors against a general ``eig`` of ``kernel_1d``,
+    which shares no code with them; the quarter-torus tests' reference
+    reads the same projectors as the sweep."""
+
+    @pytest.mark.parametrize("p", [0.05, 0.25, 0.5, 0.75, 0.95])
+    def test_diagonals_and_weights_match_eig(self, p):
+        xs = QuadratureGrid(256).nodes()
+        lam, P, K, e = _line_spectrum(as_coin(p), xs)
+        w, V = np.linalg.eig(np.stack([kernel_1d(p, x) for x in xs]))
+        pair = np.abs(lam[:, :, None] - w[:, None, :]).argmin(axis=2)
+        V = np.take_along_axis(V, pair[:, None, :], axis=2)
+        assert np.max(np.abs(lam - np.take_along_axis(w, pair, axis=1))) <= 1e-14
+        assert np.max(np.abs(P - np.abs(V) ** 2)) <= 1e-14
+        rng = np.random.default_rng(41)
+        for th in [QubitState(1.0, 0.0), QubitState(0.6, 0.8j), QubitState.random(rng)]:
+            t = th.as_array()
+            ref = np.abs(t @ V.conj()) ** 2 + np.abs(t @ V) ** 2
+            assert np.max(np.abs(_weights(coin_1d(p), e, K, t) - ref)) <= 1e-14
 
 
 def _phase_gap(p, ms, ns):
@@ -547,7 +568,7 @@ def _full_torus_moments(thetas, p, orders, n, dim):
     nodes = QuadratureGrid(n).nodes()
     ks = [a.ravel() for a in np.meshgrid(*[nodes] * dim, indexing="ij")]
     c = as_coin(p)
-    _, Q = _branch_vectors_1d(c, *ks) if dim == 1 else _branch_vectors_2d(c, *ks)
+    _, Q = _branch_vectors(c, *ks)
     vel = _velocities(np.abs(Q) ** 2)
     out = np.empty((len(thetas), len(orders)))
     for si, th in enumerate(thetas):
@@ -639,7 +660,7 @@ class TestQuarterTorusNodeCount:
 
     @pytest.mark.parametrize("n", [4, 8, 4096])
     def test_line_sweeps_a_quarter(self, monkeypatch, n):
-        sizes = self._count(monkeypatch, "_branch_vectors_1d")
+        sizes = self._count(monkeypatch, "_line_spectrum")
         limit_moment_1d(QubitState(1, 0), 0.4, 1, n)
         assert sum(sizes) == n // 4
 

@@ -131,16 +131,15 @@ def test_only_the_velocity_helper_computes_branch_velocities():
 
 
 def test_lattice_sweep_builds_no_eigenvector():
-    # the sweep reads spectral projectors; only the one-node eigensystem_2d
-    # turns them into eigenvectors (column selection, normalization,
-    # Newton-Schulz)
+    # both sweeps, the line's and the lattice's, read spectral projectors;
+    # only the one-node eigensystems turn them into eigenvectors (column
+    # selection, normalization, Newton-Schulz)
     calls = _calls_by_function("spectral")
-    assert {n for n, called in calls.items() if "_branch_vectors_2d" in called} == {
-        "_eigensystem"
-    }
-    for name in ("_limit_moments", "_batch_eigensystem", "_weights_2d"):
-        assert not calls[name] & {"_branch_vectors_2d", "argmax", "norm"}, name
-    assert {"_batch_eigensystem", "_weights_2d"} <= calls["_limit_moments"]
+    assert {n for n, called in calls.items() if "_branch_vectors" in called} == {"_eigensystem"}
+    assert not calls["_limit_moments"] & {"_branch_vectors", "argmax", "norm", "einsum"}
+    for name in ("_line_spectrum", "_batch_eigensystem", "_weights"):
+        assert not calls[name] & {"_branch_vectors", "argmax", "norm"}, name
+    assert "_weights" in calls["_limit_moments"]
 
 
 def test_every_closed_form_reads_the_one_recurrence_pass():

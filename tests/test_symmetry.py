@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qwalk.errors import PreconditionError
+from qwalk.errors import InvalidParameterError, PreconditionError
 from qwalk.spectral import limit_moment_1d
 from qwalk.symmetry import (
     EXCHANGE_1D,
@@ -122,6 +122,32 @@ class TestExpectationTable:
         assert not kns_check(ABTable(a=a, b=b + np.eye(1, len(b), 1)[0] * 2e-10))
         with pytest.raises(TypeError):
             kns_check(ABTable(a=a, b=b), tol=float("nan"))
+
+    def test_table_is_a_read_only_copy(self):
+        # the arrays aliased the caller's input and stayed writeable
+        a, b = np.array(A_HALF), np.array(B_HALF)
+        table = ABTable(a=a, b=b)
+        assert a.flags.writeable and not np.shares_memory(a, table.a)
+        a[0] = 5.0
+        assert table.a[0] == 0.0
+        with pytest.raises(ValueError):
+            table.a[0] = 5.0
+        with pytest.raises(ValueError):
+            table.b[0] = 5.0
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (["x", "y"], [1.0, 2.0]),
+            ([0.0, float("nan")], [1.0, 2.0]),
+            ([0.0, 1.0], [1.0, float("inf")]),
+            ([0.0, 1j], [1.0, 2.0]),
+            ([0.0, 1.0], [1.0]),
+        ],
+    )
+    def test_table_rejects_bad_input(self, a, b):
+        with pytest.raises(InvalidParameterError):
+            ABTable(a=a, b=b)
 
     @pytest.mark.parametrize("p", [0.25, 0.75])
     def test_difference_law_fails_for_biased_coin(self, p):
