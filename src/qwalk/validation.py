@@ -4,6 +4,15 @@ Each check pins one acceptance criterion at its stated scale and tolerance
 and returns a :class:`CheckResult`; nothing is rescaled at run time except
 through the documented ``quick`` mode, which shrinks horizons and sample
 counts for a sub-ten-second smoke run.
+
+Checks 1, 3 and 5 read their random line states by linearity from evolved
+chirality bases: ``U^t theta = sum_c theta_c U^t e_c``.  The coin is real and
+the checks run at ``k = 0``, so the field of ``(1, i) / sqrt(2)`` carries
+``U^t e_1 / sqrt(2)`` in its real parts and ``U^t e_2 / sqrt(2)`` in its
+imaginary parts, and one trajectory per ``p`` serves every state.  Check 1
+reads total probabilities from the basis's Gram matrix, check 3 each state's
+amplitudes (:func:`_line_fields`), and check 5 each state's moments from
+weighted 2x2 forms of the same field (:func:`_packed_gram`).
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from .localization import (
     time_averaged_probability_1d,
     time_averaged_probability_2d,
 )
-from .spectral import QuadratureGrid, convergence_report, limit_moment_1d, limit_moments_2d
+from .spectral import MomentReport, QuadratureGrid, limit_moment_1d, limit_moments_2d
 from .symmetry import (
     ABTable,
     empirical_symmetric_1d,
@@ -67,16 +76,21 @@ def _random_states(cls, n: int, rng: np.random.Generator) -> list:
     return [cls.random(rng) for _ in range(n)]
 
 
-def _packed_gram(evolve: Callable, theta: tuple, p: float, t: int) -> np.ndarray:
-    """``2 v^T v`` for ``v``, the amplitudes of ``evolve(theta, p, t)`` read
-    with no copy as two ``float64`` columns, real parts and imaginary parts.
+def _packed_gram(field, weight: np.ndarray | None = None) -> np.ndarray:
+    """``2 v^T diag(d) v`` for ``v``, the amplitudes of ``field`` read with no
+    copy as two ``float64`` columns, real parts and imaginary parts, and
+    ``d`` the per-site ``weight`` repeated for every component (1 if omitted).
 
-    For ``theta = (u + i w) / s`` with real ``u`` and ``w`` this is ``2 / s^2``
-    times ``[[|U^t u|^2, <U^t u, U^t w>], [., |U^t w|^2]]``.  Doubling is
-    exact, where scaling the field by ``sqrt(2)`` would round.  The field is
-    dropped on return, so a caller holds only the 2x2 result.
+    For a field of ``theta = (u + i w) / s`` with real ``u`` and ``w`` this is
+    ``2 / s^2`` times ``[[|U^t u|^2, <U^t u, U^t w>], [., |U^t w|^2]]``, each
+    product summed with the site weights.  Doubling is exact, where scaling
+    the field by ``sqrt(2)`` would round.
     """
-    v = evolve(theta, p, t).amps.reshape(-1).view(np.float64).reshape(-1, 2)
+    v = field.amps.reshape(-1).view(np.float64).reshape(-1, 2)
+    if weight is not None:
+        # the rows run over every site of one component, then of the next
+        wv = (weight.reshape(-1, 1) * v.reshape(len(field.amps), -1, 2)).reshape(-1, 2)
+        return 2 * (v.T @ wv)
     return 2 * (v.T @ v)
 
 
@@ -85,7 +99,7 @@ _R = 1 / math.sqrt(2)
 
 def _basis_gram_1d(p: float, t: int) -> np.ndarray:
     """The line's Gram matrix ``<U^t e_i, U^t e_j>``, from one evolution."""
-    return _packed_gram(evolve_1d, (_R, _R * 1j), p, t)
+    return _packed_gram(evolve_1d((_R, _R * 1j), p, t))
 
 
 def _basis_gram_2d(p: float, t: int) -> np.ndarray:
@@ -94,16 +108,44 @@ def _basis_gram_2d(p: float, t: int) -> np.ndarray:
     ``(1, i, i, 1) / 2``, whose diagonals give the four cross terms by
     polarization: ``|U^t (e_i + e_j)|^2 / 2 = (G_ii + G_jj) / 2 + G_ij``."""
     g = np.zeros((4, 4))
-    g[:2, :2] = _packed_gram(evolve_2d, (_R, _R * 1j, 0, 0), p, t)
-    g[2:, 2:] = _packed_gram(evolve_2d, (0, 0, _R, _R * 1j), p, t)
+    g[:2, :2] = _packed_gram(evolve_2d((_R, _R * 1j, 0, 0), p, t))
+    g[2:, 2:] = _packed_gram(evolve_2d((0, 0, _R, _R * 1j), p, t))
     for theta, pairs in (
         ((0.5, 0.5j, 0.5, 0.5j), ((0, 2), (1, 3))),
         ((0.5, 0.5j, 0.5j, 0.5), ((0, 3), (1, 2))),
     ):
-        m = _packed_gram(evolve_2d, theta, p, t)
+        m = _packed_gram(evolve_2d(theta, p, t))
         for (i, j), mij in zip(pairs, np.diag(m)):
             g[i, j] = g[j, i] = mij - (g[i, i] + g[j, j]) / 2
     return g
+
+
+def _line_basis(p: float, times: tuple[int, ...]):
+    """The fields of ``(1, i) / sqrt(2)`` at the increasing ``times``, from
+    one trajectory: their real parts are ``U^t e_1 / sqrt(2)`` and their
+    imaginary parts ``U^t e_2 / sqrt(2)``."""
+    want = set(times)
+    return (f for f in trajectory_1d((_R, _R * 1j), p, times[-1]) if f.t in want)
+
+
+def _line_fields(basis, theta: QubitState):
+    """The amplitudes of ``theta``'s fields, ``sqrt(2) (theta_1 Re + theta_2
+    Im)`` of each array in ``basis``, the amplitudes of :func:`_line_basis`
+    fields: one real matrix product on the packed parts per field."""
+    c = np.array([[z.real, z.imag] for z in (theta.d1, theta.d2)]) * math.sqrt(2)
+    for amps in basis:
+        v = amps.view(np.float64).reshape(amps.shape + (2,))
+        yield (v @ c).view(np.complex128)[..., 0]
+
+
+def _line_moment_forms(p: float, ladder: tuple[int, ...], orders) -> list[list[np.ndarray]]:
+    """``M_a(t) = 2 v^T diag((x/t)^a) v`` for each ladder time ``t`` (rows)
+    and order ``a`` (columns), from the packed :func:`_line_basis` fields:
+    a state ``theta`` has the moment ``theta^H M_a(t) theta`` at time ``t``."""
+    return [
+        [_packed_gram(f, (f.sites() / f.t) ** a) for a in orders]
+        for f in _line_basis(p, ladder)
+    ]
 
 
 def check_unitarity(quick: bool = False) -> tuple[bool, str]:
@@ -160,7 +202,13 @@ def check_hand_distributions(quick: bool = False) -> tuple[bool, str]:
 
 
 def check_closed_form(quick: bool = False) -> tuple[bool, str]:
-    """3: closed-form amplitudes equal the stepped oracle within 1e-10."""
+    """3: closed-form amplitudes equal the stepped oracle within 1e-10.
+
+    The oracle is stepped once per ``p``, for the chirality basis
+    (:func:`_line_basis`), and each random state's field is read from it by
+    linearity (:func:`_line_fields`).  The closed form, the layer under test,
+    is evaluated for each complex state.
+    """
     rng = np.random.default_rng(_SEED + 3)
     tmax, nstate = (50, 5) if quick else (200, 20)
     ps = (0.25, 0.5) if quick else (0.1, 0.25, 0.5, 0.75, 0.9)
@@ -170,13 +218,11 @@ def check_closed_form(quick: bool = False) -> tuple[bool, str]:
     tol = 1e-10
     worst = 0.0
     for p in ps:
+        basis = [f.amps for f in _line_basis(p, times)]
         for th in _random_states(QubitState, nstate, rng):
-            stepped = [f for f in trajectory_1d(th, p, times[-1]) if f.t in times]
-            for field, cf in zip(stepped, closed_form_fields(th, p, times), strict=True):
-                dev = max(
-                    np.max(np.abs(cf.phi1 - field.phi1)),
-                    np.max(np.abs(cf.phi2 - field.phi2)),
-                )
+            fields = zip(_line_fields(basis, th), closed_form_fields(th, p, times), strict=True)
+            for amps, cf in fields:
+                dev = np.max(np.abs(cf.amps - amps))
                 worst = max(worst, float(dev))
     return worst <= tol, (
         f"max amplitude deviation = {worst:.3e} over t<= {tmax} (tol {tol:g})"
@@ -198,19 +244,32 @@ def check_coefficients(quick: bool = False) -> tuple[bool, str]:
 
 
 def check_limit_1d(quick: bool = False) -> tuple[bool, str]:
-    """5: simulated pseudo-velocity moments approach the 1D quadrature limit."""
+    """5: simulated pseudo-velocity moments approach the 1D quadrature limit.
+
+    The simulated moments come by linearity from one basis trajectory per
+    ``p``: each state's moment at ladder time ``t`` is ``theta^H M_a(t)
+    theta`` (:func:`_line_moment_forms`).  Each state and order gets a
+    :class:`MomentReport` against :func:`limit_moment_1d`, and the
+    convergence verdict is the report's own.
+    """
     rng = np.random.default_rng(_SEED + 5)
     if quick:
         ladder, gridn, nstate, tol = (50, 100, 200), 1024, 2, 2e-2
     else:
         ladder, gridn, nstate, tol = (125, 250, 500, 1000), 4096, 5, 5e-3
     grid = QuadratureGrid(gridn)
+    orders = (1, 2)
     worst_gap = 0.0
     nondec = 0
     for p in _P_GRID:
+        forms = _line_moment_forms(p, ladder, orders)
         for th in _random_states(QubitState, nstate, rng):
-            for alpha in (1, 2):
-                r = convergence_report(th, p, alpha, ladder=ladder, grid=grid)
+            a = th.as_array()
+            for i, alpha in enumerate(orders):
+                quad = limit_moment_1d(th, p, alpha, grid)
+                sims = tuple(float(np.vdot(a, row[i] @ a).real) for row in forms)
+                gaps = tuple(abs(s - quad) for s in sims)
+                r = MomentReport(alpha, None, quad, ladder, sims, gaps)
                 worst_gap = max(worst_gap, r.gaps[-1])
                 nondec += not r.converged
     ok = worst_gap <= tol and nondec == 0

@@ -518,9 +518,12 @@ def step_1d(
     p: CoinParameter | float,
     k: float = 0.0,
 ) -> WaveField1D:
-    """Advance the field one step; the norm is preserved exactly.
+    """Advance the field one step; the norm is preserved up to rounding.
 
     The support grows by one site on each side and the time index by one.
+    The drift accumulates: over the 30 random states of acceptance criterion
+    1, the total probability at t = 1000 is at most 1.4e-13 from 1
+    (measured: 1.377e-13).
     """
     field, coin = _of_type(field, WaveField1D), _frozen_coin(coin_1d, as_coin(p).p)
     return _step(field, coin, _step_phase(k))

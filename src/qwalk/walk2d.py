@@ -134,7 +134,11 @@ def step_2d(
     p: CoinParameter | float,
     k: float = 0.0,
 ) -> WaveField2D:
-    """Advance the field one step; norm preserved exactly.
+    """Advance the field one step; the norm is preserved up to rounding.
+
+    The drift accumulates: over the 30 random states of acceptance criterion
+    1, the total probability at t = 300 is at most 1.7e-14 from 1
+    (measured: 1.643e-14).
 
     Reads only from the previous field and writes a fresh block, so
     independent evolutions may run concurrently.

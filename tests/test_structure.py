@@ -157,10 +157,18 @@ def test_check_3_makes_one_closed_form_call_per_state():
     assert "closed_form_field" not in called
 
 
-def test_check_5_reads_its_verdict_from_convergence_report():
+def test_check_5_reads_its_verdict_from_moment_report():
+    # check 5 reads its simulated moments from the basis trajectory, but the
+    # convergence rule stays the library's: the verdict is
+    # MomentReport.converged, with no moment and no gap comparison of its own
+    (body,) = [f for f in _tree("validation").body if getattr(f, "name", None) == "check_limit_1d"]
     called = _calls_by_function("validation")["check_limit_1d"]
-    assert "convergence_report" in called
-    assert "moment_1d" not in called
+    assert {"MomentReport", "limit_moment_1d"} <= called
+    assert not called & {"moment_1d", "_moment"}
+    assert "converged" in {n.attr for n in ast.walk(body) if isinstance(n, ast.Attribute)}
+    for compare in (n for n in ast.walk(body) if isinstance(n, ast.Compare)):
+        read = {getattr(n, "attr", getattr(n, "id", None)) for n in ast.walk(compare)}
+        assert not read & {"gaps", "_GAP_FLOOR"}, ast.unparse(compare)
 
 
 def test_coin_has_no_kernel_derivative():
