@@ -5,6 +5,11 @@ and returns a :class:`CheckResult`; nothing is rescaled at run time except
 through the documented ``quick`` mode, which shrinks horizons and sample
 counts for a sub-ten-second smoke run.
 
+One rule, :func:`_judged`, judges every worst value against its tolerance:
+a check passes iff its largest deviation is at most the tolerance, so a NaN
+in any compared value fails.  :func:`run_checks` reports a check that raises
+as that check's FAIL, and ``qwalk validate`` then exits 3.
+
 Checks 1, 3 and 5 read their random line states by linearity from evolved
 chirality bases: ``U^t theta = sum_c theta_c U^t e_c``.  The coin is real and
 the checks run at ``k = 0``, so the field of ``(1, i) / sqrt(2)`` carries
@@ -17,6 +22,7 @@ weighted 2x2 forms of the same field (:func:`_packed_gram`).
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 from dataclasses import dataclass, fields
@@ -55,6 +61,7 @@ __all__ = [
     "reference_table_deviation",
 ]
 
+_log = logging.getLogger(__name__)
 _SEED = 20240811
 _P_GRID = (0.25, 0.5, 0.75)
 
@@ -74,6 +81,15 @@ class CheckResult:
 
 def _random_states(cls, n: int, rng: np.random.Generator) -> list:
     return [cls.random(rng) for _ in range(n)]
+
+
+def _judged(metric: str, deviations: list[float], tol: float, scale: str = "") -> tuple[bool, str]:
+    """The verdict on a check's deviations: pass iff the largest is at most
+    ``tol``, rendered as ``"<metric> = <largest> (tol <tol><scale>)"``.
+    ``np.max`` keeps a NaN, which ``max(worst, nan)`` drops, and NaN fails.
+    """
+    worst = float(np.max(deviations, initial=0.0))
+    return worst <= tol, f"{metric} = {worst:.3e} (tol {tol:g}{scale})"
 
 
 def _packed_gram(field, weight: np.ndarray | None = None) -> np.ndarray:
@@ -169,20 +185,18 @@ def check_unitarity(quick: bool = False) -> tuple[bool, str]:
     """
     rng = np.random.default_rng(_SEED)
     t1, t2, nstate = (100, 40, 3) if quick else (1000, 300, 10)
-    tol = 1e-12
-    worst = 0.0
+    devs = []
     for p in _P_GRID:
         for cls, g in ((QubitState, _basis_gram_1d(p, t1)), (QuditState, _basis_gram_2d(p, t2))):
             for th in _random_states(cls, nstate, rng):
                 a = th.as_array()
-                worst = max(worst, abs(float(np.vdot(a, g @ a).real) - 1.0))
-    return worst <= tol, f"max |sum P - 1| = {worst:.3e} (tol {tol:g}, t1={t1}, t2={t2})"
+                devs.append(abs(float(np.vdot(a, g @ a).real) - 1.0))
+    return _judged("max |sum P - 1|", devs, 1e-12, f", t1={t1}, t2={t2}")
 
 
 def check_hand_distributions(quick: bool = False) -> tuple[bool, str]:
     """2: hand-derived small-time distributions, exact within 1e-14."""
-    tol = 1e-14
-    worst = 0.0
+    devs = []
     expected_1d = {
         1: {1: 0.5, -1: 0.5},
         2: {2: 0.25, 0: 0.5, -2: 0.25},
@@ -190,15 +204,13 @@ def check_hand_distributions(quick: bool = False) -> tuple[bool, str]:
     }
     for t, table in expected_1d.items():
         d = distribution_1d(evolve_1d(QubitState(1.0, 0.0), 0.5, t))
-        for x, m in table.items():
-            worst = max(worst, abs(d.mass(x) - m))
+        devs += [abs(d.mass(x) - m) for x, m in table.items()]
     for p in _P_GRID:
         q = 1 - p
         d = distribution_2d(evolve_2d(QuditState(1, 0, 0, 0), p, 1))
         table2 = {(1, 0): p * p, (-1, 0): p * q, (0, 1): p * q, (0, -1): q * q}
-        for (x, y), m in table2.items():
-            worst = max(worst, abs(d.mass(x, y) - m))
-    return worst <= tol, f"max deviation from hand values = {worst:.3e} (tol {tol:g})"
+        devs += [abs(d.mass(x, y) - m) for (x, y), m in table2.items()]
+    return _judged("max deviation from hand values", devs, 1e-14)
 
 
 def check_closed_form(quick: bool = False) -> tuple[bool, str]:
@@ -215,32 +227,26 @@ def check_closed_form(quick: bool = False) -> tuple[bool, str]:
     dense = range(1, min(tmax, 50) + 1)
     sparse = [t for t in (60, 80, 100, 125, 150, 175, 200) if t <= tmax]
     times = tuple(sorted(set(dense) | set(sparse)))
-    tol = 1e-10
-    worst = 0.0
+    devs = []
     for p in ps:
         basis = [f.amps for f in _line_basis(p, times)]
         for th in _random_states(QubitState, nstate, rng):
             fields = zip(_line_fields(basis, th), closed_form_fields(th, p, times), strict=True)
-            for amps, cf in fields:
-                dev = np.max(np.abs(cf.amps - amps))
-                worst = max(worst, float(dev))
-    return worst <= tol, (
-        f"max amplitude deviation = {worst:.3e} over t<= {tmax} (tol {tol:g})"
-    )
+            devs += [np.max(np.abs(cf.amps - amps)) for amps, cf in fields]
+    return _judged("max amplitude deviation", devs, 1e-10, f", t<= {tmax}")
 
 
 def check_coefficients(quick: bool = False) -> tuple[bool, str]:
     """4: explicit double sum equals the recurrence coefficients within 1e-12."""
     tmax = 15 if quick else 30
-    tol = 1e-12
-    worst = 0.0
+    devs = []
     for p in _P_GRID:
         for t in range(0, tmax + 1):
             coeffs = alpha_coefficients(p, t + 1)
-            for j in range(t + 1):
-                dev = abs(double_sum_coefficient(p, t, j) - coeffs[t - 2 * j])
-                worst = max(worst, dev)
-    return worst <= tol, f"max |double sum - recurrence| = {worst:.3e} (tol {tol:g})"
+            devs += [
+                abs(double_sum_coefficient(p, t, j) - coeffs[t - 2 * j]) for j in range(t + 1)
+            ]
+    return _judged("max |double sum - recurrence|", devs, 1e-12)
 
 
 def check_limit_1d(quick: bool = False) -> tuple[bool, str]:
@@ -259,8 +265,7 @@ def check_limit_1d(quick: bool = False) -> tuple[bool, str]:
         ladder, gridn, nstate, tol = (125, 250, 500, 1000), 4096, 5, 5e-3
     grid = QuadratureGrid(gridn)
     orders = (1, 2)
-    worst_gap = 0.0
-    nondec = 0
+    final_gaps, nondec = [], 0
     for p in _P_GRID:
         forms = _line_moment_forms(p, ladder, orders)
         for th in _random_states(QubitState, nstate, rng):
@@ -270,13 +275,10 @@ def check_limit_1d(quick: bool = False) -> tuple[bool, str]:
                 sims = tuple(float(np.vdot(a, row[i] @ a).real) for row in forms)
                 gaps = tuple(abs(s - quad) for s in sims)
                 r = MomentReport(alpha, None, quad, ladder, sims, gaps)
-                worst_gap = max(worst_gap, r.gaps[-1])
+                final_gaps.append(r.gaps[-1])
                 nondec += not r.converged
-    ok = worst_gap <= tol and nondec == 0
-    return ok, (
-        f"max final gap = {worst_gap:.3e} (tol {tol:g}); "
-        f"{nondec} ladders failed to converge"
-    )
+    ok, detail = _judged("max final gap", final_gaps, tol)
+    return ok and nondec == 0, f"{detail}; {nondec} ladders failed to converge"
 
 
 def check_limit_2d(quick: bool = False) -> tuple[bool, str]:
@@ -296,14 +298,11 @@ def check_limit_2d(quick: bool = False) -> tuple[bool, str]:
     orders = ((1, 0), (0, 1), (1, 1), (2, 0))
     # one eigensolve sweep (over a quarter of the tensor grid) covers every state and order
     quads = limit_moments_2d(states, p, orders, QuadratureGrid(gridn))
-    worst = 0.0
+    devs = []
     for th, row in zip(states, quads):
         d = distribution_2d(evolve_2d(th, p, tmax))
-        for (a, b), quad in zip(orders, row):
-            worst = max(worst, abs(float(quad) - joint_moment_2d(d, a, b)))
-    return worst <= tol, (
-        f"max |sim(t={tmax}) - quad(N={gridn})| = {worst:.3e} (tol {tol:g})"
-    )
+        devs += [abs(float(quad) - joint_moment_2d(d, a, b)) for (a, b), quad in zip(orders, row)]
+    return _judged(f"max |sim(t={tmax}) - quad(N={gridn})|", devs, tol)
 
 
 def reference_table_deviation(table: ABTable) -> float:
@@ -324,11 +323,10 @@ def reference_table_deviation(table: ABTable) -> float:
 
 def check_ab_table(quick: bool = False) -> tuple[bool, str]:
     """7: the unbiased-coin expectation table and its first-difference law."""
-    table, tol = extract_ab(0.5, 10), 1e-12
-    dev = reference_table_deviation(table)
+    table = extract_ab(0.5, 10)
+    ok, detail = _judged("max table deviation", [reference_table_deviation(table)], 1e-12)
     kns = kns_check(table)
-    ok = dev <= tol and kns
-    return ok, f"max table deviation = {dev:.3e} (tol {tol:g}); first-difference law: {kns}"
+    return ok and kns, f"{detail}; first-difference law: {kns}"
 
 
 def _phi_perp_states(cls, n: int) -> list:
@@ -378,17 +376,15 @@ def check_symmetry(quick: bool = False) -> tuple[bool, str]:
 def check_reflection(quick: bool = False) -> tuple[bool, str]:
     """9: exchange-identity residuals stay at rounding level."""
     t1max, t2max = (10, 5) if quick else (20, 10)
-    r, tol = 1 / math.sqrt(2), 1e-12
-    worst = 0.0
+    r = 1 / math.sqrt(2)
+    devs = []
     for p in _P_GRID:
         for sgn in (1, -1):
             th1 = QubitState(r, r * 1j * sgn)
-            for t in range(1, t1max + 1):
-                worst = max(worst, reflection_identity_1d(th1, p, t))
+            devs += [reflection_identity_1d(th1, p, t) for t in range(1, t1max + 1)]
             th2 = QuditState(0.5, 0.5j * sgn, 0.5j * sgn, -0.5)
-            for t in range(1, t2max + 1):
-                worst = max(worst, reflection_identity_2d(th2, p, t))
-    return worst <= tol, f"max residual = {worst:.3e} (tol {tol:g})"
+            devs += [reflection_identity_2d(th2, p, t) for t in range(1, t2max + 1)]
+    return _judged("max residual", devs, 1e-12)
 
 
 def check_localization(quick: bool = False) -> tuple[bool, str]:
@@ -436,19 +432,16 @@ def check_quadrature_stability(quick: bool = False) -> tuple[bool, str]:
     rng = np.random.default_rng(_SEED + 11)
     states = [QubitState(1.0, 0.0), QubitState.random(rng)]
     coarse, fine = (512, 2048) if quick else (1024, 4096)
-    tol = 1e-10
-    worst = 0.0
-    for p in _P_GRID:
-        for th in states:
-            for alpha in (1, 2):
-                d = abs(
-                    limit_moment_1d(th, p, alpha, QuadratureGrid(coarse))
-                    - limit_moment_1d(th, p, alpha, QuadratureGrid(fine))
-                )
-                worst = max(worst, d)
-    return worst <= tol, (
-        f"max |N={coarse} - N={fine}| = {worst:.3e} (tol {tol:g})"
-    )
+    devs = [
+        abs(
+            limit_moment_1d(th, p, alpha, QuadratureGrid(coarse))
+            - limit_moment_1d(th, p, alpha, QuadratureGrid(fine))
+        )
+        for p in _P_GRID
+        for th in states
+        for alpha in (1, 2)
+    ]
+    return _judged(f"max |N={coarse} - N={fine}|", devs, 1e-10)
 
 
 ALL_CHECKS: tuple[tuple[int, str, str, Callable], ...] = (
@@ -475,9 +468,11 @@ def run_checks(
 
     The selected checks run one after another on the calling thread, in
     criterion order, so each result's ``seconds`` is that check's own,
-    uncontended time.  ``only`` must be None or a string.  ``max_workers``
-    remains only so that existing callers that name the serial run (``None``
-    or ``1``) keep working; any other value raises
+    uncontended time.  A check that raises is reported as that check's FAIL,
+    with ``"<ExceptionType>: <message>"`` as its details and its traceback
+    logged, and the other checks still run.  ``only`` must be None or a
+    string.  ``max_workers`` remains only so that existing callers that name
+    the serial run (``None`` or ``1``) keep working; any other value raises
     :class:`InvalidParameterError`.
     """
     if only is not None and not isinstance(only, str):
@@ -491,7 +486,11 @@ def run_checks(
         if only is not None and only.lower() not in section.lower():
             continue
         start = time.perf_counter()
-        passed, details = fn(quick=quick)
+        try:
+            passed, details = fn(quick=quick)
+        except Exception as exc:
+            _log.exception("acceptance check %d (%s) raised", number, section)
+            passed, details = False, f"{type(exc).__name__}: {exc}"
         seconds = time.perf_counter() - start
         results.append(CheckResult(number, section, desc, passed, details, seconds))
     if not results:

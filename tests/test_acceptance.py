@@ -5,6 +5,9 @@ captured output of a failing run) and asserts the criterion.  The same
 checks back the ``qwalk validate`` command.
 """
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from qwalk import validation
@@ -111,3 +114,48 @@ def test_reference_table_deviation_rejects_a_short_table(horizon):
 
 def test_reference_table_deviation_reads_the_first_ten_rows():
     assert validation.reference_table_deviation(extract_ab(0.5, 12)) <= 1e-12
+
+
+_NAN = float("nan")
+
+# for each numeric check, a stand-in that makes one value the check compares
+# with its tolerance NaN
+_NAN_PLANTS = {
+    1: ("_basis_gram_1d", lambda p, t: np.full((2, 2), _NAN)),
+    2: ("distribution_1d", lambda field: SimpleNamespace(mass=lambda x: _NAN)),
+    3: ("_line_fields", lambda basis, th: (np.full_like(a, _NAN) for a in basis)),
+    4: ("double_sum_coefficient", lambda p, t, j: _NAN),
+    5: ("limit_moment_1d", lambda th, p, alpha, grid: _NAN),
+    6: ("joint_moment_2d", lambda d, a, b: _NAN),
+    7: ("reference_table_deviation", lambda table: _NAN),
+    9: ("reflection_identity_1d", lambda th, p, t: _NAN),
+    11: ("limit_moment_1d", lambda th, p, alpha, grid: _NAN),
+}
+
+
+@pytest.mark.parametrize("number", sorted(_NAN_PLANTS))
+def test_a_nan_in_a_compared_value_fails_its_check(monkeypatch, number):
+    # max(worst, nan) kept worst: checks 1-4, 6, 9 and 11 passed with a NaN
+    # and check 5 printed its NaN gap as 0.000e+00
+    name, stand_in = _NAN_PLANTS[number]
+    monkeypatch.setattr(validation, name, stand_in)
+    fn = next(e[3] for e in validation.ALL_CHECKS if e[0] == number)
+    passed, details = fn(quick=True)
+    assert not passed, details
+    assert " = nan " in details, details
+
+
+def test_a_check_that_raises_is_one_fail_and_the_others_still_run(monkeypatch, caplog):
+    def broken(quick=False):
+        raise ZeroDivisionError("planted")
+
+    checks = tuple(e if e[0] != 4 else (*e[:3], broken) for e in validation.ALL_CHECKS)
+    monkeypatch.setattr(validation, "ALL_CHECKS", checks)
+    results = validation.run_checks(quick=True)
+    assert [r.number for r in results] == list(range(1, 12))
+    assert [r.number for r in results if not r.passed] == [4]
+    assert results[3].details == "ZeroDivisionError: planted"
+    # the traceback is logged, so the frame that raised stays findable
+    [record] = caplog.records
+    assert record.getMessage() == "acceptance check 4 (coefficients) raised"
+    assert record.exc_info[0] is ZeroDivisionError

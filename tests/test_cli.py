@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from qwalk import cli
+from qwalk import cli, validation
+from qwalk.errors import InvalidParameterError
 from qwalk.spectral import MomentReport
 from qwalk.symmetry import extract_ab
 from qwalk.validation import reference_table_deviation
@@ -325,6 +326,25 @@ class TestValidate:
 
     def test_unknown_section_exits_2(self):
         assert run(["validate", "--only", "nosuchsection"]) == 2
+
+    def test_a_nan_residual_exits_3(self, monkeypatch, capsys):
+        # the NaN was dropped: [PASS] ... max residual = 1.963e-16, exit 0
+        monkeypatch.setattr(validation, "reflection_identity_1d", lambda th, p, t: float("nan"))
+        assert run(["validate", "--quick", "--only", "reflection"]) == 3
+        assert "[FAIL]  9 reflection   max residual = nan " in capsys.readouterr().out
+
+    def test_a_check_that_raises_exits_3_and_the_others_still_report(self, monkeypatch, capsys):
+        # an InvalidParameterError from a check ended the suite with exit 2
+        def broken(quick=False):
+            raise InvalidParameterError("planted")
+
+        checks = tuple(e if e[0] != 2 else (*e[:3], broken) for e in validation.ALL_CHECKS)
+        monkeypatch.setattr(validation, "ALL_CHECKS", checks)
+        assert run(["validate", "--quick"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 11
+        assert [ln for ln in lines if not ln.startswith("[PASS]")] == [lines[1]]
+        assert lines[1].startswith("[FAIL]  2 hand         InvalidParameterError: planted (")
 
 
 class TestStateParsing:

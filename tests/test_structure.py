@@ -321,6 +321,33 @@ def test_each_check_prints_the_tolerance_it_tests():
                     assert not re.search(r"tol \d", part.value), part.value
 
 
+def test_validation_has_no_builtin_max_accumulator():
+    # max(worst, nan) keeps worst: `worst = max(worst, ...)` drops a NaN
+    accumulators = [
+        node.targets[0].id
+        for node in ast.walk(_tree("validation"))
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Call)
+        and isinstance(node.value.func, ast.Name)
+        and node.value.func.id == "max"
+        and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in {n.id for n in ast.walk(node.value) if isinstance(n, ast.Name)}
+    ]
+    assert accumulators == []
+
+
+def test_only_the_verdict_rule_compares_with_a_tolerance():
+    comparing = {
+        top.name
+        for top in _tree("validation").body
+        if isinstance(top, ast.FunctionDef)
+        for node in ast.walk(top)
+        if isinstance(node, ast.Compare)
+        and "tol" in {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+    }
+    assert comparing == {"_judged"}
+
+
 def test_the_test_run_fails_on_complex_warning():
     # tests/conftest.py makes the warning an error, so a test that casts a
     # complex value to a real dtype fails instead of passing with a warning
