@@ -200,9 +200,9 @@ def closed_form_fields(
         amps[1, 1:-1] += th.d2 * a_tm1
         # the stepped oracle's per-step phase raised to the t: finite for every
         # finite k, where exp(1j * k * t) overflows once |k t| exceeds 1.8e308;
-        # in place, since the field constructor copies its block
+        # in place, since the block becomes the field's own
         amps *= ph**t
-        out.append(WaveField1D(t, amps))
+        out.append(WaveField1D._built(t, amps))
     return tuple(out)
 
 

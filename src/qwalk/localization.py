@@ -31,7 +31,7 @@ from .errors import (
     require_ladder,
     require_real,
 )
-from .walk1d import _of_type, _site_coordinates, trajectory_1d
+from .walk1d import _checked_array, _of_type, _site_coordinates, trajectory_1d
 from .walk2d import trajectory_2d
 
 __all__ = [
@@ -44,11 +44,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DeltaIntensityEstimate:
-    """Cesaro averages of one site's probability at increasing horizons."""
+    """Cesaro averages of one site's probability at increasing horizons.
+
+    Raises
+    ------
+    InvalidParameterError
+        If the horizons are not a ladder that :func:`validate_horizon_ladder`
+        admits, or the averages are not one finite real number per horizon.
+    """
 
     site: int | tuple[int, int]
     horizons: tuple[int, ...]
     averages: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "horizons", validate_horizon_ladder(self.horizons))
+        averages = _checked_array(self.averages, "averages", (len(self.horizons),), real=True)
+        object.__setattr__(self, "averages", tuple(averages.tolist()))
 
     @property
     def decaying(self) -> bool:

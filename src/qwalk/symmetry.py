@@ -20,15 +20,14 @@ pairing the (+x, -x) movers and the (+y, -y) movers, giving
     Omega_{x, y} = (-1)^t (+-i) EXCHANGE_2D Omega_{-x, -y}
 
 and hence inversion symmetry ``P(x, y) = P(-x, -y)`` at every time.  The
-tensor square ``EXCHANGE_2D_TENSOR = kron(J, J)`` (an anti-diagonal sign
-matrix) is exposed for reference: it is symmetric and squares to +I, so it
-cannot intertwine the inversion for this walk in any component ordering; it
-is the exchange constant of a *pair of independent line walks* instead.
-Because no constant matrix intertwines the single-axis mirror
-``x -> -x`` here (the coin's diagonal blocks obstruct it), the operative
-notion of a symmetric 2D distribution is inversion symmetry; the stricter
-four-way axis-mirror equality genuinely fails for these dynamics, so
-``empirical_symmetric_2d`` tests inversion symmetry only.
+tensor square ``kron(J, J)`` (an anti-diagonal sign matrix) is symmetric and
+squares to +I, so it cannot intertwine the inversion for this walk in any
+component ordering; it is the exchange constant of a *pair of independent
+line walks* instead.  Because no constant matrix intertwines the single-axis
+mirror ``x -> -x`` here (the coin's diagonal blocks obstruct it), the
+operative notion of a symmetric 2D distribution is inversion symmetry; the
+stricter four-way axis-mirror equality genuinely fails for these dynamics,
+so ``empirical_symmetric_2d`` tests inversion symmetry only.
 
 One residual serves both lattices: ``reflection_identity_1d`` and
 ``reflection_identity_2d`` return ``max |flip(amps) - c E amps|`` with
@@ -70,7 +69,6 @@ from .walk2d import as_qudit, distribution_2d, evolve_2d, trajectory_2d
 __all__ = [
     "EXCHANGE_1D",
     "EXCHANGE_2D",
-    "EXCHANGE_2D_TENSOR",
     "SymmetryVerdict1D",
     "ABTable",
     "in_phi_perp",
@@ -97,9 +95,6 @@ EXCHANGE_1D = np.array([[0.0, -1.0], [1.0, 0.0]])
 EXCHANGE_2D = np.block(
     [[EXCHANGE_1D, np.zeros((2, 2))], [np.zeros((2, 2)), EXCHANGE_1D]]
 )
-
-# anti-diagonal sign matrix kron(J, J); reference only, see module docstring
-EXCHANGE_2D_TENSOR = np.kron(EXCHANGE_1D, EXCHANGE_1D)
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,18 @@ a check passes iff its largest deviation is at most the tolerance, so a NaN
 in any compared value fails.  :func:`run_checks` reports a check that raises
 as that check's FAIL, and ``qwalk validate`` then exits 3.
 
-Checks 1, 3 and 5 read their random line states by linearity from evolved
+Checks 1, 3 and 5 read their random states by linearity from evolved
 chirality bases: ``U^t theta = sum_c theta_c U^t e_c``.  The coin is real and
-the checks run at ``k = 0``, so the field of ``(1, i) / sqrt(2)`` carries
-``U^t e_1 / sqrt(2)`` in its real parts and ``U^t e_2 / sqrt(2)`` in its
-imaginary parts, and one trajectory per ``p`` serves every state.  Check 1
-reads total probabilities from the basis's Gram matrix, check 3 each state's
-amplitudes (:func:`_line_fields`), and check 5 each state's moments from
-weighted 2x2 forms of the same field (:func:`_packed_gram`).
+the checks run at ``k = 0``, so a packed state ``(u + i w) / s`` with real
+``u`` and ``w`` carries ``U^t u / s`` in its real parts and ``U^t w / s`` in
+its imaginary parts.  :func:`_basis_fields` steps the packed basis of either
+lattice: ``(1, i) / sqrt(2)`` on the line, four packed states on the lattice.
+:func:`_basis_forms` reads the real forms ``theta^H M_a(t) theta`` of the
+moments ``sum_sites prod_d (x_d / t)^{a_d} P`` from those fields, with the
+lattice's cross terms by polarization; order zero is the Gram matrix.  Check 1
+reads total probabilities from the Gram matrix, check 5 the line's moments
+from orders 1 and 2, and check 3 each line state's amplitudes
+(:func:`_line_fields`).  One basis trajectory per ``p`` serves every state.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from .symmetry import (
     reflection_identity_2d,
 )
 from .walk1d import QubitState, distribution_1d, evolve_1d, trajectory_1d
-from .walk2d import QuditState, distribution_2d, evolve_2d, joint_moment_2d
+from .walk2d import QuditState, distribution_2d, evolve_2d, joint_moment_2d, trajectory_2d
 
 __all__ = [
     "CheckResult",
@@ -92,76 +96,73 @@ def _judged(metric: str, deviations: list[float], tol: float, scale: str = "") -
     return worst <= tol, f"{metric} = {worst:.3e} (tol {tol:g}{scale})"
 
 
-def _packed_gram(field, weight: np.ndarray | None = None) -> np.ndarray:
-    """``2 v^T diag(d) v`` for ``v``, the amplitudes of ``field`` read with no
-    copy as two ``float64`` columns, real parts and imaginary parts, and
-    ``d`` the per-site ``weight`` repeated for every component (1 if omitted).
-
-    For a field of ``theta = (u + i w) / s`` with real ``u`` and ``w`` this is
-    ``2 / s^2`` times ``[[|U^t u|^2, <U^t u, U^t w>], [., |U^t w|^2]]``, each
-    product summed with the site weights.  Doubling is exact, where scaling
-    the field by ``sqrt(2)`` would round.
-    """
-    v = field.amps.reshape(-1).view(np.float64).reshape(-1, 2)
-    if weight is not None:
-        # the rows run over every site of one component, then of the next
-        wv = (weight.reshape(-1, 1) * v.reshape(len(field.amps), -1, 2)).reshape(-1, 2)
-        return 2 * (v.T @ wv)
-    return 2 * (v.T @ v)
-
-
 _R = 1 / math.sqrt(2)
+# packed chirality bases ``(u + i w) / s``, real ``u`` and ``w``: the line's
+# carries both basis vectors; the lattice's first two give the diagonal 2x2
+# blocks of a form, the diagonals of the last two its cross terms (``_CROSS``)
+_PACKED = {
+    1: ((_R, _R * 1j),),
+    2: ((_R, _R * 1j, 0, 0), (0, 0, _R, _R * 1j), (0.5, 0.5j, 0.5, 0.5j), (0.5, 0.5j, 0.5j, 0.5)),
+}
+_CROSS = (((0, 2), (1, 3)), ((0, 3), (1, 2)))
 
 
-def _basis_gram_1d(p: float, t: int) -> np.ndarray:
-    """The line's Gram matrix ``<U^t e_i, U^t e_j>``, from one evolution."""
-    return _packed_gram(evolve_1d((_R, _R * 1j), p, t))
+def _basis_fields(dim: int, p: float, times: tuple[int, ...]):
+    """The fields of the lattice's packed basis (``_PACKED``) at the
+    increasing ``times``: one lazy trajectory per basis state, in turn."""
+    trajectory, want = (trajectory_1d, trajectory_2d)[dim - 1], set(times)
+    for theta in _PACKED[dim]:
+        yield from (f for f in trajectory(theta, p, times[-1]) if f.t in want)
 
 
-def _basis_gram_2d(p: float, t: int) -> np.ndarray:
-    """The lattice's Gram matrix ``<U^t e_i, U^t e_j>``, from four evolutions:
-    two for the diagonal 2x2 blocks, then ``(1, i, 1, i) / 2`` and
-    ``(1, i, i, 1) / 2``, whose diagonals give the four cross terms by
-    polarization: ``|U^t (e_i + e_j)|^2 / 2 = (G_ii + G_jj) / 2 + G_ij``."""
-    g = np.zeros((4, 4))
-    g[:2, :2] = _packed_gram(evolve_2d((_R, _R * 1j, 0, 0), p, t))
-    g[2:, 2:] = _packed_gram(evolve_2d((0, 0, _R, _R * 1j), p, t))
-    for theta, pairs in (
-        ((0.5, 0.5j, 0.5, 0.5j), ((0, 2), (1, 3))),
-        ((0.5, 0.5j, 0.5j, 0.5), ((0, 3), (1, 2))),
-    ):
-        m = _packed_gram(evolve_2d(theta, p, t))
-        for (i, j), mij in zip(pairs, np.diag(m)):
-            g[i, j] = g[j, i] = mij - (g[i, i] + g[j, j]) / 2
-    return g
+def _basis_forms(dim: int, p: float, times: tuple[int, ...], orders) -> np.ndarray:
+    """The real forms ``M_a(t)_ij = <U^t e_i, W_a U^t e_j>`` of the evolved
+    chirality basis, indexed by time, order, ``i`` and ``j``: a state
+    ``theta`` has the moment ``theta^H M_a(t) theta``, where ``W_a`` weights
+    each site by ``prod_d (x_d / t)^{a_d}``.  Order zero is the Gram matrix.
 
+    A packed field's amplitudes, read with no copy as two ``float64`` columns
+    ``v`` (real parts, imaginary parts), give the 2x2 block ``2 v^T W_a v``;
+    doubling is exact, where scaling by ``sqrt(2)`` would round.  On the
+    lattice the diagonal of the field of ``(e_i + e_j) / 2`` in one part is
+    ``(M_ii + M_jj) / 2 + M_ij``: the cross terms follow by polarization.
+    Each field's blocks are read before the next field is stepped.
+    """
+    m = np.zeros((len(times), len(orders), 2 * dim, 2 * dim))
 
-def _line_basis(p: float, times: tuple[int, ...]):
-    """The fields of ``(1, i) / sqrt(2)`` at the increasing ``times``, from
-    one trajectory: their real parts are ``U^t e_1 / sqrt(2)`` and their
-    imaginary parts ``U^t e_2 / sqrt(2)``."""
-    want = set(times)
-    return (f for f in trajectory_1d((_R, _R * 1j), p, times[-1]) if f.t in want)
+    def blocks(field) -> list[np.ndarray]:
+        v, t = field.amps.reshape(-1).view(np.float64).reshape(-1, 2), field.t
+
+        def weighted(order) -> np.ndarray:
+            if not any(order):
+                return v  # the Gram block v^T v, with no weighted copy
+            # the block layout: column i of the line holds site 2 i - t, cell
+            # (i, j) of the lattice site (i + j - t, i - j)
+            i = np.arange(t + 1)
+            sites = (2 * i - t,) if dim == 1 else (i[:, None] + i - t, i[:, None] - i)
+            w = reduce(np.multiply, [(x / t) ** a for x, a in zip(sites, order)])
+            # the rows of v run over every site of one component, then the next
+            return (w.reshape(-1, 1) * v.reshape(len(field.amps), -1, 2)).reshape(-1, 2)
+
+        return [2 * (v.T @ weighted(order)) for order in orders]
+
+    # map holds no field once its blocks are read
+    packed = np.reshape(list(map(blocks, _basis_fields(dim, p, times))), (-1, *m.shape[:2], 2, 2))
+    for k, block in enumerate(packed[:dim]):
+        m[..., 2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = block
+    for pairs, cross in zip(_CROSS, packed[dim:]):
+        for (i, j), mij in zip(pairs, np.moveaxis(np.diagonal(cross, 0, -2, -1), -1, 0)):
+            m[..., i, j] = m[..., j, i] = mij - (m[..., i, i] + m[..., j, j]) / 2
+    return m
 
 
 def _line_fields(basis, theta: QubitState):
-    """The amplitudes of ``theta``'s fields, ``sqrt(2) (theta_1 Re + theta_2
-    Im)`` of each array in ``basis``, the amplitudes of :func:`_line_basis`
-    fields: one real matrix product on the packed parts per field."""
+    """``theta``'s amplitudes, ``sqrt(2) (theta_1 Re + theta_2 Im)`` of each
+    array in ``basis``, the amplitudes of the line's :func:`_basis_fields`:
+    one real matrix product on the packed parts per field."""
     c = np.array([[z.real, z.imag] for z in (theta.d1, theta.d2)]) * math.sqrt(2)
-    for amps in basis:
-        v = amps.view(np.float64).reshape(amps.shape + (2,))
-        yield (v @ c).view(np.complex128)[..., 0]
-
-
-def _line_moment_forms(p: float, ladder: tuple[int, ...], orders) -> list[list[np.ndarray]]:
-    """``M_a(t) = 2 v^T diag((x/t)^a) v`` for each ladder time ``t`` (rows)
-    and order ``a`` (columns), from the packed :func:`_line_basis` fields:
-    a state ``theta`` has the moment ``theta^H M_a(t) theta`` at time ``t``."""
-    return [
-        [_packed_gram(f, (f.sites() / f.t) ** a) for a in orders]
-        for f in _line_basis(p, ladder)
-    ]
+    packed = (amps.view(np.float64).reshape(amps.shape + (2,)) for amps in basis)
+    return ((v @ c).view(np.complex128)[..., 0] for v in packed)
 
 
 def check_unitarity(quick: bool = False) -> tuple[bool, str]:
@@ -169,25 +170,16 @@ def check_unitarity(quick: bool = False) -> tuple[bool, str]:
 
     The walk is linear: a state ``theta`` evolves to ``sum_c theta_c U^t e_c``,
     so its total probability is ``theta^H G theta``, where ``G_ij = <U^t e_i,
-    U^t e_j>`` is the Gram matrix of the evolved chirality basis.  One ``G``
-    per lattice and ``p`` serves every random state.
-
-    ``G`` comes from packed evolutions (:func:`_packed_gram`).  The coin is
-    real and the check runs at ``k = 0``, so a step maps the real and the
-    imaginary parts of a field apart, and ``(u + i w) / sqrt(2)`` with real
-    ``u``, ``w`` evolves to ``(U^t u + i U^t w) / sqrt(2)``: one evolution
-    gives a 2x2 block of ``G``, which is real and symmetric.  A complex coin
-    or a phase ``e^{ik} != 1`` would mix the two parts.  The line takes one
-    evolution per ``p``; the lattice takes four, two for its diagonal blocks
-    and two for its cross terms by polarization (:func:`_basis_gram_2d`).
-    Each block is read before the next evolution starts, so no more fields
-    are alive at once than within one evolution.
+    U^t e_j>`` is the Gram matrix of the evolved chirality basis, the order-zero
+    form of :func:`_basis_forms`.  One ``G`` per lattice and ``p``, from one
+    packed evolution on the line and four on the lattice, serves every state.
     """
     rng = np.random.default_rng(_SEED)
     t1, t2, nstate = (100, 40, 3) if quick else (1000, 300, 10)
     devs = []
     for p in _P_GRID:
-        for cls, g in ((QubitState, _basis_gram_1d(p, t1)), (QuditState, _basis_gram_2d(p, t2))):
+        for cls, dim, t in ((QubitState, 1, t1), (QuditState, 2, t2)):
+            g = _basis_forms(dim, p, (t,), ((0,) * dim,))[0, 0]
             for th in _random_states(cls, nstate, rng):
                 a = th.as_array()
                 devs.append(abs(float(np.vdot(a, g @ a).real) - 1.0))
@@ -217,19 +209,17 @@ def check_closed_form(quick: bool = False) -> tuple[bool, str]:
     """3: closed-form amplitudes equal the stepped oracle within 1e-10.
 
     The oracle is stepped once per ``p``, for the chirality basis
-    (:func:`_line_basis`), and each random state's field is read from it by
+    (:func:`_basis_fields`), and each random state's field is read from it by
     linearity (:func:`_line_fields`).  The closed form, the layer under test,
     is evaluated for each complex state.
     """
     rng = np.random.default_rng(_SEED + 3)
     tmax, nstate = (50, 5) if quick else (200, 20)
     ps = (0.25, 0.5) if quick else (0.1, 0.25, 0.5, 0.75, 0.9)
-    dense = range(1, min(tmax, 50) + 1)
-    sparse = [t for t in (60, 80, 100, 125, 150, 175, 200) if t <= tmax]
-    times = tuple(sorted(set(dense) | set(sparse)))
+    times = tuple(t for t in (*range(1, 51), 60, 80, 100, 125, 150, 175, 200) if t <= tmax)
     devs = []
     for p in ps:
-        basis = [f.amps for f in _line_basis(p, times)]
+        basis = [f.amps for f in _basis_fields(1, p, times)]
         for th in _random_states(QubitState, nstate, rng):
             fields = zip(_line_fields(basis, th), closed_form_fields(th, p, times), strict=True)
             devs += [np.max(np.abs(cf.amps - amps)) for amps, cf in fields]
@@ -254,7 +244,7 @@ def check_limit_1d(quick: bool = False) -> tuple[bool, str]:
 
     The simulated moments come by linearity from one basis trajectory per
     ``p``: each state's moment at ladder time ``t`` is ``theta^H M_a(t)
-    theta`` (:func:`_line_moment_forms`).  Each state and order gets a
+    theta`` (:func:`_basis_forms`).  Each state and order gets a
     :class:`MomentReport` against :func:`limit_moment_1d`, and the
     convergence verdict is the report's own.
     """
@@ -267,12 +257,12 @@ def check_limit_1d(quick: bool = False) -> tuple[bool, str]:
     orders = (1, 2)
     final_gaps, nondec = [], 0
     for p in _P_GRID:
-        forms = _line_moment_forms(p, ladder, orders)
+        forms = _basis_forms(1, p, ladder, [(alpha,) for alpha in orders])
         for th in _random_states(QubitState, nstate, rng):
             a = th.as_array()
             for i, alpha in enumerate(orders):
                 quad = limit_moment_1d(th, p, alpha, grid)
-                sims = tuple(float(np.vdot(a, row[i] @ a).real) for row in forms)
+                sims = tuple(float(np.vdot(a, m @ a).real) for m in forms[:, i])
                 gaps = tuple(abs(s - quad) for s in sims)
                 r = MomentReport(alpha, None, quad, ladder, sims, gaps)
                 final_gaps.append(r.gaps[-1])
@@ -296,11 +286,13 @@ def check_limit_2d(quick: bool = False) -> tuple[bool, str]:
         ]
     p = 0.5
     orders = ((1, 0), (0, 1), (1, 1), (2, 0))
+    # stepped before the sweep, whose arrays then fit where the fields were:
+    # fields stepped after it grew the heap past them (peak RSS up to +6 MB)
+    dists = [distribution_2d(evolve_2d(th, p, tmax)) for th in states]
     # one eigensolve sweep (over a quarter of the tensor grid) covers every state and order
     quads = limit_moments_2d(states, p, orders, QuadratureGrid(gridn))
     devs = []
-    for th, row in zip(states, quads):
-        d = distribution_2d(evolve_2d(th, p, tmax))
+    for d, row in zip(dists, quads):
         devs += [abs(float(quad) - joint_moment_2d(d, a, b)) for (a, b), quad in zip(orders, row)]
     return _judged(f"max |sim(t={tmax}) - quad(N={gridn})|", devs, tol)
 
@@ -376,11 +368,10 @@ def check_symmetry(quick: bool = False) -> tuple[bool, str]:
 def check_reflection(quick: bool = False) -> tuple[bool, str]:
     """9: exchange-identity residuals stay at rounding level."""
     t1max, t2max = (10, 5) if quick else (20, 10)
-    r = 1 / math.sqrt(2)
     devs = []
     for p in _P_GRID:
         for sgn in (1, -1):
-            th1 = QubitState(r, r * 1j * sgn)
+            th1 = QubitState(_R, _R * 1j * sgn)
             devs += [reflection_identity_1d(th1, p, t) for t in range(1, t1max + 1)]
             th2 = QuditState(0.5, 0.5j * sgn, 0.5j * sgn, -0.5)
             devs += [reflection_identity_2d(th2, p, t) for t in range(1, t2max + 1)]
@@ -394,8 +385,7 @@ def check_localization(quick: bool = False) -> tuple[bool, str]:
         lad1, lad2 = (32, 64, 128), (16, 32, 64)
     else:
         lad1, lad2 = (64, 128, 256), (32, 64, 128)
-    r = 1 / math.sqrt(2)
-    states1 = [QubitState(1.0, 0.0), QubitState(r, r * 1j), QubitState.random(rng)]
+    states1 = [QubitState(1.0, 0.0), QubitState(_R, _R * 1j), QubitState.random(rng)]
     states2 = [
         QuditState(1, 0, 0, 0),
         QuditState(0.5, 0.5j, 0.5j, -0.5),

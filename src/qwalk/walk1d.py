@@ -311,13 +311,15 @@ class _Field:
         self._box = (slice(0, None),) * self._DIM  # the whole block
 
     @classmethod
-    def _stepped(cls, t: int, amps: np.ndarray, box: tuple[slice, ...]) -> "_Field":
-        """A field over a block :func:`_step` has just written: a fresh,
-        contiguous ``complex128`` block of the right shape, so the
-        constructor's checks and copy are skipped."""
+    def _built(cls, t: int, amps: np.ndarray, box: tuple[slice, ...] | None = None) -> "_Field":
+        """A field over a block the package has just built and holds nowhere
+        else, :func:`_step`'s or a closed-form field's: a fresh, contiguous,
+        finite ``complex128`` block of the right shape, so the constructor's
+        checks and copy are skipped.  ``box`` is the live box; None means the
+        whole block."""
         self = object.__new__(cls)
         amps.setflags(write=False)
-        self.t, self.amps, self._box = t, amps, box
+        self.t, self.amps, self._box = t, amps, box or (slice(0, None),) * cls._DIM
         return self
 
     def amplitude(self, *site: int) -> tuple[complex, ...]:
@@ -428,7 +430,7 @@ def _step(field: _Field, coin: np.ndarray, ph: complex) -> _Field:
     t = field.t + 1
     if t % _FLUSH_EVERY == 0:
         box = _flush(new, box)
-    return field._stepped(t, new, box)
+    return field._built(t, new, box)
 
 
 def _flush(new: np.ndarray, box: tuple[slice, ...]) -> tuple[slice, ...]:

@@ -121,7 +121,10 @@ _NAN = float("nan")
 # for each numeric check, a stand-in that makes one value the check compares
 # with its tolerance NaN
 _NAN_PLANTS = {
-    1: ("_basis_gram_1d", lambda p, t: np.full((2, 2), _NAN)),
+    1: (
+        "_basis_forms",
+        lambda dim, p, times, orders: np.full((len(times), len(orders)) + (2 * dim,) * 2, _NAN),
+    ),
     2: ("distribution_1d", lambda field: SimpleNamespace(mass=lambda x: _NAN)),
     3: ("_line_fields", lambda basis, th: (np.full_like(a, _NAN) for a in basis)),
     4: ("double_sum_coefficient", lambda p, t, j: _NAN),

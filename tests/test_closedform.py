@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qwalk import walk1d
 from qwalk.closedform import (
     LaurentCoefficients,
     alpha_coefficients,
@@ -201,6 +202,24 @@ class TestClosedFormFields:
             one = closed_form_field(th, 0.37, t, k)
             assert f.phi1.tobytes() == one.phi1.tobytes()
             assert f.phi2.tobytes() == one.phi2.tobytes()
+
+    def test_builds_each_field_without_a_copy_or_a_recheck(self, monkeypatch):
+        # the closed form builds each block itself: no field constructor
+        # copies it or re-scans it, and it is as read-only as a stepped one
+        seen = []
+        checked = walk1d._checked_block
+        monkeypatch.setattr(
+            walk1d, "_checked_block", lambda *a, **kw: seen.append(a[1]) or checked(*a, **kw)
+        )
+        th = QubitState.random(np.random.default_rng(31))
+        fields = closed_form_fields(th, 0.37, (1, 2, 9, 40), 0.3)
+        assert seen == []
+        for f in fields:
+            assert not f.amps.flags.writeable
+            assert f.amps.flags.c_contiguous and f.amps.shape == (2, f.t + 1)
+            with pytest.raises(ValueError):
+                f.amps[0, 0] = 0
+        np.testing.assert_allclose(fields[-1].amps, evolve_1d(th, 0.37, 40, 0.3).amps, atol=1e-14)
 
     @pytest.mark.parametrize("times", [(5, 3), (3, 3), (-1,), (2.5,), (True,), (), 5])
     def test_rejects_malformed_ladder(self, times):

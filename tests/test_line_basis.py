@@ -1,11 +1,13 @@
 """Criteria 3 and 5 by linearity: one basis trajectory per ``p`` stands in
-for every random line state.
+for every random state.
 
-Check 3 reads each state's stepped field from the field of ``(1, i) /
+Check 3 reads each line state's stepped field from the field of ``(1, i) /
 sqrt(2)`` and check 5 each state's simulated moment from weighted 2x2 forms
-of the same field.  These tests hold both contractions against states
-stepped directly, pin the number and horizons of the trajectories the two
-checks step, and plant defects that linearity must not hide.
+of the same field (``validation._basis_forms``).  These tests hold both
+contractions against states stepped directly, hold the same forms on the
+lattice, where they are polarized from four packed fields, against directly
+stepped joint moments, pin the number and horizons of the trajectories the
+two checks step, and plant defects that linearity must not hide.
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 
 from qwalk import closedform, validation, walk1d
 from qwalk.walk1d import QubitState, distribution_1d, moment_1d, trajectory_1d
+from qwalk.walk2d import QuditState, distribution_2d, joint_moment_2d, trajectory_2d
 
 P_GRID = [0.25, 0.5, 0.75]
 
@@ -21,7 +24,7 @@ P_GRID = [0.25, 0.5, 0.75]
 def test_check_3_fields_equal_directly_stepped_haar_states(p):
     rng = np.random.default_rng(300 + int(p * 100))
     t = 200
-    basis = [f.amps for f in validation._line_basis(p, tuple(range(t + 1)))]
+    basis = [f.amps for f in validation._basis_fields(1, p, tuple(range(t + 1)))]
     for _ in range(3):
         th = QubitState.random(rng)
         direct = trajectory_1d(th, p, t)
@@ -34,7 +37,7 @@ def test_check_3_fields_equal_directly_stepped_haar_states(p):
 def test_check_5_forms_give_directly_stepped_moments(p):
     rng = np.random.default_rng(500 + int(p * 100))
     ladder, orders = (1, 2, 125, 500, 1000), (1, 2, 3, 4)
-    forms = validation._line_moment_forms(p, ladder, orders)
+    forms = validation._basis_forms(1, p, ladder, [(alpha,) for alpha in orders])
     for _ in range(2):
         th = QubitState.random(rng)
         a = th.as_array()
@@ -44,6 +47,24 @@ def test_check_5_forms_give_directly_stepped_moments(p):
                 want = moment_1d(distribution_1d(field), alpha)
                 # measured 1.3e-15 over p 0.25/0.5/0.75, two states each
                 assert abs(float(np.vdot(a, m @ a).real) - want) <= 1e-14, (p, field.t, alpha)
+
+
+@pytest.mark.parametrize("p", P_GRID)
+def test_lattice_forms_give_directly_stepped_joint_moments(p):
+    rng = np.random.default_rng(700 + int(p * 100))
+    ladder, orders = (1, 7, 60), ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0))
+    forms = validation._basis_forms(2, p, ladder, orders)
+    assert forms.shape == (len(ladder), len(orders), 4, 4)
+    for _ in range(2):
+        th = QuditState.random(rng)
+        a = th.as_array()
+        direct = [f for f in trajectory_2d(th, p, ladder[-1]) if f.t in ladder]
+        for field, row in zip(direct, forms, strict=True):
+            dist = distribution_2d(field)
+            for order, m in zip(orders, row, strict=True):
+                want = joint_moment_2d(dist, *order)
+                # measured 2.9e-15 over p 0.25/0.5/0.75, two states each
+                assert abs(float(np.vdot(a, m @ a).real) - want) <= 1e-14, (p, field.t, order)
 
 
 @pytest.mark.parametrize(

@@ -136,6 +136,21 @@ class TestVerdict:
         with pytest.raises(InvalidParameterError):
             localization_verdict(est, epsilon=0.0)
 
+    def test_estimate_rejects_a_nan_average(self):
+        # unchecked, the verdict read it as "not localized"
+        with pytest.raises(InvalidParameterError, match="finite"):
+            DeltaIntensityEstimate(0, (8, 16, 32), (0.5, 0.5, float("nan")))
+
+    def test_estimate_rejects_fewer_averages_than_horizons(self):
+        # unchecked, the verdict read the one average and returned False
+        with pytest.raises(InvalidParameterError, match="shape"):
+            DeltaIntensityEstimate(0, (8, 16, 32), (0.5,))
+
+    def test_estimate_rejects_a_decreasing_ladder(self):
+        # unchecked, the verdict called the rising averages localized
+        with pytest.raises(InvalidParameterError, match="increasing"):
+            DeltaIntensityEstimate(0, (32, 16, 8), (0.5, 0.6, 0.7))
+
     @pytest.mark.parametrize("bad", [0.0, 7.0, float("nan"), "0.5"])
     def test_epsilon_check_without_estimate(self, bad):
         with pytest.raises(InvalidParameterError):

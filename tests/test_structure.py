@@ -157,6 +157,29 @@ def test_check_3_makes_one_closed_form_call_per_state():
     assert "closed_form_field" not in called
 
 
+def test_checks_1_3_and_5_read_states_only_through_the_basis_routine():
+    # one routine steps the packed chirality basis of either lattice and one
+    # reads its forms, with the packing and the polarization; besides it,
+    # only check 3's linear read of the line's amplitudes views packed parts
+    calls = _calls_by_function("validation")
+    for check in ("check_unitarity", "check_closed_form", "check_limit_1d"):
+        stepping = {n for n in calls[check] if n.startswith(("evolve_", "trajectory_"))}
+        assert not stepping, check
+    assert "_basis_forms" in calls["check_unitarity"] & calls["check_limit_1d"]
+    assert {"_basis_fields", "_line_fields"} <= calls["check_closed_form"]
+    readers = {}
+    for top in _tree("validation").body:
+        for node in ast.walk(top) if isinstance(top, ast.FunctionDef) else ():
+            if isinstance(node, ast.Name):
+                readers.setdefault(node.id, set()).add(top.name)
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "view":
+                if "float64" in ast.unparse(node.args):
+                    readers.setdefault("view(float64)", set()).add(top.name)
+    assert readers["trajectory_1d"] == readers["trajectory_2d"] == {"_basis_fields"}
+    assert readers["_CROSS"] == {"_basis_forms"}
+    assert readers["view(float64)"] == {"_basis_forms", "_line_fields"}
+
+
 def test_check_5_reads_its_verdict_from_moment_report():
     # check 5 reads its simulated moments from the basis trajectory, but the
     # convergence rule stays the library's: the verdict is
@@ -308,6 +331,7 @@ def test_shared_input_checks_are_importable_but_not_public():
             assert callable(getattr(mod, n)) and n not in every_all, n
             assert not hasattr(qwalk, n), n
     assert not hasattr(qwalk.WaveField2D, "site_grids")
+    assert not hasattr(qwalk, "EXCHANGE_2D_TENSOR")
     assert not hasattr(qwalk.Distribution1D, "to_dict")
 
 

@@ -10,7 +10,6 @@ from qwalk.spectral import limit_moment_1d
 from qwalk.symmetry import (
     EXCHANGE_1D,
     EXCHANGE_2D,
-    EXCHANGE_2D_TENSOR,
     ABTable,
     classify_1d,
     empirical_symmetric_1d,
@@ -38,18 +37,6 @@ class TestExchangeConstants:
 
     def test_block_constant_squares_to_minus_identity(self):
         np.testing.assert_array_equal(EXCHANGE_2D @ EXCHANGE_2D, -np.eye(4))
-
-    def test_tensor_constant_matches_printed_matrix(self):
-        printed = np.array(
-            [[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0], [1, 0, 0, 0]], dtype=float
-        )
-        np.testing.assert_array_equal(EXCHANGE_2D_TENSOR, printed)
-        np.testing.assert_array_equal(
-            EXCHANGE_2D_TENSOR, np.kron(EXCHANGE_1D, EXCHANGE_1D)
-        )
-        np.testing.assert_array_equal(
-            EXCHANGE_2D_TENSOR @ EXCHANGE_2D_TENSOR, np.eye(4)
-        )
 
 
 class TestPhiPerp1D:
@@ -288,13 +275,15 @@ class TestReflectionIdentity2D:
     def test_tensor_constant_is_not_the_intertwiner(self):
         # kron(EXCHANGE_1D, EXCHANGE_1D) pairs the wrong components for these
         # dynamics: substituting it into the identity leaves an O(1) residual
+        tensor = np.kron(EXCHANGE_1D, EXCHANGE_1D)
+        np.testing.assert_array_equal(tensor @ tensor, np.eye(4))
         th = QuditState(0.5, 0.5j, 0.5j, -0.5)
         t, p = 3, 0.5
         field = evolve_2d(th, p, t)
         c = (-1) ** t * 1j
         amps = field.amps
         inverted = amps[:, ::-1, ::-1]
-        predicted = c * np.einsum("ab,bij->aij", EXCHANGE_2D_TENSOR, amps)
+        predicted = c * np.einsum("ab,bij->aij", tensor, amps)
         residual = np.max(np.abs(inverted - predicted))
         assert residual > 0.1
         # while the block constant leaves rounding noise only

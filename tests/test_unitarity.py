@@ -1,23 +1,28 @@
 """Criterion 1's Gram path: the evolved chirality basis stands in for every state.
 
 Check 1 reads each random state's total probability as ``theta^H G theta``
-from the Gram matrix ``G`` of the evolved basis, built from packed and
-polarized evolutions.  These tests hold that ``G`` against the basis fields
-evolved one by one and against states evolved directly, bound every state's
-deviation at once, and pin the check's evolution count and its sensitivity
-to a planted leak.
+from the Gram matrix ``G`` of the evolved basis, the order-zero form of
+``validation._basis_forms``, built from packed and polarized evolutions.
+These tests hold that ``G`` against the basis fields evolved one by one and
+against states evolved directly, bound every state's deviation at once, and
+pin the check's evolution count and its sensitivity to a planted leak.
 """
 
 import numpy as np
 import pytest
 
 from qwalk import validation, walk1d, walk2d
-from qwalk.walk1d import QubitState, evolve_1d
-from qwalk.walk2d import QuditState, evolve_2d
+from qwalk.walk1d import QubitState, evolve_1d, trajectory_1d
+from qwalk.walk2d import QuditState, evolve_2d, trajectory_2d
+
+
+def _gram(dim):
+    return lambda p, t: validation._basis_forms(dim, p, (t,), ((0,) * dim,))[0, 0]
+
 
 LATTICES = {
-    1: (validation._basis_gram_1d, evolve_1d, QubitState),
-    2: (validation._basis_gram_2d, evolve_2d, QuditState),
+    1: (_gram(1), evolve_1d, QubitState),
+    2: (_gram(2), evolve_2d, QuditState),
 }
 
 
@@ -61,14 +66,20 @@ def test_gram_bounds_every_state_at_the_quick_scales(p):
 def test_check_1_evolves_the_basis_three_times_on_the_line_and_twelve_on_the_lattice(
     monkeypatch,
 ):
-    # each call records its horizon and returns the t = 0 field: the count
-    # and horizons are pinned without stepping
+    # each call records its horizon and yields one field at the horizon,
+    # with the whole state still at the origin: the count and horizons are
+    # pinned without stepping
     calls = {1: [], 2: []}
-    for dim, name, evolve in ((1, "evolve_1d", evolve_1d), (2, "evolve_2d", evolve_2d)):
+    for dim, name, trajectory in (
+        (1, "trajectory_1d", trajectory_1d),
+        (2, "trajectory_2d", trajectory_2d),
+    ):
 
-        def counted(theta, p, t, evolve=evolve, seen=calls[dim]):
-            seen.append(t)
-            return evolve(theta, p, 0)
+        def counted(theta, p, horizon, trajectory=trajectory, seen=calls[dim], dim=dim):
+            seen.append(horizon)
+            (field,) = trajectory(theta, p, 0)
+            amps = np.pad(field.amps, [(0, 0)] + [(horizon // 2,) * 2] * dim)
+            return iter([type(field)(horizon, amps)])
 
         monkeypatch.setattr(validation, name, counted)
     passed, _ = validation.check_unitarity()
