@@ -42,15 +42,25 @@ __all__ = [
 ]
 
 
+# how far a mean of probabilities may round above 1
+_AVERAGE_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class DeltaIntensityEstimate:
     """Cesaro averages of one site's probability at increasing horizons.
 
+    ``site`` is one integer on the line or two integer coordinates on the
+    lattice, coerced as :func:`time_averaged_probability_1d` and
+    :func:`time_averaged_probability_2d` coerce theirs.
+
     Raises
     ------
     InvalidParameterError
-        If the horizons are not a ladder that :func:`validate_horizon_ladder`
-        admits, or the averages are not one finite real number per horizon.
+        If the site is neither, the horizons are not a ladder that
+        :func:`validate_horizon_ladder` admits, or the averages are not one
+        finite real number per horizon, each in [0, 1] (above 1 by at most
+        1e-12, the rounding of a mean of probabilities).
     """
 
     site: int | tuple[int, int]
@@ -58,8 +68,15 @@ class DeltaIntensityEstimate:
     averages: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        site = self.site
+        site = _site_coordinates(site, 2) if np.iterable(site) else require_int(site, "site", None)
+        object.__setattr__(self, "site", site)
         object.__setattr__(self, "horizons", validate_horizon_ladder(self.horizons))
         averages = _checked_array(self.averages, "averages", (len(self.horizons),), real=True)
+        if ((averages < 0) | (averages > 1 + _AVERAGE_TOL)).any():
+            raise InvalidParameterError(
+                f"averages must lie in [0, 1], got {tuple(averages.tolist())}"
+            )
         object.__setattr__(self, "averages", tuple(averages.tolist()))
 
     @property

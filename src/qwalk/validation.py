@@ -15,13 +15,14 @@ chirality bases: ``U^t theta = sum_c theta_c U^t e_c``.  The coin is real and
 the checks run at ``k = 0``, so a packed state ``(u + i w) / s`` with real
 ``u`` and ``w`` carries ``U^t u / s`` in its real parts and ``U^t w / s`` in
 its imaginary parts.  :func:`_basis_fields` steps the packed basis of either
-lattice: ``(1, i) / sqrt(2)`` on the line, four packed states on the lattice.
-:func:`_basis_forms` reads the real forms ``theta^H M_a(t) theta`` of the
-moments ``sum_sites prod_d (x_d / t)^{a_d} P`` from those fields, with the
-lattice's cross terms by polarization; order zero is the Gram matrix.  Check 1
-reads total probabilities from the Gram matrix, check 5 the line's moments
-from orders 1 and 2, and check 3 each line state's amplitudes
-(:func:`_line_fields`).  One basis trajectory per ``p`` serves every state.
+lattice: ``(1, i) / sqrt(2)`` on the line, ``(1, i, 0, 0) / sqrt(2)`` and
+``(0, 0, 1, i) / sqrt(2)`` on the lattice.  :func:`_basis_forms` reads the
+real forms ``theta^H M_a(t) theta`` of the moments ``sum_sites prod_d (x_d /
+t)^{a_d} P`` from those fields, the lattice's cross terms from the pair of
+its two fields; order zero is the Gram matrix.  Check 1 reads total
+probabilities from the Gram matrix, check 5 the line's moments from orders 1
+and 2, and check 3 each line state's amplitudes (:func:`_line_fields`).  One
+basis evolution or trajectory per ``p`` serves every state.
 """
 
 from __future__ import annotations
@@ -98,18 +99,21 @@ def _judged(metric: str, deviations: list[float], tol: float, scale: str = "") -
 
 _R = 1 / math.sqrt(2)
 # packed chirality bases ``(u + i w) / s``, real ``u`` and ``w``: the line's
-# carries both basis vectors; the lattice's first two give the diagonal 2x2
-# blocks of a form, the diagonals of the last two its cross terms (``_CROSS``)
-_PACKED = {
-    1: ((_R, _R * 1j),),
-    2: ((_R, _R * 1j, 0, 0), (0, 0, _R, _R * 1j), (0.5, 0.5j, 0.5, 0.5j), (0.5, 0.5j, 0.5j, 0.5)),
-}
-_CROSS = (((0, 2), (1, 3)), ((0, 3), (1, 2)))
+# carries both basis vectors, the lattice's two carry two each
+_PACKED = {1: ((_R, _R * 1j),), 2: ((_R, _R * 1j, 0, 0), (0, 0, _R, _R * 1j))}
 
 
 def _basis_fields(dim: int, p: float, times: tuple[int, ...]):
     """The fields of the lattice's packed basis (``_PACKED``) at the
-    increasing ``times``: one lazy trajectory per basis state, in turn."""
+    increasing ``times``, one basis state after another and each lazily.
+
+    A single time is evolved in two reused blocks (``evolve_*``); a ladder
+    is read off one trajectory per state, whose fields each own a block.
+    """
+    if len(times) == 1:
+        evolve = (evolve_1d, evolve_2d)[dim - 1]
+        yield from (evolve(theta, p, times[0]) for theta in _PACKED[dim])
+        return
     trajectory, want = (trajectory_1d, trajectory_2d)[dim - 1], set(times)
     for theta in _PACKED[dim]:
         yield from (f for f in trajectory(theta, p, times[-1]) if f.t in want)
@@ -122,37 +126,36 @@ def _basis_forms(dim: int, p: float, times: tuple[int, ...], orders) -> np.ndarr
     each site by ``prod_d (x_d / t)^{a_d}``.  Order zero is the Gram matrix.
 
     A packed field's amplitudes, read with no copy as two ``float64`` columns
-    ``v`` (real parts, imaginary parts), give the 2x2 block ``2 v^T W_a v``;
-    doubling is exact, where scaling by ``sqrt(2)`` would round.  On the
-    lattice the diagonal of the field of ``(e_i + e_j) / 2`` in one part is
-    ``(M_ii + M_jj) / 2 + M_ij``: the cross terms follow by polarization.
-    Each field's blocks are read before the next field is stepped.
+    ``v`` (real parts, imaginary parts), carry two basis fields, scaled by
+    ``1 / sqrt(2)``: the 2x2 block of two packed fields ``v``, ``u`` is
+    ``2 u^T W_a v``; doubling is exact, where scaling by ``sqrt(2)`` would
+    round.  On the lattice the first field's views are held while the second
+    is stepped, and give the cross blocks with it.
     """
     m = np.zeros((len(times), len(orders), 2 * dim, 2 * dim))
+    held = [[] for _ in times]  # per time, the views of the fields read so far
 
-    def blocks(field) -> list[np.ndarray]:
-        v, t = field.amps.reshape(-1).view(np.float64).reshape(-1, 2), field.t
+    def weighted(v, t: int, order) -> np.ndarray:
+        if not any(order):
+            return v  # the Gram block v^T v, with no weighted copy
+        # the block layout: column i of the line holds site 2 i - t, cell
+        # (i, j) of the lattice site (i + j - t, i - j)
+        i = np.arange(t + 1)
+        sites = (2 * i - t,) if dim == 1 else (i[:, None] + i - t, i[:, None] - i)
+        w = reduce(np.multiply, [(x / t) ** a for x, a in zip(sites, order)])
+        # the rows of v run over every site of one component, then the next
+        return (w.reshape(-1, 1) * v.reshape(2 * dim, -1, 2)).reshape(-1, 2)
 
-        def weighted(order) -> np.ndarray:
-            if not any(order):
-                return v  # the Gram block v^T v, with no weighted copy
-            # the block layout: column i of the line holds site 2 i - t, cell
-            # (i, j) of the lattice site (i + j - t, i - j)
-            i = np.arange(t + 1)
-            sites = (2 * i - t,) if dim == 1 else (i[:, None] + i - t, i[:, None] - i)
-            w = reduce(np.multiply, [(x / t) ** a for x, a in zip(sites, order)])
-            # the rows of v run over every site of one component, then the next
-            return (w.reshape(-1, 1) * v.reshape(len(field.amps), -1, 2)).reshape(-1, 2)
-
-        return [2 * (v.T @ weighted(order)) for order in orders]
-
-    # map holds no field once its blocks are read
-    packed = np.reshape(list(map(blocks, _basis_fields(dim, p, times))), (-1, *m.shape[:2], 2, 2))
-    for k, block in enumerate(packed[:dim]):
-        m[..., 2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = block
-    for pairs, cross in zip(_CROSS, packed[dim:]):
-        for (i, j), mij in zip(pairs, np.moveaxis(np.diagonal(cross, 0, -2, -1), -1, 0)):
-            m[..., i, j] = m[..., j, i] = mij - (m[..., i, i] + m[..., j, j]) / 2
+    for n, field in enumerate(_basis_fields(dim, p, times)):
+        forms, views = m[n % len(times)], held[n % len(times)]
+        views.append(field.amps.reshape(-1).view(np.float64).reshape(-1, 2))
+        a = 2 * (len(views) - 1)  # the field's rows and columns: a, a + 1
+        for form, order in zip(forms, orders):
+            wv = weighted(views[-1], field.t, order)
+            for b, u in zip(range(0, a + 1, 2), views):
+                block = 2 * (u.T @ wv)
+                form[a : a + 2, b : b + 2] = block.T
+                form[b : b + 2, a : a + 2] = block  # as computed, where b == a
     return m
 
 
@@ -172,7 +175,7 @@ def check_unitarity(quick: bool = False) -> tuple[bool, str]:
     so its total probability is ``theta^H G theta``, where ``G_ij = <U^t e_i,
     U^t e_j>`` is the Gram matrix of the evolved chirality basis, the order-zero
     form of :func:`_basis_forms`.  One ``G`` per lattice and ``p``, from one
-    packed evolution on the line and four on the lattice, serves every state.
+    packed evolution on the line and two on the lattice, serves every state.
     """
     rng = np.random.default_rng(_SEED)
     t1, t2, nstate = (100, 40, 3) if quick else (1000, 300, 10)
@@ -461,10 +464,12 @@ def run_checks(
     uncontended time.  A check that raises is reported as that check's FAIL,
     with ``"<ExceptionType>: <message>"`` as its details and its traceback
     logged, and the other checks still run.  ``only`` must be None or a
-    string.  ``max_workers`` remains only so that existing callers that name
-    the serial run (``None`` or ``1``) keep working; any other value raises
-    :class:`InvalidParameterError`.
+    string and ``quick`` a bool.  ``max_workers`` remains only so that
+    existing callers that name the serial run (``None`` or ``1``) keep
+    working; any other value raises :class:`InvalidParameterError`.
     """
+    if not isinstance(quick, bool):
+        raise InvalidParameterError(f"quick must be True or False, got {quick!r}")
     if only is not None and not isinstance(only, str):
         raise InvalidParameterError(f"only must be a section name, got {only!r}")
     if max_workers is True or max_workers not in (None, 1):

@@ -9,11 +9,14 @@ difference equations
 so component 1 moves in +x and component 2 in -x.  The walker starts at the
 origin; after ``t`` steps the support lies in ``{-t, -t+2, ..., t}``, which is
 stored densely as one block of shape ``(2, t + 1)`` (column ``i`` holds site
-``x = 2 i - t``).  A step allocates one new block and writes each pair of
-components straight into its shifted place in it: one real matrix product
-of the pair's two coin rows with the previous block, whose output is a
-strided view of the new block with the pair's two destinations as rows.
-No mixed block is built and copied.
+``x = 2 i - t``).  A step writes each pair of components straight into its
+shifted place in a new block: one real matrix product of the pair's two
+coin rows with the previous block, whose output is a strided view of the
+new block with the pair's two destinations as rows.  No mixed block is
+built and copied.  The new block is fresh, except in :func:`evolve_1d` and
+:func:`qwalk.walk2d.evolve_2d`, which keep no earlier field: they step in
+two blocks of the final field's shape, allocated once and used in turn
+(:func:`_evolve`).
 
 The only truncation is a flush to zero at the edge of the light cone.  The
 step keeps a live box, the range of columns (on the lattice, of rows and of
@@ -36,8 +39,9 @@ field and distribution bases and the one step body, :func:`_step`.  The two
 lattices differ only in their support bookkeeping (``_Support1D`` here,
 ``_Support2D`` there) and their coin.
 
-:func:`trajectory_1d` is the only loop over :func:`step_1d` in the package:
-every evolution, ladder and time average iterates it.
+:func:`trajectory_1d` and :func:`evolve_1d` are the only loops over
+:func:`step_1d` in the package: every ladder and time average iterates the
+trajectory, whose fields each own a fresh block.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from collections import deque
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import accumulate, repeat
@@ -302,24 +305,32 @@ class _Field:
     grown by one cell per axis in the next, one-larger block.  A field built
     directly has the whole block as its box, and its ``t`` and block pass
     :func:`_checked_block`.
+
+    ``_spare`` is None, or a writeable, contiguous ``complex128`` block that
+    no live field reads, of at least the next block's size: :func:`_step`
+    then lays the next block over its leading cells instead of allocating
+    one.  Only :func:`_evolve` sets it, to the block of the field two steps
+    back, and the step empties it.
     """
 
-    __slots__ = ("t", "amps", "_box")
+    __slots__ = ("t", "amps", "_box", "_spare")
 
     def __init__(self, t: int, amps: np.ndarray) -> None:
         self.t, self.amps = _checked_block(self, t, amps, (2 * self._DIM,))
         self._box = (slice(0, None),) * self._DIM  # the whole block
+        self._spare = None
 
     @classmethod
     def _built(cls, t: int, amps: np.ndarray, box: tuple[slice, ...] | None = None) -> "_Field":
         """A field over a block the package has just built and holds nowhere
-        else, :func:`_step`'s or a closed-form field's: a fresh, contiguous,
-        finite ``complex128`` block of the right shape, so the constructor's
+        else, :func:`_step`'s or a closed-form field's: a contiguous, finite
+        ``complex128`` block of the right shape, so the constructor's
         checks and copy are skipped.  ``box`` is the live box; None means the
         whole block."""
         self = object.__new__(cls)
         amps.setflags(write=False)
         self.t, self.amps, self._box = t, amps, box or (slice(0, None),) * cls._DIM
+        self._spare = None
         return self
 
     def amplitude(self, *site: int) -> tuple[complex, ...]:
@@ -379,7 +390,7 @@ class _Distribution:
 def _step(field: _Field, coin: np.ndarray, ph: complex) -> _Field:
     """One step on either lattice: mix the components at every site of the
     live box by ``coin`` and write each mixed component straight into its
-    shifted place in a fresh block, then multiply by the phase ``ph``.
+    shifted place in a new block, then multiply by the phase ``ph``.
 
     The components are mixed in pairs, (1, 2) and on the lattice (3, 4).
     One strided view of the new block has the pair's two shifted
@@ -394,20 +405,23 @@ def _step(field: _Field, coin: np.ndarray, ph: complex) -> _Field:
     parts as adjacent ``float64`` columns) and costs a real matrix product
     instead of a complex one.
 
-    The new block is allocated uninitialized: each component's destination
-    is all of the box, grown by one cell per axis, but one edge per axis
-    (the first cell for an ``_UP`` shift, the last for ``_DOWN``); those
-    edges (``_EDGES``) and every cell outside the box are zeroed.  When the
-    new time is a multiple of ``_FLUSH_EVERY``, :func:`_flush` then shrinks
-    the box past underflowed faces.
+    The new block is contiguous and starts uninitialized: it is allocated,
+    or laid over the leading cells of the field's ``_spare`` block, which
+    the step takes.  Each component's destination is all of the box, grown
+    by one cell per axis, but one edge per axis (the first cell for an
+    ``_UP`` shift, the last for ``_DOWN``); those edges (``_EDGES``) and
+    every cell outside the box are zeroed, so no cell keeps what it held.
+    When the new time is a multiple of ``_FLUSH_EVERY``, :func:`_flush` then
+    shrinks the box past underflowed faces.
 
-    Reads only from the previous field and writes a fresh block, so
-    independent evolutions may run concurrently.
+    Reads only from the previous field and writes a block that no other
+    field reads, so independent evolutions may run concurrently.
     """
-    a, box = field.amps, field._box
+    a, box, spare = field.amps, field._box, field._spare
+    field._spare = None
     live = (slice(None),) + box  # same cells of the grown block: stops count from the end
     src = a[live].transpose(field._MIX_AXES).view(np.float64)
-    new = np.empty((len(a),) + (a.shape[1] + 1,) * field._DIM, dtype=a.dtype)
+    new = np.ndarray((len(a),) + (a.shape[1] + 1,) * field._DIM, a.dtype, spare)
     strides = new.strides
     base = sum(map(mul, (s.start for s in box), strides[1:]))  # the box corner, in bytes
     corners = [sum(map(mul, corner, strides)) for corner in field._CORNERS]
@@ -431,6 +445,26 @@ def _step(field: _Field, coin: np.ndarray, ph: complex) -> _Field:
     if t % _FLUSH_EVERY == 0:
         box = _flush(new, box)
     return field._built(t, new, box)
+
+
+def _evolve(field: _Field, t: int, step) -> _Field:
+    """``step`` applied ``t`` times to ``field``, in two blocks of the final
+    field's shape, allocated here and used in turn.
+
+    Before each step the current field gets, as its ``_spare``, the block
+    that the field two steps back lived in: no live field reads it any more.
+    The returned field's block is the whole of one of the two blocks, and
+    its ``_spare`` is empty, so stepping it again allocates.  At ``t = 0``
+    ``field`` itself is returned and nothing is allocated.
+    """
+    if not t:
+        return field
+    shape = (len(field.amps),) + (t + 1,) * field._DIM
+    blocks = [np.empty(shape, field.amps.dtype) for _ in range(2)]
+    for n in range(t):
+        field._spare = blocks[n % 2]
+        field = step(field)
+    return field
 
 
 def _flush(new: np.ndarray, box: tuple[slice, ...]) -> tuple[slice, ...]:
@@ -555,8 +589,16 @@ def evolve_1d(
     t: int,
     k: float = 0.0,
 ) -> WaveField1D:
-    """The last field of :func:`trajectory_1d`: ``t`` steps from :func:`init_1d`."""
-    return deque(trajectory_1d(theta, p, t, k), maxlen=1).pop()
+    """The last field of :func:`trajectory_1d`: ``t`` steps from :func:`init_1d`.
+
+    Inputs are checked as in :func:`trajectory_1d`.  Since no earlier field
+    is kept, the steps run in two reused blocks (:func:`_evolve`); the
+    result owns its block, contiguous and read-only.
+    """
+    n, c, field = require_int(t, "horizon"), as_coin(p), init_1d(theta)
+    _phase(k)
+    # step_1d is looked up at every step, so a rebound (traced) step is seen
+    return _evolve(field, n, lambda f: step_1d(f, c, k))
 
 
 def distribution_1d(field: WaveField1D) -> Distribution1D:

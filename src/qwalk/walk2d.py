@@ -19,12 +19,12 @@ The states, fields, distributions, moments and the step body are the line's
 (:mod:`qwalk.walk1d`); only the support bookkeeping (``_Support2D``) and the
 coin are the lattice's own.
 
-:func:`trajectory_2d` is the only loop over :func:`step_2d` in the package.
+:func:`trajectory_2d` and :func:`evolve_2d` are the only loops over
+:func:`step_2d` in the package; the evolution steps in two reused blocks.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from typing import Iterator
@@ -39,6 +39,7 @@ from .walk1d import (
     _Distribution,
     _Field,
     _State,
+    _evolve,
     _frozen_coin,
     _geometry,
     _moment,
@@ -140,8 +141,8 @@ def step_2d(
     1, the total probability at t = 300 is at most 1.7e-14 from 1
     (measured: 1.643e-14).
 
-    Reads only from the previous field and writes a fresh block, so
-    independent evolutions may run concurrently.
+    Reads only from the previous field and writes a block that no other
+    field reads, so independent evolutions may run concurrently.
     """
     field, coin = _of_type(field, WaveField2D), _frozen_coin(coin_2d, as_coin(p).p)
     return _step(field, coin, _step_phase(k))
@@ -170,8 +171,12 @@ def evolve_2d(
     t: int,
     k: float = 0.0,
 ) -> WaveField2D:
-    """The last field of :func:`trajectory_2d`: ``t`` steps from :func:`init_2d`."""
-    return deque(trajectory_2d(theta, p, t, k), maxlen=1).pop()
+    """The last field of :func:`trajectory_2d`: ``t`` steps from :func:`init_2d`,
+    in two reused blocks as in :func:`qwalk.walk1d.evolve_1d`."""
+    n, c, field = require_int(t, "horizon"), as_coin(p), init_2d(theta)
+    _phase(k)
+    # step_2d is looked up at every step, so a rebound (traced) step is seen
+    return _evolve(field, n, lambda f: step_2d(f, c, k))
 
 
 def distribution_2d(field: WaveField2D) -> Distribution2D:

@@ -90,6 +90,13 @@ def test_run_checks_rejects_a_section_that_is_not_a_string(only):
         validation.run_checks(quick=True, only=only)
 
 
+@pytest.mark.parametrize("quick", ["no", 0, 1, None, np.True_])
+def test_run_checks_rejects_a_quick_that_is_not_a_bool(quick):
+    # any truthy value selected the quick scales: "no" ran them
+    with pytest.raises(InvalidParameterError, match="quick"):
+        validation.run_checks(quick=quick, only="table")
+
+
 @pytest.mark.parametrize(
     "call",
     [

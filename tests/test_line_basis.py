@@ -5,9 +5,10 @@ Check 3 reads each line state's stepped field from the field of ``(1, i) /
 sqrt(2)`` and check 5 each state's simulated moment from weighted 2x2 forms
 of the same field (``validation._basis_forms``).  These tests hold both
 contractions against states stepped directly, hold the same forms on the
-lattice, where they are polarized from four packed fields, against directly
-stepped joint moments, pin the number and horizons of the trajectories the
-two checks step, and plant defects that linearity must not hide.
+lattice, read from two packed fields and their cross blocks, against
+directly stepped joint moments, hold the forms of one evolved time against
+a ladder's, pin the number and horizons of the trajectories the two checks
+step, and plant defects that linearity must not hide.
 """
 
 import numpy as np
@@ -65,6 +66,14 @@ def test_lattice_forms_give_directly_stepped_joint_moments(p):
                 want = joint_moment_2d(dist, *order)
                 # measured 2.9e-15 over p 0.25/0.5/0.75, two states each
                 assert abs(float(np.vdot(a, m @ a).real) - want) <= 1e-14, (p, field.t, order)
+
+
+@pytest.mark.parametrize("dim,orders", [(1, ((0,), (1,), (2,))), (2, ((0, 0), (1, 0), (1, 1)))])
+def test_forms_at_one_time_equal_the_ladders_last_forms_bit_for_bit(dim, orders):
+    # one time is evolved in reused blocks, a ladder read off trajectories
+    single = validation._basis_forms(dim, 0.3, (40,), orders)
+    ladder = validation._basis_forms(dim, 0.3, (5, 40), orders)
+    assert single.tobytes() == ladder[-1:].tobytes()
 
 
 @pytest.mark.parametrize(

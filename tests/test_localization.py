@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from qwalk.errors import InvalidParameterError, PreconditionError
@@ -150,6 +151,34 @@ class TestVerdict:
         # unchecked, the verdict called the rising averages localized
         with pytest.raises(InvalidParameterError, match="increasing"):
             DeltaIntensityEstimate(0, (32, 16, 8), (0.5, 0.6, 0.7))
+
+    @pytest.mark.parametrize("site", ["x", (0, 0, 0), (1,), 1.5, True])
+    def test_estimate_rejects_a_site_that_is_not_one_or_two_integers(self, site):
+        # unchecked, any object stood as the site of a valid estimate
+        with pytest.raises(InvalidParameterError, match="site"):
+            DeltaIntensityEstimate(site, (8, 16, 32), (0.1, 0.2, 0.3))
+
+    def test_estimate_coerces_its_site_as_the_estimators_do(self):
+        est = DeltaIntensityEstimate(np.int64(3), (8, 16, 32), (0.3, 0.2, 0.1))
+        assert est.site == 3 and type(est.site) is int
+        est = DeltaIntensityEstimate([np.int64(1), -2], (8, 16, 32), (0.3, 0.2, 0.1))
+        assert est.site == (1, -2)
+
+    def test_estimate_rejects_a_negative_average(self):
+        # unchecked, the verdict called it localized: -1 to 0.2 is no decay
+        with pytest.raises(InvalidParameterError, match=r"\[0, 1\]"):
+            DeltaIntensityEstimate(0, (8, 16, 32), (-1.0, 0.2, 0.1))
+
+    def test_estimate_rejects_an_average_above_one(self):
+        # unchecked, the verdict called five times the whole mass localized
+        with pytest.raises(InvalidParameterError, match=r"\[0, 1\]"):
+            DeltaIntensityEstimate((0, 0), (8, 16, 32), (5.0, 5.0, 5.0))
+        with pytest.raises(InvalidParameterError, match=r"\[0, 1\]"):
+            DeltaIntensityEstimate(0, (8, 16, 32), (0.5, 0.4, 1 + 1e-11))
+
+    def test_estimate_keeps_an_average_rounded_just_above_one(self):
+        est = DeltaIntensityEstimate(0, (8, 16, 32), (1 + 1e-13, 1.0, 1.0))
+        assert est.averages[0] == 1 + 1e-13
 
     @pytest.mark.parametrize("bad", [0.0, 7.0, float("nan"), "0.5"])
     def test_epsilon_check_without_estimate(self, bad):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import qwalk
-from qwalk import cli
+from qwalk import cli, validation
 
 SRC = Path(qwalk.__file__).parent
 
@@ -22,7 +22,9 @@ def _tree(module: str) -> ast.Module:
     return ast.parse((SRC / f"{module}.py").read_text())
 
 
-def test_only_trajectories_call_the_step_functions():
+def test_only_trajectories_and_evolutions_call_the_step_functions():
+    # evolve_* steps in two reused blocks through the one shared loop,
+    # walk1d._evolve; every other evolution iterates trajectory_*
     calls = set()
     for path in SRC.glob("*.py"):
         for top in _tree(path.stem).body:
@@ -35,8 +37,12 @@ def test_only_trajectories_call_the_step_functions():
                     calls.add((path.stem, getattr(top, "name", None), name))
     assert calls == {
         ("walk1d", "trajectory_1d", "step_1d"),
+        ("walk1d", "evolve_1d", "step_1d"),
         ("walk2d", "trajectory_2d", "step_2d"),
+        ("walk2d", "evolve_2d", "step_2d"),
     }
+    for module, name in (("walk1d", "evolve_1d"), ("walk2d", "evolve_2d")):
+        assert "_evolve" in _calls_by_function(module)[name], name
 
 
 def test_both_step_functions_call_the_one_shared_step():
@@ -159,8 +165,10 @@ def test_check_3_makes_one_closed_form_call_per_state():
 
 def test_checks_1_3_and_5_read_states_only_through_the_basis_routine():
     # one routine steps the packed chirality basis of either lattice and one
-    # reads its forms, with the packing and the polarization; besides it,
-    # only check 3's linear read of the line's amplitudes views packed parts
+    # reads its forms, with the packing and the cross blocks; besides it,
+    # only check 3's linear read of the line's amplitudes views packed parts.
+    # The lattice's basis is two packed states, (1, i, 0, 0) and (0, 0, 1, i)
+    # over sqrt(2): no polarization state is stepped
     calls = _calls_by_function("validation")
     for check in ("check_unitarity", "check_closed_form", "check_limit_1d"):
         stepping = {n for n in calls[check] if n.startswith(("evolve_", "trajectory_"))}
@@ -176,7 +184,9 @@ def test_checks_1_3_and_5_read_states_only_through_the_basis_routine():
                 if "float64" in ast.unparse(node.args):
                     readers.setdefault("view(float64)", set()).add(top.name)
     assert readers["trajectory_1d"] == readers["trajectory_2d"] == {"_basis_fields"}
-    assert readers["_CROSS"] == {"_basis_forms"}
+    assert "_basis_fields" in readers["evolve_1d"] & readers["evolve_2d"]
+    assert len(validation._PACKED[1]) == 1 and len(validation._PACKED[2]) == 2
+    assert readers["_PACKED"] == {"_basis_fields"}
     assert readers["view(float64)"] == {"_basis_forms", "_line_fields"}
 
 

@@ -2,18 +2,19 @@
 
 Check 1 reads each random state's total probability as ``theta^H G theta``
 from the Gram matrix ``G`` of the evolved basis, the order-zero form of
-``validation._basis_forms``, built from packed and polarized evolutions.
-These tests hold that ``G`` against the basis fields evolved one by one and
-against states evolved directly, bound every state's deviation at once, and
-pin the check's evolution count and its sensitivity to a planted leak.
+``validation._basis_forms``, built from packed evolutions: one on the line,
+two on the lattice, whose cross blocks pair the two fields.  These tests
+hold that ``G`` against the basis fields evolved one by one and against
+states evolved directly, bound every state's deviation at once, and pin the
+check's evolution count and its sensitivity to a planted leak.
 """
 
 import numpy as np
 import pytest
 
 from qwalk import validation, walk1d, walk2d
-from qwalk.walk1d import QubitState, evolve_1d, trajectory_1d
-from qwalk.walk2d import QuditState, evolve_2d, trajectory_2d
+from qwalk.walk1d import QubitState, evolve_1d
+from qwalk.walk2d import QuditState, evolve_2d
 
 
 def _gram(dim):
@@ -63,28 +64,27 @@ def test_gram_bounds_every_state_at_the_quick_scales(p):
         assert len(g) * np.max(np.abs(g - np.eye(len(g)))) <= 1e-12, (dim, p)
 
 
-def test_check_1_evolves_the_basis_three_times_on_the_line_and_twelve_on_the_lattice(
+def test_check_1_evolves_the_basis_three_times_on_the_line_and_six_on_the_lattice(
     monkeypatch,
 ):
-    # each call records its horizon and yields one field at the horizon,
+    # each call records its horizon and returns one field at the horizon,
     # with the whole state still at the origin: the count and horizons are
-    # pinned without stepping
+    # pinned without stepping; a trajectory stepped instead fails the test
     calls = {1: [], 2: []}
-    for dim, name, trajectory in (
-        (1, "trajectory_1d", trajectory_1d),
-        (2, "trajectory_2d", trajectory_2d),
-    ):
+    for dim, name, evolve in ((1, "evolve_1d", evolve_1d), (2, "evolve_2d", evolve_2d)):
 
-        def counted(theta, p, horizon, trajectory=trajectory, seen=calls[dim], dim=dim):
-            seen.append(horizon)
-            (field,) = trajectory(theta, p, 0)
-            amps = np.pad(field.amps, [(0, 0)] + [(horizon // 2,) * 2] * dim)
-            return iter([type(field)(horizon, amps)])
+        def counted(theta, p, t, evolve=evolve, seen=calls[dim], dim=dim):
+            seen.append(t)
+            field = evolve(theta, p, 0)
+            amps = np.pad(field.amps, [(0, 0)] + [(t // 2,) * 2] * dim)
+            return type(field)(t, amps)
 
         monkeypatch.setattr(validation, name, counted)
+    for name in ("trajectory_1d", "trajectory_2d"):
+        monkeypatch.setattr(validation, name, lambda *a, **k: pytest.fail("stepped a trajectory"))
     passed, _ = validation.check_unitarity()
     assert passed
-    assert calls == {1: [1000] * 3, 2: [300] * 12}
+    assert calls == {1: [1000] * 3, 2: [300] * 6}
 
 
 @pytest.mark.parametrize(
