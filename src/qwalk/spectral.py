@@ -46,6 +46,7 @@ through :func:`convergence_report`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,14 +128,41 @@ class EigenBranch:
 
 @dataclass(frozen=True)
 class MomentReport:
-    """Quadrature limit value paired with simulated moments on a time ladder."""
+    """Quadrature limit value paired with simulated moments on a time ladder.
+
+    ``gaps`` is derived, ``|s - quadrature|`` for each simulated moment
+    ``s``, so the record cannot contradict its own numbers.  A NaN value is
+    kept: its gap is NaN and the report does not converge.
+
+    Raises
+    ------
+    InvalidParameterError
+        If ``times`` is not a ladder that :func:`validate_time_ladder`
+        admits, or the quadrature and the simulated moments are not real
+        numbers, one simulated moment per time.
+    """
 
     alpha: int
     beta: int | None
     quadrature: float
     times: tuple[int, ...]
     simulated: tuple[float, ...]
-    gaps: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        times = validate_time_ladder(self.times)
+        values = (self.quadrature, *self.simulated) if np.iterable(self.simulated) else ()
+        if len(values) != len(times) + 1 or not all(isinstance(v, numbers.Real) for v in values):
+            raise InvalidParameterError(
+                f"need a real quadrature and one real simulated moment per time {times}, "
+                f"got {self.quadrature!r} and {self.simulated!r}"
+            )
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "quadrature", float(values[0]))
+        object.__setattr__(self, "simulated", tuple(map(float, values[1:])))
+
+    @property
+    def gaps(self) -> tuple[float, ...]:
+        return tuple(abs(s - self.quadrature) for s in self.simulated)
 
     @property
     def converged(self) -> bool:
@@ -147,7 +175,11 @@ class MomentReport:
 
 
 def sigma(p: CoinParameter | float, wavenumber: float) -> float:
-    """Dispersion phase ``arcsin(sqrt(p) sin(x'))``, principal branch."""
+    """Dispersion phase ``arcsin(sqrt(p) sin(x'))``, principal branch.
+
+    It is the oracle for the line sweep's eigenvalues: the tests hold
+    :func:`_line_spectrum`'s ``lam`` to ``exp(-i sigma)`` and ``-exp(i sigma)``.
+    """
     c = as_coin(p)
     x = validate_wavenumber(wavenumber)
     return float(np.arcsin(math.sqrt(c.p) * math.sin(x)))
@@ -516,18 +548,20 @@ def convergence_report(
     p: CoinParameter | float,
     alpha: int,
     beta: int | None = None,
-    ladder: tuple[int, ...] = (125, 250, 500, 1000),
+    ladder: tuple[int, ...] | None = None,
     grid: QuadratureGrid | int | None = None,
 ) -> MomentReport:
     """Pair simulated pseudo-velocity moments with the quadrature limit.
 
     The dimension is taken from the state length (2 or 4 components); for the
     square lattice ``beta`` defaults to 0, and a line state rejects any
-    ``beta`` rather than dropping it.  A single evolution pass supplies
-    the whole ladder.  ``alpha (+ beta) = 0`` is the trivial moment: both
-    sides are exactly 1 and every gap is 0, but ``p`` is checked all the same.
+    ``beta`` rather than dropping it.  ``ladder`` and ``grid`` default per
+    lattice, from one row: ``(125, 250, 500, 1000)`` and N = 4096 on the
+    line, ``(75, 150, 300)`` and N = 512 on the square lattice.  A single
+    evolution pass supplies the whole ladder; the report derives its gaps.
+    ``alpha (+ beta) = 0`` is the trivial moment: both sides are exactly 1
+    and every gap is 0, but ``p`` is checked all the same.
     """
-    ladder = validate_time_ladder(ladder)
     alpha = require_int(alpha, "alpha")
     beta = None if beta is None else require_int(beta, "beta")
     p = as_coin(p)
@@ -540,10 +574,13 @@ def convergence_report(
         raise InvalidParameterError(f"beta applies to lattice states only, got beta={beta}")
     orders = (alpha, 0 if beta is None else beta)[:dim]
     # built per call from the module globals, so rebound names are honored
-    as_state, limit, default_grid, trajectory, distribution, moment = (
-        (as_qubit, limit_moment_1d, 4096, trajectory_1d, distribution_1d, moment_1d),
-        (as_qudit, limit_moment_2d, 512, trajectory_2d, distribution_2d, joint_moment_2d),
+    as_state, limit, default_grid, default_ladder, trajectory, distribution, moment = (
+        (as_qubit, limit_moment_1d, 4096, (125, 250, 500, 1000), trajectory_1d,
+         distribution_1d, moment_1d),
+        (as_qudit, limit_moment_2d, 512, (75, 150, 300), trajectory_2d,
+         distribution_2d, joint_moment_2d),
     )[dim - 1]
+    ladder = validate_time_ladder(default_ladder if ladder is None else ladder)
     th = as_state(theta)
     want = set(ladder)
     if sum(orders) == 0:
@@ -552,13 +589,4 @@ def convergence_report(
         quad = limit(th, p, *orders, default_grid if grid is None else grid)
         fields = trajectory(th, p, ladder[-1])
         sims = [moment(distribution(f), *orders) for f in fields if f.t in want]
-
-    gaps = tuple(abs(s - quad) for s in sims)
-    return MomentReport(
-        alpha=alpha,
-        beta=orders[1] if dim == 2 else None,
-        quadrature=float(quad),
-        times=ladder,
-        simulated=tuple(float(s) for s in sims),
-        gaps=gaps,
-    )
+    return MomentReport(alpha, orders[1] if dim == 2 else None, quad, ladder, sims)

@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import inspect
 import json
 
 import numpy as np
@@ -7,7 +8,13 @@ import pytest
 
 from qwalk import cli, validation
 from qwalk.errors import InvalidParameterError
-from qwalk.spectral import MomentReport
+from qwalk.spectral import (
+    MomentReport,
+    convergence_report,
+    limit_moment_1d,
+    limit_moment_2d,
+    limit_moments_2d,
+)
 from qwalk.symmetry import extract_ab
 from qwalk.validation import reference_table_deviation
 
@@ -126,6 +133,24 @@ class TestSim2D:
 
 
 class TestLimit:
+    @pytest.mark.parametrize(
+        "dim, state, limits",
+        [
+            (1, (1, 0), (limit_moment_1d,)),
+            (2, (1, 0, 0, 0), (limit_moments_2d, limit_moment_2d)),
+        ],
+    )
+    def test_parser_defaults_are_the_library_defaults(self, dim, state, limits):
+        # the CLI imports no private name, so its parser keeps literals;
+        # they must stay the library's per-lattice defaults
+        args = cli.build_parser().parse_args(
+            [f"limit{dim}d", "--p", "0.5", "--state", ",".join(map(str, state)), "--alpha", "1"]
+        )
+        for limit in limits:
+            assert args.grid == inspect.signature(limit).parameters["grid"].default.n
+        ladder = convergence_report(state, 0.5, 1, grid=64).times
+        assert tuple(map(int, args.ladder.split(","))) == ladder
+
     def test_limit1d_report(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         rc = run(["limit1d", "--p", "0.5", "--state", "1,0", "--alpha", "1",
@@ -172,7 +197,7 @@ class TestLimit:
     def test_convergence_failure_exits_5(self, monkeypatch, tmp_path):
         fake = MomentReport(
             alpha=1, beta=None, quadrature=0.3, times=(10, 20),
-            simulated=(0.3001, 0.31), gaps=(1e-4, 1e-2),
+            simulated=(0.3001, 0.31),
         )
         monkeypatch.setattr(cli, "convergence_report", lambda *a, **k: fake)
         rc = run(["limit1d", "--p", "0.5", "--state", "1,0", "--alpha", "1",

@@ -10,6 +10,7 @@ from qwalk import spectral
 from qwalk.coin import as_coin, coin_1d, coin_2d, kernel_1d, kernel_2d
 from qwalk.errors import DegenerateSpectrumError, InvalidParameterError
 from qwalk.spectral import (
+    MomentReport,
     QuadratureGrid,
     _batch_eigensystem,
     _branch_vectors,
@@ -72,6 +73,14 @@ class TestDispersion:
     def test_sigma_is_odd(self):
         for x in (0.3, 1.1, 2.9):
             assert sigma(0.6, -x) == pytest.approx(-sigma(0.6, x), abs=1e-15)
+
+    @pytest.mark.parametrize("p", [0.05, 0.25, 0.5, 0.75, 0.95])
+    def test_sigma_is_the_line_spectrum_oracle(self, p):
+        x = QuadratureGrid(256).nodes()
+        lam = _line_spectrum(as_coin(p), x)[0]
+        sig = np.array([sigma(p, k) for k in x])
+        assert np.max(np.abs(lam[:, 0] - np.exp(-1j * sig))) <= 1e-15
+        assert np.max(np.abs(lam[:, 1] + np.exp(1j * sig))) <= 1e-15
 
     def test_velocity_at_zero(self):
         assert group_velocity(0.49, 0.0) == pytest.approx(0.7, abs=1e-14)
@@ -534,10 +543,62 @@ class TestConvergenceReport:
             comps, 0.5, 1, **kw
         )
 
+    def test_default_ladder_is_per_lattice(self):
+        assert convergence_report(QuditState(1, 0, 0, 0), 0.5, 1, grid=64).times == (75, 150, 300)
+        assert convergence_report(QubitState(1, 0), 0.5, 0).times == (125, 250, 500, 1000)
+
     def test_rejects_bad_ladder(self):
         for ladder in ((100, 50), (10.5, 20.9), (0, 10)):  # 10.5 is not truncated
             with pytest.raises(InvalidParameterError):
                 convergence_report(QubitState(1.0, 0.0), 0.5, 1, ladder=ladder, grid=64)
+
+
+class TestMomentReport:
+    def test_gaps_are_derived_bit_for_bit(self):
+        sims = (0.1 + 0.2, 1 / 3, -2.5e-17, np.float64(0.7))
+        rep = MomentReport(2, None, 0.3, (1, 2, 4, 8), sims)
+        assert [g.hex() for g in rep.gaps] == [abs(s - 0.3).hex() for s in map(float, sims)]
+        assert rep.times == (1, 2, 4, 8) and rep.simulated == tuple(map(float, sims))
+
+    def test_stores_ints_and_floats(self):
+        rep = MomentReport(1, 0, np.float64(0.5), [np.int64(10), 20], np.array([0.4, 0.45]))
+        assert rep.times == (10, 20) and all(type(t) is int for t in rep.times)
+        assert type(rep.quadrature) is float
+        assert all(type(s) is float for s in rep.simulated)
+
+    def test_nan_simulated_value_does_not_converge(self):
+        rep = MomentReport(1, None, 0.5, (10, 20), (0.4, float("nan")))
+        assert math.isnan(rep.gaps[-1])
+        assert rep.converged is False
+        nan_first = MomentReport(1, None, 0.5, (10, 20), (float("nan"), 0.5))
+        assert nan_first.converged is False
+
+    def test_nan_quadrature_is_kept_and_does_not_converge(self):
+        rep = MomentReport(1, None, float("nan"), (10, 20), (0.4, 0.45))
+        assert all(math.isnan(g) for g in rep.gaps)
+        assert rep.converged is False
+
+    @pytest.mark.parametrize(
+        "times, simulated",
+        [
+            ((10, 20), (0.4,)),  # one value for a two-time ladder: converged read True
+            ((10,), (0.4, 0.45)),
+            ((), ()),  # empty: converged raised IndexError
+            ((20, 10), (0.4, 0.45)),  # decreasing
+            ((0, 10), (0.4, 0.45)),  # a time below 1
+            ((10.5, 20), (0.4, 0.45)),
+            ((10, 20), 0.4),
+            ((10, 20), (0.4, "0.45")),
+            ((10, 20), (0.4, 0.45 + 0j)),
+        ],
+    )
+    def test_rejects_a_record_that_is_not_a_ladder_of_values(self, times, simulated):
+        with pytest.raises(InvalidParameterError):
+            MomentReport(1, None, 0.5, times, simulated)
+
+    def test_rejects_a_quadrature_that_is_not_real(self):
+        with pytest.raises(InvalidParameterError):
+            MomentReport(1, None, "0.5", (10, 20), (0.4, 0.45))
 
 
 class TestLimitMoments2D:

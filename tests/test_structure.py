@@ -204,6 +204,21 @@ def test_check_5_reads_its_verdict_from_moment_report():
         assert not read & {"gaps", "_GAP_FLOOR"}, ast.unparse(compare)
 
 
+def test_moment_report_derives_its_gaps():
+    # the record stores the numbers and derives the gaps, so it cannot
+    # contradict itself; neither builder computes a gap of its own
+    (cls,) = [c for c in _tree("spectral").body if getattr(c, "name", None) == "MomentReport"]
+    fields = {n.target.id for n in cls.body if isinstance(n, ast.AnnAssign)}
+    assert fields == {"alpha", "beta", "quadrature", "times", "simulated"}
+    for module, name in (("spectral", "convergence_report"), ("validation", "check_limit_1d")):
+        (body,) = [f for f in _tree(module).body if getattr(f, "name", None) == name]
+        for node in ast.walk(body):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+                read = {getattr(n, "attr", getattr(n, "id", None)) for n in ast.walk(node)}
+                assert not read & {"quad", "quadrature"}, (name, ast.unparse(node))
+        assert "gaps" not in {k.arg for k in ast.walk(body) if isinstance(k, ast.keyword)}, name
+
+
 def test_coin_has_no_kernel_derivative():
     names = {getattr(node, "name", None) for node in _tree("coin").body}
     assert "kernel_1d_derivative" not in names
