@@ -214,8 +214,8 @@ def closed_form_field(
 ) -> WaveField1D:
     """Amplitude field at time ``t`` computed without stepping.
 
-    The one-time case of :func:`closed_form_fields`.  Must equal
-    ``evolve_1d(theta, p, t, k)`` amplitude-by-amplitude, and rejects the
-    same inputs.
+    The one-time case of :func:`closed_form_fields`, which the package
+    calls.  Must equal ``evolve_1d(theta, p, t, k)`` amplitude-by-amplitude,
+    and rejects the same inputs; the tests hold it to that.
     """
     return closed_form_fields(theta, p, (require_int(t, "time"),), k)[0]

@@ -131,7 +131,9 @@ def kernel_1d(p: CoinParameter | float, wavenumber: float) -> np.ndarray:
 
     ``S(x') = diag(exp(-i x'), exp(i x')) @ coin_1d(p)``: the +x mover
     acquires phase ``exp(-i x')`` and the -x mover ``exp(i x')``.  Unitary
-    with determinant -1 and trace ``-2i sqrt(p) sin(x')``.
+    with determinant -1 and trace ``-2i sqrt(p) sin(x')``.  No module calls
+    it: it is the independent kernel the spectral tests diagonalize with
+    numpy ``eig``, and the reference of a Fourier-space field oracle.
 
     Raises
     ------
@@ -151,7 +153,8 @@ def kernel_2d(
     """Return the one-step 4x4 kernel ``S2(m', n')``.
 
     ``S2 = diag(exp(-i m'), exp(i m'), exp(-i n'), exp(i n')) @ coin_2d(p)``.
-    At ``m' = n' = 0`` it reduces to the coin itself.
+    At ``m' = n' = 0`` it reduces to the coin itself.  Its role is
+    :func:`kernel_1d`'s, on the square lattice.
 
     Raises
     ------

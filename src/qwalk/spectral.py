@@ -1,4 +1,4 @@
-"""Kernel eigensystems, group velocities, and weak-limit moment quadrature.
+"""Kernel spectra, group velocities, and weak-limit moment quadrature.
 
 For ``p < 1`` the 1D kernel has eigenvalues ``exp(-i sigma(x'))`` and
 ``-exp(i sigma(x'))`` with ``sin(sigma) = sqrt(p) sin(x')``; the two branch
@@ -18,14 +18,14 @@ branch-weighted velocity powers over the wavenumber torus,
     lim <(X_t/t)^a (Y_t/t)^b> = int2 sum_j |c_j|^2 v_{x,j}^a v_{y,j}^b,
 
 with ``c_j`` the projection of the initial state on the j-th eigenvector;
-one quadrature body evaluates both.  Both eigensystems are closed form and
-every node takes the same path: the 2x2 kernel's is a quadratic, and the 4x4
+one quadrature body evaluates both.  Both spectra are closed form and every
+node takes the same path: the 2x2 kernel's is a quadratic, and the 4x4
 kernel's characteristic polynomial is palindromic and reduces to a quadratic
-in ``sin(omega)``.  Neither sweep builds an eigenvector: ``|u_ij|^2`` and
-``|c_j|^2`` are entries of the spectral projector ``P_j = prod_{k != j} (S -
-lambda_k) / (lambda_j - lambda_k)`` (Sylvester's formula), whose diagonal
-and form ``theta^dag P_j theta`` follow from those of the powers ``S^m``,
-``m`` below the kernel's size.
+in ``sin(omega)``.  No eigenvector is built and no ``numpy.linalg`` routine
+is called: ``|u_ij|^2`` and ``|c_j|^2`` are entries of the spectral
+projector ``P_j = prod_{k != j} (S - lambda_k) / (lambda_j - lambda_k)``
+(Sylvester's formula), whose diagonal and form ``theta^dag P_j theta``
+follow from those of the powers ``S^m``, ``m`` below the kernel's size.
 Per-node accuracy is about machine epsilon over the node's smallest phase
 gap.  Both moments are evaluated by the midpoint rule on an offset
 power-of-two grid whose nodes avoid every symmetry point where branches
@@ -70,13 +70,10 @@ from .walk2d import (
 
 __all__ = [
     "QuadratureGrid",
-    "EigenBranch",
     "MomentReport",
     "sigma",
     "group_velocity",
-    "eigensystem_1d",
     "limit_moment_1d",
-    "eigensystem_2d",
     "limit_moments_2d",
     "limit_moment_2d",
     "convergence_report",
@@ -110,20 +107,6 @@ class QuadratureGrid:
 
 def _as_grid(grid: QuadratureGrid | int) -> QuadratureGrid:
     return grid if isinstance(grid, QuadratureGrid) else QuadratureGrid(grid)
-
-
-@dataclass(frozen=True)
-class EigenBranch:
-    """One eigenvalue branch of an evolution kernel at a fixed wavenumber.
-
-    ``velocity`` holds one entry per lattice axis: ``(v,)`` on the line,
-    ``(v_x, v_y)`` on the square lattice.
-    """
-
-    eigenvalue: complex
-    eigenvector: np.ndarray
-    weight: float
-    velocity: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -189,7 +172,8 @@ def group_velocity(p: CoinParameter | float, wavenumber: float) -> float:
     """Derivative of :func:`sigma`: ``sqrt(p) cos x' / sqrt(1 - p sin^2 x')``.
 
     Magnitude is bounded by ``sqrt(p) < 1``: the walk never transports
-    faster than one site per step.
+    faster than one site per step.  It is the oracle for the line sweep's
+    velocities: the tests hold :func:`_velocities` to ``+-`` this.
     """
     c = as_coin(p)
     x = validate_wavenumber(wavenumber)
@@ -202,10 +186,9 @@ def _velocities(P: np.ndarray) -> list[np.ndarray]:
     ``P`` holds squared moduli ``|u_ij|^2`` of normalized eigenvectors, row
     ``i`` the component and column ``j`` the branch, shape (B, 2 dim, 2
     dim), rows ordered (+x, -x[, +y, -y]): the spectral projectors'
-    diagonals in the sweeps, ``|Q|^2`` at one node.  Returns one (B, 2 dim)
-    array per axis, ``P_{+d,j} - P_{-d,j}``, which is the Hellmann-Feynman
-    velocity because ``dS/dk_d`` is ``S`` with axis ``d``'s rows times
-    ``-+i``.
+    diagonals.  Returns one (B, 2 dim) array per axis, ``P_{+d,j} -
+    P_{-d,j}``, which is the Hellmann-Feynman velocity because ``dS/dk_d``
+    is ``S`` with axis ``d``'s rows times ``-+i``.
     """
     return [P[:, d] - P[:, d + 1] for d in range(0, P.shape[1], 2)]
 
@@ -331,30 +314,6 @@ def _batch_eigensystem(
     return lam, _real_sum(dbar, K), K, e
 
 
-def _branch_vectors(c: CoinParameter, *ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigensystem ``(lam, Q)`` of the kernel at wavenumbers ``ks``, one
-    array per axis.
-
-    Shapes (B, n) and (B, n, n), built from the spectral projectors of
-    :func:`_line_spectrum` or :func:`_batch_eigensystem`: column ``j`` is
-    the column of ``P_j`` through its largest diagonal entry, ``u_j
-    conj(u_rj)``, normalized, so its component ``r`` is real and positive;
-    then one Newton-Schulz step ``Q (3 - Q^dag Q) / 2`` squares the columns'
-    residual overlaps so branch weights sum to 1 even next to a crossing.
-    """
-    # looked up per call, so rebound module names are honored
-    spectrum, coin = ((_line_spectrum, coin_1d), (_batch_eigensystem, coin_2d))[len(ks) - 1]
-    lam, P, K, e = spectrum(c, *ks)
-    n = lam.shape[1]
-    S = e[:, :, None] * coin(c)
-    E = np.argmax(P, axis=1)[:, None, :] == np.arange(n)[:, None]  # one-hot rows
-    Q = K[:, None, :, n - 1] * E
-    for m in range(n - 2, -1, -1):  # Horner: P_j e_r = sum_m K_jm S^m e_r
-        Q = S @ Q + K[:, None, :, m] * E
-    Q /= np.linalg.norm(Q, axis=1, keepdims=True)
-    return lam, Q @ (1.5 * np.eye(n) - 0.5 * Q.conj().swapaxes(1, 2) @ Q)
-
-
 def _weights(H: np.ndarray, e: np.ndarray, K: np.ndarray, th: np.ndarray) -> np.ndarray:
     """Branch weights ``|Q^dag theta|^2 + |Q^T theta|^2`` without ``Q``.
 
@@ -372,55 +331,6 @@ def _weights(H: np.ndarray, e: np.ndarray, K: np.ndarray, th: np.ndarray) -> np.
             x = e * (x @ H)
             forms[:, m] += x @ t.conj()
     return _real_sum(forms.conj()[:, None, :], K)[:, 0]
-
-
-def _eigensystem(p, wavenumbers, theta) -> tuple[EigenBranch, ...]:
-    """Every branch at one node: 1 wavenumber on the line, 2 on the lattice."""
-    c = as_coin(p)
-    ks = [np.array([validate_wavenumber(k)]) for k in wavenumbers]
-    th = (as_qubit, as_qudit)[len(ks) - 1](theta).as_array()
-    lam, Q = _branch_vectors(c, *ks)
-    vel = _velocities(np.abs(Q) ** 2)
-    return tuple(
-        EigenBranch(
-            complex(lam[0, j]),
-            Q[0, :, j].copy(),
-            float(abs(np.vdot(Q[0, :, j], th)) ** 2),
-            tuple(float(v[0, j]) for v in vel),
-        )
-        for j in range(lam.shape[1])
-    )
-
-
-def eigensystem_1d(
-    p: CoinParameter | float,
-    wavenumber: float,
-    theta: QubitState | tuple | list | np.ndarray,
-) -> tuple[EigenBranch, EigenBranch]:
-    """Both eigenvalue branches of the 1D kernel at one wavenumber.
-
-    Eigenvectors are read from the closed-form spectral projectors, as on
-    the lattice: each is its projector's column through the largest
-    diagonal entry, normalized, so that component is real and positive.
-    The first branch carries the ``+cos(sigma)`` root; at ``x' = 0`` the
-    eigenvalues are (+1, -1).
-    """
-    return _eigensystem(p, (wavenumber,), theta)
-
-
-def eigensystem_2d(
-    p: CoinParameter | float,
-    wavenumber_x: float,
-    wavenumber_y: float,
-    theta: QuditState | tuple | list | np.ndarray,
-) -> tuple[EigenBranch, EigenBranch, EigenBranch, EigenBranch]:
-    """All four eigenvalue branches of the 4x4 kernel at one node.
-
-    Branches are ordered by eigenvalue phase.  Raises
-    :class:`DegenerateSpectrumError` when branch phases are closer than
-    1e-8.
-    """
-    return _eigensystem(p, (wavenumber_x, wavenumber_y), theta)
 
 
 def _limit_moments(thetas, p, orders, grid, dim: int) -> np.ndarray:
@@ -532,7 +442,8 @@ def limit_moment_2d(
 ) -> float:
     """Long-time limit of ``<(X_t/t)^alpha (Y_t/t)^beta>`` on the tensor grid.
 
-    The one-state, one-order case of :func:`limit_moments_2d`.
+    The one-state, one-order case of :func:`limit_moments_2d`, and the
+    lattice limit :func:`convergence_report` reads.
     """
     return float(_limit_moments([theta], p, [(alpha, beta)], grid, 2)[0, 0])
 
@@ -560,7 +471,7 @@ def convergence_report(
     line, ``(75, 150, 300)`` and N = 512 on the square lattice.  A single
     evolution pass supplies the whole ladder; the report derives its gaps.
     ``alpha (+ beta) = 0`` is the trivial moment: both sides are exactly 1
-    and every gap is 0, but ``p`` is checked all the same.
+    and every gap is 0, but ``p`` and ``grid`` are checked all the same.
     """
     alpha = require_int(alpha, "alpha")
     beta = None if beta is None else require_int(beta, "beta")
@@ -581,12 +492,14 @@ def convergence_report(
          distribution_2d, joint_moment_2d),
     )[dim - 1]
     ladder = validate_time_ladder(default_ladder if ladder is None else ladder)
+    grid = default_grid if grid is None else grid
+    _as_grid(grid)  # checked here for the trivial moment too, which computes no limit
     th = as_state(theta)
     want = set(ladder)
     if sum(orders) == 0:
         quad, sims = 1.0, [1.0] * len(ladder)
     else:
-        quad = limit(th, p, *orders, default_grid if grid is None else grid)
+        quad = limit(th, p, *orders, grid)
         fields = trajectory(th, p, ladder[-1])
         sims = [moment(distribution(f), *orders) for f in fields if f.t in want]
     return MomentReport(alpha, orders[1] if dim == 2 else None, quad, ladder, sims)

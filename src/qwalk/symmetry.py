@@ -73,7 +73,6 @@ __all__ = [
     "ABTable",
     "in_phi_perp",
     "empirical_symmetric_1d",
-    "zero_mean_1d",
     "classify_1d",
     "expectation_series",
     "extract_ab",
@@ -163,17 +162,13 @@ def expectation_series(theta, p: CoinParameter | float, horizon: int) -> np.ndar
     return np.array([distribution_1d(f).mean_position() for f in fields])
 
 
-def zero_mean_1d(theta, p: CoinParameter | float, horizon: int) -> bool:
-    """True iff ``|E(X_t)| <= 1e-12`` for every ``t <= horizon``."""
-    return bool(np.max(np.abs(expectation_series(theta, p, horizon))) <= _SYM_TOL)
-
-
 def classify_1d(theta, p: CoinParameter | float, horizon: int) -> SymmetryVerdict1D:
-    """All three class predicates for one state, reproducibly."""
+    """All three class predicates for one state, reproducibly; ``zero_mean``
+    is ``|E(X_t)| <= 1e-12`` for every ``t <= horizon``."""
     return SymmetryVerdict1D(
         in_phi_perp=in_phi_perp(theta),
         empirically_symmetric=empirical_symmetric_1d(theta, p, horizon),
-        zero_mean=zero_mean_1d(theta, p, horizon),
+        zero_mean=bool(np.max(np.abs(expectation_series(theta, p, horizon))) <= _SYM_TOL),
         horizon=int(horizon),
     )
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qwalk.closedform import alpha_coefficients, closed_form_field, closed_form_fields
-from qwalk.coin import coin_1d, coin_2d, kernel_1d, kernel_2d
+from qwalk.coin import as_coin, coin_1d, coin_2d, kernel_1d, kernel_2d
 from qwalk.errors import DegenerateSpectrumError, QwalkError
 from qwalk.localization import (
     localization_verdict,
@@ -16,9 +16,11 @@ from qwalk.localization import (
     time_averaged_probability_2d,
 )
 from qwalk.spectral import (
+    _batch_eigensystem,
+    _line_spectrum,
+    _velocities,
+    _weights,
     convergence_report,
-    eigensystem_1d,
-    eigensystem_2d,
     group_velocity,
     limit_moment_1d,
     limit_moment_2d,
@@ -147,11 +149,14 @@ def test_balanced_phase_family_in_class(gamma, sign):
 @settings(max_examples=30, deadline=None)
 @given(theta=qubit_strategy, p=p_strategy, x=wavenumber_strategy)
 def test_branch_weights_and_velocities(theta, p, x):
-    b1, b2 = eigensystem_1d(p, x, theta)
-    assert abs(b1.weight + b2.weight - 1.0) <= 1e-10
-    assert abs(b1.velocity[0] + b2.velocity[0]) <= 1e-10
-    assert abs(b1.velocity[0]) <= 1.0 + 1e-12
-    assert abs(b1.velocity[0] - group_velocity(p, x)) <= 1e-10
+    # one node of the line sweep's projector route
+    _, P, K, e = _line_spectrum(as_coin(p), np.array([x]))
+    w = _weights(coin_1d(p), e, K, theta.as_array())[0] / 2
+    ((v1, v2),) = _velocities(P)[0]
+    assert abs(w.sum() - 1.0) <= 1e-10
+    assert abs(v1 + v2) <= 1e-10
+    assert abs(v1) <= 1.0 + 1e-12
+    assert abs(v1 - group_velocity(p, x)) <= 1e-10
 
 
 @settings(max_examples=15, deadline=None)
@@ -164,16 +169,16 @@ def test_lattice_distribution_sums_to_one(theta, p, t):
 @settings(max_examples=50, deadline=None)
 @given(theta=qudit_strategy, p=p_strategy, m=wavenumber_strategy, n=wavenumber_strategy)
 def test_lattice_branches_match_eigvals(theta, p, m, n):
+    # one node of the lattice sweep's projector route
     try:
-        branches = eigensystem_2d(p, m, n, theta)
+        lam, P, K, e = _batch_eigensystem(as_coin(p), np.array([m]), np.array([n]))
     except DegenerateSpectrumError:
         return
-    lam = np.array([b.eigenvalue for b in branches])
-    d = np.abs(lam[:, None] - np.linalg.eigvals(kernel_2d(p, m, n))[None, :])
+    d = np.abs(lam[0][:, None] - np.linalg.eigvals(kernel_2d(p, m, n))[None, :])
     assert max(d.min(axis=0).max(), d.min(axis=1).max()) <= 1e-13
-    assert abs(sum(b.weight for b in branches) - 1.0) <= 1e-10
-    for b in branches:
-        assert abs(b.velocity[0]) + abs(b.velocity[1]) <= 1.0 + 1e-10
+    assert abs(_weights(coin_2d(p), e, K, theta.as_array()).sum() / 2 - 1.0) <= 1e-10
+    vx, vy = _velocities(P)
+    assert np.max(np.abs(vx) + np.abs(vy)) <= 1.0 + 1e-10
 
 
 exponent = st.one_of(
@@ -293,18 +298,6 @@ horizon_ladder = st.sets(st.integers(min_value=8, max_value=40), min_size=1, max
     lambda s: tuple(sorted(s))
 )
 site_strategy = st.integers(min_value=-50, max_value=50)
-
-
-@settings(max_examples=60, deadline=None)
-@given(theta=qubit_strategy, p=valid_p, x=wavenumber_strategy)
-def test_line_eigensystem_finite_for_valid_input(theta, p, x):
-    _finite_or_qwalk_error(lambda: eigensystem_1d(p, x, theta))
-
-
-@settings(max_examples=60, deadline=None)
-@given(theta=qudit_strategy, p=valid_p, m=wavenumber_strategy, n=wavenumber_strategy)
-def test_lattice_eigensystem_finite_for_valid_input(theta, p, m, n):
-    _finite_or_qwalk_error(lambda: eigensystem_2d(p, m, n, theta))
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,4 +1,4 @@
-"""Eigensystems, group velocities, and weak-limit quadrature."""
+"""Kernel spectra and projectors, group velocities, and weak-limit quadrature."""
 
 import inspect
 import math
@@ -13,13 +13,10 @@ from qwalk.spectral import (
     MomentReport,
     QuadratureGrid,
     _batch_eigensystem,
-    _branch_vectors,
     _line_spectrum,
     _velocities,
     _weights,
     convergence_report,
-    eigensystem_1d,
-    eigensystem_2d,
     group_velocity,
     limit_moment_1d,
     limit_moment_2d,
@@ -77,10 +74,14 @@ class TestDispersion:
     @pytest.mark.parametrize("p", [0.05, 0.25, 0.5, 0.75, 0.95])
     def test_sigma_is_the_line_spectrum_oracle(self, p):
         x = QuadratureGrid(256).nodes()
-        lam = _line_spectrum(as_coin(p), x)[0]
+        lam, P, _, _ = _line_spectrum(as_coin(p), x)
         sig = np.array([sigma(p, k) for k in x])
         assert np.max(np.abs(lam[:, 0] - np.exp(-1j * sig))) <= 1e-15
         assert np.max(np.abs(lam[:, 1] + np.exp(1j * sig))) <= 1e-15
+        # and its derivative the oracle for the branch velocities
+        (v,) = _velocities(P)
+        ref = np.array([group_velocity(p, k) for k in x])
+        assert np.max(np.abs(v - np.stack([ref, -ref], axis=1))) <= 1e-15
 
     def test_velocity_at_zero(self):
         assert group_velocity(0.49, 0.0) == pytest.approx(0.7, abs=1e-14)
@@ -99,35 +100,66 @@ class TestDispersion:
             assert max(abs(group_velocity(p, x)) for x in xs) <= 1.0
 
 
+def _spectrum(p, *ks):
+    """The sweep's spectrum ``(lam, P, K, e)`` at wavenumbers ``ks``, one
+    value or array per axis: :func:`_line_spectrum` for one axis,
+    :func:`_batch_eigensystem` for two."""
+    spectrum = (_line_spectrum, _batch_eigensystem)[len(ks) - 1]
+    return spectrum(as_coin(p), *(np.atleast_1d(np.asarray(k, float)) for k in ks))
+
+
+def _projectors(p, *ks):
+    """Eigenvalues and full spectral projectors ``P_j = sum_m K_jm S^m``,
+    shapes (B, n) and (B, n, n, n), with ``S = e[:, :, None] * coin``."""
+    lam, _, K, e = _spectrum(p, *ks)
+    S = e[:, :, None] * (coin_1d, coin_2d)[len(ks) - 1](p)
+    powers = [np.broadcast_to(np.eye(S.shape[1]), S.shape)]
+    for _ in range(1, S.shape[1]):
+        powers.append(S @ powers[-1])
+    return lam, np.einsum("bjm,mbik->bjik", K, np.array(powers))
+
+
+def _branch_weights(p, theta, *ks):
+    """The sweep's weights of ``theta`` per node and branch, halved: the mean
+    of ``theta^dag P_j theta`` and ``conj(theta)^dag P_j conj(theta)``, which
+    sums to 1 over the branches."""
+    _, _, K, e = _spectrum(p, *ks)
+    coin = (coin_1d, coin_2d)[len(ks) - 1](p)
+    return _weights(coin, e, K, theta.as_array()) / 2
+
+
 class TestEigensystem1D:
+    """The line's branches, read from the projectors the sweep reads."""
+
     def test_eigenvalues_at_zero(self):
-        b1, b2 = eigensystem_1d(0.3, 0.0, QubitState(1.0, 0.0))
-        assert b1.eigenvalue == pytest.approx(1.0, abs=1e-14)
-        assert b2.eigenvalue == pytest.approx(-1.0, abs=1e-14)
+        lam = _spectrum(0.3, 0.0)[0]
+        assert lam[0, 0] == pytest.approx(1.0, abs=1e-14)
+        assert lam[0, 1] == pytest.approx(-1.0, abs=1e-14)
 
     @pytest.mark.parametrize("x", [-2.1, 0.4, 1.9])
     @pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
     def test_branch_properties(self, p, x):
         rng = np.random.default_rng(42)
         th = QubitState.random(rng)
-        b1, b2 = eigensystem_1d(p, x, th)
-        for b in (b1, b2):
-            assert abs(abs(b.eigenvalue) - 1.0) <= 1e-12
-        assert b1.weight + b2.weight == pytest.approx(1.0, abs=1e-10)
-        assert abs(np.vdot(b1.eigenvector, b2.eigenvector)) <= 1e-12
+        lam, P, _, _ = _spectrum(p, x)
+        assert np.max(np.abs(np.abs(lam) - 1.0)) <= 1e-12
+        assert np.sum(_branch_weights(p, th, x)) == pytest.approx(1.0, abs=1e-10)
+        _, proj = _projectors(p, x)
+        assert np.max(np.abs(proj[0, 0] @ proj[0, 1])) <= 1e-12
+        (v,) = _velocities(P)
         # the two transport velocities are negatives of each other
-        assert b1.velocity[0] == pytest.approx(-b2.velocity[0], abs=1e-12)
+        assert v[0, 0] == pytest.approx(-v[0, 1], abs=1e-12)
         # and the positive branch carries the dispersion derivative
-        assert b1.velocity[0] == pytest.approx(group_velocity(p, x), abs=1e-12)
+        assert v[0, 0] == pytest.approx(group_velocity(p, x), abs=1e-12)
 
     def test_eigen_residual(self):
-        from qwalk.coin import kernel_1d
-
+        # the projector residual |S P_j - lam_j P_j|, S the independent kernel
         p, x = 0.6, 1.3
+        lam, proj = _projectors(p, x)
         s = kernel_1d(p, x)
-        for b in eigensystem_1d(p, x, QubitState(1.0, 0.0)):
-            res = np.max(np.abs(s @ b.eigenvector - b.eigenvalue * b.eigenvector))
-            assert res <= 1e-13
+        for j in range(2):
+            assert np.max(np.abs(s @ proj[0, j] - lam[0, j] * proj[0, j])) <= 1e-13
+        assert np.max(np.abs(proj[0].sum(axis=0) - np.eye(2))) <= 1e-14
 
 
 class TestLimitMoment1D:
@@ -217,41 +249,38 @@ class TestLimitMoment1DAgainstKonno:
 
 
 class TestEigensystem2D:
+    """The lattice's branches, read from the projectors the sweep reads."""
+
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(3)
         for _ in range(5):
             th = QuditState.random(rng)
-            branches = eigensystem_2d(0.5, 0.7, -1.1, th)
-            assert sum(b.weight for b in branches) == pytest.approx(1.0, abs=1e-10)
+            wgt = _branch_weights(0.5, th, 0.7, -1.1)
+            assert np.sum(wgt) == pytest.approx(1.0, abs=1e-10)
 
     def test_unit_modulus_and_product(self):
-        branches = eigensystem_2d(0.5, 0.9, 0.4, QuditState(1, 0, 0, 0))
-        prod = 1.0 + 0j
-        for b in branches:
-            assert abs(abs(b.eigenvalue) - 1.0) <= 1e-12
-            prod *= b.eigenvalue
-        assert abs(abs(prod) - 1.0) <= 1e-12
+        lam = _spectrum(0.5, 0.9, 0.4)[0][0]
+        assert np.max(np.abs(np.abs(lam) - 1.0)) <= 1e-12
+        assert abs(abs(np.prod(lam)) - 1.0) <= 1e-12
 
     def test_velocity_taxicab_bound(self):
-        g = QuadratureGrid(16).nodes()
-        th = QuditState(0.5, 0.5j, 0.5j, -0.5)
-        for m in g[::4]:
-            for n in g[::4]:
-                for b in eigensystem_2d(0.5, m, n, th):
-                    vx, vy = b.velocity
-                    assert abs(vx) + abs(vy) <= 1.0 + 1e-10
+        g = QuadratureGrid(16).nodes()[::4]
+        ms, ns = (a.ravel() for a in np.meshgrid(g, g, indexing="ij"))
+        vx, vy = _velocities(_spectrum(0.5, ms, ns)[1])
+        assert np.max(np.abs(vx) + np.abs(vy)) <= 1.0 + 1e-10
 
     def test_degenerate_node_raises(self):
         with pytest.raises(DegenerateSpectrumError):
-            eigensystem_2d(0.5, 0.0, 0.0, QuditState(1, 0, 0, 0))
+            _spectrum(0.5, 0.0, 0.0)
 
     def test_eigen_residual(self):
         p = 0.3
         # diagonal nodes m = n included: every node takes the same closed form
         for m, n in ((0.7, -1.2), (0.7, 0.7), (-1.1, -1.1), (2.3, 2.3)):
             s = kernel_2d(p, m, n)
-            for b in eigensystem_2d(p, m, n, QuditState(1, 0, 0, 0)):
-                res = np.max(np.abs(s @ b.eigenvector - b.eigenvalue * b.eigenvector))
+            lam, proj = _projectors(p, m, n)
+            for j in range(4):
+                res = np.max(np.abs(s @ proj[0, j] - lam[0, j] * proj[0, j]))
                 assert res <= 1e-12
 
 
@@ -385,15 +414,6 @@ class TestBatchEigensystemAgainstOracles:
             ref = np.abs(t @ V.conj()) ** 2 + np.abs(t @ V) ** 2
             assert np.max(np.abs(_weights(coin_2d(c), e, K, t) - ref)) <= 1e-11
 
-    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
-    def test_eigenvectors_match_eig_qr(self, p):
-        ms, ns = _grid_2d(64)
-        lam, Q = _branch_vectors(as_coin(p), ms, ns)
-        V = _paired_eig_qr(p, ms, ns, lam)
-        assert np.max(np.abs(np.abs(Q) ** 2 - np.abs(V) ** 2)) <= 1e-11
-        overlap = np.abs(np.einsum("bik,bik->bk", Q.conj(), V))
-        assert np.max(np.abs(overlap - 1.0)) <= 1e-11
-
 
 class TestLineSpectrumAgainstEig:
     """The line's projectors against a general ``eig`` of ``kernel_1d``,
@@ -447,7 +467,7 @@ class TestDegeneratePoints:
         ref = np.linalg.eigvals(kernel_2d(self.P, m, n))
         assert np.min(np.abs(ref[:, None] - ref[None, :]) + np.eye(4)) <= 1e-12
         with pytest.raises(DegenerateSpectrumError):
-            eigensystem_2d(self.P, m, n, QuditState(1, 0, 0, 0))
+            _batch_eigensystem(as_coin(self.P), np.array([m]), np.array([n]))
 
     def test_no_other_point_is_degenerate(self):
         # on a 256^2 grid the gap is at least 0.2 r^2 (measured 0.235 r^2),
@@ -507,6 +527,13 @@ class TestConvergenceReport:
     def test_trivial_order_still_checks_p(self, theta, p, beta):
         with pytest.raises(InvalidParameterError):
             convergence_report(theta, p, 0, beta, ladder=(10, 20))
+
+    @pytest.mark.parametrize(
+        "theta, beta, grid", [(QubitState(1, 0), None, 3), (QuditState(1, 0, 0, 0), 0, "x")]
+    )
+    def test_trivial_order_still_checks_grid(self, theta, beta, grid):
+        with pytest.raises(InvalidParameterError):
+            convergence_report(theta, 0.5, 0, beta, ladder=(10, 20), grid=grid)
 
     def test_balanced_state_stays_near_zero(self):
         rep = convergence_report(
@@ -624,16 +651,22 @@ class TestLimitMoments2D:
 
 
 def _full_torus_moments(thetas, p, orders, n, dim):
-    """Reference weak-limit moments: one eigensolve at every node of the
-    ``n^dim`` grid, weights ``|Q^dag theta|^2``, no symmetry folding."""
+    """Reference weak-limit moments: the projectors at every node of the
+    ``n^dim`` grid, weights ``theta^dag P_j theta = Re sum_m K_jm theta^dag
+    S^m theta`` from ``theta`` alone, no symmetry folding."""
     nodes = QuadratureGrid(n).nodes()
     ks = [a.ravel() for a in np.meshgrid(*[nodes] * dim, indexing="ij")]
-    c = as_coin(p)
-    _, Q = _branch_vectors(c, *ks)
-    vel = _velocities(np.abs(Q) ** 2)
+    _, P, K, e = _spectrum(p, *ks)
+    H = (coin_1d, coin_2d)[dim - 1](p)
+    vel = _velocities(P)
     out = np.empty((len(thetas), len(orders)))
     for si, th in enumerate(thetas):
-        wgt = np.abs(np.einsum("bik,i->bk", Q.conj(), th.as_array())) ** 2
+        t = th.as_array()
+        forms, x = [np.vdot(t, t) * np.ones(len(e))], t
+        for _ in range(1, 2 * dim):
+            x = e * (x @ H)  # S^m t, row by row
+            forms.append(x @ t.conj())
+        wgt = np.einsum("bjm,mb->bj", K, np.array(forms)).real
         for oi, order in enumerate(orders):
             term = wgt
             for v, a in zip(vel, order):

@@ -86,19 +86,15 @@ def test_validation_runs_checks_without_threads_or_environment():
 
 
 def test_spectral_calls_no_eigensolver_or_qr():
-    # the lattice spectrum is closed form; the line's is a closed-form quadratic
-    calls = set()
-    for node in ast.walk(_tree("spectral")):
-        f = getattr(node, "func", None)
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(f, ast.Attribute)
-            and isinstance(f.value, ast.Attribute)
-            and f.value.attr == "linalg"
-        ):
-            calls.add(f.attr)
-    assert not calls & {"eig", "eigh", "eigvals", "eigvalsh", "qr"}
-    assert calls <= {"norm"}
+    # both spectra are closed form, and no eigenvector is built or normalized:
+    # spectral reads nothing of numpy.linalg
+    linalg = [
+        ast.unparse(node)
+        for node in ast.walk(_tree("spectral"))
+        if isinstance(node, ast.Attribute) and node.attr == "linalg"
+        or isinstance(node, ast.alias) and "linalg" in node.name
+    ]
+    assert linalg == []
 
 
 def _calls_by_function(module: str) -> dict[str, set[str]]:
@@ -130,21 +126,15 @@ def test_only_the_velocity_helper_computes_branch_velocities():
     formulas = {n for n, called in calls.items() if called & {"cos", "imag", "real"}}
     assert formulas == {"group_velocity", "_batch_eigensystem"}
     assert not calls["_batch_eigensystem"] & {"imag", "real"}
-    assert {n for n, called in calls.items() if "_velocities" in called} == {
-        "_eigensystem",
-        "_limit_moments",
-    }
+    assert {n for n, called in calls.items() if "_velocities" in called} == {"_limit_moments"}
 
 
 def test_lattice_sweep_builds_no_eigenvector():
-    # both sweeps, the line's and the lattice's, read spectral projectors;
-    # only the one-node eigensystems turn them into eigenvectors (column
-    # selection, normalization, Newton-Schulz)
+    # both sweeps, the line's and the lattice's, read spectral projectors; no
+    # function selects a projector column or normalizes one into an eigenvector
     calls = _calls_by_function("spectral")
-    assert {n for n, called in calls.items() if "_branch_vectors" in called} == {"_eigensystem"}
-    assert not calls["_limit_moments"] & {"_branch_vectors", "argmax", "norm", "einsum"}
-    for name in ("_line_spectrum", "_batch_eigensystem", "_weights"):
-        assert not calls[name] & {"_branch_vectors", "argmax", "norm"}, name
+    assert [n for n, called in calls.items() if called & {"argmax", "norm"}] == []
+    assert "einsum" not in calls["_limit_moments"]
     assert "_weights" in calls["_limit_moments"]
 
 
@@ -286,8 +276,8 @@ EXPORTED_BEFORE = {
     "distribution_2d joint_moment_2d",
     "closedform": "LaurentCoefficients alpha_coefficients double_sum_coefficient "
     "closed_form_field closed_form_fields",
-    "spectral": "QuadratureGrid EigenBranch MomentReport sigma group_velocity eigensystem_1d "
-    "eigensystem_2d limit_moment_1d limit_moments_2d limit_moment_2d convergence_report",
+    "spectral": "QuadratureGrid MomentReport sigma group_velocity limit_moment_1d "
+    "limit_moments_2d limit_moment_2d convergence_report",
     "symmetry": "SymmetryVerdict1D ABTable in_phi_perp in_phi_perp_2d empirical_symmetric_1d "
     "empirical_symmetric_2d classify_1d expectation_series extract_ab kns_check "
     "reflection_identity_1d reflection_identity_2d",
@@ -338,13 +328,69 @@ def test_import_qwalk_loads_neither_validation_nor_cli():
     assert set(run.stdout.split()) == {"qwalk", *(f"qwalk.{m}" for m in LAYERS)}
 
 
+# public names deleted since, with no caller and no oracle role
+DELETED = ("EigenBranch", "eigensystem_1d", "eigensystem_2d", "zero_mean_1d")
+
+
 def test_every_earlier_top_level_name_resolves_to_the_same_object():
-    assert sum(len(v.split()) for v in EXPORTED_BEFORE.values()) == 60
+    assert sum(len(v.split()) for v in EXPORTED_BEFORE.values()) == 57
     for module, names in EXPORTED_BEFORE.items():
         mod = importlib.import_module(f"qwalk.{module}")
         for n in names.split():
             assert n in qwalk.__all__ and getattr(qwalk, n) is getattr(mod, n), n
+    for n in DELETED:
+        assert not hasattr(qwalk, n), n
+    assert not hasattr(qwalk.spectral, "_branch_vectors")
     assert qwalk.__version__ == "0.1.0"
+
+
+# the __all__ names of the layers and validation that no other module of the
+# package references and no public function returns, each with its role
+ROLES = {
+    "kernel_1d": "the independent kernel the spectral tests diagonalize with numpy eig",
+    "kernel_2d": "kernel_1d's role on the square lattice",
+    "step_1d": "the step trajectory_1d and evolve_1d iterate",
+    "step_2d": "the step trajectory_2d and evolve_2d iterate",
+    "init_2d": "the field trajectory_2d and evolve_2d start from",
+    "closed_form_field": "the one-time case of closed_form_fields, held to evolve_1d",
+    "sigma": "the oracle for the line spectrum's eigenvalues",
+    "group_velocity": "the oracle for the line's branch velocities",
+    "limit_moment_2d": "the lattice limit convergence_report reads",
+    "EXCHANGE_1D": "the exchange constant reflection_identity_1d reads",
+    "EXCHANGE_2D": "the exchange constant reflection_identity_2d reads",
+    "ALL_CHECKS": "the check table run_checks iterates",
+}
+
+
+def _referenced(tree: ast.AST) -> set[str]:
+    """Every name ``tree`` reads, imports or takes as an attribute."""
+    return {
+        getattr(node, "id", None) or getattr(node, "attr", None) or node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    }
+
+
+def test_every_public_name_has_a_caller_or_a_role():
+    # a new public name that nothing calls fails here until its role is written
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    returned = {
+        name
+        for tree in trees.values()
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef) and not top.name.startswith("_") and top.returns
+        for name in _referenced(top.returns)
+    }
+    uncalled = set()
+    for module in (*LAYERS, "validation"):
+        (public,) = [
+            ast.literal_eval(top.value)
+            for top in trees[module].body
+            if isinstance(top, ast.Assign) and getattr(top.targets[0], "id", None) == "__all__"
+        ]
+        used = set().union(*(_referenced(t) for m, t in trees.items() if m != module))
+        uncalled |= set(public) - used - returned
+    assert uncalled == set(ROLES)
 
 
 def test_shared_input_checks_are_importable_but_not_public():
