@@ -107,8 +107,8 @@ def _basis_fields(dim: int, p: float, times: tuple[int, ...]):
     """The fields of the lattice's packed basis (``_PACKED``) at the
     increasing ``times``, one basis state after another and each lazily.
 
-    A single time is evolved in two reused blocks (``evolve_*``); a ladder
-    is read off one trajectory per state, whose fields each own a block.
+    A single time is evolved in one buffer (``evolve_*``); a ladder is
+    read off one trajectory per state, whose fields each own a block.
     """
     if len(times) == 1:
         evolve = (evolve_1d, evolve_2d)[dim - 1]

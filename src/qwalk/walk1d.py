@@ -15,8 +15,10 @@ coin rows with the previous block, whose output is a strided view of the
 new block with the pair's two destinations as rows.  No mixed block is
 built and copied.  The new block is fresh, except in :func:`evolve_1d` and
 :func:`qwalk.walk2d.evolve_2d`, which keep no earlier field: they step in
-two blocks of the final field's shape, allocated once and used in turn
-(:func:`_evolve`).
+one buffer of the final field's shape, allocated once, and write each field
+over the previous one in the buffer's leading corner, with a small staging
+array that holds the rows a step overwrites, or a whole field that fits in
+it (:func:`_evolve`).
 
 The only truncation is a flush to zero at the edge of the light cone.  The
 step keeps a live box, the range of columns (on the lattice, of rows and of
@@ -245,8 +247,14 @@ class _Support1D:
         """All lattice sites of the correct parity, ascending."""
         return 2 * np.arange(self.t + 1) - self.t
 
-    def _grids(self) -> tuple[np.ndarray, ...]:
-        return (self.sites(),)
+    def _coordinates(self) -> np.ndarray:
+        """Every value a site coordinate takes, ascending."""
+        return self.sites()
+
+    def _spread(self, d: int, values: np.ndarray) -> np.ndarray:
+        """``values``, one per entry of :meth:`_coordinates`, read at each
+        cell's coordinate ``d``: here ``values`` itself."""
+        return values
 
     def _site(self, idx: tuple[int, ...]) -> int:
         return int(2 * idx[0] - self.t)
@@ -281,12 +289,60 @@ def _checked_block(
 ) -> tuple[int, np.ndarray]:
     """``t`` as an integer ``>= 0`` and ``block`` as :func:`_checked_array`'s
     copy with shape ``lead + (t + 1,) * obj._DIM``; for ``masses``, a real
-    copy whose entries are non-negative."""
+    copy whose entries are non-negative.
+
+    The total probability (of the masses, or of the amplitudes'
+    :func:`_masses`) must be finite, else :class:`InvalidStateError`: it
+    bounds every amplitude by its square root, so no step overflows.
+    """
     t, kind = require_int(t, "time"), type(obj).__name__
     arr = _checked_array(block, f"{kind} block", lead + (t + 1,) * obj._DIM, masses)
     if masses and (arr < 0).any():
         raise InvalidParameterError(f"{kind} masses must be non-negative")
+    with np.errstate(over="ignore"):  # an overflowing total is inf, and rejected below
+        total = np.sum(arr if masses else _masses(arr))
+    if not np.isfinite(total):
+        raise InvalidStateError(f"{kind} total probability must be finite, got {total!r}")
     return t, arr
+
+
+# rows per block of a blocked reduction: about 1/_BLOCKS of the first axis,
+# and at least _BLOCK_CELLS cells, so a block's temporaries stay a small
+# share of the block-sized result without many small numpy calls
+_BLOCKS, _BLOCK_CELLS = 32, 1024
+
+
+def _row_blocks(shape: tuple[int, ...]) -> list[slice]:
+    """Slices that cover the first axis of an array of ``shape`` in blocks
+    of rows."""
+    n, row = shape[0], math.prod(shape[1:])
+    size = max(-(-n // _BLOCKS), -(-_BLOCK_CELLS // row))
+    return [slice(i, i + size) for i in range(0, n, size)]
+
+
+def _masses(amps: np.ndarray) -> np.ndarray:
+    """Per-site probability of an amplitude block: the squared moduli
+    summed over components, in component order.
+
+    Past ``_BLOCK_CELLS`` sites it runs a block of rows at a time, so
+    besides the result it allocates only one block of squared moduli; a
+    smaller block takes the whole-array expression, which rounds the same.
+    """
+    if amps[0].size <= _BLOCK_CELLS:
+        return np.sum(np.abs(amps) ** 2, axis=0)
+    masses = np.empty(amps.shape[1:])
+    blocks = _row_blocks(masses.shape)
+    sq = np.empty_like(masses[blocks[0]])
+    for rows in blocks:
+        out = masses[rows]
+        part = sq[: len(out)]
+        np.abs(amps[0, rows], out=out)
+        out *= out
+        for comp in amps[1:, rows]:
+            np.abs(comp, out=part)
+            part *= part
+            out += part
+    return masses
 
 
 class _Field:
@@ -306,11 +362,13 @@ class _Field:
     directly has the whole block as its box, and its ``t`` and block pass
     :func:`_checked_block`.
 
-    ``_spare`` is None, or a writeable, contiguous ``complex128`` block that
-    no live field reads, of at least the next block's size: :func:`_step`
-    then lays the next block over its leading cells instead of allocating
-    one.  Only :func:`_evolve` sets it, to the block of the field two steps
-    back, and the step empties it.
+    ``_spare`` is None, or the pair ``(buffer, stage)`` that only
+    :func:`_evolve` sets and the step empties: two writeable, contiguous
+    ``complex128`` arrays that no other live field reads.  ``buffer`` is a
+    block at least one cell longer per axis than ``amps``, and ``stage`` a
+    flat array; ``amps`` may be the leading corner of the one or the
+    leading cells of the other.  :func:`_step` then writes the next block
+    into one of them instead of allocating it.
     """
 
     __slots__ = ("t", "amps", "_box", "_spare")
@@ -347,11 +405,8 @@ class _Field:
             yield self._site(idx), tuple(complex(a[idx]) for a in self.amps)
 
     def total_probability(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2))
-
-    def _masses(self) -> np.ndarray:
-        """Per-site probability: the squared moduli summed over components."""
-        return np.sum(np.abs(self.amps) ** 2, axis=0)
+        """The pairwise sum of the per-site masses (:func:`_masses`)."""
+        return float(np.sum(_masses(self.amps)))
 
 
 class _Distribution:
@@ -369,7 +424,7 @@ class _Distribution:
         block of the right shape, so the constructor's checks and copy are
         skipped."""
         self = object.__new__(cls)
-        values = field._masses()
+        values = _masses(field.amps)
         values.flags.writeable = False
         self.t, self._values = field.t, values
         return self
@@ -405,34 +460,57 @@ def _step(field: _Field, coin: np.ndarray, ph: complex) -> _Field:
     parts as adjacent ``float64`` columns) and costs a real matrix product
     instead of a complex one.
 
-    The new block is contiguous and starts uninitialized: it is allocated,
-    or laid over the leading cells of the field's ``_spare`` block, which
-    the step takes.  Each component's destination is all of the box, grown
-    by one cell per axis, but one edge per axis (the first cell for an
-    ``_UP`` shift, the last for ``_DOWN``); those edges (``_EDGES``) and
-    every cell outside the box are zeroed, so no cell keeps what it held.
-    When the new time is a multiple of ``_FLUSH_EVERY``, :func:`_flush` then
-    shrinks the box past underflowed faces.
+    The new block starts uninitialized.  Without a ``_spare`` it is
+    allocated.  With one, which the step takes, it is laid over the leading
+    cells of ``stage`` if it fits there and the field does not live there;
+    otherwise it is the leading corner of ``buffer``.  When the field itself
+    lives in that corner, the new block overwrites it.  No destination cell
+    lies before its source cell on any axis, so the step then walks the
+    first spatial axis from its far end in chunks of as many rows as fit
+    ``stage`` (:func:`_staged`) and copies each chunk's source rows, all
+    components, into ``stage`` before the pairs are written: a chunk
+    overwrites only rows that no later, nearer chunk reads.  No other step
+    copies its field.
+
+    Each component's destination is all of the box, grown by one cell per
+    axis, but one edge per axis (the first cell for an ``_UP`` shift, the
+    last for ``_DOWN``); those edges (``_EDGES``) and every cell outside the
+    box are zeroed, so no cell keeps what it held.  When the new time is a
+    multiple of ``_FLUSH_EVERY``, :func:`_flush` then shrinks the box past
+    underflowed faces.
 
     Reads only from the previous field and writes a block that no other
-    field reads, so independent evolutions may run concurrently.
+    live field reads (in an evolution, possibly over the previous field,
+    which the evolution then drops), so independent evolutions may run
+    concurrently.
     """
-    a, box, spare = field.amps, field._box, field._spare
+    a, box = field.amps, field._box
+    buffer, stage = field._spare or (None, None)
     field._spare = None
+    shape = (len(a),) + (a.shape[1] + 1,) * field._DIM
+    if buffer is None:
+        new = home = np.empty(shape, a.dtype)
+    elif a.base is stage or len(stage) < math.prod(shape):
+        new = np.ndarray(shape, a.dtype, buffer, 0, buffer.strides)  # the leading corner
+        home = buffer
+    else:
+        new = home = np.ndarray(shape, a.dtype, stage)  # over the stage's leading cells
     live = (slice(None),) + box  # same cells of the grown block: stops count from the end
-    src = a[live].transpose(field._MIX_AXES).view(np.float64)
-    new = np.ndarray((len(a),) + (a.shape[1] + 1,) * field._DIM, a.dtype, spare)
     strides = new.strides
     base = sum(map(mul, (s.start for s in box), strides[1:]))  # the box corner, in bytes
     corners = [sum(map(mul, corner, strides)) for corner in field._CORNERS]
-    shape = src.shape[:-2] + (2, src.shape[-1])
-    for c in range(0, len(a), 2):
-        pair_strides = strides[1:-1] + (corners[c + 1] - corners[c], src.itemsize)
-        dst = np.ndarray(shape, np.float64, new, base + corners[c], pair_strides)
-        np.matmul(coin[c : c + 2], src, out=dst)
-        if ph != 1.0:
-            dst = dst.view(a.dtype)
-            np.multiply(ph, dst, out=dst)  # phase first: rounds as ``ph * dst`` does
+    src = a[live]
+    for r0, part in _staged(src, stage) if a.base is home else ((0, src),):
+        part = part.transpose(field._MIX_AXES).view(np.float64)
+        pair = part.shape[:-2] + (2, part.shape[-1])
+        offset = base + r0 * strides[1]
+        for c in range(0, len(a), 2):
+            pair_strides = strides[1:-1] + (corners[c + 1] - corners[c], part.itemsize)
+            dst = np.ndarray(pair, np.float64, home, offset + corners[c], pair_strides)
+            np.matmul(coin[c : c + 2], part, out=dst)
+            if ph != 1.0:
+                dst = dst.view(a.dtype)
+                np.multiply(ph, dst, out=dst)  # phase first: rounds as ``ph * dst`` does
     grown = new[live]
     for edge in field._EDGES:
         grown[edge] = 0
@@ -447,22 +525,50 @@ def _step(field: _Field, coin: np.ndarray, ph: complex) -> _Field:
     return field._built(t, new, box)
 
 
-def _evolve(field: _Field, t: int, step) -> _Field:
-    """``step`` applied ``t`` times to ``field``, in two blocks of the final
-    field's shape, allocated here and used in turn.
+# bytes of source rows one in-place step stages at a time
+_STAGE_BYTES = 1 << 19
 
-    Before each step the current field gets, as its ``_spare``, the block
-    that the field two steps back lived in: no live field reads it any more.
-    The returned field's block is the whole of one of the two blocks, and
-    its ``_spare`` is empty, so stepping it again allocates.  At ``t = 0``
-    ``field`` itself is returned and nothing is allocated.
+
+def _staged(src: np.ndarray, stage: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """``src``, a live box with the component axis first, in chunks of as
+    many rows of its first spatial axis as fit in ``stage`` (at least one),
+    from the far end: yields each chunk's first row, counted within ``src``,
+    and the chunk, copied over the leading cells of ``stage``."""
+    row = src.size // src.shape[1]  # cells of one row, all components
+    rows = max(1, len(stage) // row)
+    for r1 in range(src.shape[1], 0, -rows):
+        r0 = max(0, r1 - rows)
+        part = src[:, r0:r1]
+        staged = stage[: part.size].reshape(part.shape)
+        np.copyto(staged, part)
+        yield r0, staged
+
+
+def _evolve(field: _Field, t: int, step) -> _Field:
+    """``step`` applied ``t`` times to ``field``, in one buffer of the final
+    field's shape and one staging array of about ``_STAGE_BYTES`` (at most
+    the buffer's size), both allocated here.
+
+    Before each step the current field gets the pair as its ``_spare``
+    (:func:`_step`).  Fields that fit in the staging array alternate
+    between it and the buffer's leading corner, so no step copies them;
+    each larger field is written into the leading corner over the field
+    before it, a staged chunk of rows at a time.  Every field up to
+    t = 16383 on the line, and up to t = 89 on the lattice, fits: staging
+    every step of the line cost it up to 40% at t = 10000.  The returned
+    field's block is the whole buffer, or the whole staging array when that
+    is as large, and its ``_spare`` is empty, so stepping it again
+    allocates.  At ``t = 0`` ``field`` itself is returned and nothing is
+    allocated.
     """
     if not t:
         return field
     shape = (len(field.amps),) + (t + 1,) * field._DIM
-    blocks = [np.empty(shape, field.amps.dtype) for _ in range(2)]
-    for n in range(t):
-        field._spare = blocks[n % 2]
+    buffer = np.empty(shape, field.amps.dtype)
+    row = math.prod(shape) // (t + 1)  # cells of one row, all components
+    stage = np.empty(min(buffer.size, max(row, _STAGE_BYTES // buffer.itemsize)), buffer.dtype)
+    for _ in range(t):
+        field._spare = buffer, stage
         field = step(field)
     return field
 
@@ -500,14 +606,32 @@ def _moment(dist: _Distribution, orders: tuple[int, ...]) -> float:
 
     Order zero always returns 1.  At ``t = 0`` the walker has no velocity,
     so any other order returns 0.
+
+    Each axis's factor ``(x_d / t)^{a_d}`` is taken once per coordinate
+    value and read at every cell through a strided view (:meth:`_spread`).
+    The weights are built in one array of the masses' shape; a second
+    factor multiplies in a block of rows at a time (:func:`_row_blocks`),
+    so no other temporary holds more than one block.
     """
     orders = [require_int(a, "moment order") for a in orders]
     if not any(orders):
         return 1.0
     if dist.t == 0:
         return 0.0
-    weights = math.prod((g / dist.t) ** a for g, a in zip(dist._grids(), orders))
-    return float(np.sum(weights * dist._values))
+    first, *rest = [
+        dist._spread(d, (dist._coordinates() / dist.t) ** a) for d, a in enumerate(orders) if a
+    ]
+    weights = np.empty_like(dist._values)
+    np.copyto(weights, first)
+    for factor in rest:
+        blocks = _row_blocks(weights.shape)
+        block = np.empty_like(weights[blocks[0]])
+        for rows in blocks:
+            w = weights[rows]
+            np.copyto(block[: len(w)], factor[rows])
+            w *= block[: len(w)]
+    weights *= dist._values
+    return float(np.sum(weights))
 
 
 class WaveField1D(_Support1D, _Field):
@@ -593,8 +717,9 @@ def evolve_1d(
     """The last field of :func:`trajectory_1d`: ``t`` steps from :func:`init_1d`.
 
     Inputs are checked as in :func:`trajectory_1d`.  Since no earlier field
-    is kept, the steps run in two reused blocks (:func:`_evolve`); the
-    result owns its block, contiguous and read-only.
+    is kept, the steps run in one buffer of the final field's shape and a
+    small staging array (:func:`_evolve`); the result owns the whole of one
+    of them, contiguous and read-only.
     """
     n, c, field = require_int(t, "horizon"), as_coin(p), init_1d(theta)
     _phase(k)

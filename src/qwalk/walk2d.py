@@ -20,7 +20,8 @@ The states, fields, distributions, moments and the step body are the line's
 coin are the lattice's own.
 
 :func:`trajectory_2d` and :func:`evolve_2d` are the only loops over
-:func:`step_2d` in the package; the evolution steps in two reused blocks.
+:func:`step_2d` in the package; the evolution steps in one buffer of the
+final field's shape.
 """
 
 from __future__ import annotations
@@ -92,12 +93,20 @@ class _Support2D:
             return None
         return (u + self.t) // 2, (v + self.t) // 2
 
-    def _grids(self) -> tuple[np.ndarray, np.ndarray]:
-        """Arrays X, Y of shape (t+1, t+1) giving the site of each grid cell."""
-        i = np.arange(self.t + 1)
-        x = i[:, None] + i[None, :] - self.t
-        y = i[:, None] - i[None, :]
-        return x, y
+    def _coordinates(self) -> np.ndarray:
+        """Every value ``x`` or ``y`` takes, ascending: ``-t, ..., t``."""
+        return np.arange(-self.t, self.t + 1)
+
+    def _spread(self, d: int, values: np.ndarray) -> np.ndarray:
+        """``values``, one per entry of :meth:`_coordinates`, read at each
+        cell's coordinate ``d`` (0 for x, 1 for y), as a read-only strided
+        ``(t+1, t+1)`` view: cell ``(i, j)`` reads entry ``i + j`` for x and
+        ``t + i - j`` for y."""
+        step = values.strides[0]
+        shape, strides = (self.t + 1,) * 2, (step, -step if d else step)
+        view = np.ndarray(shape, values.dtype, values, d * self.t * step, strides)
+        view.flags.writeable = False  # its cells share memory
+        return view
 
     def _site(self, idx: tuple[int, ...]) -> tuple[int, int]:
         i, j = idx
@@ -174,7 +183,7 @@ def evolve_2d(
     k: float = 0.0,
 ) -> WaveField2D:
     """The last field of :func:`trajectory_2d`: ``t`` steps from :func:`init_2d`,
-    in two reused blocks as in :func:`qwalk.walk1d.evolve_1d`."""
+    in one buffer as in :func:`qwalk.walk1d.evolve_1d`."""
     n, c, field = require_int(t, "horizon"), as_coin(p), init_2d(theta)
     _phase(k)
     # step_2d is looked up at every step, so a rebound (traced) step is seen

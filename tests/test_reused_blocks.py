@@ -1,12 +1,18 @@
-"""Evolution in two reused blocks: ``evolve_1d`` and ``evolve_2d``.
+"""Evolution in one buffer: ``evolve_1d`` and ``evolve_2d``.
 
-An evolution keeps no earlier field, so it steps in two blocks of the final
-field's shape, used in turn, where a trajectory gives every field a fresh
-block.  These tests hold the evolved field against the trajectory's last
-field bit for bit, pin the step count and the two buffers with a recorder
-around the step, and check that a returned field is never written again.
+An evolution keeps no earlier field, so it steps in one buffer of the final
+field's shape and a small staging array, where a trajectory gives every
+field a fresh block: a field that fits in the staging array is written
+there or into the buffer's leading corner, in turn, and a larger one over
+the field before it in that corner.  These tests hold the evolved field
+against the trajectory's last field bit for bit, also through a staging
+array small enough that most steps overwrite their field in chunks, pin the
+step count and the one buffer with a recorder around the step, pin the
+memory of an evolution and of the reductions with ``tracemalloc``, and
+check that a returned field is never written again.
 """
 
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -14,7 +20,14 @@ import pytest
 
 from qwalk import walk1d, walk2d
 from qwalk.walk1d import QubitState, evolve_1d, step_1d, trajectory_1d
-from qwalk.walk2d import QuditState, evolve_2d, step_2d, trajectory_2d
+from qwalk.walk2d import (
+    QuditState,
+    distribution_2d,
+    evolve_2d,
+    joint_moment_2d,
+    step_2d,
+    trajectory_2d,
+)
 
 LATTICES = {
     1: (QubitState, evolve_1d, trajectory_1d, step_1d),
@@ -56,12 +69,39 @@ def test_line_evolution_past_many_flushes_is_the_trajectorys_last_field():
     _assert_is_the_last_field(field, theta, 0.25, 5000, 0.0, 1)
 
 
+# a staging array of 64 cells: the line's fields past t = 31 and the
+# lattice's past t = 3 outgrow it, and a lattice step stages one row at a time
+SMALL_STAGE_BYTES = 1024
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("k", [0.0, 0.7])
+@pytest.mark.parametrize("p, t", [(0.25, 40), (0.5, 33), (0.75, 50)])
+def test_evolution_through_a_small_stage_is_the_trajectorys_last_field(monkeypatch, dim, k, p, t):
+    monkeypatch.setattr(walk1d, "_STAGE_BYTES", SMALL_STAGE_BYTES)
+    cls, evolve, _, _ = LATTICES[dim]
+    theta = cls.random(np.random.default_rng(2000 * dim + 10 * t + int(10 * p)))
+    _assert_is_the_last_field(evolve(theta, p, t, k), theta, p, t, k, dim)
+
+
+def test_lattice_evolution_whose_box_shrank_is_the_trajectorys_last_field():
+    # the faces at either end of u decay as sqrt(p)^t; at p = 0.001 the
+    # flush at t = 208 shed one row at each end and the one at t = 224 five
+    # more (measured), while every field past t = 89 is written over the one
+    # before it in the buffer's leading corner
+    theta = QuditState.random(np.random.default_rng(6))
+    field = evolve_2d(theta, 0.001, 230, 0.3)
+    assert field._box == (slice(6, -6), slice(0, None))
+    _assert_is_the_last_field(field, theta, 0.001, 230, 0.3, 2)
+
+
 @pytest.mark.parametrize(
     "dim,module,name,t", [(1, walk1d, "step_1d", 40), (2, walk2d, "step_2d", 21)]
 )
-def test_evolution_steps_t_times_in_two_buffers(monkeypatch, dim, module, name, t):
+def test_evolution_steps_t_times_in_one_buffer(monkeypatch, dim, module, name, t):
     # each stepped field is held, so no buffer is freed and its identity is
     # never reused: a fresh block per step would give t buffers
+    monkeypatch.setattr(walk1d, "_STAGE_BYTES", SMALL_STAGE_BYTES)
     cls, evolve, _, _ = LATTICES[dim]
     step, stepped = getattr(module, name), []
 
@@ -72,9 +112,57 @@ def test_evolution_steps_t_times_in_two_buffers(monkeypatch, dim, module, name, 
     monkeypatch.setattr(module, name, recorded)
     field = evolve(cls.random(np.random.default_rng(7)), 0.5, t)
     assert len(stepped) == t and stepped[-1] is field
-    buffers = {id(_buffer(f.amps)): _buffer(f.amps) for f in stepped}
-    assert len(buffers) == 2
-    assert _buffer(field.amps).nbytes == field.amps.nbytes  # the whole block
+    buffer = _buffer(field.amps)
+    assert buffer.shape == field.amps.shape  # the whole block
+    owners = {id(_buffer(f.amps)): _buffer(f.amps) for f in stepped}
+    (stage,) = [b for b in owners.values() if b is not buffer]
+    assert stage.ndim == 1 and stage.nbytes <= max(SMALL_STAGE_BYTES, buffer[:, 0].nbytes)
+    corner = buffer.__array_interface__["data"][0]
+    large = [f for f in stepped if f.amps.size > stage.size]
+    assert len(large) == t - (31 if dim == 1 else 3)
+    for f in large:  # the buffer's leading corner
+        assert f.amps.__array_interface__["data"][0] == corner
+        assert f.amps.strides == buffer.strides
+
+
+LATTICE_T = 200
+
+
+@pytest.fixture(scope="module")
+def lattice_field():
+    return evolve_2d(QuditState.random(np.random.default_rng(21)), 0.37, LATTICE_T)
+
+
+def _peak(call) -> int:
+    """Peak bytes ``tracemalloc`` sees numpy allocate while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_lattice_evolution_peaks_at_one_block_and_the_stage():
+    theta = QuditState.random(np.random.default_rng(21))
+    nbytes = 4 * (LATTICE_T + 1) ** 2 * 16
+    assert walk1d._STAGE_BYTES < nbytes  # the stage is not a second block
+    peak = _peak(lambda: evolve_2d(theta, 0.37, LATTICE_T))
+    assert peak <= nbytes + walk1d._STAGE_BYTES + 0.1 * nbytes
+
+
+MASS_BYTES = (LATTICE_T + 1) ** 2 * 8  # one float64 per site
+
+
+def test_lattice_distribution_and_total_peak_at_one_mass_array(lattice_field):
+    assert _peak(lambda: distribution_2d(lattice_field)) <= 1.1 * MASS_BYTES
+    assert _peak(lattice_field.total_probability) <= 1.1 * MASS_BYTES
+
+
+@pytest.mark.parametrize("alpha, beta", [(1, 0), (0, 1), (1, 1), (3, 2)])
+def test_lattice_moment_peaks_at_one_mass_array(lattice_field, alpha, beta):
+    dist = distribution_2d(lattice_field)
+    assert _peak(lambda: joint_moment_2d(dist, alpha, beta)) <= 1.1 * MASS_BYTES
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -23,7 +23,7 @@ def _tree(module: str) -> ast.Module:
 
 
 def test_only_trajectories_and_evolutions_call_the_step_functions():
-    # evolve_* steps in two reused blocks through the one shared loop,
+    # evolve_* steps in one buffer through the one shared loop,
     # walk1d._evolve; every other evolution iterates trajectory_*
     calls = set()
     for path in SRC.glob("*.py"):
@@ -68,15 +68,19 @@ def test_validation_imports_no_private_name():
 
 
 def test_validation_runs_checks_without_threads_or_environment():
+    # no module of the package imports a thread or process pool: perfbench's
+    # span tracer keeps one shared call stack, which a worker thread inside
+    # the package would silently corrupt
+    for path in SRC.glob("*.py"):
+        modules = set()
+        for node in ast.walk(_tree(path.stem)):
+            if isinstance(node, ast.Import):
+                modules.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules.add(node.module)
+        roots = {m.split(".")[0] for m in modules}
+        assert not roots & {"concurrent", "threading", "multiprocessing"}, path.stem
     tree = _tree("validation")
-    modules = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            modules.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            modules.add(node.module or "")
-    roots = {m.split(".")[0] for m in modules}
-    assert not roots & {"concurrent", "threading", "multiprocessing"}
     names = {
         getattr(node, "attr", getattr(node, "id", None))
         for node in ast.walk(tree)

@@ -296,7 +296,8 @@ class TestTrajectory:
 class TestDirectConstruction:
     """Fields and distributions built directly take an integer ``t >= 0``, a
     block of the support's shape and finite entries, or raise
-    ``InvalidParameterError``; stepping and ``distribution_*`` build them
+    ``InvalidParameterError``, and a finite total probability, or raise
+    ``InvalidStateError``; stepping and ``distribution_*`` build them
     through the same contract."""
 
     @pytest.mark.parametrize(
@@ -380,6 +381,51 @@ class TestDirectConstruction:
         a[(0,) * a.ndim] = 1.0
         assert not block.any()
         assert not block.any()
+
+    def test_a_field_whose_mass_overflows_is_rejected(self):
+        # built, its distribution had mass inf at the origin
+        with pytest.raises(InvalidStateError, match="total probability"):
+            WaveField1D(0, np.array([[1e200], [0]], complex))
+
+    def test_a_field_whose_moments_would_overflow_is_rejected(self):
+        # built, moment_1d of its distribution returned -inf
+        with pytest.raises(InvalidStateError, match="total probability"):
+            WaveField1D(2, [[1e200, 0, 1], [0, 0, 0]])
+
+    def test_a_line_field_whose_step_would_overflow_is_rejected(self):
+        # built, step_1d returned an inf amplitude through the trusted path
+        with pytest.raises(InvalidStateError, match="total probability"):
+            WaveField1D(0, [[1.7e308], [1.7e308]])
+
+    def test_a_lattice_field_whose_step_would_overflow_is_rejected(self):
+        # built, step_2d returned non-finite amplitudes
+        with pytest.raises(InvalidStateError, match="total probability"):
+            WaveField2D(0, np.full((4, 1, 1), 1e308))
+
+    def test_masses_whose_total_overflows_are_rejected(self):
+        with pytest.raises(InvalidStateError, match="total probability"):
+            Distribution1D(1, [1.7e308, 1.7e308])
+        with pytest.raises(InvalidStateError, match="total probability"):
+            Distribution2D(1, np.full((2, 2), 1e308))
+
+    @pytest.mark.parametrize(
+        "field, step",
+        [
+            (lambda: WaveField1D(0, [[9e153], [9e153]]), step_1d),
+            (lambda: WaveField2D(0, np.full((4, 1, 1), 6e153)), step_2d),
+        ],
+        ids=["line", "lattice"],
+    )
+    def test_a_finite_total_bounds_every_step(self, field, step):
+        # the total is within a factor 1.25 of the largest float, and every
+        # amplitude of every later field is bounded by its square root
+        f = field()
+        total = f.total_probability()
+        for _ in range(3):
+            f = step(f, 0.5)
+            assert np.isfinite(f.amps).all()
+            assert np.abs(f.amps).max() <= math.sqrt(total) * (1 + 1e-15)
+            assert f.total_probability() == pytest.approx(total, rel=1e-15)
 
     def test_step_keeps_the_contract(self):
         f = step_1d(WaveField1D(0, np.array([[1.0], [0.0]])), 0.5)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qwalk.errors import InvalidParameterError, InvalidStateError
-from qwalk.walk1d import QubitState, distribution_1d, evolve_1d
+from qwalk.walk1d import QubitState, distribution_1d, evolve_1d, moment_1d
 from qwalk.walk2d import (
     QuditState,
     distribution_2d,
@@ -110,6 +110,38 @@ class TestDistributionAndMoments:
         d = distribution_2d(evolve_2d(QuditState(1, 0, 0, 0), 0.5, 1))
         assert joint_moment_2d(d, 1, 0) == pytest.approx(0.0, abs=1e-15)
         assert joint_moment_2d(d, 0, 1) == pytest.approx(0.0, abs=1e-15)
+
+
+def _whole_array_masses(amps):
+    """The reference the blocked reduction must equal bit for bit."""
+    return np.sum(np.abs(amps) ** 2, axis=0)
+
+
+def _whole_array_moment(grids, values, t, orders):
+    """The reference moment: every weight grid built whole, then multiplied."""
+    weights = math.prod((g / t) ** a for g, a in zip(grids, orders))
+    return float(np.sum(weights * values))
+
+
+@pytest.mark.parametrize("t", [1, 30, 75, 200])
+def test_blocked_reductions_equal_the_whole_array_formulas(t):
+    # from t = 32 on the lattice masses and second moment factor run in more
+    # than one block of rows (at t = 200, 29 blocks of 7 rows), and on the
+    # line from t = 1024 on
+    rng = np.random.default_rng(t)
+    f2 = evolve_2d(QuditState.random(rng), 0.37, t, 0.4)
+    f1 = evolve_1d(QubitState.random(rng), 0.37, 40 * t, 0.4)
+    d2, d1 = distribution_2d(f2), distribution_1d(f1)
+    assert d2.grid.tobytes() == _whole_array_masses(f2.amps).tobytes()
+    assert d1.masses.tobytes() == _whole_array_masses(f1.amps).tobytes()
+    i = np.arange(t + 1)
+    grids = (i[:, None] + i[None, :] - t, i[:, None] - i[None, :])
+    for a in range(4):
+        for b in range(4):
+            want = _whole_array_moment(grids, d2.grid, t, (a, b)) if a + b else 1.0
+            assert joint_moment_2d(d2, a, b) == want, (a, b)
+        want = _whole_array_moment((d1.sites(),), d1.masses, 40 * t, (a,)) if a else 1.0
+        assert moment_1d(d1, a) == want, a
 
 
 def test_rotated_marginals_do_not_reduce_to_line_walks():
