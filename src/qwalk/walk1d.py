@@ -350,9 +350,9 @@ class _Field:
 
     ``amps`` has shape ``(2 d, t+1, ..., t+1)``, one leading row per
     component; the subclass's support mixin says which site each cell holds
-    (``_DIM``, ``site_index``, ``_site``, ``_grids``) and where each
-    component moves (``_SHIFTS``).  The block is marked read-only so fields
-    can be shared freely.
+    (``_DIM``, ``site_index``, ``_site``, ``_coordinates``, ``_spread``)
+    and where each component moves (``_SHIFTS``).  The block is marked
+    read-only so fields can be shared freely.
 
     ``_box`` is the live box: one slice per axis, ``slice(lo, stop)``, where
     ``stop`` is None or negative so that it counts from the end of the axis.
@@ -621,8 +621,7 @@ def _moment(dist: _Distribution, orders: tuple[int, ...]) -> float:
     first, *rest = [
         dist._spread(d, (dist._coordinates() / dist.t) ** a) for d, a in enumerate(orders) if a
     ]
-    weights = np.empty_like(dist._values)
-    np.copyto(weights, first)
+    weights = np.array(first)
     for factor in rest:
         blocks = _row_blocks(weights.shape)
         block = np.empty_like(weights[blocks[0]])

@@ -84,6 +84,16 @@ def test_evolution_through_a_small_stage_is_the_trajectorys_last_field(monkeypat
     _assert_is_the_last_field(evolve(theta, p, t, k), theta, p, t, k, dim)
 
 
+def test_line_evolution_past_many_flushes_through_a_small_stage(monkeypatch):
+    # a 16 KB staging array: fields past t = 511 are written over each other
+    # in chunks of 512 columns, from a box whose tails were flushed
+    monkeypatch.setattr(walk1d, "_STAGE_BYTES", 1 << 14)
+    theta = QubitState.random(np.random.default_rng(5000))
+    field = evolve_1d(theta, 0.25, 5000)
+    assert field._box[0].start > 0
+    _assert_is_the_last_field(field, theta, 0.25, 5000, 0.0, 1)
+
+
 def test_lattice_evolution_whose_box_shrank_is_the_trajectorys_last_field():
     # the faces at either end of u decay as sqrt(p)^t; at p = 0.001 the
     # flush at t = 208 shed one row at each end and the one at t = 224 five
