@@ -16,9 +16,11 @@ new block with the pair's two destinations as rows.  No mixed block is
 built and copied.  The new block is fresh, except in :func:`evolve_1d` and
 :func:`qwalk.walk2d.evolve_2d`, which keep no earlier field: they step in
 one buffer of the final field's shape, allocated once, and write each field
-over the previous one in the buffer's leading corner, with a small staging
-array that holds the rows a step overwrites, or a whole field that fits in
-it (:func:`_evolve`).
+over the previous one in the buffer's leading corner, with a staging array
+that holds the rows a step overwrites, or a whole field that fits in it;
+a buffer of at most 2 MB (the line's, in practice) gets a staging array as
+large, so its fields alternate between the two and none is copied
+(:func:`_evolve`).
 
 The only truncation is a flush to zero at the edge of the light cone.  The
 step keeps a live box, the range of columns (on the lattice, of rows and of
@@ -312,26 +314,17 @@ def _checked_block(
 _BLOCKS, _BLOCK_CELLS = 32, 1024
 
 
-def _row_blocks(shape: tuple[int, ...]) -> list[slice]:
-    """Slices that cover the first axis of an array of ``shape`` in blocks
-    of rows."""
-    n, row = shape[0], math.prod(shape[1:])
-    size = max(-(-n // _BLOCKS), -(-_BLOCK_CELLS // row))
-    return [slice(i, i + size) for i in range(0, n, size)]
-
-
 def _masses(amps: np.ndarray) -> np.ndarray:
     """Per-site probability of an amplitude block: the squared moduli
     summed over components, in component order.
 
-    Past ``_BLOCK_CELLS`` sites it runs a block of rows at a time, so
-    besides the result it allocates only one block of squared moduli; a
-    smaller block takes the whole-array expression, which rounds the same.
+    It runs a block of rows at a time, so besides the result it allocates
+    only one block of squared moduli.
     """
-    if amps[0].size <= _BLOCK_CELLS:
-        return np.sum(np.abs(amps) ** 2, axis=0)
     masses = np.empty(amps.shape[1:])
-    blocks = _row_blocks(masses.shape)
+    n, row = masses.shape[0], masses[0].size
+    size = max(-(-n // _BLOCKS), -(-_BLOCK_CELLS // row))
+    blocks = [slice(i, i + size) for i in range(0, n, size)]
     sq = np.empty_like(masses[blocks[0]])
     for rows in blocks:
         out = masses[rows]
@@ -527,6 +520,10 @@ def _step(field: _Field, coin: np.ndarray, ph: complex) -> _Field:
 
 # bytes of source rows one in-place step stages at a time
 _STAGE_BYTES = 1 << 19
+# an evolution whose buffer has at most this many bytes gets a staging array
+# as large as the buffer, so no step copies its field: the line's up to
+# t = 65535, the lattice's up to t = 180
+_UNSTAGED_BYTES = 1 << 21
 
 
 def _staged(src: np.ndarray, stage: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
@@ -546,27 +543,32 @@ def _staged(src: np.ndarray, stage: np.ndarray) -> Iterator[tuple[int, np.ndarra
 
 def _evolve(field: _Field, t: int, step) -> _Field:
     """``step`` applied ``t`` times to ``field``, in one buffer of the final
-    field's shape and one staging array of about ``_STAGE_BYTES`` (at most
-    the buffer's size), both allocated here.
+    field's shape and one staging array, both allocated here.
 
+    The staging array is as large as the buffer while that is at most
+    ``_UNSTAGED_BYTES``, and otherwise holds about ``_STAGE_BYTES``.
     Before each step the current field gets the pair as its ``_spare``
     (:func:`_step`).  Fields that fit in the staging array alternate
     between it and the buffer's leading corner, so no step copies them;
     each larger field is written into the leading corner over the field
-    before it, a staged chunk of rows at a time.  Every field up to
-    t = 16383 on the line, and up to t = 89 on the lattice, fits: staging
-    every step of the line cost it up to 40% at t = 10000.  The returned
-    field's block is the whole buffer, or the whole staging array when that
-    is as large, and its ``_spare`` is empty, so stepping it again
-    allocates.  At ``t = 0`` ``field`` itself is returned and nothing is
-    allocated.
+    before it, a staged chunk of rows at a time.  Every field of the line
+    up to t = 65535 fits: staging its steps cost the line 7-27% at
+    t = 20000-50000, to save memory the line never lacks.  On the lattice
+    fields past t = 89 are staged once the buffer outgrows
+    ``_UNSTAGED_BYTES``, which halves the memory of long evolutions.  The
+    returned field's block is the whole buffer, or the whole staging array
+    when that is as large, and its ``_spare`` is empty, so stepping it
+    again allocates.  At ``t = 0`` ``field`` itself is returned and
+    nothing is allocated.
     """
     if not t:
         return field
     shape = (len(field.amps),) + (t + 1,) * field._DIM
     buffer = np.empty(shape, field.amps.dtype)
-    row = math.prod(shape) // (t + 1)  # cells of one row, all components
-    stage = np.empty(min(buffer.size, max(row, _STAGE_BYTES // buffer.itemsize)), buffer.dtype)
+    cells = buffer.size
+    if buffer.nbytes > _UNSTAGED_BYTES:  # at least one row, all components
+        cells = min(cells, max(buffer[:, 0].size, _STAGE_BYTES // buffer.itemsize))
+    stage = np.empty(cells, buffer.dtype)
     for _ in range(t):
         field._spare = buffer, stage
         field = step(field)
@@ -608,10 +610,11 @@ def _moment(dist: _Distribution, orders: tuple[int, ...]) -> float:
     so any other order returns 0.
 
     Each axis's factor ``(x_d / t)^{a_d}`` is taken once per coordinate
-    value and read at every cell through a strided view (:meth:`_spread`).
-    The weights are built in one array of the masses' shape; a second
-    factor multiplies in a block of rows at a time (:func:`_row_blocks`),
-    so no other temporary holds more than one block.
+    value and read at every cell through a strided view (:meth:`_spread`),
+    so the weights, built in place in one array of the masses' shape, are
+    the only temporary of that size.  A second factor multiplies in row by
+    row: a ufunc buffers a two-dimensional strided operand, in 64 KB, a
+    fifth of the masses at t = 200 on the lattice.
     """
     orders = [require_int(a, "moment order") for a in orders]
     if not any(orders):
@@ -623,12 +626,8 @@ def _moment(dist: _Distribution, orders: tuple[int, ...]) -> float:
     ]
     weights = np.array(first)
     for factor in rest:
-        blocks = _row_blocks(weights.shape)
-        block = np.empty_like(weights[blocks[0]])
-        for rows in blocks:
-            w = weights[rows]
-            np.copyto(block[: len(w)], factor[rows])
-            w *= block[: len(w)]
+        for w, f in zip(weights, factor):
+            w *= f
     weights *= dist._values
     return float(np.sum(weights))
 
@@ -717,8 +716,8 @@ def evolve_1d(
 
     Inputs are checked as in :func:`trajectory_1d`.  Since no earlier field
     is kept, the steps run in one buffer of the final field's shape and a
-    small staging array (:func:`_evolve`); the result owns the whole of one
-    of them, contiguous and read-only.
+    staging array (:func:`_evolve`); the result owns the whole of one of
+    them, contiguous and read-only.
     """
     n, c, field = require_int(t, "horizon"), as_coin(p), init_1d(theta)
     _phase(k)

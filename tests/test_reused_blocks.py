@@ -1,15 +1,16 @@
 """Evolution in one buffer: ``evolve_1d`` and ``evolve_2d``.
 
 An evolution keeps no earlier field, so it steps in one buffer of the final
-field's shape and a small staging array, where a trajectory gives every
-field a fresh block: a field that fits in the staging array is written
-there or into the buffer's leading corner, in turn, and a larger one over
-the field before it in that corner.  These tests hold the evolved field
+field's shape and a staging array, where a trajectory gives every field a
+fresh block: a field that fits in the staging array is written there or
+into the buffer's leading corner, in turn, and a larger one over the field
+before it in that corner.  A buffer of at most ``_UNSTAGED_BYTES`` gets a
+staging array as large as itself.  These tests hold the evolved field
 against the trajectory's last field bit for bit, also through a staging
 array small enough that most steps overwrite their field in chunks, pin the
-step count and the one buffer with a recorder around the step, pin the
-memory of an evolution and of the reductions with ``tracemalloc``, and
-check that a returned field is never written again.
+step count and the one buffer with a recorder around the step, pin where
+staging starts, pin the memory of an evolution and of the reductions with
+``tracemalloc``, and check that a returned field is never written again.
 """
 
 import tracemalloc
@@ -74,11 +75,17 @@ def test_line_evolution_past_many_flushes_is_the_trajectorys_last_field():
 SMALL_STAGE_BYTES = 1024
 
 
+def _small_stage(monkeypatch, nbytes=SMALL_STAGE_BYTES):
+    """Stage every buffer, through a staging array of about ``nbytes``."""
+    monkeypatch.setattr(walk1d, "_STAGE_BYTES", nbytes)
+    monkeypatch.setattr(walk1d, "_UNSTAGED_BYTES", 0)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("k", [0.0, 0.7])
 @pytest.mark.parametrize("p, t", [(0.25, 40), (0.5, 33), (0.75, 50)])
 def test_evolution_through_a_small_stage_is_the_trajectorys_last_field(monkeypatch, dim, k, p, t):
-    monkeypatch.setattr(walk1d, "_STAGE_BYTES", SMALL_STAGE_BYTES)
+    _small_stage(monkeypatch)
     cls, evolve, _, _ = LATTICES[dim]
     theta = cls.random(np.random.default_rng(2000 * dim + 10 * t + int(10 * p)))
     _assert_is_the_last_field(evolve(theta, p, t, k), theta, p, t, k, dim)
@@ -87,7 +94,7 @@ def test_evolution_through_a_small_stage_is_the_trajectorys_last_field(monkeypat
 def test_line_evolution_past_many_flushes_through_a_small_stage(monkeypatch):
     # a 16 KB staging array: fields past t = 511 are written over each other
     # in chunks of 512 columns, from a box whose tails were flushed
-    monkeypatch.setattr(walk1d, "_STAGE_BYTES", 1 << 14)
+    _small_stage(monkeypatch, 1 << 14)
     theta = QubitState.random(np.random.default_rng(5000))
     field = evolve_1d(theta, 0.25, 5000)
     assert field._box[0].start > 0
@@ -111,7 +118,7 @@ def test_lattice_evolution_whose_box_shrank_is_the_trajectorys_last_field():
 def test_evolution_steps_t_times_in_one_buffer(monkeypatch, dim, module, name, t):
     # each stepped field is held, so no buffer is freed and its identity is
     # never reused: a fresh block per step would give t buffers
-    monkeypatch.setattr(walk1d, "_STAGE_BYTES", SMALL_STAGE_BYTES)
+    _small_stage(monkeypatch)
     cls, evolve, _, _ = LATTICES[dim]
     step, stepped = getattr(module, name), []
 
@@ -133,6 +140,30 @@ def test_evolution_steps_t_times_in_one_buffer(monkeypatch, dim, module, name, t
     for f in large:  # the buffer's leading corner
         assert f.amps.__array_interface__["data"][0] == corner
         assert f.amps.strides == buffer.strides
+
+
+def _staging_steps(monkeypatch, evolve, cls, t) -> int:
+    """How many steps of ``evolve`` to ``t`` copy their field in chunks."""
+    calls, staged = [], walk1d._staged
+    monkeypatch.setattr(walk1d, "_staged", lambda *a: calls.append(1) or staged(*a))
+    evolve(cls.random(np.random.default_rng(8)), 0.5, t)
+    return len(calls)
+
+
+def test_no_line_field_up_to_two_megabytes_is_copied(monkeypatch):
+    # at t = 16384 the line's field outgrows 512 KB, the staging array of a
+    # large buffer, while the line's buffer stays within 2 MB to t = 65535
+    assert 2 * 16 * (16383 + 1) == walk1d._STAGE_BYTES
+    assert 2 * 16 * (65535 + 1) == walk1d._UNSTAGED_BYTES
+    assert _staging_steps(monkeypatch, evolve_1d, QubitState, 16384) == 0
+
+
+def test_the_lattice_stages_past_two_megabytes(monkeypatch):
+    # the buffer at t = 180 holds 2,096,704 bytes, at t = 181 2,119,936;
+    # fields past t = 89 outgrow the 512 KB staging array, and odd fields
+    # up to there lie in it, so the steps to t = 91, ..., 181 are staged
+    assert _staging_steps(monkeypatch, evolve_2d, QuditState, 180) == 0
+    assert _staging_steps(monkeypatch, evolve_2d, QuditState, 181) == 181 - 90
 
 
 LATTICE_T = 200
