@@ -13,10 +13,12 @@ Note the plus sign: the three-term recurrence differs from the Chebyshev
 frequencies ``n = -(t-1), -(t-1)+2, ..., t-1``; the recurrence is run
 directly on the coefficient arrays, which stays exact in index bookkeeping
 and keeps every intermediate bounded (``|alpha_t(x')| <= 1/sqrt(q)``
-pointwise on the unit circle).  One run of the recurrence serves a whole
-increasing ladder of times: :func:`closed_form_fields` assembles the field
-at each requested time as the run passes it, and :func:`closed_form_field`
-and :func:`alpha_coefficients` are its one-time cases.
+pointwise on the unit circle); coefficients that underflow below the
+smallest normal ``float64`` are shed from the tails.  One run of the
+recurrence serves a whole increasing ladder of times, and the last ladder's
+run serves the next state too: :func:`closed_form_fields` assembles the
+field at each requested time, and :func:`closed_form_field` and
+:func:`alpha_coefficients` are its one-time cases.
 
 Position-space amplitudes follow by reading off Fourier coefficients of
 ``e^{i t k} (alpha_t S + alpha_{t-1} I) Theta``:
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -92,6 +95,12 @@ class LaurentCoefficients:
         return complex(np.sum(self.values * np.exp(-1j * x * self.indices())))
 
 
+# the smallest normal float64: a coefficient below it is subnormal or zero
+_SHED_BELOW = float(np.finfo(np.float64).tiny)
+# recurrence steps between two sheddings of underflowed tail cells
+_SHED_EVERY = 16
+
+
 def _alpha_pairs(
     p: CoinParameter, times: tuple[int, ...]
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -99,26 +108,70 @@ def _alpha_pairs(
     ``t >= 1`` of the increasing ``times``, from one run of the recurrence.
 
     ``alpha_0`` is the empty array.  Reaching ``max(times)`` costs O(t^2) in
-    time and O(t) in memory; the yielded arrays are never written again.
+    time and O(t) in memory; the yielded arrays are fresh and never written
+    again.
 
     ``2 c = sqrt(p) (e^{-i x'} - e^{i x'})`` has the real coefficients
     ``sqrt(p)`` and ``-sqrt(p)``, so every coefficient is real and the
     recurrence runs on ``float64`` arrays.  With ``s = sqrt(p) a_m`` the new
     array is ``-s[0]``, then ``s[i-1] - s[i] + a_{m-1}[i-1]``, then
     ``s[-1]``, so every cell is written and none needs zeroing first.
+
+    The recurrence runs on the live cores of ``alpha_m`` and ``alpha_{m-1}``:
+    both arrays without their ``dead`` outermost cells at either end, which
+    are exactly 0.  Every ``_SHED_EVERY`` steps the cores shed their outer
+    cells, one at each end of both at a time, while all four are below the
+    smallest normal ``float64`` (``_SHED_BELOW``); the next array's core then
+    keeps the same ``dead``.  Such cells are subnormal: no amplitude the
+    closed form returns can show them, but their arithmetic is slow, and
+    long ladders spent most of their time on it (t = 10000 at p = 0.3
+    carried 3,264 of them).  At t = 10000 and p from 0.3 to 0.78 the
+    coefficients agree with the recurrence on whole arrays within 8.3e-17,
+    while either run is 4e-15 to 9e-15 from one in 80-bit floats (p = 0.3,
+    0.6, 0.7).  The
+    stepped walk flushes its field's faces by the same threshold; nothing
+    here reads its flush.
     """
     sp = math.sqrt(p.p)
     prev = np.empty(0)                               # alpha_0
     cur = np.ones(1)                                 # alpha_1
+    dead = 0
     for t in times:
-        while cur.size < t:                          # cur is alpha_m, m = cur.size
+        while cur.size + 2 * dead < t:               # cur is alpha_m, m = cur.size + 2 dead
             s = sp * cur
             new = np.empty(cur.size + 1)
             new[0], new[-1] = -s[0], s[-1]
             np.subtract(s[:-1], s[1:], out=new[1:-1])
             new[1:-1] += prev                        # empty for m = 1
             prev, cur = cur, new
-        yield cur, prev
+            if (cur.size + 2 * dead) % _SHED_EVERY == 0:
+                while cur.size > 1 and _subnormal_ends(cur, prev):
+                    prev, cur, dead = prev[1:-1], cur[1:-1], dead + 1
+        yield np.pad(cur, dead), np.pad(prev, dead)
+
+
+def _subnormal_ends(*arrays: np.ndarray) -> bool:
+    """Whether the first and the last cell of every array are below
+    ``_SHED_BELOW`` in magnitude."""
+    return all(abs(a[0]) < _SHED_BELOW and abs(a[-1]) < _SHED_BELOW for a in arrays)
+
+
+@lru_cache(maxsize=1)
+def _alpha_ladder(p: CoinParameter, times: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The pairs of :func:`_alpha_pairs` at each of ``times``, as read-only
+    arrays, kept for the last ``(p, times)`` only.
+
+    The recurrence does not depend on the state, so a caller that asks for
+    the same ladder state after state (acceptance check 3, 20 states per
+    ``p``) runs it once.  The memo holds ``2 t - 1`` ``float64`` per time
+    ``t``, at most half the ``complex128`` block of the field
+    :func:`closed_form_fields` returns for it, and no more than one ladder.
+    """
+    pairs = tuple(_alpha_pairs(p, times))
+    for pair in pairs:
+        for coefficients in pair:
+            coefficients.flags.writeable = False
+    return pairs
 
 
 def alpha_coefficients(p: CoinParameter | float, t: int) -> LaurentCoefficients:
@@ -182,15 +235,17 @@ def closed_form_fields(
     without stepping.
 
     One run of the ``alpha`` recurrence serves the whole ladder, and only the
-    requested fields are assembled.  Each field must equal ``evolve_1d(theta,
-    p, t, k)`` amplitude-by-amplitude; ``t = 0`` is the initial field.
+    requested fields are assembled; the run's coefficients are kept until
+    another ``p`` or ladder is asked for (:func:`_alpha_ladder`).  Each
+    field must equal ``evolve_1d(theta, p, t, k)`` amplitude-by-amplitude;
+    ``t = 0`` is the initial field.
     """
     times, ph = require_ladder(times, "time", 0), _phase(k)
     th, c = as_qubit(theta), as_coin(p)
     sp, sq = math.sqrt(c.p), math.sqrt(c.q)
     out = [init_1d(th)] if times[0] == 0 else []
     later = times[len(out):]
-    for t, (a_t, a_tm1) in zip(later, _alpha_pairs(c, later), strict=True):
+    for t, (a_t, a_tm1) in zip(later, _alpha_ladder(c, later), strict=True):
         amps = np.zeros((2, t + 1), dtype=np.complex128)
         # site x = 2 m - t;  a_t[.] packed with frequency n = 2 i - (t - 1)
         amps[0, 1:] += (sp * th.d1 + sq * th.d2) * a_t     # needs a_t at x - 1

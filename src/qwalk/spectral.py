@@ -32,7 +32,12 @@ power-of-two grid whose nodes avoid every symmetry point where branches
 could cross.  The coin is real, so ``S(k + pi (1, ..., 1)) = -S(k)`` and
 ``S(-k) = conj S(k)``; the eigensolves run on a quarter of the grid, the
 first-axis rows ``i < n/4``, and each swept node also stands for its three
-images, whose weights are its own or ``|Q^T theta|^2``.  On the line the
+images, whose weights are its own or ``|Q^T theta|^2``.  On the lattice the
+diagonal mirror ``A S(m, n) A^T = -S(n, m)`` (``A = EXCHANGE_XY``, see
+:mod:`qwalk.symmetry`) pairs the quarter's nodes, and the eigensolves run
+on one node of each pair, an eighth of the grid: the other node has the
+same spectrum, with the weights of ``A^T theta`` and the two velocities
+exchanged.  On the line the
 integrand is smooth and periodic and the rule converges spectrally
 (criterion 11 holds N = 1024 and N = 4096 within 1e-10).  On the square
 lattice it does not: the branch-sorted integrand is not smooth, and the
@@ -53,6 +58,7 @@ import numpy as np
 
 from .coin import CoinParameter, as_coin, coin_1d, coin_2d, validate_wavenumber
 from .errors import DegenerateSpectrumError, InvalidParameterError, require_int, require_ladder
+from .symmetry import EXCHANGE_XY
 from .walk1d import (
     QubitState,
     as_qubit,
@@ -337,8 +343,8 @@ def _limit_moments(thetas, p, orders, grid, dim: int) -> np.ndarray:
     """Weak-limit moments on the line (``dim`` 1) or the square lattice (2).
 
     ``orders`` holds one exponent per axis for each moment.  One chunked
-    eigensystem sweep over a quarter of the ``n^dim`` grid serves every
-    state and order from the kernel's spectral projectors
+    eigensystem sweep over a quarter of the ``n^dim`` grid, an eighth on the
+    lattice, serves every state and order from the kernel's spectral projectors
     (:func:`_line_spectrum` or :func:`_batch_eigensystem`, :func:`_weights`).
     The kernel ``diag(e^{-+ik_d}) H`` with a real coin
     ``H`` obeys two symmetries that map grid nodes to grid nodes:
@@ -350,8 +356,18 @@ def _limit_moments(thetas, p, orders, grid, dim: int) -> np.ndarray:
     n/4`` (every other axis in full) exactly once.  At ``n = 2`` the two
     maps coincide and row 0 meets every orbit of two nodes once.  Either
     way the full-grid mean is the mean of ``(|Q^dag theta|^2 + |Q^T
-    theta|^2) / 2`` times the velocity powers over the swept nodes.  Phase
-    gaps are invariant under both maps, so the sweep raises
+    theta|^2) / 2`` times the velocity powers over the quarter's nodes.
+
+    On the lattice the diagonal mirror halves that again.  With ``A =
+    EXCHANGE_XY``, ``A S(m, n) A^T = -S(n, m)`` (:mod:`qwalk.symmetry`):
+    the eigenvectors at ``(n, m)`` are ``A Q``, so node ``(j, i)`` has the
+    weights of ``A^T theta`` at node ``(i, j)`` and the velocities ``(v_y,
+    v_x)``.  The mirror pairs the quarter's nodes through
+    :func:`_quarter_node`; the sweep visits the first node of each pair,
+    adds the second node's term from the visited node's spectrum, and
+    counts the ``n`` nodes that are their own pair once: ``n^2 / 8 + n /
+    2`` eigensolves for ``n >= 4``.  Phase gaps are invariant under all
+    three maps, so the sweep raises
     :class:`DegenerateSpectrumError` exactly when a full sweep would.  Each
     chunk's terms are summed, then each entry's chunk partials are summed as
     one 1D array, in a fixed order, so results are reproducible at a fixed
@@ -379,21 +395,43 @@ def _limit_moments(thetas, p, orders, grid, dim: int) -> np.ndarray:
     H = coin(c)
     nodes = g.nodes()
     rows = max(g.n // 4, 1)
-    axes = [a.ravel() for a in np.meshgrid(nodes[:rows], *[nodes] * (dim - 1), indexing="ij")]
+    quarter = rows * g.n ** (dim - 1)
+    swept, twin = np.arange(quarter), None  # flat indices i n + j on the lattice
+    if dim == 2:
+        # each mirror pair of the quarter's nodes is swept from its first node;
+        # twin is 1 where the pair has a second node and 0 where it does not
+        i, j = np.divmod(swept, g.n)
+        image = _quarter_node(g.n, j, i)
+        twin = (swept != image)[swept <= image]
+        swept = swept[swept <= image]
+    axes = [nodes[k] for k in (np.divmod(swept, g.n) if dim == 2 else (swept,))]
     starts = range(0, axes[0].size, _CHUNK)
     partials = np.empty((len(ths), len(orders), len(starts)))
     for ci, s in enumerate(starts):
-        _, P, K, e = spectrum(c, *(a[s : s + _CHUNK] for a in axes))
+        chunk = slice(s, s + _CHUNK)
+        _, P, K, e = spectrum(c, *(a[chunk] for a in axes))
         vel = _velocities(P)
         for si, th in enumerate(ths):
-            wgt = _weights(H, e, K, th)
+            terms = [(_weights(H, e, K, th), vel)]
+            if twin is not None:
+                mirrored = _weights(H, e, K, EXCHANGE_XY.T @ th) * twin[chunk, None]
+                terms.append((mirrored, vel[::-1]))
             for oi, order in enumerate(orders):
-                term = wgt
-                for v, a in zip(vel, order):
-                    term = term * v**a
+                term = sum(w * math.prod(v**a for v, a in zip(vs, order)) for w, vs in terms)
                 partials[si, oi, ci] = np.sum(term)
     sums = [np.sum(row) for row in partials.reshape(-1, len(starts))]
-    return np.reshape(sums, partials.shape[:2]) / (2 * axes[0].size)
+    return np.reshape(sums, partials.shape[:2]) / (2 * quarter)
+
+
+def _quarter_node(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The flat index ``i n + j`` of the node of the quarter (rows ``i <
+    max(n/4, 1)``) that stands for grid node ``(a, b)``: ``(a, b)`` itself
+    or its image under the shift by pi, the negation or both, exactly one of
+    which lies in the quarter."""
+    h = n // 2
+    images = [(a, b), (a + h, b + h), (n - 1 - a, n - 1 - b), (h - 1 - a, h - 1 - b)]
+    images = [(i % n, j % n) for i, j in images]
+    return np.select([i < max(n // 4, 1) for i, _ in images], [i * n + j for i, j in images])
 
 
 def limit_moment_1d(
@@ -421,10 +459,10 @@ def limit_moments_2d(
 ) -> np.ndarray:
     """Limits of ``<(X_t/t)^alpha (Y_t/t)^beta>`` for many states and orders.
 
-    One batched eigensystem sweep, in fixed-size chunks, over the quarter of
-    the tensor grid with first-axis rows ``i < n/4`` (the kernel's
-    shift-by-pi and negation symmetries supply the rest) serves every state
-    in ``thetas`` and every ``(alpha, beta)`` in ``orders``; the result has
+    One batched eigensystem sweep, in fixed-size chunks, over an eighth of
+    the tensor grid (the kernel's shift-by-pi, negation and diagonal-mirror
+    symmetries supply the rest) serves every state in ``thetas`` and every
+    ``(alpha, beta)`` in ``orders``; the result has
     shape ``(len(thetas), len(orders))``.  Chunk partial sums are
     accumulated in a fixed order, so results are reproducible at a fixed
     grid size.  Propagates

@@ -29,6 +29,22 @@ operative notion of a symmetric 2D distribution is inversion symmetry; the
 stricter four-way axis-mirror equality genuinely fails for these dynamics,
 so ``empirical_symmetric_2d`` tests inversion symmetry only.
 
+The lattice has one more exact symmetry, the diagonal mirror ``R: (x, y) ->
+(y, x)``.  The coin is ``kron(C, C)`` and ``EXCHANGE_XY = kron(J, I)``
+exchanges the x movers with the y movers, so ``A kron(C, C) A^T = -kron(C,
+C)`` with ``A = EXCHANGE_XY``, and the field of ``A theta`` is the mirrored
+field of ``theta``:
+
+    U^t (A theta) = (-1)^t A R U^t theta,
+
+at every ``t`` and every phase ``k``, within rounding (1.3e-16 measured to t
+= 300).  In wavenumber space it reads ``A S(m, n) A^T = -S(n, m)``.  Unlike
+the inversion identity it holds for every state, not a class of them; the
+package uses it to step one packed lattice field where the basis needs two
+(acceptance checks 1 and 6) and to sweep an eighth of the torus
+(:mod:`qwalk.spectral`).  ``EXCHANGE_XY`` is the one definition of the
+mirror, shared by name and not public.
+
 One residual serves both lattices: ``reflection_identity_1d`` and
 ``reflection_identity_2d`` return ``max |flip(amps) - c E amps|`` with
 ``c = (-1)^t (+-i)``, where ``flip`` reverses every spatial axis of the
@@ -94,6 +110,11 @@ EXCHANGE_1D = np.array([[0.0, -1.0], [1.0, 0.0]])
 EXCHANGE_2D = np.block(
     [[EXCHANGE_1D, np.zeros((2, 2))], [np.zeros((2, 2)), EXCHANGE_1D]]
 )
+
+# the diagonal mirror's exchange: J across the axes, the x movers to the y
+# movers; ``(A theta)_c = A[c, src] theta_src`` with one ``src`` per row
+EXCHANGE_XY = np.kron(EXCHANGE_1D, np.eye(2))
+EXCHANGE_XY.flags.writeable = False
 
 
 @dataclass(frozen=True)

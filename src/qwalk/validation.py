@@ -10,19 +10,25 @@ a check passes iff its largest deviation is at most the tolerance, so a NaN
 in any compared value fails.  :func:`run_checks` reports a check that raises
 as that check's FAIL, and ``qwalk validate`` then exits 3.
 
-Checks 1, 3 and 5 read their random states by linearity from evolved
-chirality bases: ``U^t theta = sum_c theta_c U^t e_c``.  The coin is real and
-the checks run at ``k = 0``, so a packed state ``(u + i w) / s`` with real
-``u`` and ``w`` carries ``U^t u / s`` in its real parts and ``U^t w / s`` in
-its imaginary parts.  :func:`_basis_fields` steps the packed basis of either
-lattice: ``(1, i) / sqrt(2)`` on the line, ``(1, i, 0, 0) / sqrt(2)`` and
-``(0, 0, 1, i) / sqrt(2)`` on the lattice.  :func:`_basis_forms` reads the
-real forms ``theta^H M_a(t) theta`` of the moments ``sum_sites prod_d (x_d /
-t)^{a_d} P`` from those fields, the lattice's cross terms from the pair of
-its two fields; order zero is the Gram matrix.  Check 1 reads total
-probabilities from the Gram matrix, check 5 the line's moments from orders 1
-and 2, and check 3 each line state's amplitudes (:func:`_line_fields`).  One
-basis evolution or trajectory per ``p`` serves every state.
+Checks 1, 3, 5 and 6 read their states by linearity from evolved chirality
+bases: ``U^t theta = sum_c theta_c U^t e_c``.  The coin is real and the
+checks run at ``k = 0``, so a packed state ``(u + i w) / s`` with real ``u``
+and ``w`` carries ``U^t u / s`` in its real parts and ``U^t w / s`` in its
+imaginary parts.  :func:`_basis_fields` steps one packed state per lattice,
+``(1, i) / sqrt(2)`` on the line and ``(1, i, 0, 0) / sqrt(2)`` on the
+lattice.  The lattice's other packed state, ``(0, 0, 1, i) / sqrt(2)``, is
+``EXCHANGE_XY`` times the first, so its field is the first one's image under
+the diagonal mirror, ``U^t (A theta) = (-1)^t A R U^t theta``
+(:mod:`qwalk.symmetry`), which :func:`_mirrored` reads without a copy: one
+stepped lattice field per ``p`` serves the whole basis.
+:func:`_basis_forms` reads the real forms ``theta^H M_a(t) theta`` of the
+moments ``sum_sites prod_d (x_d / t)^{a_d} P`` from those fields, the
+lattice's cross terms from the pair of the field and its image; order zero
+is the Gram matrix.  Check 1 reads total probabilities from the Gram matrix,
+check 5 the line's moments from orders 1 and 2, check 3 each line state's
+amplitudes (:func:`_line_fields`) and check 6 each lattice state's masses
+(:func:`_lattice_masses`).  One basis evolution or trajectory per ``p``
+serves every state.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from .localization import (
 )
 from .spectral import MomentReport, QuadratureGrid, limit_moment_1d, limit_moments_2d
 from .symmetry import (
+    EXCHANGE_XY,
     ABTable,
     empirical_symmetric_1d,
     empirical_symmetric_2d,
@@ -57,7 +64,14 @@ from .symmetry import (
     reflection_identity_2d,
 )
 from .walk1d import QubitState, distribution_1d, evolve_1d, trajectory_1d
-from .walk2d import QuditState, distribution_2d, evolve_2d, joint_moment_2d, trajectory_2d
+from .walk2d import (
+    Distribution2D,
+    QuditState,
+    distribution_2d,
+    evolve_2d,
+    joint_moment_2d,
+    trajectory_2d,
+)
 
 __all__ = [
     "CheckResult",
@@ -98,25 +112,68 @@ def _judged(metric: str, deviations: list[float], tol: float, scale: str = "") -
 
 
 _R = 1 / math.sqrt(2)
-# packed chirality bases ``(u + i w) / s``, real ``u`` and ``w``: the line's
-# carries both basis vectors, the lattice's two carry two each
-_PACKED = {1: ((_R, _R * 1j),), 2: ((_R, _R * 1j, 0, 0), (0, 0, _R, _R * 1j))}
+# packed chirality basis states ``(u + i w) / s``, real ``u`` and ``w``: the
+# line's carries both basis vectors, the lattice's the first two, and its
+# mirror image (``EXCHANGE_XY``) the other two
+_PACKED = {1: (_R, _R * 1j), 2: (_R, _R * 1j, 0, 0)}
 
 
 def _basis_fields(dim: int, p: float, times: tuple[int, ...]):
-    """The fields of the lattice's packed basis (``_PACKED``) at the
-    increasing ``times``, one basis state after another and each lazily.
+    """The fields of the lattice's packed basis state (``_PACKED``) at the
+    increasing ``times``, lazily.
 
     A single time is evolved in one buffer (``evolve_*``); a ladder is
-    read off one trajectory per state, whose fields each own a block.
+    read off one trajectory, whose fields each own a block.
     """
     if len(times) == 1:
-        evolve = (evolve_1d, evolve_2d)[dim - 1]
-        yield from (evolve(theta, p, times[0]) for theta in _PACKED[dim])
+        yield (evolve_1d, evolve_2d)[dim - 1](_PACKED[dim], p, times[0])
         return
     trajectory, want = (trajectory_1d, trajectory_2d)[dim - 1], set(times)
-    for theta in _PACKED[dim]:
-        yield from (f for f in trajectory(theta, p, times[-1]) if f.t in want)
+    yield from (f for f in trajectory(_PACKED[dim], p, times[-1]) if f.t in want)
+
+
+def _parts(amps: np.ndarray) -> np.ndarray:
+    """A packed field's amplitudes with no copy, as ``float64`` pairs (real
+    part, imaginary part) on a last axis of length 2: each component's two
+    columns carry two basis fields, scaled by ``1 / sqrt(2)``."""
+    return amps.view(np.float64).reshape(amps.shape + (2,))
+
+
+def _mirrored(parts: np.ndarray, t: int):
+    """The parts of the lattice field of ``A theta``, ``A = EXCHANGE_XY``,
+    from those of ``theta``'s field, component by component: by ``U^t (A
+    theta) = (-1)^t A R U^t theta`` (:mod:`qwalk.symmetry`), component ``c``
+    is ``(-1)^t A[c, src]`` times component ``src``, the one nonzero entry
+    of row ``c``, and the mirror ``R: (x, y) -> (y, x)`` takes cell ``(i,
+    j)`` of the packed grid to ``(i, t - j)``.  Yields each component's sign
+    and its source's view, reversed along the grid's second axis."""
+    for row in EXCHANGE_XY:
+        (src,) = np.flatnonzero(row)
+        yield (-1) ** t * row[src], parts[src, :, ::-1]
+
+
+def _site_weights(dim: int, t: int, order) -> np.ndarray | None:
+    """``prod_d (x_d / t)^{a_d}`` at each cell of a time-``t`` block, or None
+    for order zero, whose weights are all 1."""
+    if not any(order):
+        return None
+    # the block layout: column i of the line holds site 2 i - t, cell (i, j)
+    # of the lattice site (i + j - t, i - j)
+    i = np.arange(t + 1)
+    sites = (2 * i - t,) if dim == 1 else (i[:, None] + i - t, i[:, None] - i)
+    return reduce(np.multiply, [(x / t) ** a for x, a in zip(sites, order)])
+
+
+def _paired(triples, w: np.ndarray | None) -> np.ndarray:
+    """``2 sum_c sign_c x_c^T W y_c`` over the ``(sign_c, x_c, y_c)`` in
+    ``triples``, component parts of packed fields, with ``W`` the site
+    weights ``w`` (None for all 1): the 2x2 block of two packed fields."""
+    block = np.zeros((2, 2))
+    for sign, x, y in triples:
+        cells = "ij"[: x.ndim - 1]
+        wy = y if w is None else w[..., None] * y
+        block += sign * np.einsum(f"{cells}a,{cells}b->ab", x, wy)
+    return 2 * block
 
 
 def _basis_forms(dim: int, p: float, times: tuple[int, ...], orders) -> np.ndarray:
@@ -125,47 +182,57 @@ def _basis_forms(dim: int, p: float, times: tuple[int, ...], orders) -> np.ndarr
     ``theta`` has the moment ``theta^H M_a(t) theta``, where ``W_a`` weights
     each site by ``prod_d (x_d / t)^{a_d}``.  Order zero is the Gram matrix.
 
-    A packed field's amplitudes, read with no copy as two ``float64`` columns
-    ``v`` (real parts, imaginary parts), carry two basis fields, scaled by
-    ``1 / sqrt(2)``: the 2x2 block of two packed fields ``v``, ``u`` is
-    ``2 u^T W_a v``; doubling is exact, where scaling by ``sqrt(2)`` would
-    round.  On the lattice the first field's views are held while the second
-    is stepped, and give the cross blocks with it.
+    The packed field's parts (:func:`_parts`) carry two basis fields, scaled
+    by ``1 / sqrt(2)``, so its own 2x2 block is ``2 sum_c v_c^T W_a v_c``
+    (:func:`_paired`), summed component by component; doubling is exact,
+    where scaling by ``sqrt(2)`` would round.  On the lattice the other
+    packed field is the stepped one's mirror image (:func:`_mirrored`), read
+    without a copy: its block of order ``(a, b)`` is the stepped field's of
+    order ``(b, a)``, and the cross blocks pair each component with its
+    mirrored source.
     """
     m = np.zeros((len(times), len(orders), 2 * dim, 2 * dim))
-    held = [[] for _ in times]  # per time, the views of the fields read so far
-
-    def weighted(v, t: int, order) -> np.ndarray:
-        if not any(order):
-            return v  # the Gram block v^T v, with no weighted copy
-        # the block layout: column i of the line holds site 2 i - t, cell
-        # (i, j) of the lattice site (i + j - t, i - j)
-        i = np.arange(t + 1)
-        sites = (2 * i - t,) if dim == 1 else (i[:, None] + i - t, i[:, None] - i)
-        w = reduce(np.multiply, [(x / t) ** a for x, a in zip(sites, order)])
-        # the rows of v run over every site of one component, then the next
-        return (w.reshape(-1, 1) * v.reshape(2 * dim, -1, 2)).reshape(-1, 2)
-
-    for n, field in enumerate(_basis_fields(dim, p, times)):
-        forms, views = m[n % len(times)], held[n % len(times)]
-        views.append(field.amps.reshape(-1).view(np.float64).reshape(-1, 2))
-        a = 2 * (len(views) - 1)  # the field's rows and columns: a, a + 1
+    needed = {o for order in orders for o in (order, order[::-1])}
+    for forms, field in zip(m, _basis_fields(dim, p, times), strict=True):
+        t, v = field.t, _parts(field.amps)
+        own = {o: _paired(((1.0, c, c) for c in v), _site_weights(dim, t, o)) for o in needed}
         for form, order in zip(forms, orders):
-            wv = weighted(views[-1], field.t, order)
-            for b, u in zip(range(0, a + 1, 2), views):
-                block = 2 * (u.T @ wv)
-                form[a : a + 2, b : b + 2] = block.T
-                form[b : b + 2, a : a + 2] = block  # as computed, where b == a
+            form[:2, :2] = own[order]
+            if dim == 2:
+                form[2:, 2:] = own[order[::-1]]
+                triples = ((sign, c, u) for c, (sign, u) in zip(v, _mirrored(v, t)))
+                form[:2, 2:] = _paired(triples, _site_weights(dim, t, order))
+                form[2:, :2] = form[:2, 2:].T
     return m
+
+
+def _coefficients(theta) -> np.ndarray:
+    """``sqrt(2) (Re theta_c, Im theta_c)`` per component ``c``, the real
+    matrix that reads ``theta``'s field from the packed basis parts."""
+    return np.array([[z.real, z.imag] for z in theta.as_array()]) * math.sqrt(2)
 
 
 def _line_fields(basis, theta: QubitState):
     """``theta``'s amplitudes, ``sqrt(2) (theta_1 Re + theta_2 Im)`` of each
     array in ``basis``, the amplitudes of the line's :func:`_basis_fields`:
     one real matrix product on the packed parts per field."""
-    c = np.array([[z.real, z.imag] for z in (theta.d1, theta.d2)]) * math.sqrt(2)
-    packed = (amps.view(np.float64).reshape(amps.shape + (2,)) for amps in basis)
-    return ((v @ c).view(np.complex128)[..., 0] for v in packed)
+    c = _coefficients(theta)
+    return ((_parts(amps) @ c).view(np.complex128)[..., 0] for amps in basis)
+
+
+def _lattice_masses(field, theta: QuditState) -> np.ndarray:
+    """The masses of ``theta``'s lattice field, read by linearity from the
+    packed basis ``field`` and its mirror image (:func:`_mirrored`): each
+    component's amplitudes are ``sqrt(2) (theta_1 Re + theta_2 Im)`` of the
+    stepped field's plus ``sqrt(2) (theta_3 Re + theta_4 Im)`` of the
+    image's, and their squared moduli are summed one component at a time."""
+    c = _coefficients(theta)
+    v = _parts(field.amps)
+    masses = np.zeros(field.amps.shape[1:])
+    for own, (sign, image) in zip(v, _mirrored(v, field.t)):
+        amps = own @ c[:2] + image @ (sign * c[2:])
+        masses += np.einsum("...a,...a->...", amps, amps)
+    return masses
 
 
 def check_unitarity(quick: bool = False) -> tuple[bool, str]:
@@ -175,7 +242,7 @@ def check_unitarity(quick: bool = False) -> tuple[bool, str]:
     so its total probability is ``theta^H G theta``, where ``G_ij = <U^t e_i,
     U^t e_j>`` is the Gram matrix of the evolved chirality basis, the order-zero
     form of :func:`_basis_forms`.  One ``G`` per lattice and ``p``, from one
-    packed evolution on the line and two on the lattice, serves every state.
+    packed evolution on either lattice, serves every state.
     """
     rng = np.random.default_rng(_SEED)
     t1, t2, nstate = (100, 40, 3) if quick else (1000, 300, 10)
@@ -274,7 +341,13 @@ def check_limit_1d(quick: bool = False) -> tuple[bool, str]:
 
 
 def check_limit_2d(quick: bool = False) -> tuple[bool, str]:
-    """6: simulated joint moments approach the 2D quadrature limit."""
+    """6: simulated joint moments approach the 2D quadrature limit.
+
+    Each state's simulated masses come by linearity from the lattice's one
+    packed basis field and its mirror image (:func:`_lattice_masses`), and
+    its moments from :func:`joint_moment_2d` of their
+    :class:`Distribution2D`.
+    """
     rng = np.random.default_rng(_SEED + 6)
     if quick:
         tmax, gridn, tol = 100, 128, 2e-2
@@ -288,13 +361,14 @@ def check_limit_2d(quick: bool = False) -> tuple[bool, str]:
         ]
     p = 0.5
     orders = ((1, 0), (0, 1), (1, 1), (2, 0))
-    # stepped before the sweep, whose arrays then fit where the fields were:
-    # fields stepped after it grew the heap past them (peak RSS up to +6 MB)
-    dists = [distribution_2d(evolve_2d(th, p, tmax)) for th in states]
-    # one eigensolve sweep (over a quarter of the tensor grid) covers every state and order
+    # one eigensolve sweep (over an eighth of the tensor grid) covers every
+    # state and order; it runs before the field is stepped, which would
+    # otherwise be held through it (the gate's ru_maxrss: 50.5 against 55.8 MB)
     quads = limit_moments_2d(states, p, orders, QuadratureGrid(gridn))
+    (field,) = _basis_fields(2, p, (tmax,))
     devs = []
-    for d, row in zip(dists, quads):
+    for th, row in zip(states, quads):
+        d = Distribution2D(tmax, _lattice_masses(field, th))
         devs += [abs(float(quad) - joint_moment_2d(d, a, b)) for (a, b), quad in zip(orders, row)]
     return _judged(f"max |sim(t={tmax}) - quad(N={gridn})|", devs, tol)
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qwalk import walk1d
+from qwalk import closedform, walk1d
 from qwalk.closedform import (
     LaurentCoefficients,
     alpha_coefficients,
@@ -13,6 +13,7 @@ from qwalk.closedform import (
     closed_form_fields,
     double_sum_coefficient,
 )
+from qwalk.coin import CoinParameter
 from qwalk.errors import InvalidParameterError
 from qwalk.walk1d import QubitState, distribution_1d, evolve_1d
 
@@ -225,3 +226,77 @@ class TestClosedFormFields:
     def test_rejects_malformed_ladder(self, times):
         with pytest.raises(InvalidParameterError):
             closed_form_fields(QubitState(1.0, 0.0), 0.5, times)
+
+
+def _unshed_pairs(p: float, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """``alpha_t`` and ``alpha_{t-1}`` from the recurrence on whole arrays,
+    subnormal tails included: the reference for the shedding run."""
+    sp, prev, cur = math.sqrt(p), np.empty(0), np.ones(1)
+    while cur.size < t:
+        s = sp * cur
+        new = np.empty(cur.size + 1)
+        new[0], new[-1] = -s[0], s[-1]
+        new[1:-1] = s[:-1] - s[1:] + prev
+        prev, cur = cur, new
+    return cur, prev
+
+
+class TestRecurrenceSheddingAndMemo:
+    @pytest.mark.parametrize("p, shed", [(0.3, 271), (0.6, 9)])
+    def test_sheds_only_subnormal_tails(self, p, shed):
+        # measured at t = 3000: the whole arrays keep 544 (p = 0.3) and 20
+        # (p = 0.6) subnormal coefficients, which the run sheds to exact zeros;
+        # the kept ones then differ by at most 8.9e-308
+        a_t, a_tm1 = next(closedform._alpha_pairs(CoinParameter(p), (3000,)))
+        ref_t, ref_tm1 = _unshed_pairs(p, 3000)
+        for got, ref in ((a_t, ref_t), (a_tm1, ref_tm1)):
+            assert got.shape == ref.shape
+            zeros = np.abs(got) == 0
+            assert zeros[:shed].all() and zeros[-shed:].all() and not zeros[shed]
+            assert np.max(np.abs(ref[zeros])) < np.finfo(np.float64).tiny
+            assert np.max(np.abs(got - ref)) <= 1e-306
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    def test_short_ladders_equal_the_whole_array_recurrence_bit_for_bit(self, p):
+        # check 4's horizons see no subnormal coefficient, so nothing is shed
+        for t in (1, 2, 17, 31, 200):
+            got = next(closedform._alpha_pairs(CoinParameter(p), (t,)))
+            for a, b in zip(got, _unshed_pairs(p, t)):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("p", [0.3, 0.6])
+    def test_long_field_matches_the_stepped_oracle(self, p):
+        th = QubitState.random(np.random.default_rng(41))
+        cf, stepped = closed_form_field(th, p, 3000), evolve_1d(th, p, 3000)
+        # measured 2.3e-15 (p = 0.3) and 9.3e-15 (p = 0.6)
+        assert np.max(np.abs(cf.amps - stepped.amps)) <= 1e-13
+
+    def test_one_recurrence_run_serves_a_repeated_ladder(self, monkeypatch):
+        runs = []
+        pairs = closedform._alpha_pairs
+        monkeypatch.setattr(
+            closedform, "_alpha_pairs", lambda c, times: runs.append(c.p) or pairs(c, times)
+        )
+        closedform._alpha_ladder.cache_clear()
+        rng = np.random.default_rng(43)
+        states = [QubitState.random(rng) for _ in range(3)]
+        times = (1, 4, 30)
+        memo = [closed_form_fields(th, 0.4, times) for th in states]
+        assert runs == [0.4]
+        closed_form_fields(states[0], 0.7, times)
+        closed_form_fields(states[0], 0.4, times)
+        assert runs == [0.4, 0.7, 0.4]  # one ladder is kept: the last
+        for th, fields in zip(states, memo):
+            closedform._alpha_ladder.cache_clear()
+            for kept, fresh in zip(fields, closed_form_fields(th, 0.4, times), strict=True):
+                assert kept.amps.tobytes() == fresh.amps.tobytes()
+
+    def test_the_memo_is_read_only_and_at_most_half_the_fields(self):
+        times = (3, 50, 700)
+        fields = closed_form_fields(QubitState(0.6, 0.8j), 0.3, times)
+        ladder = closedform._alpha_ladder(CoinParameter(0.3), times)
+        assert closedform._alpha_ladder.cache_info().currsize == 1
+        for t, f, pair in zip(times, fields, ladder, strict=True):
+            assert [a.size for a in pair] == [t, t - 1]
+            assert not any(a.flags.writeable for a in pair)
+            assert 2 * sum(a.nbytes for a in pair) <= f.amps.nbytes

@@ -5,7 +5,8 @@ Check 3 reads each line state's stepped field from the field of ``(1, i) /
 sqrt(2)`` and check 5 each state's simulated moment from weighted 2x2 forms
 of the same field (``validation._basis_forms``).  These tests hold both
 contractions against states stepped directly, hold the same forms on the
-lattice, read from two packed fields and their cross blocks, against
+lattice, read from one packed field, its mirror image and their cross
+blocks, against
 directly stepped joint moments, hold the forms of one evolved time against
 a ladder's, pin the number and horizons of the trajectories the two checks
 step, and plant defects that linearity must not hide.

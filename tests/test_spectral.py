@@ -746,11 +746,13 @@ class TestQuarterTorusNodeCount:
         monkeypatch.setattr(spectral, name, counted)
         return sizes
 
-    @pytest.mark.parametrize("n", [4, 8, 256, 512])
+    @pytest.mark.parametrize("n", [4, 8, 64, 256, 512])
     def test_lattice_sweeps_a_quarter(self, monkeypatch, n):
+        # the quarter's n^2 / 4 nodes from an eighth: every swept node stands
+        # for itself and its mirror image, and the n mirror-fixed nodes once
         sizes = self._count(monkeypatch, "_batch_eigensystem")
         limit_moments_2d([QuditState(1, 0, 0, 0)], 0.4, [(1, 0)], grid=n)
-        assert sum(sizes) == n * n // 4
+        assert sum(sizes) == n * n // 8 + n // 2
 
     @pytest.mark.parametrize("n", [4, 8, 4096])
     def test_line_sweeps_a_quarter(self, monkeypatch, n):

@@ -143,11 +143,13 @@ def test_lattice_sweep_builds_no_eigenvector():
 
 
 def test_every_closed_form_reads_the_one_recurrence_pass():
+    # closed_form_fields reads the run through its one-ladder memo
     calls = _calls_by_function("closedform")
     assert {n for n, called in calls.items() if "_alpha_pairs" in called} == {
         "alpha_coefficients",
-        "closed_form_fields",
+        "_alpha_ladder",
     }
+    assert "_alpha_ladder" in calls["closed_form_fields"]
     assert "closed_form_fields" in calls["closed_form_field"]
 
 
@@ -160,9 +162,9 @@ def test_check_3_makes_one_closed_form_call_per_state():
 def test_checks_1_3_and_5_read_states_only_through_the_basis_routine():
     # one routine steps the packed chirality basis of either lattice and one
     # reads its forms, with the packing and the cross blocks; besides it,
-    # only check 3's linear read of the line's amplitudes views packed parts.
-    # The lattice's basis is two packed states, (1, i, 0, 0) and (0, 0, 1, i)
-    # over sqrt(2): no polarization state is stepped
+    # one helper views packed parts.  Each lattice's basis is one packed
+    # state, (1, i) or (1, i, 0, 0) over sqrt(2); the lattice's (0, 0, 1, i)
+    # is its mirror image: no polarization state is stepped
     calls = _calls_by_function("validation")
     for check in ("check_unitarity", "check_closed_form", "check_limit_1d"):
         stepping = {n for n in calls[check] if n.startswith(("evolve_", "trajectory_"))}
@@ -179,9 +181,9 @@ def test_checks_1_3_and_5_read_states_only_through_the_basis_routine():
                     readers.setdefault("view(float64)", set()).add(top.name)
     assert readers["trajectory_1d"] == readers["trajectory_2d"] == {"_basis_fields"}
     assert "_basis_fields" in readers["evolve_1d"] & readers["evolve_2d"]
-    assert len(validation._PACKED[1]) == 1 and len(validation._PACKED[2]) == 2
+    assert len(validation._PACKED[1]) == 2 and len(validation._PACKED[2]) == 4
     assert readers["_PACKED"] == {"_basis_fields"}
-    assert readers["view(float64)"] == {"_basis_forms", "_line_fields"}
+    assert readers["view(float64)"] == {"_parts"}
 
 
 def test_check_5_reads_its_verdict_from_moment_report():
@@ -255,15 +257,16 @@ def test_cli_imports_no_private_library_name():
 
 def test_closed_form_never_reads_the_flush_threshold():
     # check 3 and the long-horizon closed-form gate compare the flushed engine
-    # with the closed form; flushing the alpha recurrence as well would make
-    # that a comparison of the flush with itself
+    # with the closed form; the alpha recurrence sheds its own subnormal
+    # tails, but reading the step's flush would make that a comparison of
+    # the flush with itself
     names = set()
     for node in ast.walk(_tree("closedform")):
         if isinstance(node, ast.alias):
             names.add(node.name)
         elif isinstance(node, (ast.Attribute, ast.Name)):
             names.add(getattr(node, "attr", getattr(node, "id", None)))
-    assert not names & {"_TINY", "_FLUSH_EVERY", "_flush", "_underflows", "finfo", "tiny"}
+    assert not names & {"_TINY", "_FLUSH_EVERY", "_flush", "_underflows"}
 
 
 LAYERS = ("errors", "coin", "walk1d", "walk2d", "closedform", "spectral", "symmetry",

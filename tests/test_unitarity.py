@@ -2,8 +2,9 @@
 
 Check 1 reads each random state's total probability as ``theta^H G theta``
 from the Gram matrix ``G`` of the evolved basis, the order-zero form of
-``validation._basis_forms``, built from packed evolutions: one on the line,
-two on the lattice, whose cross blocks pair the two fields.  These tests
+``validation._basis_forms``, built from one packed evolution on either
+lattice; on the lattice the field's mirror image is the second packed
+field, and the cross blocks pair the two.  These tests
 hold that ``G`` against the basis fields evolved one by one and against
 states evolved directly, bound every state's deviation at once, and pin the
 check's evolution count and its sensitivity to a planted leak.
@@ -64,9 +65,7 @@ def test_gram_bounds_every_state_at_the_quick_scales(p):
         assert len(g) * np.max(np.abs(g - np.eye(len(g)))) <= 1e-12, (dim, p)
 
 
-def test_check_1_evolves_the_basis_three_times_on_the_line_and_six_on_the_lattice(
-    monkeypatch,
-):
+def test_check_1_evolves_the_basis_three_times_on_each_lattice(monkeypatch):
     # each call records its horizon and returns one field at the horizon,
     # with the whole state still at the origin: the count and horizons are
     # pinned without stepping; a trajectory stepped instead fails the test
@@ -84,7 +83,7 @@ def test_check_1_evolves_the_basis_three_times_on_the_line_and_six_on_the_lattic
         monkeypatch.setattr(validation, name, lambda *a, **k: pytest.fail("stepped a trajectory"))
     passed, _ = validation.check_unitarity()
     assert passed
-    assert calls == {1: [1000] * 3, 2: [300] * 6}
+    assert calls == {1: [1000] * 3, 2: [300] * 3}
 
 
 @pytest.mark.parametrize(
