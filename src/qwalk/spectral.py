@@ -126,8 +126,9 @@ class MomentReport:
     Raises
     ------
     InvalidParameterError
-        If ``times`` is not a ladder that :func:`validate_time_ladder`
-        admits, or the quadrature and the simulated moments are not real
+        If ``alpha`` is not an integer ``>= 0``, ``beta`` neither None nor
+        one, ``times`` not a ladder that :func:`validate_time_ladder`
+        admits, or the quadrature and the simulated moments not real
         numbers, one simulated moment per time.
     """
 
@@ -138,6 +139,9 @@ class MomentReport:
     simulated: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "alpha", require_int(self.alpha, "alpha"))
+        if self.beta is not None:
+            object.__setattr__(self, "beta", require_int(self.beta, "beta"))
         times = validate_time_ladder(self.times)
         values = (self.quadrature, *self.simulated) if np.iterable(self.simulated) else ()
         if len(values) != len(times) + 1 or not all(isinstance(v, numbers.Real) for v in values):

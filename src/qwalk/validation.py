@@ -20,14 +20,13 @@ lattice.  The lattice's other packed state, ``(0, 0, 1, i) / sqrt(2)``, is
 ``EXCHANGE_XY`` times the first, so its field is the first one's image under
 the diagonal mirror, ``U^t (A theta) = (-1)^t A R U^t theta``
 (:mod:`qwalk.symmetry`), which :func:`_mirrored` reads without a copy: one
-stepped lattice field per ``p`` serves the whole basis.
-:func:`_basis_forms` reads the real forms ``theta^H M_a(t) theta`` of the
-moments ``sum_sites prod_d (x_d / t)^{a_d} P`` from those fields, the
-lattice's cross terms from the pair of the field and its image; order zero
-is the Gram matrix.  Check 1 reads total probabilities from the Gram matrix,
-check 5 the line's moments from orders 1 and 2, check 3 each line state's
-amplitudes (:func:`_line_fields`) and check 6 each lattice state's masses
-(:func:`_lattice_masses`).  One basis evolution or trajectory per ``p``
+stepped lattice field per ``p`` serves the whole basis.  Check 1 reads total
+probabilities from the basis's Gram matrix (:func:`_gram`).  One reader,
+:func:`_amplitudes`, gives any other state's amplitudes from the packed
+field and, on the lattice, its mirror image: check 3 compares the line's
+with the closed form, and checks 5 and 6 take the moments of their masses
+(:func:`_masses`) with :func:`moment_1d` and :func:`joint_moment_2d`, the
+package's one moment formula.  One basis evolution or trajectory per ``p``
 serves every state.
 """
 
@@ -63,7 +62,14 @@ from .symmetry import (
     reflection_identity_1d,
     reflection_identity_2d,
 )
-from .walk1d import QubitState, distribution_1d, evolve_1d, trajectory_1d
+from .walk1d import (
+    Distribution1D,
+    QubitState,
+    distribution_1d,
+    evolve_1d,
+    moment_1d,
+    trajectory_1d,
+)
 from .walk2d import (
     Distribution2D,
     QuditState,
@@ -152,58 +158,36 @@ def _mirrored(parts: np.ndarray, t: int):
         yield (-1) ** t * row[src], parts[src, :, ::-1]
 
 
-def _site_weights(dim: int, t: int, order) -> np.ndarray | None:
-    """``prod_d (x_d / t)^{a_d}`` at each cell of a time-``t`` block, or None
-    for order zero, whose weights are all 1."""
-    if not any(order):
-        return None
-    # the block layout: column i of the line holds site 2 i - t, cell (i, j)
-    # of the lattice site (i + j - t, i - j)
-    i = np.arange(t + 1)
-    sites = (2 * i - t,) if dim == 1 else (i[:, None] + i - t, i[:, None] - i)
-    return reduce(np.multiply, [(x / t) ** a for x, a in zip(sites, order)])
-
-
-def _paired(triples, w: np.ndarray | None) -> np.ndarray:
-    """``2 sum_c sign_c x_c^T W y_c`` over the ``(sign_c, x_c, y_c)`` in
-    ``triples``, component parts of packed fields, with ``W`` the site
-    weights ``w`` (None for all 1): the 2x2 block of two packed fields."""
+def _paired(triples) -> np.ndarray:
+    """``2 sum_c sign_c x_c^T y_c`` over the ``(sign_c, x_c, y_c)`` in
+    ``triples``, component parts of packed fields: the 2x2 block of two
+    packed fields in a Gram matrix."""
     block = np.zeros((2, 2))
     for sign, x, y in triples:
         cells = "ij"[: x.ndim - 1]
-        wy = y if w is None else w[..., None] * y
-        block += sign * np.einsum(f"{cells}a,{cells}b->ab", x, wy)
+        block += sign * np.einsum(f"{cells}a,{cells}b->ab", x, y)
     return 2 * block
 
 
-def _basis_forms(dim: int, p: float, times: tuple[int, ...], orders) -> np.ndarray:
-    """The real forms ``M_a(t)_ij = <U^t e_i, W_a U^t e_j>`` of the evolved
-    chirality basis, indexed by time, order, ``i`` and ``j``: a state
-    ``theta`` has the moment ``theta^H M_a(t) theta``, where ``W_a`` weights
-    each site by ``prod_d (x_d / t)^{a_d}``.  Order zero is the Gram matrix.
+def _gram(dim: int, p: float, t: int) -> np.ndarray:
+    """The Gram matrix ``G_ij = <U^t e_i, U^t e_j>`` of the evolved chirality
+    basis, so that a state ``theta`` has total probability ``theta^H G theta``.
 
-    The packed field's parts (:func:`_parts`) carry two basis fields, scaled
-    by ``1 / sqrt(2)``, so its own 2x2 block is ``2 sum_c v_c^T W_a v_c``
-    (:func:`_paired`), summed component by component; doubling is exact,
-    where scaling by ``sqrt(2)`` would round.  On the lattice the other
-    packed field is the stepped one's mirror image (:func:`_mirrored`), read
-    without a copy: its block of order ``(a, b)`` is the stepped field's of
-    order ``(b, a)``, and the cross blocks pair each component with its
-    mirrored source.
+    The packed field's own 2x2 block is ``2 sum_c v_c^T v_c`` over its
+    components' parts (:func:`_paired`): doubling is exact, where scaling by
+    ``sqrt(2)`` would round.  On the lattice the field's mirror image
+    (:func:`_mirrored`) has the same block, and the cross blocks pair each
+    component with its mirrored source.
     """
-    m = np.zeros((len(times), len(orders), 2 * dim, 2 * dim))
-    needed = {o for order in orders for o in (order, order[::-1])}
-    for forms, field in zip(m, _basis_fields(dim, p, times), strict=True):
-        t, v = field.t, _parts(field.amps)
-        own = {o: _paired(((1.0, c, c) for c in v), _site_weights(dim, t, o)) for o in needed}
-        for form, order in zip(forms, orders):
-            form[:2, :2] = own[order]
-            if dim == 2:
-                form[2:, 2:] = own[order[::-1]]
-                triples = ((sign, c, u) for c, (sign, u) in zip(v, _mirrored(v, t)))
-                form[:2, 2:] = _paired(triples, _site_weights(dim, t, order))
-                form[2:, :2] = form[:2, 2:].T
-    return m
+    (field,) = _basis_fields(dim, p, (t,))
+    v = _parts(field.amps)
+    g = np.zeros((2 * dim, 2 * dim))
+    g[:2, :2] = _paired((1.0, c, c) for c in v)
+    if dim == 2:
+        g[2:, 2:] = g[:2, :2]
+        g[:2, 2:] = _paired((sign, c, u) for c, (sign, u) in zip(v, _mirrored(v, t)))
+        g[2:, :2] = g[:2, 2:].T
+    return g
 
 
 def _coefficients(theta) -> np.ndarray:
@@ -212,27 +196,27 @@ def _coefficients(theta) -> np.ndarray:
     return np.array([[z.real, z.imag] for z in theta.as_array()]) * math.sqrt(2)
 
 
-def _line_fields(basis, theta: QubitState):
-    """``theta``'s amplitudes, ``sqrt(2) (theta_1 Re + theta_2 Im)`` of each
-    array in ``basis``, the amplitudes of the line's :func:`_basis_fields`:
-    one real matrix product on the packed parts per field."""
-    c = _coefficients(theta)
-    return ((_parts(amps) @ c).view(np.complex128)[..., 0] for amps in basis)
-
-
-def _lattice_masses(field, theta: QuditState) -> np.ndarray:
-    """The masses of ``theta``'s lattice field, read by linearity from the
-    packed basis ``field`` and its mirror image (:func:`_mirrored`): each
-    component's amplitudes are ``sqrt(2) (theta_1 Re + theta_2 Im)`` of the
-    stepped field's plus ``sqrt(2) (theta_3 Re + theta_4 Im)`` of the
-    image's, and their squared moduli are summed one component at a time."""
-    c = _coefficients(theta)
+def _amplitudes(field, c: np.ndarray):
+    """The amplitudes of the state whose :func:`_coefficients` are ``c``, by
+    linearity from the packed basis ``field``: component by component,
+    ``sqrt(2) (theta_1 Re + theta_2 Im)`` of the field's parts, plus on the
+    lattice ``sqrt(2) (theta_3 Re + theta_4 Im)`` of its mirror image's
+    (:func:`_mirrored`).  The line's two components come as one array, one
+    real matrix product on the packed parts; the lattice's four come lazily,
+    one at a time, so that no block of all four is held."""
     v = _parts(field.amps)
-    masses = np.zeros(field.amps.shape[1:])
-    for own, (sign, image) in zip(v, _mirrored(v, field.t)):
-        amps = own @ c[:2] + image @ (sign * c[2:])
-        masses += np.einsum("...a,...a->...", amps, amps)
-    return masses
+    if len(c) == 2:
+        return (v @ c).view(np.complex128)[..., 0]
+    return (
+        (own @ c[:2] + image @ (sign * c[2:])).view(np.complex128)[..., 0]
+        for own, (sign, image) in zip(v, _mirrored(v, field.t))
+    )
+
+
+def _masses(field, c: np.ndarray) -> np.ndarray:
+    """The per-site masses of :func:`_amplitudes`, the squared moduli summed
+    one component at a time, in component order."""
+    return sum(np.einsum("...a,...a->...", x, x) for x in map(_parts, _amplitudes(field, c)))
 
 
 def check_unitarity(quick: bool = False) -> tuple[bool, str]:
@@ -240,16 +224,16 @@ def check_unitarity(quick: bool = False) -> tuple[bool, str]:
 
     The walk is linear: a state ``theta`` evolves to ``sum_c theta_c U^t e_c``,
     so its total probability is ``theta^H G theta``, where ``G_ij = <U^t e_i,
-    U^t e_j>`` is the Gram matrix of the evolved chirality basis, the order-zero
-    form of :func:`_basis_forms`.  One ``G`` per lattice and ``p``, from one
-    packed evolution on either lattice, serves every state.
+    U^t e_j>`` is the Gram matrix of the evolved chirality basis
+    (:func:`_gram`).  One ``G`` per lattice and ``p``, from one packed
+    evolution on either lattice, serves every state.
     """
     rng = np.random.default_rng(_SEED)
     t1, t2, nstate = (100, 40, 3) if quick else (1000, 300, 10)
     devs = []
     for p in _P_GRID:
         for cls, dim, t in ((QubitState, 1, t1), (QuditState, 2, t2)):
-            g = _basis_forms(dim, p, (t,), ((0,) * dim,))[0, 0]
+            g = _gram(dim, p, t)
             for th in _random_states(cls, nstate, rng):
                 a = th.as_array()
                 devs.append(abs(float(np.vdot(a, g @ a).real) - 1.0))
@@ -280,7 +264,7 @@ def check_closed_form(quick: bool = False) -> tuple[bool, str]:
 
     The oracle is stepped once per ``p``, for the chirality basis
     (:func:`_basis_fields`), and each random state's field is read from it by
-    linearity (:func:`_line_fields`).  The closed form, the layer under test,
+    linearity (:func:`_amplitudes`).  The closed form, the layer under test,
     is evaluated for each complex state.
     """
     rng = np.random.default_rng(_SEED + 3)
@@ -289,10 +273,11 @@ def check_closed_form(quick: bool = False) -> tuple[bool, str]:
     times = tuple(t for t in (*range(1, 51), 60, 80, 100, 125, 150, 175, 200) if t <= tmax)
     devs = []
     for p in ps:
-        basis = [f.amps for f in _basis_fields(1, p, times)]
+        basis = list(_basis_fields(1, p, times))
         for th in _random_states(QubitState, nstate, rng):
-            fields = zip(_line_fields(basis, th), closed_form_fields(th, p, times), strict=True)
-            devs += [np.max(np.abs(cf.amps - amps)) for amps, cf in fields]
+            c = _coefficients(th)
+            fields = zip(basis, closed_form_fields(th, p, times), strict=True)
+            devs += [np.max(np.abs(cf.amps - _amplitudes(f, c))) for f, cf in fields]
     return _judged("max amplitude deviation", devs, 1e-10, f", t<= {tmax}")
 
 
@@ -312,9 +297,9 @@ def check_coefficients(quick: bool = False) -> tuple[bool, str]:
 def check_limit_1d(quick: bool = False) -> tuple[bool, str]:
     """5: simulated pseudo-velocity moments approach the 1D quadrature limit.
 
-    The simulated moments come by linearity from one basis trajectory per
-    ``p``: each state's moment at ladder time ``t`` is ``theta^H M_a(t)
-    theta`` (:func:`_basis_forms`).  Each state and order gets a
+    Each state's masses come by linearity from one basis trajectory per
+    ``p`` (:func:`_masses`), and its moments from :func:`moment_1d` of their
+    :class:`Distribution1D`.  Each state and order gets a
     :class:`MomentReport` against :func:`limit_moment_1d`, and the
     convergence verdict is the report's own.
     """
@@ -327,12 +312,13 @@ def check_limit_1d(quick: bool = False) -> tuple[bool, str]:
     orders = (1, 2)
     final_gaps, nondec = [], 0
     for p in _P_GRID:
-        forms = _basis_forms(1, p, ladder, [(alpha,) for alpha in orders])
+        basis = list(_basis_fields(1, p, ladder))
         for th in _random_states(QubitState, nstate, rng):
-            a = th.as_array()
-            for i, alpha in enumerate(orders):
+            c = _coefficients(th)
+            dists = [Distribution1D(f.t, _masses(f, c)) for f in basis]
+            for alpha in orders:
                 quad = limit_moment_1d(th, p, alpha, grid)
-                sims = tuple(float(np.vdot(a, m @ a).real) for m in forms[:, i])
+                sims = tuple(moment_1d(d, alpha) for d in dists)
                 r = MomentReport(alpha, None, quad, ladder, sims)
                 final_gaps.append(r.gaps[-1])
                 nondec += not r.converged
@@ -344,9 +330,8 @@ def check_limit_2d(quick: bool = False) -> tuple[bool, str]:
     """6: simulated joint moments approach the 2D quadrature limit.
 
     Each state's simulated masses come by linearity from the lattice's one
-    packed basis field and its mirror image (:func:`_lattice_masses`), and
-    its moments from :func:`joint_moment_2d` of their
-    :class:`Distribution2D`.
+    packed basis field and its mirror image (:func:`_masses`), and its
+    moments from :func:`joint_moment_2d` of their :class:`Distribution2D`.
     """
     rng = np.random.default_rng(_SEED + 6)
     if quick:
@@ -368,7 +353,7 @@ def check_limit_2d(quick: bool = False) -> tuple[bool, str]:
     (field,) = _basis_fields(2, p, (tmax,))
     devs = []
     for th, row in zip(states, quads):
-        d = Distribution2D(tmax, _lattice_masses(field, th))
+        d = Distribution2D(tmax, _masses(field, _coefficients(th)))
         devs += [abs(float(quad) - joint_moment_2d(d, a, b)) for (a, b), quad in zip(orders, row)]
     return _judged(f"max |sim(t={tmax}) - quad(N={gridn})|", devs, tol)
 

@@ -128,12 +128,9 @@ _NAN = float("nan")
 # for each numeric check, a stand-in that makes one value the check compares
 # with its tolerance NaN
 _NAN_PLANTS = {
-    1: (
-        "_basis_forms",
-        lambda dim, p, times, orders: np.full((len(times), len(orders)) + (2 * dim,) * 2, _NAN),
-    ),
+    1: ("_gram", lambda dim, p, t: np.full((2 * dim,) * 2, _NAN)),
     2: ("distribution_1d", lambda field: SimpleNamespace(mass=lambda x: _NAN)),
-    3: ("_line_fields", lambda basis, th: (np.full_like(a, _NAN) for a in basis)),
+    3: ("_amplitudes", lambda field, c: np.full_like(field.amps, _NAN)),
     4: ("double_sum_coefficient", lambda p, t, j: _NAN),
     5: ("limit_moment_1d", lambda th, p, alpha, grid: _NAN),
     6: ("joint_moment_2d", lambda d, a, b: _NAN),

@@ -1,23 +1,23 @@
-"""Criteria 3 and 5 by linearity: one basis trajectory per ``p`` stands in
-for every random state.
+"""Criteria 3, 5 and 6 by linearity: one packed basis field per time stands
+in for every random state.
 
-Check 3 reads each line state's stepped field from the field of ``(1, i) /
-sqrt(2)`` and check 5 each state's simulated moment from weighted 2x2 forms
-of the same field (``validation._basis_forms``).  These tests hold both
-contractions against states stepped directly, hold the same forms on the
-lattice, read from one packed field, its mirror image and their cross
-blocks, against
-directly stepped joint moments, hold the forms of one evolved time against
-a ladder's, pin the number and horizons of the trajectories the two checks
-step, and plant defects that linearity must not hide.
+``validation._amplitudes`` reads a state's amplitudes from the field of the
+packed basis state, ``(1, i) / sqrt(2)`` on the line and ``(1, i, 0, 0) /
+sqrt(2)`` with its mirror image on the lattice.  Check 3 compares the
+line's with the closed form, and checks 5 and 6 take the moments of their
+masses (``validation._masses``) through the package's moment functions.
+These tests hold the line's amplitudes and moments and the lattice's
+masses, whose cross terms pair the field with its mirror image, against
+states stepped directly, pin the number and horizons of the trajectories
+checks 3 and 5 step, and plant defects that linearity must not hide.
 """
 
 import numpy as np
 import pytest
 
 from qwalk import closedform, validation, walk1d
-from qwalk.walk1d import QubitState, distribution_1d, moment_1d, trajectory_1d
-from qwalk.walk2d import QuditState, distribution_2d, joint_moment_2d, trajectory_2d
+from qwalk.walk1d import Distribution1D, QubitState, distribution_1d, moment_1d, trajectory_1d
+from qwalk.walk2d import QuditState, distribution_2d, trajectory_2d
 
 P_GRID = [0.25, 0.5, 0.75]
 
@@ -26,55 +26,47 @@ P_GRID = [0.25, 0.5, 0.75]
 def test_check_3_fields_equal_directly_stepped_haar_states(p):
     rng = np.random.default_rng(300 + int(p * 100))
     t = 200
-    basis = [f.amps for f in validation._basis_fields(1, p, tuple(range(t + 1)))]
+    basis = list(validation._basis_fields(1, p, tuple(range(t + 1))))
     for _ in range(3):
         th = QubitState.random(rng)
-        direct = trajectory_1d(th, p, t)
-        for amps, field in zip(validation._line_fields(basis, th), direct, strict=True):
+        c = validation._coefficients(th)
+        for f, field in zip(basis, trajectory_1d(th, p, t), strict=True):
             # measured 4.7e-16 over p 0.25/0.5/0.75, three states each
+            amps = validation._amplitudes(f, c)
             assert np.max(np.abs(amps - field.amps)) <= 2e-15, (p, field.t)
 
 
 @pytest.mark.parametrize("p", P_GRID)
 def test_check_5_forms_give_directly_stepped_moments(p):
+    # the masses read by linearity give the moments of the stepped states
     rng = np.random.default_rng(500 + int(p * 100))
     ladder, orders = (1, 2, 125, 500, 1000), (1, 2, 3, 4)
-    forms = validation._basis_forms(1, p, ladder, [(alpha,) for alpha in orders])
+    basis = list(validation._basis_fields(1, p, ladder))
     for _ in range(2):
         th = QubitState.random(rng)
-        a = th.as_array()
+        c = validation._coefficients(th)
         direct = [f for f in trajectory_1d(th, p, ladder[-1]) if f.t in ladder]
-        for field, row in zip(direct, forms, strict=True):
-            for alpha, m in zip(orders, row, strict=True):
+        for field, f in zip(direct, basis, strict=True):
+            dist = Distribution1D(f.t, validation._masses(f, c))
+            for alpha in orders:
                 want = moment_1d(distribution_1d(field), alpha)
-                # measured 1.3e-15 over p 0.25/0.5/0.75, two states each
-                assert abs(float(np.vdot(a, m @ a).real) - want) <= 1e-14, (p, field.t, alpha)
+                # measured 4.4e-16 over p 0.25/0.5/0.75, two states each
+                assert abs(moment_1d(dist, alpha) - want) <= 1e-14, (p, field.t, alpha)
 
 
 @pytest.mark.parametrize("p", P_GRID)
-def test_lattice_forms_give_directly_stepped_joint_moments(p):
+def test_lattice_masses_equal_directly_stepped_distributions(p):
     rng = np.random.default_rng(700 + int(p * 100))
-    ladder, orders = (1, 7, 60), ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0))
-    forms = validation._basis_forms(2, p, ladder, orders)
-    assert forms.shape == (len(ladder), len(orders), 4, 4)
+    ladder = (1, 7, 60)
+    basis = list(validation._basis_fields(2, p, ladder))
     for _ in range(2):
         th = QuditState.random(rng)
-        a = th.as_array()
+        c = validation._coefficients(th)
         direct = [f for f in trajectory_2d(th, p, ladder[-1]) if f.t in ladder]
-        for field, row in zip(direct, forms, strict=True):
-            dist = distribution_2d(field)
-            for order, m in zip(orders, row, strict=True):
-                want = joint_moment_2d(dist, *order)
-                # measured 2.9e-15 over p 0.25/0.5/0.75, two states each
-                assert abs(float(np.vdot(a, m @ a).real) - want) <= 1e-14, (p, field.t, order)
-
-
-@pytest.mark.parametrize("dim,orders", [(1, ((0,), (1,), (2,))), (2, ((0, 0), (1, 0), (1, 1)))])
-def test_forms_at_one_time_equal_the_ladders_last_forms_bit_for_bit(dim, orders):
-    # one time is evolved in reused blocks, a ladder read off trajectories
-    single = validation._basis_forms(dim, 0.3, (40,), orders)
-    ladder = validation._basis_forms(dim, 0.3, (5, 40), orders)
-    assert single.tobytes() == ladder[-1:].tobytes()
+        for field, f in zip(direct, basis, strict=True):
+            want = distribution_2d(field).grid
+            # measured 2.2e-16 over p 0.25/0.5/0.75, two states each
+            assert np.max(np.abs(validation._masses(f, c) - want)) <= 1e-15, (p, field.t)
 
 
 @pytest.mark.parametrize(

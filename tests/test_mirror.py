@@ -135,6 +135,8 @@ def test_check_6_reads_the_directly_stepped_masses(monkeypatch, quick):
         return distribution_2d(evolve_2d(theta, 0.5, field.t)).grid
 
     linear = validation.check_limit_2d(quick=quick)
-    monkeypatch.setattr(validation, "_lattice_masses", direct)
+    # the reader's coefficients pass the state itself to the stand-in
+    monkeypatch.setattr(validation, "_coefficients", lambda theta: theta)
+    monkeypatch.setattr(validation, "_masses", direct)
     assert validation.check_limit_2d(quick=quick) == linear
     assert len(states) == (2 if quick else 3)

@@ -4,17 +4,20 @@ Each test plants one defect in the lattice step and asserts the exact set
 of checks that ``run_checks(quick=True)`` fails; the full gate fails the
 same sets (measured).  Check 1 reads the lattice basis's second packed
 field as the first one's diagonal mirror image, so it fails every defect
-that breaks that mirror and passes one that keeps it.
+that breaks that mirror and passes one that keeps it.  The staging defect
+is the exception: the quick gate's lattice buffers (t <= 100) are at most
+2 MB and never staged, so only the full gate sees it.
 """
 
+import numpy as np
 import pytest
 
 from qwalk import validation, walk1d, walk2d
 from qwalk.coin import coin_2d
 
 
-def _failing() -> set[int]:
-    return {r.number for r in validation.run_checks(quick=True) if not r.passed}
+def _failing(quick: bool = True) -> set[int]:
+    return {r.number for r in validation.run_checks(quick=quick) if not r.passed}
 
 
 def test_swapped_y_shifts_fail_checks_1_2_and_6(monkeypatch):
@@ -41,3 +44,26 @@ def test_a_lattice_coin_defect_fails_exactly(monkeypatch, coin, failing):
     # builds fresh coins and the true ones stay cached for later tests
     monkeypatch.setattr(walk2d, "coin_2d", coin)
     assert _failing() == failing
+
+
+def test_staged_chunks_walked_from_the_near_end_fail_checks_1_and_6_of_the_full_gate(
+    monkeypatch,
+):
+    # a field staged over its own source must be written from the far end:
+    # from the near end, each chunk overwrites source rows that the next
+    # chunk still reads
+    def near_end_first(src, stage):
+        rows = max(1, len(stage) // (src.size // src.shape[1]))
+        for r0 in range(0, src.shape[1], rows):
+            part = src[:, r0 : r0 + rows]
+            staged = stage[: part.size].reshape(part.shape)
+            np.copyto(staged, part)
+            yield r0, staged
+
+    monkeypatch.setattr(walk1d, "_staged", near_end_first)
+    # the quick gate's lattice buffers are never staged: its blind spot
+    assert _failing(quick=True) == set()
+    results = {r.number: r for r in validation.run_checks() if not r.passed}
+    assert set(results) == {1, 6}
+    assert results[1].details.startswith("max |sum P - 1| = 2.723e-02 ")
+    assert results[6].details.startswith("max |sim(t=300) - quad(N=512)| = 1.134e-01 ")

@@ -627,6 +627,24 @@ class TestMomentReport:
         with pytest.raises(InvalidParameterError):
             MomentReport(1, None, "0.5", (10, 20), (0.4, 0.45))
 
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [
+            (float("nan"), None),  # each of these built a report that read converged
+            (float("inf"), None),
+            (2.5, None),
+            (-1, None),
+            (True, None),
+            ("1", None),
+            (1, float("nan")),
+            (1, 2.5),
+            (1, -1),
+        ],
+    )
+    def test_rejects_an_order_that_is_not_an_integer_from_zero(self, alpha, beta):
+        with pytest.raises(InvalidParameterError):
+            MomentReport(alpha, beta, 0.1, (10, 20), (0.3, 0.2))
+
 
 class TestLimitMoments2D:
     ORDERS = ((1, 0), (0, 1), (1, 1), (2, 0), (0, 3))

@@ -160,17 +160,25 @@ def test_check_3_makes_one_closed_form_call_per_state():
 
 
 def test_checks_1_3_and_5_read_states_only_through_the_basis_routine():
-    # one routine steps the packed chirality basis of either lattice and one
-    # reads its forms, with the packing and the cross blocks; besides it,
-    # one helper views packed parts.  Each lattice's basis is one packed
-    # state, (1, i) or (1, i, 0, 0) over sqrt(2); the lattice's (0, 0, 1, i)
-    # is its mirror image: no polarization state is stepped
+    # one routine steps the packed chirality basis of either lattice; check 1
+    # reads only its Gram matrix, and one reader gives every other state's
+    # amplitudes, which checks 3, 5 and 6 read.  Besides them, one helper
+    # views packed parts.  Each lattice's basis is one packed state, (1, i)
+    # or (1, i, 0, 0) over sqrt(2); the lattice's (0, 0, 1, i) is its mirror
+    # image: no polarization state is stepped
     calls = _calls_by_function("validation")
     for check in ("check_unitarity", "check_closed_form", "check_limit_1d"):
         stepping = {n for n in calls[check] if n.startswith(("evolve_", "trajectory_"))}
         assert not stepping, check
-    assert "_basis_forms" in calls["check_unitarity"] & calls["check_limit_1d"]
-    assert {"_basis_fields", "_line_fields"} <= calls["check_closed_form"]
+    assert "_gram" in calls["check_unitarity"]
+    assert not calls["check_unitarity"] & {"_amplitudes", "_masses"}
+    assert "_basis_fields" in calls["_gram"] & calls["check_closed_form"] & calls["check_limit_1d"]
+    assert "_amplitudes" in calls["check_closed_form"]
+    assert "_masses" in calls["check_limit_1d"] & calls["check_limit_2d"]
+    assert {n for n, called in calls.items() if "_amplitudes" in called} == {
+        "check_closed_form",
+        "_masses",
+    }
     readers = {}
     for top in _tree("validation").body:
         for node in ast.walk(top) if isinstance(top, ast.FunctionDef) else ():
@@ -184,20 +192,42 @@ def test_checks_1_3_and_5_read_states_only_through_the_basis_routine():
     assert len(validation._PACKED[1]) == 2 and len(validation._PACKED[2]) == 4
     assert readers["_PACKED"] == {"_basis_fields"}
     assert readers["view(float64)"] == {"_parts"}
+    assert readers["_mirrored"] == {"_gram", "_amplitudes"}
 
 
 def test_check_5_reads_its_verdict_from_moment_report():
-    # check 5 reads its simulated moments from the basis trajectory, but the
-    # convergence rule stays the library's: the verdict is
-    # MomentReport.converged, with no moment and no gap comparison of its own
+    # check 5 reads its simulated moments through moment_1d from masses read
+    # off the basis trajectory, and the convergence rule stays the
+    # library's: the verdict is MomentReport.converged, with no gap
+    # comparison of its own
     (body,) = [f for f in _tree("validation").body if getattr(f, "name", None) == "check_limit_1d"]
     called = _calls_by_function("validation")["check_limit_1d"]
-    assert {"MomentReport", "limit_moment_1d"} <= called
-    assert not called & {"moment_1d", "_moment"}
+    assert {"MomentReport", "limit_moment_1d", "moment_1d"} <= called
+    assert not {n for n in called if n.startswith(("evolve_", "trajectory_"))}
     assert "converged" in {n.attr for n in ast.walk(body) if isinstance(n, ast.Attribute)}
     for compare in (n for n in ast.walk(body) if isinstance(n, ast.Compare)):
         read = {getattr(n, "attr", getattr(n, "id", None)) for n in ast.walk(compare)}
         assert not read & {"gaps", "_GAP_FLOOR"}, ast.unparse(compare)
+
+
+def test_validation_computes_no_moment_of_its_own():
+    # the package's one moment formula is walk1d._moment, behind moment_1d and
+    # joint_moment_2d: validation builds no site coordinates, and checks 5
+    # and 6 weigh no masses themselves, but read every simulated moment
+    # through those two
+    calls = _calls_by_function("validation")
+    assert not [n for n, called in calls.items() if called & {"arange", "_moment"}]
+    tree = _tree("validation")
+    for name, moment in (("check_limit_1d", "moment_1d"), ("check_limit_2d", "joint_moment_2d")):
+        assert moment in calls[name], name
+        assert not calls[name] & {"vdot", "dot", "einsum", "sum", "multiply", "reduce"}, name
+        (body,) = [f for f in tree.body if getattr(f, "name", None) == name]
+        weighing = [
+            ast.unparse(n)
+            for n in ast.walk(body)
+            if isinstance(n, ast.BinOp) and isinstance(n.op, (ast.Pow, ast.Mult, ast.MatMult))
+        ]
+        assert not weighing, (name, weighing)
 
 
 def test_moment_report_derives_its_gaps():

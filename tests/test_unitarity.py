@@ -1,13 +1,13 @@
 """Criterion 1's Gram path: the evolved chirality basis stands in for every state.
 
 Check 1 reads each random state's total probability as ``theta^H G theta``
-from the Gram matrix ``G`` of the evolved basis, the order-zero form of
-``validation._basis_forms``, built from one packed evolution on either
-lattice; on the lattice the field's mirror image is the second packed
-field, and the cross blocks pair the two.  These tests
-hold that ``G`` against the basis fields evolved one by one and against
-states evolved directly, bound every state's deviation at once, and pin the
-check's evolution count and its sensitivity to a planted leak.
+from the Gram matrix ``G`` of the evolved basis, ``validation._gram``,
+built from one packed evolution on either lattice; on the lattice the
+field's mirror image is the second packed field, and the cross blocks pair
+the two.  These tests hold that ``G`` against the basis fields evolved one
+by one and against states evolved directly, bound every state's deviation
+at once, and pin the check's evolution count and its sensitivity to a
+planted leak.
 """
 
 import numpy as np
@@ -17,15 +17,7 @@ from qwalk import validation, walk1d, walk2d
 from qwalk.walk1d import QubitState, evolve_1d
 from qwalk.walk2d import QuditState, evolve_2d
 
-
-def _gram(dim):
-    return lambda p, t: validation._basis_forms(dim, p, (t,), ((0,) * dim,))[0, 0]
-
-
-LATTICES = {
-    1: (_gram(1), evolve_1d, QubitState),
-    2: (_gram(2), evolve_2d, QuditState),
-}
+LATTICES = {1: (evolve_1d, QubitState), 2: (evolve_2d, QuditState)}
 
 
 def _direct_gram(evolve, n: int, p: float, t: int) -> np.ndarray:
@@ -37,19 +29,19 @@ def _direct_gram(evolve, n: int, p: float, t: int) -> np.ndarray:
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
 def test_packed_gram_equals_the_gram_of_the_basis_fields(dim, p):
-    gram, evolve, _ = LATTICES[dim]
+    evolve, _ = LATTICES[dim]
     t = 120
     direct = _direct_gram(evolve, 2 * dim, p, t)
-    assert np.max(np.abs(gram(p, t) - direct)) <= 1e-14
+    assert np.max(np.abs(validation._gram(dim, p, t) - direct)) <= 1e-14
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
 def test_gram_gives_each_haar_state_its_total_probability(dim, p):
-    gram, evolve, cls = LATTICES[dim]
+    evolve, cls = LATTICES[dim]
     rng = np.random.default_rng(dim * 100 + int(p * 100))
     t = 120 if dim == 1 else 60
-    g = gram(p, t)
+    g = validation._gram(dim, p, t)
     for _ in range(3):
         th = cls.random(rng)
         a = th.as_array()
@@ -61,7 +53,7 @@ def test_gram_gives_each_haar_state_its_total_probability(dim, p):
 def test_gram_bounds_every_state_at_the_quick_scales(p):
     # |theta^H (G - I) theta| <= len(G) * max|G - I| for every unit theta
     for dim, t in ((1, 100), (2, 40)):
-        g = LATTICES[dim][0](p, t)
+        g = validation._gram(dim, p, t)
         assert len(g) * np.max(np.abs(g - np.eye(len(g)))) <= 1e-12, (dim, p)
 
 
