@@ -6,8 +6,10 @@ ordering, probabilities with 17 significant digits, and a metadata header
 (parameters, initial state, convention tag, artifact version) on every file.
 
 The commands are thin: the library checks every value it accepts, and the
-CLI reports a failed check as ``<flag>: <library message>``.  One command
-serves each subcommand family; the parser supplies the lattice dimension.
+CLI reports a failed check as ``<flag>: <library message>``; its own rules
+raise :class:`InvalidParameterError` too, and a failed write ``OSError``.
+Only :func:`main` maps an error to an exit code.  One command serves each
+subcommand family; the parser supplies the lattice dimension.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .coin import CoinParameter
-from .errors import InvalidParameterError, QwalkError, require_int, require_real
+from .errors import InvalidParameterError, QwalkError, require_real, require_time
 from .localization import (
     validate_epsilon,
     validate_horizon_ladder,
@@ -55,23 +57,17 @@ _SILENT_NORM = 1e-9
 _WARN_NORM = 1e-6
 
 
-class _CliError(Exception):
-    def __init__(self, code: int, message: str) -> None:
-        super().__init__(message)
-        self.code = code
-
-
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
 def _checked(flag: str, check, *args):
-    """``check(*args)``; a ``QwalkError`` it raises becomes exit 2 with the
-    message ``<flag>: <message>``."""
+    """``check(*args)``; a ``QwalkError`` it raises is raised again as an
+    :class:`InvalidParameterError` with the message ``<flag>: <message>``."""
     try:
         return check(*args)
     except QwalkError as exc:
-        raise _CliError(_EXIT_BAD_INPUT, f"{flag}: {exc}") from None
+        raise InvalidParameterError(f"{flag}: {exc}") from None
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -85,32 +81,29 @@ def _parse_complex(token: str) -> complex:
     """Parse one component: ``a``, ``ai``, ``a+bi``, ``a-bi`` (no spaces)."""
     s = token.strip()
     if not s:
-        raise _CliError(_EXIT_BAD_INPUT, "--state: empty component")
+        raise InvalidParameterError("--state: empty component")
     try:
         return complex(s.replace("i", "j").replace("I", "j"))
     except ValueError:
-        raise _CliError(
-            _EXIT_BAD_INPUT,
-            f"--state: cannot parse component {token!r}; use forms a, ai, a+bi, a-bi",
+        raise InvalidParameterError(
+            f"--state: cannot parse component {token!r}; use forms a, ai, a+bi, a-bi"
         ) from None
 
 
 def _parse_state(text: str, dim: int) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != dim:
-        raise _CliError(
-            _EXIT_BAD_INPUT,
-            f"--state needs {dim} comma-separated components, got {len(parts)}",
+        raise InvalidParameterError(
+            f"--state needs {dim} comma-separated components, got {len(parts)}"
         )
     vec = np.array([_parse_complex(tk) for tk in parts], dtype=np.complex128)
     with np.errstate(over="ignore"):  # an overflowing norm is inf, and rejected below
         norm = float(np.sum(np.abs(vec) ** 2))
     dev = abs(norm - 1.0)
     if dev > _WARN_NORM:
-        raise _CliError(
-            _EXIT_BAD_INPUT,
+        raise InvalidParameterError(
             f"--state is not normalized: sum |c|^2 = {norm:.9g} "
-            f"(deviation {dev:.3g} exceeds {_WARN_NORM:g})",
+            f"(deviation {dev:.3g} exceeds {_WARN_NORM:g})"
         )
     if dev > _SILENT_NORM:
         print(
@@ -133,7 +126,7 @@ def _write_output(text: str, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise _CliError(_EXIT_IO, f"cannot write output file {path!r}: {exc}") from exc
+        raise OSError(f"cannot write output file {path!r}: {exc}") from exc
 
 
 def _meta_line(model: str, args, extra: dict, state: str | None = None) -> str:
@@ -149,7 +142,7 @@ def cmd_sim(args) -> int:
     dim = args.dim
     p = _checked("--p", CoinParameter, args.p).p
     theta = _state(args)
-    _checked("--t", require_int, args.t, "time")
+    _checked("--t", require_time, args.t, "time")
     _checked("--k", require_real, args.k, "phase k")
     if dim == 1:
         dist = distribution_1d(evolve_1d(theta, p, args.t, args.k))
@@ -192,16 +185,15 @@ def cmd_limit(args) -> int:
     p = _checked("--p", CoinParameter, args.p).p
     theta = _state(args)
     if not 64 <= args.grid <= 65536:
-        raise _CliError(_EXIT_BAD_INPUT, f"--grid must lie in [64, 65536], got {args.grid}")
+        raise InvalidParameterError(f"--grid must lie in [64, 65536], got {args.grid}")
     grid = _checked("--grid", QuadratureGrid, args.grid)
     ladder = _checked("--ladder", _ints, args.ladder)
     ladder = _checked("--ladder", validate_time_ladder, ladder)
     flags = ("alpha", "beta")[:dim]
     orders = tuple(getattr(args, f) for f in flags)
     if min(orders) < 0 or sum(orders) < 1:
-        raise _CliError(
-            _EXIT_BAD_INPUT,
-            f"{'/'.join('--' + f for f in flags)} must be >= 0 with a sum >= 1",
+        raise InvalidParameterError(
+            f"{'/'.join('--' + f for f in flags)} must be >= 0 with a sum >= 1"
         )
     report = convergence_report(theta, p, *orders, ladder=ladder, grid=grid)
     extra = {**dict(zip(flags, orders)), "grid": grid.n, "ladder": ",".join(map(str, ladder))}
@@ -225,7 +217,7 @@ def cmd_limit(args) -> int:
 def cmd_symmetry(args) -> int:
     p = _checked("--p", CoinParameter, args.p).p
     if args.table == (args.state is not None):
-        raise _CliError(_EXIT_BAD_INPUT, "symmetry needs exactly one of --state and --table")
+        raise InvalidParameterError("symmetry needs exactly one of --state and --table")
     if args.table:
         table = _checked("--t", extract_ab, p, args.t)
         kns = _checked("--t", kns_check, table)
@@ -263,9 +255,8 @@ def cmd_localize(args) -> int:
     theta = _state(args)
     site = _checked("--site", _ints, args.site)
     if len(site) != dim:
-        raise _CliError(
-            _EXIT_BAD_INPUT,
-            f"--site needs {dim} comma-separated integers for --dim {dim}, got {args.site!r}",
+        raise InvalidParameterError(
+            f"--site needs {dim} comma-separated integers for --dim {dim}, got {args.site!r}"
         )
     if dim == 1:
         est = time_averaged_probability_1d(theta, p, site[0], ladder)
@@ -371,12 +362,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CliError as exc:
+    except (QwalkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except QwalkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_BAD_INPUT
+        return _EXIT_BAD_INPUT if isinstance(exc, QwalkError) else _EXIT_IO
 
 
 if __name__ == "__main__":

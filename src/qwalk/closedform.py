@@ -42,7 +42,7 @@ from typing import Iterator
 import numpy as np
 
 from .coin import CoinParameter, as_coin
-from .errors import InvalidParameterError, require_int, require_ladder, require_real
+from .errors import InvalidParameterError, require_int, require_ladder, require_real, require_time
 from .walk1d import QubitState, WaveField1D, _checked_array, _phase, as_qubit, init_1d
 
 __all__ = [
@@ -181,7 +181,7 @@ def alpha_coefficients(p: CoinParameter | float, t: int) -> LaurentCoefficients:
     ``sum_m C(t-1-m, m) (2 c)^{t-1-2m}`` expanded in ``e^{-i x'}``; see
     :func:`double_sum_coefficient` for the fully expanded double sum.
     """
-    t = require_int(t, "recurrence index", 1)
+    t = require_time(t, "recurrence index", 1)
     cur, _ = next(_alpha_pairs(as_coin(p), (t,)))
     return LaurentCoefficients(t, cur)
 
@@ -204,17 +204,16 @@ def double_sum_coefficient(p: CoinParameter | float, t: int, j: int) -> float:
     once at the end.
     """
     c = as_coin(p)
-    t, j = require_int(t, "degree t"), require_int(j, "index j", None)
+    t, j = require_time(t, "degree t"), require_int(j, "index j", None)
     if not 0 <= j <= t:
         raise InvalidParameterError(f"index j must lie in [0, {t}], got {j}")
     p_exact = Fraction(c.p)
     parity = t % 2
     half = (t - parity) // 2
     total = Fraction(0)
-    for m in range(0, t // 2 + 1):
+    # the terms with 0 <= j - m <= t - 2 m
+    for m in range(min(j, t - j) + 1):
         r = j - m
-        if r < 0 or r > t - 2 * m:
-            continue
         coeff = math.comb(t - m, m) * math.comb(t - 2 * m, r)
         if r % 2:
             coeff = -coeff
@@ -273,4 +272,4 @@ def closed_form_field(
     calls.  Must equal ``evolve_1d(theta, p, t, k)`` amplitude-by-amplitude,
     and rejects the same inputs; the tests hold it to that.
     """
-    return closed_form_fields(theta, p, (require_int(t, "time"),), k)[0]
+    return closed_form_fields(theta, p, (require_time(t, "time"),), k)[0]

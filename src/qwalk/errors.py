@@ -52,12 +52,27 @@ def require_int(value, name: str, minimum: int | None = 0) -> int:
     return int(value)
 
 
+# the largest time: a lattice block, 4 (t + 1)^2 complex128 values, is still
+# addressable at 2**28 (numpy raises MemoryError) and no longer at 2**29
+_MAX_TIME = 2**28
+
+
+def require_time(value, name: str, minimum: int = 0) -> int:
+    """Return ``value`` as an int if it is an integer in ``[minimum, 2**28]``,
+    checked by :func:`require_int`; a request below the bound that does not
+    fit in memory still raises numpy's ``MemoryError``."""
+    t = require_int(value, name, minimum)
+    if t > _MAX_TIME:
+        raise InvalidParameterError(f"{name} must be <= {_MAX_TIME}, got {t}")
+    return t
+
+
 def require_ladder(ladder, name: str, minimum: int) -> tuple[int, ...]:
-    """Return ``ladder`` as a non-empty, strictly increasing tuple of integers
-    ``>= minimum``, each checked by :func:`require_int` under ``name``; a
+    """Return ``ladder`` as a non-empty, strictly increasing tuple of times,
+    each checked by :func:`require_time` under ``name`` and ``minimum``; a
     ladder that is not iterable is rejected too."""
     try:
-        lad = tuple(require_int(t, name, minimum) for t in ladder)
+        lad = tuple(require_time(t, name, minimum) for t in ladder)
     except TypeError:
         raise InvalidParameterError(f"need a ladder of {name}s, got {ladder!r}") from None
     if not lad or any(b <= a for a, b in zip(lad, lad[1:])):

@@ -70,7 +70,7 @@ from itertools import islice
 import numpy as np
 
 from .coin import CoinParameter
-from .errors import InvalidParameterError, PreconditionError, require_int
+from .errors import InvalidParameterError, PreconditionError, require_time
 from .walk1d import (
     QubitState,
     _checked_array,
@@ -172,13 +172,13 @@ def in_phi_perp(theta) -> bool:
 
 def empirical_symmetric_1d(theta, p: CoinParameter | float, horizon: int) -> bool:
     """True iff ``P(x, t) = P(-x, t)`` within 1e-12 for every ``t <= horizon``."""
-    fields = trajectory_1d(theta, p, require_int(horizon, "horizon", 1))
+    fields = trajectory_1d(theta, p, require_time(horizon, "horizon", 1))
     return _inversion_symmetric(distribution_1d(f).masses for f in fields)
 
 
 def expectation_series(theta, p: CoinParameter | float, horizon: int) -> np.ndarray:
     """``E(X_t)`` for ``t = 1..horizon`` from the position-space oracle."""
-    horizon = require_int(horizon, "horizon", 1)
+    horizon = require_time(horizon, "horizon", 1)
     fields = islice(trajectory_1d(theta, p, horizon), 1, None)
     return np.array([distribution_1d(f).mean_position() for f in fields])
 
@@ -235,7 +235,7 @@ def _reflection_residual(state, evolve, exchange: np.ndarray, p, t: int) -> floa
     inversion image: the identity is evaluated on the reflected field.
     """
     branch = _pattern_branch(state)
-    field = evolve(state, p, require_int(t, "time", 1))
+    field = evolve(state, p, require_time(t, "time", 1))
     amps, c = field.amps, (-1) ** field.t * (1j * branch)
     flipped = np.flip(amps, axis=tuple(range(1, amps.ndim)))
     return float(np.max(np.abs(flipped - c * np.tensordot(exchange, amps, axes=1))))
@@ -262,7 +262,7 @@ def empirical_symmetric_2d(theta, p: CoinParameter | float, horizon: int) -> boo
     states.  The full axis-mirror equality holds for no nontrivial state
     family here (see module docstring).
     """
-    fields = trajectory_2d(theta, p, require_int(horizon, "horizon", 1))
+    fields = trajectory_2d(theta, p, require_time(horizon, "horizon", 1))
     return _inversion_symmetric(distribution_2d(f).grid for f in fields)
 
 

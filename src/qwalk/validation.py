@@ -400,29 +400,24 @@ def check_symmetry(quick: bool = False) -> tuple[bool, str]:
         n1, t1, n2, t2 = 10, 20, 8, 10
     else:
         n1, t1, n2, t2 = 50, 50, 20, 20
-    states1 = _phi_perp_states(QubitState, n1)
-    states2 = _phi_perp_states(QuditState, n2)
+    rows = (
+        ("1D", _phi_perp_states(QubitState, n1), t1, in_phi_perp, empirical_symmetric_1d, (1, 0)),
+        ("2D", _phi_perp_states(QuditState, n2), t2, in_phi_perp_2d, empirical_symmetric_2d,
+         (1, 0, 0, 0)),
+    )
     bad = []
     for p in _P_GRID:
-        for th in states1:
-            if not in_phi_perp(th):
-                bad.append(f"1D state not in class at p={p}")
-            if not empirical_symmetric_1d(th, p, t1):
-                bad.append(f"1D symmetric failed p={p}")
-        for th in states2:
-            if not in_phi_perp_2d(th):
-                bad.append(f"2D state not in class at p={p}")
-            if not empirical_symmetric_2d(th, p, t2):
-                bad.append(f"2D symmetric failed p={p}")
-        if empirical_symmetric_1d(QubitState(1.0, 0.0), p, 3):
-            bad.append(f"1D (1,0) unexpectedly symmetric to t=3 at p={p}")
-        if empirical_symmetric_2d(QuditState(1, 0, 0, 0), p, 3):
-            bad.append(f"2D (1,0,0,0) unexpectedly symmetric to t=3 at p={p}")
+        for label, states, t, in_class, symmetric, unbalanced in rows:
+            for th in states:
+                if not in_class(th):
+                    bad.append(f"{label} state not in class at p={p}")
+                if not symmetric(th, p, t):
+                    bad.append(f"{label} symmetric failed p={p}")
+            if symmetric(unbalanced, p, 3):
+                named = ",".join(map(str, unbalanced))
+                bad.append(f"{label} ({named}) unexpectedly symmetric to t=3 at p={p}")
     ok = not bad
-    detail = (
-        f"{len(states1)} line states to t={t1}, {len(states2)} lattice states "
-        f"to t={t2}, all p"
-    )
+    detail = f"{n1} line states to t={t1}, {n2} lattice states to t={t2}, all p"
     return ok, detail if ok else detail + "; failures: " + "; ".join(bad[:4])
 
 
@@ -446,20 +441,17 @@ def check_localization(quick: bool = False) -> tuple[bool, str]:
         lad1, lad2 = (32, 64, 128), (16, 32, 64)
     else:
         lad1, lad2 = (64, 128, 256), (32, 64, 128)
-    states1 = [QubitState(1.0, 0.0), QubitState(_R, _R * 1j), QubitState.random(rng)]
-    states2 = [
-        QuditState(1, 0, 0, 0),
-        QuditState(0.5, 0.5j, 0.5j, -0.5),
-        QuditState.random(rng),
-    ]
+    rows = (
+        ("1D", time_averaged_probability_1d, 0, lad1,
+         [QubitState(1.0, 0.0), QubitState(_R, _R * 1j), QubitState.random(rng)]),
+        ("2D", time_averaged_probability_2d, (0, 0), lad2,
+         [QuditState(1, 0, 0, 0), QuditState(0.5, 0.5j, 0.5j, -0.5), QuditState.random(rng)]),
+    )
     bad = []
     for p in _P_GRID:
-        for th in states1:
-            est = time_averaged_probability_1d(th, p, 0, lad1)
-            _judge_estimate(est, bad, f"1D p={p}")
-        for th in states2:
-            est = time_averaged_probability_2d(th, p, (0, 0), lad2)
-            _judge_estimate(est, bad, f"2D p={p}")
+        for label, averaged, site, ladder, states in rows:
+            for th in states:
+                _judge_estimate(averaged(th, p, site, ladder), bad, f"{label} p={p}")
     ok = not bad
     return ok, "all ladders decay in ratio band" if ok else "; ".join(bad[:4])
 

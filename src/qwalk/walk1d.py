@@ -62,7 +62,9 @@ from typing import Iterator
 import numpy as np
 
 from .coin import CoinParameter, as_coin, coin_1d
-from .errors import InvalidParameterError, InvalidStateError, require_int, require_real
+from .errors import (
+    InvalidParameterError, InvalidStateError, require_int, require_real, require_time
+)
 
 __all__ = [
     "QubitState",
@@ -705,10 +707,10 @@ def trajectory_1d(
     """Fields at ``t = 0, 1, ..., horizon``, one :func:`step_1d` apart.
 
     Every input is checked here, before the first field is produced: the
-    horizon must be an integer ``>= 0`` and ``k`` a finite real number.
+    horizon must be an integer in ``[0, 2**28]`` and ``k`` a finite real number.
     The returned iterator is lazy, so a caller may stop early.
     """
-    n, c, field = require_int(horizon, "horizon"), as_coin(p), init_1d(theta)
+    n, c, field = require_time(horizon, "horizon"), as_coin(p), init_1d(theta)
     _phase(k)
     # step_1d is looked up at every step, so a rebound (traced) step is seen
     return accumulate(repeat(None, n), lambda f, _: step_1d(f, c, k), initial=field)
@@ -727,7 +729,7 @@ def evolve_1d(
     staging array (:func:`_evolve`); the result owns the whole of one of
     them, contiguous and read-only.
     """
-    n, c, field = require_int(t, "horizon"), as_coin(p), init_1d(theta)
+    n, c, field = require_time(t, "horizon"), as_coin(p), init_1d(theta)
     _phase(k)
     # step_1d is looked up at every step, so a rebound (traced) step is seen
     return _evolve(field, n, lambda f: step_1d(f, c, k))

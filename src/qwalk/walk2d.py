@@ -33,7 +33,7 @@ from typing import Iterator
 import numpy as np
 
 from .coin import CoinParameter, as_coin, coin_2d
-from .errors import require_int
+from .errors import require_time
 from .walk1d import (
     _DOWN,
     _UP,
@@ -170,7 +170,7 @@ def trajectory_2d(
     Inputs are checked as in :func:`qwalk.walk1d.trajectory_1d`, before the
     first field is produced; the iterator is lazy.
     """
-    n, c, field = require_int(horizon, "horizon"), as_coin(p), init_2d(theta)
+    n, c, field = require_time(horizon, "horizon"), as_coin(p), init_2d(theta)
     _phase(k)
     # step_2d is looked up at every step, so a rebound (traced) step is seen
     return accumulate(repeat(None, n), lambda f, _: step_2d(f, c, k), initial=field)
@@ -184,7 +184,7 @@ def evolve_2d(
 ) -> WaveField2D:
     """The last field of :func:`trajectory_2d`: ``t`` steps from :func:`init_2d`,
     in one buffer as in :func:`qwalk.walk1d.evolve_1d`."""
-    n, c, field = require_int(t, "horizon"), as_coin(p), init_2d(theta)
+    n, c, field = require_time(t, "horizon"), as_coin(p), init_2d(theta)
     _phase(k)
     # step_2d is looked up at every step, so a rebound (traced) step is seen
     return _evolve(field, n, lambda f: step_2d(f, c, k))

@@ -330,6 +330,13 @@ class TestFlagErrors:
             # ladders only the library rejects: below its minimum horizon, out of order
             ("--ladder", LOC1 + ["--site", "0", "--ladder", "4,8"]),
             ("--ladder", LIM1 + ["--grid", "64", "--ladder", "20,10"]),
+            # above the size bound (2**28); each exited 1 with a traceback
+            ("--t", ["sim1d", "--p", "0.5", "--state", "1,0", "--t", str(10**20)]),
+            ("--t", ["sim2d", "--p", "0.5", "--state", "1,0,0,0", "--t", str(10**20)]),
+            ("--ladder", LOC1 + ["--site", "0", "--ladder", f"8,{10**20}"]),
+            ("--ladder", LIM1 + ["--ladder", f"10,{10**20}"]),
+            ("--t", ["symmetry", "--p", "0.5", "--state", "1,0", "--t", str(10**20)]),
+            ("--t", ["symmetry", "--p", "0.5", "--table", "--t", str(10**20)]),
         ],
     )
     def test_input_error_names_its_flag(self, flag, argv, tmp_path, capsys):
@@ -387,5 +394,5 @@ class TestStateParsing:
         np.testing.assert_allclose(vec, expected, atol=1e-12)
 
     def test_wrong_component_count(self):
-        with pytest.raises(cli._CliError):
+        with pytest.raises(InvalidParameterError, match="--state needs 2"):
             cli._parse_state("1,0,0", 2)

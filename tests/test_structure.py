@@ -22,6 +22,11 @@ def _tree(module: str) -> ast.Module:
     return ast.parse((SRC / f"{module}.py").read_text())
 
 
+def _function(module: str, name: str) -> ast.FunctionDef:
+    (body,) = [f for f in _tree(module).body if getattr(f, "name", None) == name]
+    return body
+
+
 def test_only_trajectories_and_evolutions_call_the_step_functions():
     # evolve_* steps in one buffer through the one shared loop,
     # walk1d._evolve; every other evolution iterates trajectory_*
@@ -200,7 +205,7 @@ def test_check_5_reads_its_verdict_from_moment_report():
     # off the basis trajectory, and the convergence rule stays the
     # library's: the verdict is MomentReport.converged, with no gap
     # comparison of its own
-    (body,) = [f for f in _tree("validation").body if getattr(f, "name", None) == "check_limit_1d"]
+    body = _function("validation", "check_limit_1d")
     called = _calls_by_function("validation")["check_limit_1d"]
     assert {"MomentReport", "limit_moment_1d", "moment_1d"} <= called
     assert not {n for n in called if n.startswith(("evolve_", "trajectory_"))}
@@ -217,11 +222,10 @@ def test_validation_computes_no_moment_of_its_own():
     # through those two
     calls = _calls_by_function("validation")
     assert not [n for n, called in calls.items() if called & {"arange", "_moment"}]
-    tree = _tree("validation")
     for name, moment in (("check_limit_1d", "moment_1d"), ("check_limit_2d", "joint_moment_2d")):
         assert moment in calls[name], name
         assert not calls[name] & {"vdot", "dot", "einsum", "sum", "multiply", "reduce"}, name
-        (body,) = [f for f in tree.body if getattr(f, "name", None) == name]
+        body = _function("validation", name)
         weighing = [
             ast.unparse(n)
             for n in ast.walk(body)
@@ -285,6 +289,37 @@ def test_cli_imports_no_private_library_name():
     assert imported and not private
 
 
+def test_cli_has_one_error_path_to_its_exit_codes():
+    # the CLI's own rules raise the library's InvalidParameterError and a
+    # failed write OSError; only main turns an exception into an exit code
+    tree = _tree("cli")
+    assert not [n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    raised = {ast.unparse(n.exc.func) for n in ast.walk(tree) if isinstance(n, ast.Raise)}
+    assert raised == {"InvalidParameterError", "OSError"}
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef) and top.name != "main":
+            names = {n.id for n in ast.walk(top) if isinstance(n, ast.Name)}
+            assert not names & {"_EXIT_BAD_INPUT", "_EXIT_IO"}, top.name
+            for handler in (n for n in ast.walk(top) if isinstance(n, ast.ExceptHandler)):
+                assert isinstance(handler.body[-1], ast.Raise), top.name
+
+
+def test_checks_8_and_10_have_one_body_for_both_lattices():
+    # each check loops over one row per lattice: one call site per library
+    # function, and the 1D/2D pair only as the rows' entries
+    symmetry = _function("validation", "check_symmetry")
+    named = [n.id for n in ast.walk(symmetry) if isinstance(n, ast.Name)]
+    for name in ("empirical_symmetric_1d", "empirical_symmetric_2d", "in_phi_perp",
+                 "in_phi_perp_2d"):
+        assert named.count(name) == 1, name
+    localization = _function("validation", "check_localization")
+    judged = [
+        n for n in ast.walk(localization)
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_judge_estimate"
+    ]
+    assert len(judged) == 1
+
+
 def test_closed_form_never_reads_the_flush_threshold():
     # check 3 and the long-horizon closed-form gate compare the flushed engine
     # with the closed form; the alpha recurrence sheds its own subnormal
@@ -324,7 +359,7 @@ EXPORTED_BEFORE = {
 
 # input checks the modules share by name; not public
 HELPERS = {
-    "errors": ("require_int", "require_ladder", "require_real"),
+    "errors": ("require_int", "require_ladder", "require_real", "require_time"),
     "coin": ("as_coin", "validate_wavenumber"),
     "spectral": ("validate_time_ladder",),
     "localization": ("validate_horizon_ladder", "validate_epsilon"),
