@@ -11,23 +11,26 @@ in any compared value fails.  :func:`run_checks` reports a check that raises
 as that check's FAIL, and ``qwalk validate`` then exits 3.
 
 Checks 1, 3, 5 and 6 read their states by linearity from evolved chirality
-bases: ``U^t theta = sum_c theta_c U^t e_c``.  The coin is real and the
-checks run at ``k = 0``, so a packed state ``(u + i w) / s`` with real ``u``
-and ``w`` carries ``U^t u / s`` in its real parts and ``U^t w / s`` in its
-imaginary parts.  :func:`_basis_fields` steps one packed state per lattice,
-``(1, i) / sqrt(2)`` on the line and ``(1, i, 0, 0) / sqrt(2)`` on the
-lattice.  The lattice's other packed state, ``(0, 0, 1, i) / sqrt(2)``, is
-``EXCHANGE_XY`` times the first, so its field is the first one's image under
-the diagonal mirror, ``U^t (A theta) = (-1)^t A R U^t theta``
-(:mod:`qwalk.symmetry`), which :func:`_mirrored` reads without a copy: one
-stepped lattice field per ``p`` serves the whole basis.  Check 1 reads total
-probabilities from the basis's Gram matrix (:func:`_gram`).  One reader,
-:func:`_amplitudes`, gives any other state's amplitudes from the packed
-field and, on the lattice, its mirror image: check 3 compares the line's
-with the closed form, and checks 5 and 6 take the moments of their masses
-(:func:`_masses`) with :func:`moment_1d` and :func:`joint_moment_2d`, the
-package's one moment formula.  One basis evolution or trajectory per ``p``
-serves every state.
+bases: ``U^t theta = sum_c theta_c U^t e_c``.  :func:`_basis_fields` steps
+one state per lattice (``_BASIS``).  On the line it is the packed state
+``(1, i) / sqrt(2)``: the coin is real and the checks run at ``k = 0``, so
+``(u + i w) / s`` with real ``u`` and ``w`` carries ``U^t u / s`` in its
+real parts and ``U^t w / s`` in its imaginary parts, and a complex field
+keeps checks 3 and 5 able to see a step that conjugates.  On the lattice it
+is the real ``e_1``, stepped in ``float64``, and the other three basis
+fields are its images (:func:`_lattice_basis`), read without a copy: by
+the exchange identities of :mod:`qwalk.symmetry`, which hold for every
+state, ``U^t (X theta) = (-1)^t X G U^t theta`` with ``X = EXCHANGE_2D``
+and ``G`` the inversion ``(x, y) -> (-x, -y)``, or ``X = EXCHANGE_XY`` and
+``G`` the diagonal mirror ``(x, y) -> (y, x)``.  ``e_2 = EXCHANGE_2D e_1``
+is the inversion image, and ``e_3``, ``e_4`` the mirror images of ``e_1``,
+``e_2``: one real lattice field per ``p`` serves the whole basis.  Check 1
+reads total probabilities from the basis's Gram matrix (:func:`_gram`).
+One reader, :func:`_amplitudes`, gives any other state's amplitudes from
+the basis: check 3 compares the line's with the closed form, and checks 5
+and 6 take the moments of their masses (:func:`_masses`) with
+:func:`moment_1d` and :func:`joint_moment_2d`, the package's one moment
+formula.  One basis evolution or trajectory per ``p`` serves every state.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import math
 import time
 from dataclasses import dataclass, fields
 from functools import reduce
-from itertools import product
+from itertools import combinations_with_replacement, product
 from typing import Callable
 
 import numpy as np
@@ -51,6 +54,7 @@ from .localization import (
 )
 from .spectral import MomentReport, QuadratureGrid, limit_moment_1d, limit_moments_2d
 from .symmetry import (
+    EXCHANGE_2D,
     EXCHANGE_XY,
     ABTable,
     empirical_symmetric_1d,
@@ -118,24 +122,25 @@ def _judged(metric: str, deviations: list[float], tol: float, scale: str = "") -
 
 
 _R = 1 / math.sqrt(2)
-# packed chirality basis states ``(u + i w) / s``, real ``u`` and ``w``: the
-# line's carries both basis vectors, the lattice's the first two, and its
-# mirror image (``EXCHANGE_XY``) the other two
-_PACKED = {1: (_R, _R * 1j), 2: (_R, _R * 1j, 0, 0)}
+# the state each lattice's basis is read from: on the line the packed state
+# ``(u + i w) / s``, which carries both basis vectors in its real and its
+# imaginary parts, and on the lattice the real ``e_1``, whose field gives
+# the other three as its images (:func:`_lattice_basis`)
+_BASIS = {1: (_R, _R * 1j), 2: (1, 0, 0, 0)}
 
 
 def _basis_fields(dim: int, p: float, times: tuple[int, ...]):
-    """The fields of the lattice's packed basis state (``_PACKED``) at the
+    """The fields of the lattice's basis state (``_BASIS``) at the
     increasing ``times``, lazily.
 
     A single time is evolved in one buffer (``evolve_*``); a ladder is
     read off one trajectory, whose fields each own a block.
     """
     if len(times) == 1:
-        yield (evolve_1d, evolve_2d)[dim - 1](_PACKED[dim], p, times[0])
+        yield (evolve_1d, evolve_2d)[dim - 1](_BASIS[dim], p, times[0])
         return
     trajectory, want = (trajectory_1d, trajectory_2d)[dim - 1], set(times)
-    yield from (f for f in trajectory(_PACKED[dim], p, times[-1]) if f.t in want)
+    yield from (f for f in trajectory(_BASIS[dim], p, times[-1]) if f.t in want)
 
 
 def _parts(amps: np.ndarray) -> np.ndarray:
@@ -145,71 +150,93 @@ def _parts(amps: np.ndarray) -> np.ndarray:
     return amps.view(np.float64).reshape(amps.shape + (2,))
 
 
-def _mirrored(parts: np.ndarray, t: int):
-    """The parts of the lattice field of ``A theta``, ``A = EXCHANGE_XY``,
-    from those of ``theta``'s field, component by component: by ``U^t (A
-    theta) = (-1)^t A R U^t theta`` (:mod:`qwalk.symmetry`), component ``c``
-    is ``(-1)^t A[c, src]`` times component ``src``, the one nonzero entry
-    of row ``c``, and the mirror ``R: (x, y) -> (y, x)`` takes cell ``(i,
-    j)`` of the packed grid to ``(i, t - j)``.  Yields each component's sign
-    and its source's view, reversed along the grid's second axis."""
-    for row in EXCHANGE_XY:
+# the two lattice symmetries of :mod:`qwalk.symmetry`, each as its exchange
+# matrix and the reversed grid axes of its site map: the inversion ``(x, y)
+# -> (-x, -y)`` takes cell ``(i, j)`` of the packed grid to ``(t - i, t -
+# j)``, the mirror ``(x, y) -> (y, x)`` takes it to ``(i, t - j)``
+_INVERSION = (EXCHANGE_2D, (slice(None, None, -1),) * 2)
+_MIRROR = (EXCHANGE_XY, (slice(None), slice(None, None, -1)))
+
+
+def _image(field: list, t: int, symmetry: tuple) -> list:
+    """The components of the lattice field of ``X theta`` from those of
+    ``theta``'s, each a ``(sign, view)`` pair, with ``(X, G)`` the
+    ``symmetry``: by ``U^t (X theta) = (-1)^t X G U^t theta``, component
+    ``c`` is ``(-1)^t X[c, src]`` times component ``src``, the one nonzero
+    entry of row ``c``, read through ``G``'s reversed axes without a copy."""
+    exchange, flip = symmetry
+    image = []
+    for row in exchange:
         (src,) = np.flatnonzero(row)
-        yield (-1) ** t * row[src], parts[src, :, ::-1]
+        sign, view = field[src]
+        image.append(((-1) ** t * row[src] * sign, view[flip]))
+    return image
 
 
-def _paired(triples) -> np.ndarray:
-    """``2 sum_c sign_c x_c^T y_c`` over the ``(sign_c, x_c, y_c)`` in
-    ``triples``, component parts of packed fields: the 2x2 block of two
-    packed fields in a Gram matrix."""
-    block = np.zeros((2, 2))
-    for sign, x, y in triples:
-        cells = "ij"[: x.ndim - 1]
-        block += sign * np.einsum(f"{cells}a,{cells}b->ab", x, y)
-    return 2 * block
+def _lattice_basis(field) -> list:
+    """The evolved lattice basis ``U^t e_1, ..., U^t e_4`` from the field of
+    ``e_1`` alone, each as its four components' ``(sign, view)`` pairs:
+    ``e_2 = EXCHANGE_2D e_1`` gives the inversion image (:func:`_image`),
+    and ``e_3 = EXCHANGE_XY e_1`` and ``e_4 = EXCHANGE_XY e_2`` the mirror
+    images of those two.  The views read the block as it is, ``float64``
+    when stepped or ``complex128`` when built by the field constructor."""
+    e1 = [(1.0, comp) for comp in field.amps]
+    e2 = _image(e1, field.t, _INVERSION)
+    return [e1, e2, _image(e1, field.t, _MIRROR), _image(e2, field.t, _MIRROR)]
+
+
+def _inner(f: list, h: list):
+    """``<f, h> = sum_c sum_cells conj(f_c) h_c`` of two fields given as
+    :func:`_lattice_basis` gives them."""
+    return sum(
+        sf * sh * np.einsum("ij,ij->", x.conj(), y) for (sf, x), (sh, y) in zip(f, h)
+    )
 
 
 def _gram(dim: int, p: float, t: int) -> np.ndarray:
     """The Gram matrix ``G_ij = <U^t e_i, U^t e_j>`` of the evolved chirality
     basis, so that a state ``theta`` has total probability ``theta^H G theta``.
 
-    The packed field's own 2x2 block is ``2 sum_c v_c^T v_c`` over its
-    components' parts (:func:`_paired`): doubling is exact, where scaling by
-    ``sqrt(2)`` would round.  On the lattice the field's mirror image
-    (:func:`_mirrored`) has the same block, and the cross blocks pair each
-    component with its mirrored source.
+    On the line, ``2 sum_c v_c^T v_c`` over the packed field's components'
+    parts: doubling is exact, where scaling by ``sqrt(2)`` would round.  On
+    the lattice, the inner products of the four basis fields
+    (:func:`_lattice_basis`), each pair's once: real for the stepped
+    ``float64`` block, and Hermitian for a complex one.
     """
     (field,) = _basis_fields(dim, p, (t,))
-    v = _parts(field.amps)
-    g = np.zeros((2 * dim, 2 * dim))
-    g[:2, :2] = _paired((1.0, c, c) for c in v)
-    if dim == 2:
-        g[2:, 2:] = g[:2, :2]
-        g[:2, 2:] = _paired((sign, c, u) for c, (sign, u) in zip(v, _mirrored(v, t)))
-        g[2:, :2] = g[:2, 2:].T
+    if dim == 1:
+        return 2 * sum(np.einsum("ia,ib->ab", c, c) for c in _parts(field.amps))
+    basis = _lattice_basis(field)
+    g = np.empty((4, 4), field.amps.dtype)
+    for i, j in combinations_with_replacement(range(4), 2):
+        g[i, j] = _inner(basis[i], basis[j])
+        g[j, i] = np.conj(g[i, j])
     return g
 
 
 def _coefficients(theta) -> np.ndarray:
-    """``sqrt(2) (Re theta_c, Im theta_c)`` per component ``c``, the real
-    matrix that reads ``theta``'s field from the packed basis parts."""
-    return np.array([[z.real, z.imag] for z in theta.as_array()]) * math.sqrt(2)
+    """The weights :func:`_amplitudes` reads ``theta``'s field with: on the
+    line ``sqrt(2) (Re theta_c, Im theta_c)`` per component ``c``, the real
+    matrix that reads the packed parts; on the lattice the components
+    ``theta_c`` themselves, which weigh the four basis fields."""
+    a = theta.as_array()
+    if len(a) == 4:
+        return a
+    return np.array([[z.real, z.imag] for z in a]) * math.sqrt(2)
 
 
 def _amplitudes(field, c: np.ndarray):
     """The amplitudes of the state whose :func:`_coefficients` are ``c``, by
-    linearity from the packed basis ``field``: component by component,
-    ``sqrt(2) (theta_1 Re + theta_2 Im)`` of the field's parts, plus on the
-    lattice ``sqrt(2) (theta_3 Re + theta_4 Im)`` of its mirror image's
-    (:func:`_mirrored`).  The line's two components come as one array, one
-    real matrix product on the packed parts; the lattice's four come lazily,
-    one at a time, so that no block of all four is held."""
-    v = _parts(field.amps)
+    linearity from its lattice's basis ``field``.  The line's two components
+    come as one array, ``sqrt(2) (theta_1 Re + theta_2 Im)`` of the packed
+    parts in one real matrix product; the lattice's four come lazily, one at
+    a time, each ``sum_b theta_b`` times that component of basis field
+    ``b`` (:func:`_lattice_basis`), so that no block of all four is held."""
     if len(c) == 2:
-        return (v @ c).view(np.complex128)[..., 0]
+        return (_parts(field.amps) @ c).view(np.complex128)[..., 0]
     return (
-        (own @ c[:2] + image @ (sign * c[2:])).view(np.complex128)[..., 0]
-        for own, (sign, image) in zip(v, _mirrored(v, field.t))
+        sum(th * sign * view for th, (sign, view) in zip(c, comps))
+        for comps in zip(*_lattice_basis(field))
     )
 
 
@@ -225,8 +252,9 @@ def check_unitarity(quick: bool = False) -> tuple[bool, str]:
     The walk is linear: a state ``theta`` evolves to ``sum_c theta_c U^t e_c``,
     so its total probability is ``theta^H G theta``, where ``G_ij = <U^t e_i,
     U^t e_j>`` is the Gram matrix of the evolved chirality basis
-    (:func:`_gram`).  One ``G`` per lattice and ``p``, from one packed
-    evolution on either lattice, serves every state.
+    (:func:`_gram`).  One ``G`` per lattice and ``p``, from one basis
+    evolution on either lattice (a packed complex field on the line, a real
+    one on the lattice), serves every state.
     """
     rng = np.random.default_rng(_SEED)
     t1, t2, nstate = (100, 40, 3) if quick else (1000, 300, 10)
@@ -330,8 +358,9 @@ def check_limit_2d(quick: bool = False) -> tuple[bool, str]:
     """6: simulated joint moments approach the 2D quadrature limit.
 
     Each state's simulated masses come by linearity from the lattice's one
-    packed basis field and its mirror image (:func:`_masses`), and its
-    moments from :func:`joint_moment_2d` of their :class:`Distribution2D`.
+    real basis field, that of ``e_1``, and its inversion and mirror images
+    (:func:`_masses`), and its moments from :func:`joint_moment_2d` of
+    their :class:`Distribution2D`.
     """
     rng = np.random.default_rng(_SEED + 6)
     if quick:

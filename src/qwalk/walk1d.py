@@ -38,6 +38,15 @@ the closed-form, spectral, symmetry, and localization modules.
 The global phase ``k`` cancels in every probability; it is kept only for
 amplitude-level identity tests.
 
+The coin is real, so a state whose components are all real stays real at
+``k = 0``: :func:`trajectory_1d` and :func:`evolve_1d` (and the lattice's
+two loops) then step its fields as ``float64`` blocks, half the bytes of
+``complex128`` ones, and every other state in ``complex128``
+(:func:`_first_field`).  A ``float64`` field stepped at ``k != 0`` becomes
+``complex128``.  The real path is exact up to rounding, but not bitwise
+equal to stepping the same state as complex: the products run over other
+column counts.
+
 This module also holds the core that :mod:`qwalk.walk2d` shares: the state,
 field and distribution bases and the one step body, :func:`_step`.  The two
 lattices differ only in their support bookkeeping (``_Support1D`` here,
@@ -181,6 +190,17 @@ def _step_phase(k: float) -> complex:
     same phase at every step.  ``-0.0`` may get the phase of ``0.0``; the
     step only compares the phase with 1, so it cannot tell them apart."""
     return (_float_phase if type(k) is float else _phase)(k)
+
+
+def _first_field(init, theta, k: float) -> "_Field":
+    """``init(theta)``, the field that a trajectory or an evolution starts
+    from, once ``k`` is checked: a ``float64`` block when every component
+    is real and the phase ``e^{ik}`` is 1, since the real coin then keeps
+    every field real; otherwise the ``complex128`` block ``init`` built."""
+    field = init(theta)
+    if _step_phase(k) != 1.0 or field.amps.imag.any():
+        return field
+    return field._built(0, field.amps.real.copy())
 
 
 def _of_type(obj, cls: type):
@@ -357,12 +377,16 @@ class _Field:
     directly has the whole block as its box, and its ``t`` and block pass
     :func:`_checked_block`.
 
+    ``amps`` is ``complex128``, or ``float64`` for a real state's field at
+    ``k = 0`` (:func:`_first_field`); the constructor always makes it
+    ``complex128``.
+
     ``_spare`` is None, or the pair ``(buffer, stage)`` that only
     :func:`_evolve` sets and the step empties: two writeable, contiguous
-    ``complex128`` arrays that no other live field reads.  ``buffer`` is a
-    block at least one cell longer per axis than ``amps``, and ``stage`` a
-    flat array; ``amps`` may be the leading corner of the one or the
-    leading cells of the other.  :func:`_step` then writes the next block
+    arrays of the block's dtype that no other live field reads.
+    ``buffer`` is a block at least one cell longer per axis than ``amps``,
+    and ``stage`` a flat array; ``amps`` may be the leading corner of the
+    one or the leading cells of the other.  :func:`_step` then writes the next block
     into one of them instead of allocating it.
     """
 
@@ -376,10 +400,10 @@ class _Field:
     @classmethod
     def _built(cls, t: int, amps: np.ndarray, box: tuple[slice, ...] | None = None) -> "_Field":
         """A field over a block the package has just built and holds nowhere
-        else, :func:`_step`'s or a closed-form field's: a contiguous, finite
-        ``complex128`` block of the right shape, so the constructor's
-        checks and copy are skipped.  ``box`` is the live box; None means the
-        whole block."""
+        else, :func:`_step`'s, :func:`_first_field`'s or a closed-form
+        field's: a contiguous, finite ``complex128`` or ``float64`` block of
+        the right shape, so the constructor's checks and copy are skipped.
+        ``box`` is the live box; None means the whole block."""
         self = object.__new__(cls)
         amps.setflags(write=False)
         self.t, self.amps, self._box = t, amps, box or (slice(0, None),) * cls._DIM
@@ -452,12 +476,15 @@ def _step(field: _Field, coin: np.ndarray, ph: complex) -> _Field:
     rows, and one ``matmul`` of the pair's two coin rows writes the whole
     pair; no mixed block is allocated or copied.  The coin is real, so the
     product runs on the real view of the amplitudes (real and imaginary
-    parts as adjacent ``float64`` columns) and costs a real matrix product
-    instead of a complex one.
+    parts as adjacent ``float64`` columns; a ``float64`` block is its own
+    real view) and costs a real matrix product instead of a complex one.
+    The new block has the field's dtype, except that a ``float64`` field
+    stepped under a phase ``ph != 1`` is first copied to ``complex128``.
 
-    The new block starts uninitialized.  Without a ``_spare`` it is
-    allocated.  With one, which the step takes, it is laid over the leading
-    cells of ``stage`` if it fits there and the field does not live there;
+    The new block starts uninitialized.  Without a ``_spare`` of its dtype
+    it is allocated.  With one, which the step takes, it is laid over the
+    leading cells of ``stage`` if it fits there and the field does not live
+    there;
     otherwise it is the leading corner of ``buffer``.  When the field itself
     lives in that corner, the new block overwrites it.  No destination cell
     lies before its source cell on any axis, so the step then walks the
@@ -490,8 +517,10 @@ def _step(field: _Field, coin: np.ndarray, ph: complex) -> _Field:
     a, box = field.amps, field._box
     buffer, stage = field._spare or (None, None)
     field._spare = None
+    if ph != 1.0 and a.dtype == np.float64:  # the phase makes a real field complex
+        a = a.astype(np.result_type(a, ph))
     shape = (len(a),) + (a.shape[1] + 1,) * field._DIM
-    if buffer is None:
+    if buffer is None or buffer.dtype != a.dtype:  # no spare of the block's dtype
         new = home = np.empty(shape, a.dtype)
     elif a.base is stage or len(stage) < math.prod(shape):
         new = np.ndarray(shape, a.dtype, buffer, 0, buffer.strides)  # the leading corner
@@ -532,7 +561,8 @@ def _step(field: _Field, coin: np.ndarray, ph: complex) -> _Field:
 _STAGE_BYTES = 1 << 19
 # an evolution whose buffer has at most this many bytes gets a staging array
 # as large as the buffer, so no step copies its field: the line's up to
-# t = 65535, the lattice's up to t = 180
+# t = 65535, the lattice's up to t = 180, and in float64 the line's up to
+# t = 131071, the lattice's up to t = 255
 _UNSTAGED_BYTES = 1 << 21
 
 
@@ -553,7 +583,8 @@ def _staged(src: np.ndarray, stage: np.ndarray) -> Iterator[tuple[int, np.ndarra
 
 def _evolve(field: _Field, t: int, step) -> _Field:
     """``step`` applied ``t`` times to ``field``, in one buffer of the final
-    field's shape and one staging array, both allocated here.
+    field's shape and one staging array, both allocated here with the
+    field's dtype.
 
     The staging array is as large as the buffer while that is at most
     ``_UNSTAGED_BYTES``, and otherwise holds about ``_STAGE_BYTES``.
@@ -565,7 +596,9 @@ def _evolve(field: _Field, t: int, step) -> _Field:
     up to t = 65535 fits: staging its steps cost the line 7-27% at
     t = 20000-50000, to save memory the line never lacks.  On the lattice
     fields past t = 89 are staged once the buffer outgrows
-    ``_UNSTAGED_BYTES``, which halves the memory of long evolutions.  The
+    ``_UNSTAGED_BYTES``, which halves the memory of long evolutions; a
+    ``float64`` buffer holds half the bytes, so a real state's lattice
+    fields are staged from t = 256 on, those past t = 127.  The
     returned field's block is the whole buffer, or the whole staging array
     when that is as large, and its ``_spare`` is empty, so stepping it
     again allocates.  At ``t = 0`` ``field`` itself is returned and
@@ -591,9 +624,9 @@ def _flush(new: np.ndarray, box: tuple[slice, ...]) -> tuple[slice, ...]:
 
     Such a face carries no probability (its squared moduli underflow to 0),
     but stepping it costs subnormal arithmetic.  The box keeps at least one
-    cell per axis.
+    cell per axis.  A ``float64`` block has one part per cell.
     """
-    parts = new.view(np.float64).reshape(new.shape + (2,))
+    parts = new.view(np.float64).reshape(new.shape + (-1,))
     shrunk = []
     for d, s in enumerate(box):
         n, axis = new.shape[d + 1], (slice(None),) * (d + 1)
@@ -648,7 +681,8 @@ class WaveField1D(_Support1D, _Field):
     ``amps`` has shape ``(2, t+1)``; ``amps[c, i]`` is component ``c+1`` at
     site ``x = 2 i - t``, and ``phi1``, ``phi2`` are its two rows as
     read-only views.  Sites of the opposite parity carry no amplitude and
-    are not stored.  Immutable.
+    are not stored.  ``amps`` is ``complex128``, or ``float64`` for a
+    real state's field stepped at ``k = 0``.  Immutable.
     """
 
     __slots__ = ()
@@ -689,7 +723,9 @@ def step_1d(
     """Advance the field one step; the norm is preserved up to rounding.
 
     :func:`trajectory_1d` and :func:`evolve_1d` iterate it.  The support
-    grows by one site on each side and the time index by one.
+    grows by one site on each side and the time index by one.  A
+    ``float64`` field stays ``float64`` at ``k = 0`` and becomes
+    ``complex128`` at any other ``k``.
     The drift accumulates: over the 30 random states of acceptance criterion
     1, the total probability at t = 1000 is at most 1.4e-13 from 1
     (measured: 1.377e-13).
@@ -708,10 +744,10 @@ def trajectory_1d(
 
     Every input is checked here, before the first field is produced: the
     horizon must be an integer in ``[0, 2**28]`` and ``k`` a finite real number.
-    The returned iterator is lazy, so a caller may stop early.
+    The returned iterator is lazy, so a caller may stop early.  A state
+    whose components are all real gives ``float64`` fields at ``k = 0``.
     """
-    n, c, field = require_time(horizon, "horizon"), as_coin(p), init_1d(theta)
-    _phase(k)
+    n, c, field = require_time(horizon, "horizon"), as_coin(p), _first_field(init_1d, theta, k)
     # step_1d is looked up at every step, so a rebound (traced) step is seen
     return accumulate(repeat(None, n), lambda f, _: step_1d(f, c, k), initial=field)
 
@@ -729,8 +765,7 @@ def evolve_1d(
     staging array (:func:`_evolve`); the result owns the whole of one of
     them, contiguous and read-only.
     """
-    n, c, field = require_time(t, "horizon"), as_coin(p), init_1d(theta)
-    _phase(k)
+    n, c, field = require_time(t, "horizon"), as_coin(p), _first_field(init_1d, theta, k)
     # step_1d is looked up at every step, so a rebound (traced) step is seen
     return _evolve(field, n, lambda f: step_1d(f, c, k))
 

@@ -17,7 +17,9 @@ keeps each step to a handful of contiguous slice operations.
 
 The states, fields, distributions, moments and the step body are the line's
 (:mod:`qwalk.walk1d`); only the support bookkeeping (``_Support2D``) and the
-coin are the lattice's own.
+coin are the lattice's own.  The line's dtype rule holds here too: a state
+with real components steps in ``float64`` at ``k = 0``, in blocks of half
+the bytes.
 
 :func:`trajectory_2d` and :func:`evolve_2d` are the only loops over
 :func:`step_2d` in the package; the evolution steps in one buffer of the
@@ -41,11 +43,11 @@ from .walk1d import (
     _Field,
     _State,
     _evolve,
+    _first_field,
     _frozen_coin,
     _geometry,
     _moment,
     _of_type,
-    _phase,
     _step,
     _step_phase,
 )
@@ -117,7 +119,9 @@ class WaveField2D(_Support2D, _Field):
     """Amplitude field at a fixed time over the rotated-coordinate grid.
 
     ``amps`` has shape ``(4, t+1, t+1)``; ``amps[c, i, j]`` is component
-    ``c+1`` at the site with ``x = i + j - t``, ``y = i - j``.  Immutable.
+    ``c+1`` at the site with ``x = i + j - t``, ``y = i - j``; it is
+    ``complex128``, or ``float64`` for a real state's field stepped at
+    ``k = 0``.  Immutable.
     """
 
     __slots__ = ()
@@ -170,8 +174,7 @@ def trajectory_2d(
     Inputs are checked as in :func:`qwalk.walk1d.trajectory_1d`, before the
     first field is produced; the iterator is lazy.
     """
-    n, c, field = require_time(horizon, "horizon"), as_coin(p), init_2d(theta)
-    _phase(k)
+    n, c, field = require_time(horizon, "horizon"), as_coin(p), _first_field(init_2d, theta, k)
     # step_2d is looked up at every step, so a rebound (traced) step is seen
     return accumulate(repeat(None, n), lambda f, _: step_2d(f, c, k), initial=field)
 
@@ -184,8 +187,7 @@ def evolve_2d(
 ) -> WaveField2D:
     """The last field of :func:`trajectory_2d`: ``t`` steps from :func:`init_2d`,
     in one buffer as in :func:`qwalk.walk1d.evolve_1d`."""
-    n, c, field = require_time(t, "horizon"), as_coin(p), init_2d(theta)
-    _phase(k)
+    n, c, field = require_time(t, "horizon"), as_coin(p), _first_field(init_2d, theta, k)
     # step_2d is looked up at every step, so a rebound (traced) step is seen
     return _evolve(field, n, lambda f: step_2d(f, c, k))
 

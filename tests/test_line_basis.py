@@ -1,15 +1,16 @@
-"""Criteria 3, 5 and 6 by linearity: one packed basis field per time stands
-in for every random state.
+"""Criteria 3, 5 and 6 by linearity: one basis field per time stands in
+for every random state.
 
 ``validation._amplitudes`` reads a state's amplitudes from the field of the
-packed basis state, ``(1, i) / sqrt(2)`` on the line and ``(1, i, 0, 0) /
-sqrt(2)`` with its mirror image on the lattice.  Check 3 compares the
-line's with the closed form, and checks 5 and 6 take the moments of their
-masses (``validation._masses``) through the package's moment functions.
-These tests hold the line's amplitudes and moments and the lattice's
-masses, whose cross terms pair the field with its mirror image, against
-states stepped directly, pin the number and horizons of the trajectories
-checks 3 and 5 step, and plant defects that linearity must not hide.
+basis state, the packed ``(1, i) / sqrt(2)`` on the line and the real
+``(1, 0, 0, 0)`` with its inversion and mirror images on the lattice.
+Check 3 compares the line's with the closed form, and checks 5 and 6 take
+the moments of their masses (``validation._masses``) through the package's
+moment functions.  These tests hold the line's amplitudes and moments and
+the lattice's masses, read from all four basis fields, against states
+stepped directly, pin the number and horizons of the trajectories checks 3
+and 5 step, and plant defects that linearity must not hide; the line's
+basis stays complex so that a step that conjugates is seen.
 """
 
 import numpy as np

@@ -4,11 +4,12 @@
 movers and ``R`` mirrors the lattice, ``(x, y) -> (y, x)``, which on the
 packed grid takes cell ``(i, j)`` to ``(i, t - j)``.  In wavenumber space
 the same symmetry reads ``A S(m, n) A^T = -S(n, m)``.  Acceptance checks 1
-and 6 read the lattice basis's second packed field as the first one's
-mirror image, and the lattice quadrature sweeps one node of each mirror
+and 6 read the fields of ``e_3`` and ``e_4`` as the mirror images of those
+of ``e_1`` and ``e_2`` (the inversion identity, ``tests/test_inversion.py``,
+gives ``e_2``'s), and the lattice quadrature sweeps one node of each mirror
 pair.  These tests hold the identity on amplitudes, masses and the sweep's
 per-node terms, pin that the mirror is defined once and not public, and
-pin that check 6 steps one packed field.
+pin that check 6 steps one real field, that of ``e_1``.
 """
 
 import numpy as np
@@ -122,7 +123,8 @@ def test_check_6_steps_one_packed_lattice_field_and_no_state(monkeypatch, quick,
     monkeypatch.setattr(validation, "trajectory_2d", lambda *a, **k: pytest.fail("trajectory"))
     passed, _ = validation.check_limit_2d(quick=quick)
     assert passed
-    assert seen == [(validation._PACKED[2], 0.5, horizon)]
+    # the real e_1: its inversion and mirror images give the other three
+    assert seen == [((1, 0, 0, 0), 0.5, horizon)]
 
 
 @pytest.mark.parametrize("quick", [True, False])

@@ -9,12 +9,14 @@ staging array as large as itself.  These tests hold the evolved field
 against the trajectory's last field bit for bit, also through a staging
 array small enough that most steps overwrite their field in chunks, pin the
 step count and the one buffer with a recorder around the step, pin where
-staging starts, pin the memory of an evolution and of the reductions with
-``tracemalloc``, and check that a returned field is never written again.
+staging starts, also for a real state's ``float64`` buffers, pin the
+memory of an evolution and of the reductions with ``tracemalloc``, and
+check that a returned field is never written again.
 """
 
 import tracemalloc
 from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -164,6 +166,54 @@ def test_the_lattice_stages_past_two_megabytes(monkeypatch):
     # up to there lie in it, so the steps to t = 91, ..., 181 are staged
     assert _staging_steps(monkeypatch, evolve_2d, QuditState, 180) == 0
     assert _staging_steps(monkeypatch, evolve_2d, QuditState, 181) == 181 - 90
+
+
+def _real(cls):
+    """A stand-in for ``cls.random`` that draws a state with real components,
+    whose evolution steps ``float64`` blocks."""
+    n = 2 if cls is QubitState else 4
+
+    def real(rng):
+        v = rng.normal(size=n)
+        return cls(*(v / np.linalg.norm(v)))
+
+    return SimpleNamespace(random=real)
+
+
+def test_real_buffers_hold_half_the_bytes_and_stage_later(monkeypatch):
+    # a float64 lattice buffer at t = 255 holds 2,097,152 bytes, at t = 256
+    # 2,113,568; fields past t = 127 outgrow the staging array's 65,536
+    # cells, so the steps to t = 129, ..., 256 are staged.  The line's
+    # float64 buffer stays within 2 MB to t = 131071, and its fields
+    # outgrow 512 KB past t = 32767
+    assert 4 * 8 * (255 + 1) ** 2 == walk1d._UNSTAGED_BYTES
+    assert 2 * 8 * (131071 + 1) == walk1d._UNSTAGED_BYTES
+    assert _staging_steps(monkeypatch, evolve_2d, _real(QuditState), 255) == 0
+    assert _staging_steps(monkeypatch, evolve_2d, _real(QuditState), 256) == 256 - 128
+    assert _staging_steps(monkeypatch, evolve_1d, _real(QubitState), 32768) == 0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("p, t", [(0.25, 40), (0.5, 33), (0.75, 50)])
+@pytest.mark.parametrize("stage", [False, True])
+def test_a_real_evolution_is_the_trajectorys_last_field_bit_for_bit(monkeypatch, dim, p, t, stage):
+    if stage:
+        _small_stage(monkeypatch)
+    cls, evolve, _, _ = LATTICES[dim]
+    theta = _real(cls).random(np.random.default_rng(3000 * dim + 10 * t + int(10 * p)))
+    field = evolve(theta, p, t)
+    assert field.amps.dtype == np.float64
+    _assert_is_the_last_field(field, theta, p, t, 0.0, dim)
+
+
+def test_a_real_evolution_whose_box_shrank_is_the_trajectorys_last_field():
+    # the float64 buffer at t = 230 is staged from t = 129 on, and the
+    # flush sheds the same rows as for a complex state
+    theta = _real(QuditState).random(np.random.default_rng(6))
+    field = evolve_2d(theta, 0.001, 230)
+    assert field.amps.dtype == np.float64
+    assert field._box == (slice(6, -6), slice(0, None))
+    _assert_is_the_last_field(field, theta, 0.001, 230, 0.0, 2)
 
 
 LATTICE_T = 200

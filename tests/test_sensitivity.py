@@ -2,18 +2,27 @@
 
 Each test plants one defect in the lattice step and asserts the exact set
 of checks that ``run_checks(quick=True)`` fails; the full gate fails the
-same sets (measured).  Check 1 reads the lattice basis's second packed
-field as the first one's diagonal mirror image, so it fails every defect
-that breaks that mirror and passes one that keeps it.  The staging defect
-is the exception: the quick gate's lattice buffers (t <= 100) are at most
-2 MB and never staged, so only the full gate sees it.
+same sets (measured).  Check 1 reads the lattice basis from the field of
+``e_1`` through its inversion and diagonal mirror images.  It fails the two
+defects here that break the mirror and passes the two that keep it: the
+perturbed ``p``, and a coin that breaks only the inversion, which checks 6
+and 9 fail.  The staging defect is the exception: the quick gate's lattice
+buffers (t <= 100) are at most 2 MB and never staged, so only the full
+gate sees it.
 """
 
 import numpy as np
 import pytest
 
 from qwalk import validation, walk1d, walk2d
-from qwalk.coin import coin_2d
+from qwalk.coin import coin_1d, coin_2d
+
+
+def _rotation(p: float) -> np.ndarray:
+    """``[[sqrt(p), -sqrt(q)], [sqrt(q), sqrt(p)]]``: a rotation, which
+    ``J`` commutes with, where ``J C(p) J^T = -C(p)``."""
+    sp, sq = np.sqrt(p), np.sqrt(1 - p)
+    return np.array([[sp, -sq], [sq, sp]])
 
 
 def _failing(quick: bool = True) -> set[int]:
@@ -36,8 +45,11 @@ def test_swapped_y_shifts_fail_checks_1_2_and_6(monkeypatch):
     [
         (lambda p: coin_2d(p)[[0, 1, 3, 2]], {1, 2, 6, 9}),  # rows 3 and 4 permuted
         (lambda p: coin_2d(p * (1 + 1e-6)), {2}),  # kron(C, C) still: the mirror holds
+        # unitary, with A H A^T = -H still but E H E^T = +H: the mirror
+        # holds and the inversion breaks, which check 1 cannot see
+        (lambda p: np.kron(coin_1d(p), _rotation(p)), {6, 9}),
     ],
-    ids=["rows_3_and_4_permuted", "p_perturbed_by_1e-6"],
+    ids=["rows_3_and_4_permuted", "p_perturbed_by_1e-6", "inversion_broken"],
 )
 def test_a_lattice_coin_defect_fails_exactly(monkeypatch, coin, failing):
     # the step's coin cache is keyed by the coin function, so the stand-in
@@ -65,5 +77,5 @@ def test_staged_chunks_walked_from_the_near_end_fail_checks_1_and_6_of_the_full_
     assert _failing(quick=True) == set()
     results = {r.number: r for r in validation.run_checks() if not r.passed}
     assert set(results) == {1, 6}
-    assert results[1].details.startswith("max |sum P - 1| = 2.723e-02 ")
-    assert results[6].details.startswith("max |sim(t=300) - quad(N=512)| = 1.134e-01 ")
+    assert results[1].details.startswith("max |sum P - 1| = 1.081e-01 ")
+    assert results[6].details.startswith("max |sim(t=300) - quad(N=512)| = 1.162e-01 ")

@@ -165,12 +165,13 @@ def test_check_3_makes_one_closed_form_call_per_state():
 
 
 def test_checks_1_3_and_5_read_states_only_through_the_basis_routine():
-    # one routine steps the packed chirality basis of either lattice; check 1
-    # reads only its Gram matrix, and one reader gives every other state's
+    # one routine steps the chirality basis of either lattice; check 1 reads
+    # only its Gram matrix, and one reader gives every other state's
     # amplitudes, which checks 3, 5 and 6 read.  Besides them, one helper
-    # views packed parts.  Each lattice's basis is one packed state, (1, i)
-    # or (1, i, 0, 0) over sqrt(2); the lattice's (0, 0, 1, i) is its mirror
-    # image: no polarization state is stepped
+    # views the line's packed parts.  The line's basis is one packed state,
+    # (1, i) over sqrt(2); the lattice's is the real (1, 0, 0, 0), and its
+    # other three fields are that field's inversion and mirror images, read
+    # by one routine: no polarization state is stepped
     calls = _calls_by_function("validation")
     for check in ("check_unitarity", "check_closed_form", "check_limit_1d"):
         stepping = {n for n in calls[check] if n.startswith(("evolve_", "trajectory_"))}
@@ -194,10 +195,11 @@ def test_checks_1_3_and_5_read_states_only_through_the_basis_routine():
                     readers.setdefault("view(float64)", set()).add(top.name)
     assert readers["trajectory_1d"] == readers["trajectory_2d"] == {"_basis_fields"}
     assert "_basis_fields" in readers["evolve_1d"] & readers["evolve_2d"]
-    assert len(validation._PACKED[1]) == 2 and len(validation._PACKED[2]) == 4
-    assert readers["_PACKED"] == {"_basis_fields"}
+    assert validation._BASIS == {1: (validation._R, validation._R * 1j), 2: (1, 0, 0, 0)}
+    assert readers["_BASIS"] == {"_basis_fields"}
     assert readers["view(float64)"] == {"_parts"}
-    assert readers["_mirrored"] == {"_gram", "_amplitudes"}
+    assert readers["_lattice_basis"] == {"_gram", "_amplitudes"}
+    assert readers["_image"] == {"_lattice_basis"}
 
 
 def test_check_5_reads_its_verdict_from_moment_report():
@@ -429,7 +431,6 @@ ROLES = {
     "group_velocity": "the oracle for the line's branch velocities",
     "limit_moment_2d": "the lattice limit convergence_report reads",
     "EXCHANGE_1D": "the exchange constant reflection_identity_1d reads",
-    "EXCHANGE_2D": "the exchange constant reflection_identity_2d reads",
     "ALL_CHECKS": "the check table run_checks iterates",
 }
 
