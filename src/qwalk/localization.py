@@ -14,12 +14,19 @@ and its four-state lattice product there is no localization: the origin
 average decays like ``log t / t`` (line), ``1/t`` (lattice), which the
 acceptance suite pins down as a halving ratio in [0.3, 0.8] per horizon
 doubling.
+
+One body, :func:`time_averaged_probabilities`, serves a batch of states on
+either lattice: one basis trajectory per ``p`` (the propagator of
+:mod:`qwalk.walk1d` and :mod:`qwalk.walk2d`), of which only the basis x
+component matrix at the site is read at each step.  The one-state forms
+``time_averaged_probability_1d``/``_2d`` call it with a batch of one.  A
+real line state such as ``(1, 0)`` is read from the line's packed complex
+basis, so it costs what a complex state costs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -31,11 +38,12 @@ from .errors import (
     require_ladder,
     require_real,
 )
-from .walk1d import _checked_array, _of_type, _site_coordinates, trajectory_1d
-from .walk2d import trajectory_2d
+from .walk1d import _checked_array, _of_type, _site_coordinates, as_qubit
+from .walk2d import _propagator, as_qudit
 
 __all__ = [
     "DeltaIntensityEstimate",
+    "time_averaged_probabilities",
     "time_averaged_probability_1d",
     "time_averaged_probability_2d",
     "localization_verdict",
@@ -85,16 +93,36 @@ class DeltaIntensityEstimate:
         return all(b < a for a, b in zip(self.averages, self.averages[1:]))
 
 
-def _cesaro(fields, ladder: tuple[int, ...], site: tuple[int, ...]) -> tuple[float, ...]:
-    """Running means of ``P(site, t)`` over t = 1..T, at each ladder T."""
-    acc = 0.0
-    averages = []
-    want = set(ladder)
-    for field in islice(fields, 1, None):
-        acc += float(np.sum(np.abs(field.amplitude(*site)) ** 2))
-        if field.t in want:
-            averages.append(acc / field.t)
-    return tuple(averages)
+def time_averaged_probabilities(
+    states,
+    p: CoinParameter | float,
+    site,
+    ladder: tuple[int, ...],
+) -> tuple[DeltaIntensityEstimate, ...]:
+    """Cesaro averages of ``P(site, t)`` over ``t = 1..T`` at each ladder
+    horizon ``T``, one estimate per state of ``states``.
+
+    ``states`` is a non-empty batch of :class:`QubitState` (``site`` one
+    integer) or of :class:`QuditState` (``site`` two integers).  One basis
+    trajectory (:func:`qwalk.walk1d.basis_fields_1d`,
+    :func:`qwalk.walk2d.basis_fields_2d`) serves every state: at each ``t``
+    only the basis x component matrix at the site is read, and each state's
+    amplitudes there are its components times that matrix, summed term by
+    term, so that a state's averages do not depend on the rest of the batch.
+    """
+    dim, basis_fields, theta = _propagator(states)
+    lad = validate_horizon_ladder(ladder)
+    site = _site_coordinates(site, 2) if dim == 2 else require_int(site, "site", None)
+    coords = site if dim == 2 else (site,)
+    acc, averages = np.zeros(len(theta)), []
+    for basis in basis_fields(p, tuple(range(1, lad[-1] + 1))):
+        idx = basis.site_index(*coords)
+        if idx is not None:  # off the support at every other t, by parity
+            matrix = basis._matrix(idx)
+            acc += (np.abs((theta[:, :, None] * matrix).sum(axis=1)) ** 2).sum(axis=1)
+        if basis.t in lad:
+            averages.append(acc / basis.t)
+    return tuple(DeltaIntensityEstimate(site, lad, tuple(a)) for a in zip(*averages))
 
 
 def time_averaged_probability_1d(
@@ -103,11 +131,9 @@ def time_averaged_probability_1d(
     site: int,
     ladder: tuple[int, ...],
 ) -> DeltaIntensityEstimate:
-    """Cesaro averages of ``P(site, t)`` on the line, one evolution pass."""
-    lad = validate_horizon_ladder(ladder)
-    site = require_int(site, "site", None)
-    averages = _cesaro(trajectory_1d(theta, p, lad[-1]), lad, (site,))
-    return DeltaIntensityEstimate(site=site, horizons=lad, averages=averages)
+    """Cesaro averages of ``P(site, t)`` on the line:
+    :func:`time_averaged_probabilities` of the one state."""
+    return time_averaged_probabilities([as_qubit(theta)], p, site, ladder)[0]
 
 
 def time_averaged_probability_2d(
@@ -116,11 +142,9 @@ def time_averaged_probability_2d(
     site: tuple[int, int],
     ladder: tuple[int, ...],
 ) -> DeltaIntensityEstimate:
-    """Cesaro averages of ``P(site, t)`` on the square lattice."""
-    lad = validate_horizon_ladder(ladder)
-    site = _site_coordinates(site, 2)
-    averages = _cesaro(trajectory_2d(theta, p, lad[-1]), lad, site)
-    return DeltaIntensityEstimate(site=site, horizons=lad, averages=averages)
+    """Cesaro averages of ``P(site, t)`` on the square lattice:
+    :func:`time_averaged_probabilities` of the one state."""
+    return time_averaged_probabilities([as_qudit(theta)], p, site, ladder)[0]
 
 
 def validate_horizon_ladder(ladder) -> tuple[int, ...]:

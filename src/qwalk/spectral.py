@@ -56,9 +56,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coin import CoinParameter, as_coin, coin_1d, coin_2d, validate_wavenumber
+from .coin import EXCHANGE_XY, CoinParameter, as_coin, coin_1d, coin_2d, validate_wavenumber
 from .errors import DegenerateSpectrumError, InvalidParameterError, require_int, require_ladder
-from .symmetry import EXCHANGE_XY
 from .walk1d import (
     QubitState,
     as_qubit,

@@ -10,8 +10,11 @@ phase ``k``,
 
 where ``F`` is the inversion: ``x -> -x`` on the line, ``(x, y) -> (-x,
 -y)`` on the lattice (within rounding: 1.1e-15 measured on the line to t =
-3000, 2.5e-16 on the lattice to t = 300).  The acceptance gate reads the
-lattice field of ``e_2 = E e_1`` as the inversion image of ``e_1``'s.
+3000, 2.5e-16 on the lattice to t = 300).  The lattice propagator
+(:func:`qwalk.walk2d.basis_fields_2d`) reads the field of ``e_2 = E e_1``
+as the inversion image of ``e_1``'s, except for :func:`symmetric_states`,
+which steps it.  The balanced reflection identity below is the identity's
+eigenvector case, ``E theta = -+i theta``.
 
 One dimension.  A qubit ``(d1, d2)`` is *balanced-orthogonal* when
 ``|d1| = |d2|`` and ``d1 conj(d2) + conj(d1) d2 = 0``; such states are
@@ -53,10 +56,23 @@ field of ``theta``:
 at every ``t`` and every phase ``k``, within rounding (1.3e-16 measured to t
 = 300).  In wavenumber space it reads ``A S(m, n) A^T = -S(n, m)``.  Like
 the exchange identity it holds for every state; the package uses the two to
-read the lattice's whole evolved basis from one stepped field (acceptance
-checks 1 and 6) and the mirror to sweep an eighth of the torus
-(:mod:`qwalk.spectral`).  ``EXCHANGE_XY`` is the one definition of the
-mirror, shared by name and not public.
+read the lattice's whole evolved basis from one stepped field (the
+propagator) and the mirror to sweep an eighth of the torus
+(:mod:`qwalk.spectral`).  The exchange constants are defined with the coin
+(:mod:`qwalk.coin`), below the walk modules that read through them;
+``EXCHANGE_XY`` is the one definition of the mirror, shared by name and not
+public.
+
+The symmetry verdicts of many states come from one body,
+:func:`symmetric_states`, which reads every state's masses by linearity
+from one basis trajectory per lattice and ``p``; the one-state forms
+``empirical_symmetric_1d``/``_2d`` call it with a batch of one.  The
+verdicts do not assume the inversion they judge: on the lattice that
+trajectory steps ``e_2``'s field beside ``e_1``'s, and reads only ``e_3``
+and ``e_4`` as mirror images.  Read through the inversion image instead,
+every balanced state's masses would be inversion-symmetric whatever the
+step did, since ``U^t (E theta) = (-1)^t E F U^t theta`` would then hold
+by construction.
 
 One residual serves both lattices: ``reflection_identity_1d`` and
 ``reflection_identity_2d`` return ``max |flip(amps) - c E amps|`` with
@@ -82,7 +98,7 @@ from itertools import islice
 
 import numpy as np
 
-from .coin import CoinParameter
+from .coin import EXCHANGE_1D, EXCHANGE_2D, CoinParameter
 from .errors import InvalidParameterError, PreconditionError, require_time
 from .walk1d import (
     QubitState,
@@ -93,7 +109,7 @@ from .walk1d import (
     evolve_1d,
     trajectory_1d,
 )
-from .walk2d import as_qudit, distribution_2d, evolve_2d, trajectory_2d
+from .walk2d import _propagator, as_qudit, evolve_2d
 
 __all__ = [
     "EXCHANGE_1D",
@@ -101,6 +117,7 @@ __all__ = [
     "SymmetryVerdict1D",
     "ABTable",
     "in_phi_perp",
+    "symmetric_states",
     "empirical_symmetric_1d",
     "classify_1d",
     "expectation_series",
@@ -116,18 +133,6 @@ _CLASS_TOL = 1e-12
 _SYM_TOL = 1e-12
 _KNS_TOL = 1e-10
 _PATTERN_TOL = 1e-9
-
-EXCHANGE_1D = np.array([[0.0, -1.0], [1.0, 0.0]])
-
-# operative 2D exchange: one J block per lattice axis
-EXCHANGE_2D = np.block(
-    [[EXCHANGE_1D, np.zeros((2, 2))], [np.zeros((2, 2)), EXCHANGE_1D]]
-)
-
-# the diagonal mirror's exchange: J across the axes, the x movers to the y
-# movers; ``(A theta)_c = A[c, src] theta_src`` with one ``src`` per row
-EXCHANGE_XY = np.kron(EXCHANGE_1D, np.eye(2))
-EXCHANGE_XY.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -172,10 +177,29 @@ def _balanced(state) -> bool:
     return bool(np.max(mods) - np.min(mods) <= _CLASS_TOL and abs(cross) <= _CLASS_TOL)
 
 
-def _inversion_symmetric(masses) -> bool:
-    """True iff every mass array equals its inversion through the origin
-    within 1e-12."""
-    return all(np.max(np.abs(m - np.flip(m))) <= _SYM_TOL for m in masses)
+def symmetric_states(states, p: CoinParameter | float, horizon: int) -> tuple[bool, ...]:
+    """For each of ``states``, whether its masses equal their inversion
+    through the origin, ``P(x) = P(-x)`` on the line and ``P(x, y) = P(-x,
+    -y)`` on the lattice, within 1e-12 at every ``t <= horizon``.
+
+    ``states`` is a non-empty batch of :class:`QubitState` or of
+    :class:`QuditState` instances.  Every state's masses come by linearity
+    from one basis trajectory (:func:`qwalk.walk1d.basis_fields_1d`,
+    :func:`qwalk.walk2d.basis_fields_2d`), which stops once every state has
+    broken its symmetry.  On the lattice the trajectory steps ``e_2``'s
+    field beside ``e_1``'s, since reading it as ``e_1``'s inversion image
+    would make every balanced state symmetric by construction.
+    """
+    dim, basis_fields, theta = _propagator(states)
+    times = tuple(range(require_time(horizon, "horizon", 1) + 1))
+    bases = basis_fields(p, times, step_e2=True) if dim == 2 else basis_fields(p, times)
+    symmetric = np.ones(len(theta), dtype=bool)
+    for basis in bases:
+        masses = basis._masses(theta).reshape(len(theta), -1)
+        symmetric &= np.abs(masses - masses[:, ::-1]).max(axis=1) <= _SYM_TOL
+        if not symmetric.any():
+            break
+    return tuple(map(bool, symmetric))
 
 
 def in_phi_perp(theta) -> bool:
@@ -184,9 +208,9 @@ def in_phi_perp(theta) -> bool:
 
 
 def empirical_symmetric_1d(theta, p: CoinParameter | float, horizon: int) -> bool:
-    """True iff ``P(x, t) = P(-x, t)`` within 1e-12 for every ``t <= horizon``."""
-    fields = trajectory_1d(theta, p, require_time(horizon, "horizon", 1))
-    return _inversion_symmetric(distribution_1d(f).masses for f in fields)
+    """True iff ``P(x, t) = P(-x, t)`` within 1e-12 for every ``t <= horizon``:
+    :func:`symmetric_states` of the one state."""
+    return symmetric_states([as_qubit(theta)], p, horizon)[0]
 
 
 def expectation_series(theta, p: CoinParameter | float, horizon: int) -> np.ndarray:
@@ -273,10 +297,10 @@ def empirical_symmetric_2d(theta, p: CoinParameter | float, horizon: int) -> boo
     """Inversion symmetry ``P(x, y) = P(-x, -y)`` within 1e-12 for every
     ``t <= horizon``: the notion these dynamics realize for the balanced
     states.  The full axis-mirror equality holds for no nontrivial state
-    family here (see module docstring).
+    family here (see module docstring).  :func:`symmetric_states` of the one
+    state.
     """
-    fields = trajectory_2d(theta, p, require_time(horizon, "horizon", 1))
-    return _inversion_symmetric(distribution_2d(f).grid for f in fields)
+    return symmetric_states([as_qudit(theta)], p, horizon)[0]
 
 
 def reflection_identity_2d(theta, p: CoinParameter | float, t: int) -> float:

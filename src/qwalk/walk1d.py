@@ -48,13 +48,24 @@ equal to stepping the same state as complex: the products run over other
 column counts.
 
 This module also holds the core that :mod:`qwalk.walk2d` shares: the state,
-field and distribution bases and the one step body, :func:`_step`.  The two
-lattices differ only in their support bookkeeping (``_Support1D`` here,
-``_Support2D`` there) and their coin.
+field and distribution bases, the one step body, :func:`_step`, and the
+propagator's basis reader, ``_Basis``.  The two lattices differ only in
+their support bookkeeping (``_Support1D`` here, ``_Support2D`` there), their
+coin and how their basis state carries the chirality basis.
+
+The propagator, :func:`basis_fields_1d`, serves every consumer of many
+states at one ``p``.  The walk is linear, and real at ``k = 0``, so one
+stepped field per time carries the evolved basis, and every state's field
+is ``sum_b theta_b U^t e_b``.  Each basis field gives a batch of states'
+masses, the basis x component matrix at one site and one state's field.
+On the line the basis state is the packed ``(1, i) / sqrt(2)``, stepped in
+``complex128``.
 
 :func:`trajectory_1d` and :func:`evolve_1d` are the only loops over
-:func:`step_1d` in the package: every ladder and time average iterates the
-trajectory, whose fields each own a fresh block.
+:func:`step_1d` in the package: every ladder and time average iterates a
+trajectory, whose fields each own a fresh block, directly or through the
+propagator.  They stay direct position-space stepping, the oracle the
+propagator is tested against.
 """
 
 from __future__ import annotations
@@ -72,7 +83,12 @@ import numpy as np
 
 from .coin import CoinParameter, as_coin, coin_1d
 from .errors import (
-    InvalidParameterError, InvalidStateError, require_int, require_real, require_time
+    InvalidParameterError,
+    InvalidStateError,
+    require_int,
+    require_ladder,
+    require_real,
+    require_time,
 )
 
 __all__ = [
@@ -85,6 +101,7 @@ __all__ = [
     "evolve_1d",
     "distribution_1d",
     "moment_1d",
+    "basis_fields_1d",
 ]
 
 _NORM_TOL = 1e-12
@@ -675,6 +692,100 @@ def _moment(dist: _Distribution, orders: tuple[int, ...]) -> float:
     return float(np.sum(weights))
 
 
+def _parts(amps: np.ndarray) -> np.ndarray:
+    """A complex block's amplitudes with no copy, as ``float64`` pairs (real
+    part, imaginary part) on a last axis of length 2."""
+    return amps.view(np.float64).reshape(amps.shape + (2,))
+
+
+class _Basis:
+    """The evolved chirality basis ``U^t e_1, ..., U^t e_n`` of a lattice at
+    time ``t``, read from ``_field``, the one stepped field of the lattice's
+    basis state at ``k = 0``.
+
+    The walk is linear, so a state ``theta`` evolves to ``sum_b theta_b U^t
+    e_b``.  The subclass says how its field carries the basis:
+    ``_components`` gives each component of a batch of states' fields,
+    ``_amplitudes`` (unless it stacks the components) their blocks,
+    ``_matrix`` the basis x component matrix at one grid index, and
+    :meth:`gram` the Gram matrix; its support mixin gives ``site_index``.
+    ``_STATE`` and ``_FIELD`` name the lattice's state and field classes.
+    """
+
+    __slots__ = ("t", "_field")
+
+    def __init__(self, field: _Field) -> None:
+        self.t, self._field = field.t, field
+
+    def masses(self, states) -> np.ndarray:
+        """The per-site masses of each of ``states``, batch axis first: an
+        array of shape ``(len(states), t+1, ...)``, each row laid out as the
+        lattice's distributions are.  ``states`` is a non-empty sequence of
+        the lattice's states, else :class:`InvalidParameterError`."""
+        return self._masses(_rows(states, self._STATE))
+
+    def _masses(self, theta: np.ndarray) -> np.ndarray:
+        """:meth:`masses` of the states whose components are the rows of
+        ``theta``.  Each state's squared moduli are summed one component at
+        a time, in component order, so a batch of one gives the bits of any
+        larger batch."""
+        masses = np.zeros((len(theta),) + self._field.amps.shape[1:])
+        part = np.empty_like(masses)
+        for comp in self._components(theta):
+            np.abs(comp, out=part)
+            part *= part
+            masses += part
+        return masses
+
+    def amplitude(self, *site: int) -> np.ndarray:
+        """The basis x component matrix at ``site``: row ``b`` holds every
+        component of ``U^t e_b`` there (zeros off the support), so a state
+        ``theta`` has the amplitudes ``theta @ amplitude(*site)``."""
+        idx = self.site_index(*_site_coordinates(site, self._DIM))
+        if idx is None:
+            return np.zeros((2 * self._DIM,) * 2)
+        return self._matrix(idx)
+
+    def field(self, theta: _State) -> _Field:
+        """The field of ``theta``, a state of the lattice, at time ``t``:
+        its components by linearity.  It differs from stepping ``theta``
+        only by rounding."""
+        (amps,) = self._amplitudes(_rows([theta], self._STATE))
+        return self._FIELD._built(self.t, amps)
+
+    def _amplitudes(self, theta: np.ndarray) -> np.ndarray:
+        """The field blocks of the states whose components are the rows of
+        ``theta``, batch axis first: the components, stacked."""
+        return np.stack(list(self._components(theta)), axis=1)
+
+
+def _rows(states, cls: type) -> np.ndarray:
+    """The components of ``states``, a non-empty sequence of ``cls``
+    instances, one row per state, as a ``complex128`` array; else
+    :class:`InvalidParameterError`."""
+    try:
+        rows = [_of_type(s, cls).as_array() for s in states]
+    except TypeError:
+        raise InvalidParameterError(f"need a sequence of states, got {states!r}") from None
+    if not rows:
+        raise InvalidParameterError("need at least one state")
+    return np.array(rows)
+
+
+def _basis_fields(basis: type, evolve, trajectory, states, p, times) -> Iterator[_Basis]:
+    """``basis`` over the fields of ``states``, the basis states it reads,
+    at each of the increasing ``times``, lazily, once every input is
+    checked.  A single time is evolved in one buffer (``evolve``); a ladder
+    is read off one ``trajectory`` per state, whose fields each own a
+    block."""
+    times, c = require_ladder(times, "time", 0), as_coin(p)
+    if len(times) == 1:
+        return (basis(*(evolve(s, c, t) for s in states)) for t in times)
+    want = set(times)
+    steps = zip(*(trajectory(s, c, times[-1]) for s in states))
+    return (basis(*fields) for fields in steps if fields[0].t in want)
+
+
 class WaveField1D(_Support1D, _Field):
     """Amplitude field on the line at a fixed time, stored densely over its support.
 
@@ -782,3 +893,56 @@ def moment_1d(dist: Distribution1D, alpha: int) -> float:
     so the moment is 1 for ``alpha = 0`` and 0 otherwise.
     """
     return _moment(_of_type(dist, Distribution1D), (alpha,))
+
+
+# the line's basis state: the packed ``(e_1 + i e_2) / sqrt(2)``
+_R = 1 / math.sqrt(2)
+_PACKED = (_R, _R * 1j)
+
+
+class _LineBasis(_Support1D, _Basis):
+    """The line's basis at time ``t``, read from the field of the packed
+    state ``(e_1 + i e_2) / sqrt(2)``: the coin is real, so at ``k = 0`` the
+    field's real parts carry ``U^t e_1 / sqrt(2)`` and its imaginary parts
+    ``U^t e_2 / sqrt(2)``.  The field stays complex, so a step that
+    conjugates is seen."""
+
+    __slots__ = ()
+    _STATE, _FIELD = QubitState, WaveField1D
+
+    def _amplitudes(self, theta: np.ndarray) -> np.ndarray:
+        """The field blocks of the states whose components are the rows of
+        ``theta``, batch axis first: ``sqrt(2) (Re theta_b, Im theta_b)``
+        weighs the packed parts in one real matrix product."""
+        c = _parts(theta) * math.sqrt(2)
+        return (_parts(self._field.amps) @ c[:, None]).view(np.complex128)[..., 0]
+
+    def _components(self, theta: np.ndarray) -> np.ndarray:
+        return self._amplitudes(theta).swapaxes(0, 1)
+
+    def _matrix(self, idx: int) -> np.ndarray:
+        return math.sqrt(2) * _parts(self._field.amps)[:, idx].T
+
+    def gram(self) -> np.ndarray:
+        """The Gram matrix ``G_ij = <U^t e_i, U^t e_j>``, so that a state
+        ``theta`` has total probability ``theta^H G theta``: ``2 sum_c v_c^T
+        v_c`` over the packed field's components' parts, since doubling is
+        exact where scaling by ``sqrt(2)`` would round."""
+        return 2 * sum(np.einsum("ia,ib->ab", c, c) for c in _parts(self._field.amps))
+
+
+def basis_fields_1d(p: CoinParameter | float, times) -> Iterator[_LineBasis]:
+    """The line's evolved chirality basis at each of the increasing
+    ``times`` (integers ``>= 0``), lazily, from one stepped field per time.
+
+    The walk is linear, and real at ``k = 0``: every state's field at
+    ``k = 0`` is read from the basis.  The basis is carried by the field of
+    the packed state ``(1, i) / sqrt(2)``, stepped in ``complex128`` by
+    :func:`evolve_1d` for a single time and by :func:`trajectory_1d` for a
+    ladder.  Each basis field has ``t`` and offers ``masses(states)`` (the
+    masses of a batch of :class:`QubitState`, batch axis first),
+    ``amplitude(x)`` (the basis x component matrix at site ``x``),
+    ``field(theta)`` (one state's field) and ``gram()``.  Inputs are
+    checked here, before the first field is stepped.
+    """
+    return _basis_fields(_LineBasis, evolve_1d, trajectory_1d, (_PACKED,), p, times)

@@ -69,9 +69,13 @@ def test_criterion_11_quadrature_stability():
     _run(11)
 
 
+def test_criterion_12_propagator_witness():
+    _run(12)
+
+
 def test_run_checks_runs_every_criterion_serially_in_order():
     results = validation.run_checks(quick=True)
-    assert [r.number for r in results] == list(range(1, 12))
+    assert [r.number for r in results] == list(range(1, 13))
     assert all(r.passed for r in results)
     (hand,) = validation.run_checks(quick=True, only="hand", max_workers=1)
     assert (hand.number, hand.details) == (2, results[1].details)
@@ -127,16 +131,25 @@ _NAN = float("nan")
 
 # for each numeric check, a stand-in that makes one value the check compares
 # with its tolerance NaN
+def _nan_basis(p, times):
+    """A line propagator whose Gram matrix and fields are NaN."""
+    for t in times:
+        nan = SimpleNamespace(amps=np.full((2, t + 1), _NAN))
+        gram = np.full((2, 2), _NAN)
+        yield SimpleNamespace(t=t, gram=lambda: gram, field=lambda theta, nan=nan: nan)
+
+
 _NAN_PLANTS = {
-    1: ("_gram", lambda dim, p, t: np.full((2 * dim,) * 2, _NAN)),
+    1: ("basis_fields_1d", _nan_basis),
     2: ("distribution_1d", lambda field: SimpleNamespace(mass=lambda x: _NAN)),
-    3: ("_amplitudes", lambda field, c: np.full_like(field.amps, _NAN)),
+    3: ("basis_fields_1d", _nan_basis),
     4: ("double_sum_coefficient", lambda p, t, j: _NAN),
     5: ("limit_moment_1d", lambda th, p, alpha, grid: _NAN),
     6: ("joint_moment_2d", lambda d, a, b: _NAN),
     7: ("reference_table_deviation", lambda table: _NAN),
     9: ("reflection_identity_1d", lambda th, p, t: _NAN),
     11: ("limit_moment_1d", lambda th, p, alpha, grid: _NAN),
+    12: ("evolve_2d", lambda th, p, t: SimpleNamespace(amps=np.full((4, t + 1, t + 1), _NAN))),
 }
 
 
@@ -159,7 +172,7 @@ def test_a_check_that_raises_is_one_fail_and_the_others_still_run(monkeypatch, c
     checks = tuple(e if e[0] != 4 else (*e[:3], broken) for e in validation.ALL_CHECKS)
     monkeypatch.setattr(validation, "ALL_CHECKS", checks)
     results = validation.run_checks(quick=True)
-    assert [r.number for r in results] == list(range(1, 12))
+    assert [r.number for r in results] == list(range(1, 13))
     assert [r.number for r in results if not r.passed] == [4]
     assert results[3].details == "ZeroDivisionError: planted"
     # the traceback is logged, so the frame that raised stays findable

@@ -374,7 +374,7 @@ class TestValidate:
         monkeypatch.setattr(validation, "ALL_CHECKS", checks)
         assert run(["validate", "--quick"]) == 3
         lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 11
+        assert len(lines) == 12
         assert [ln for ln in lines if not ln.startswith("[PASS]")] == [lines[1]]
         assert lines[1].startswith("[FAIL]  2 hand         InvalidParameterError: planted (")
 

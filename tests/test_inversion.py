@@ -9,10 +9,10 @@ On the line ``E = symmetry.EXCHANGE_1D = J`` and ``F`` is the reflection
 ``(t - i, t - j)``.  Both rest on ``E H E^T = -H`` for the coin ``H``.  The
 balanced reflection identity (``reflection_identity_1d``/``_2d``) is its
 eigenvector case: a state ``theta`` proportional to ``(1, +-i)``, or on the
-lattice to its Kronecker square, has ``E theta = -+i theta``.  Acceptance
-checks 1 and 6 read the field of ``e_2 = EXCHANGE_2D e_1`` as the inversion
-image of ``e_1``'s, and those of ``e_3`` and ``e_4`` as the mirror images
-of the first two (``tests/test_mirror.py``).
+lattice to its Kronecker square, has ``E theta = -+i theta``.  The lattice
+propagator, ``basis_fields_2d``, reads the field of ``e_2 = EXCHANGE_2D
+e_1`` as the inversion image of ``e_1``'s, and those of ``e_3`` and ``e_4``
+as the mirror images of the first two (``tests/test_mirror.py``).
 """
 
 from functools import reduce
@@ -20,7 +20,6 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from qwalk import validation
 from qwalk.coin import coin_1d, coin_2d
 from qwalk.symmetry import (
     EXCHANGE_1D,
@@ -29,7 +28,7 @@ from qwalk.symmetry import (
     reflection_identity_2d,
 )
 from qwalk.walk1d import QubitState, evolve_1d
-from qwalk.walk2d import QuditState, evolve_2d
+from qwalk.walk2d import QuditState, basis_fields_2d, evolve_2d
 
 LATTICES = {
     1: (QubitState, evolve_1d, coin_1d, EXCHANGE_1D, reflection_identity_1d),
@@ -108,13 +107,12 @@ def test_the_balanced_reflection_identity_is_the_eigenvector_case(dim, branch):
 
 @pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
 @pytest.mark.parametrize("t", [1, 2, 60, 61])
-def test_the_gates_lattice_basis_is_the_directly_stepped_basis(p, t):
-    # validation._lattice_basis reads U^t e_2 as the inversion image of
-    # U^t e_1, and U^t e_3, U^t e_4 as the mirror images of those two
-    (field,) = validation._basis_fields(2, p, (t,))
-    assert field.amps.dtype == np.float64  # e_1 is real, and stepped in float64
-    for b, comps in enumerate(validation._lattice_basis(field)):
-        direct = evolve_2d(np.eye(4)[b], p, t).amps
-        image = np.array([sign * view for sign, view in comps])
+def test_the_propagators_lattice_basis_is_the_directly_stepped_basis(p, t):
+    # basis_fields_2d reads U^t e_2 as the inversion image of U^t e_1, and
+    # U^t e_3, U^t e_4 as the mirror images of those two
+    (basis,) = basis_fields_2d(p, (t,))
+    assert basis.gram().dtype == np.float64  # e_1 is real, and stepped in float64
+    for b, e in enumerate(np.eye(4)):
+        direct = evolve_2d(e, p, t).amps
         # measured at most 1.0e-16 here and at t = 300
-        assert np.max(np.abs(image - direct)) <= 5e-16, b
+        assert np.max(np.abs(basis.field(QuditState(*e)).amps - direct)) <= 5e-16, b

@@ -1,12 +1,12 @@
 """Criteria 3, 5 and 6 by linearity: one basis field per time stands in
 for every random state.
 
-``validation._amplitudes`` reads a state's amplitudes from the field of the
-basis state, the packed ``(1, i) / sqrt(2)`` on the line and the real
-``(1, 0, 0, 0)`` with its inversion and mirror images on the lattice.
-Check 3 compares the line's with the closed form, and checks 5 and 6 take
-the moments of their masses (``validation._masses``) through the package's
-moment functions.  These tests hold the line's amplitudes and moments and
+The propagator (``basis_fields_1d``/``basis_fields_2d``) reads a state's
+field from the field of the basis state, the packed ``(1, i) / sqrt(2)`` on
+the line and the real ``(1, 0, 0, 0)`` with its inversion and mirror images
+on the lattice.  Check 3 compares the line's fields with the closed form,
+and checks 5 and 6 take the moments of the states' masses through the
+package's moment functions.  These tests hold the line's amplitudes and moments and
 the lattice's masses, read from all four basis fields, against states
 stepped directly, pin the number and horizons of the trajectories checks 3
 and 5 step, and plant defects that linearity must not hide; the line's
@@ -17,8 +17,15 @@ import numpy as np
 import pytest
 
 from qwalk import closedform, validation, walk1d
-from qwalk.walk1d import Distribution1D, QubitState, distribution_1d, moment_1d, trajectory_1d
-from qwalk.walk2d import QuditState, distribution_2d, trajectory_2d
+from qwalk.walk1d import (
+    Distribution1D,
+    QubitState,
+    basis_fields_1d,
+    distribution_1d,
+    moment_1d,
+    trajectory_1d,
+)
+from qwalk.walk2d import QuditState, basis_fields_2d, distribution_2d, trajectory_2d
 
 P_GRID = [0.25, 0.5, 0.75]
 
@@ -27,13 +34,12 @@ P_GRID = [0.25, 0.5, 0.75]
 def test_check_3_fields_equal_directly_stepped_haar_states(p):
     rng = np.random.default_rng(300 + int(p * 100))
     t = 200
-    basis = list(validation._basis_fields(1, p, tuple(range(t + 1))))
+    basis = list(basis_fields_1d(p, tuple(range(t + 1))))
     for _ in range(3):
         th = QubitState.random(rng)
-        c = validation._coefficients(th)
-        for f, field in zip(basis, trajectory_1d(th, p, t), strict=True):
+        for b, field in zip(basis, trajectory_1d(th, p, t), strict=True):
             # measured 4.7e-16 over p 0.25/0.5/0.75, three states each
-            amps = validation._amplitudes(f, c)
+            amps = b.field(th).amps
             assert np.max(np.abs(amps - field.amps)) <= 2e-15, (p, field.t)
 
 
@@ -42,13 +48,12 @@ def test_check_5_forms_give_directly_stepped_moments(p):
     # the masses read by linearity give the moments of the stepped states
     rng = np.random.default_rng(500 + int(p * 100))
     ladder, orders = (1, 2, 125, 500, 1000), (1, 2, 3, 4)
-    basis = list(validation._basis_fields(1, p, ladder))
+    basis = list(basis_fields_1d(p, ladder))
     for _ in range(2):
         th = QubitState.random(rng)
-        c = validation._coefficients(th)
         direct = [f for f in trajectory_1d(th, p, ladder[-1]) if f.t in ladder]
-        for field, f in zip(direct, basis, strict=True):
-            dist = Distribution1D(f.t, validation._masses(f, c))
+        for field, b in zip(direct, basis, strict=True):
+            dist = Distribution1D(b.t, b.masses([th])[0])
             for alpha in orders:
                 want = moment_1d(distribution_1d(field), alpha)
                 # measured 4.4e-16 over p 0.25/0.5/0.75, two states each
@@ -59,15 +64,14 @@ def test_check_5_forms_give_directly_stepped_moments(p):
 def test_lattice_masses_equal_directly_stepped_distributions(p):
     rng = np.random.default_rng(700 + int(p * 100))
     ladder = (1, 7, 60)
-    basis = list(validation._basis_fields(2, p, ladder))
+    basis = list(basis_fields_2d(p, ladder))
     for _ in range(2):
         th = QuditState.random(rng)
-        c = validation._coefficients(th)
         direct = [f for f in trajectory_2d(th, p, ladder[-1]) if f.t in ladder]
-        for field, f in zip(direct, basis, strict=True):
+        for field, b in zip(direct, basis, strict=True):
             want = distribution_2d(field).grid
             # measured 2.2e-16 over p 0.25/0.5/0.75, two states each
-            assert np.max(np.abs(validation._masses(f, c) - want)) <= 1e-15, (p, field.t)
+            assert np.max(np.abs(b.masses([th])[0] - want)) <= 1e-15, (p, field.t)
 
 
 @pytest.mark.parametrize(
@@ -86,7 +90,7 @@ def test_checks_3_and_5_step_one_basis_trajectory_per_p(monkeypatch, check, quic
         seen.append(horizon)
         return trajectory_1d(theta, p, horizon, k)
 
-    monkeypatch.setattr(validation, "trajectory_1d", counted)
+    monkeypatch.setattr(walk1d, "trajectory_1d", counted)
     passed, _ = check(quick=quick)
     assert passed
     assert seen == horizons

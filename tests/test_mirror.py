@@ -3,23 +3,26 @@
 ``A = symmetry.EXCHANGE_XY = kron(J, I)`` exchanges the x movers with the y
 movers and ``R`` mirrors the lattice, ``(x, y) -> (y, x)``, which on the
 packed grid takes cell ``(i, j)`` to ``(i, t - j)``.  In wavenumber space
-the same symmetry reads ``A S(m, n) A^T = -S(n, m)``.  Acceptance checks 1
-and 6 read the fields of ``e_3`` and ``e_4`` as the mirror images of those
-of ``e_1`` and ``e_2`` (the inversion identity, ``tests/test_inversion.py``,
-gives ``e_2``'s), and the lattice quadrature sweeps one node of each mirror
-pair.  These tests hold the identity on amplitudes, masses and the sweep's
-per-node terms, pin that the mirror is defined once and not public, and
-pin that check 6 steps one real field, that of ``e_1``.
+the same symmetry reads ``A S(m, n) A^T = -S(n, m)``.  The lattice
+propagator, ``basis_fields_2d``, reads the fields of ``e_3`` and ``e_4`` as
+the mirror images of those of ``e_1`` and ``e_2`` (the inversion identity,
+``tests/test_inversion.py``, gives ``e_2``'s), and the lattice quadrature
+sweeps one node of each mirror pair.  These tests hold the identity on
+amplitudes, masses and the sweep's per-node terms, pin that the mirror is
+defined once and not public, and pin that check 6 steps one real field,
+that of ``e_1``.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import qwalk
-from qwalk import spectral, symmetry, validation
-from qwalk.coin import CoinParameter, coin_2d, kernel_2d
+from qwalk import coin, spectral, symmetry, validation, walk2d
+from qwalk.coin import CoinParameter, as_coin, coin_2d, kernel_2d
 from qwalk.spectral import QuadratureGrid
-from qwalk.symmetry import EXCHANGE_XY
+from qwalk.coin import EXCHANGE_XY
 from qwalk.walk2d import QuditState, distribution_2d, evolve_2d
 
 
@@ -105,10 +108,13 @@ def test_a_node_and_its_mirror_have_the_same_terms(p):
 
 
 def test_the_mirror_is_defined_once_and_not_public():
-    assert symmetry.EXCHANGE_XY is spectral.EXCHANGE_XY is validation.EXCHANGE_XY
+    # defined with the coin it reverses, below the walk module that reads
+    # the lattice basis through it
+    assert coin.EXCHANGE_XY is spectral.EXCHANGE_XY is walk2d.EXCHANGE_XY
+    assert symmetry.EXCHANGE_1D is coin.EXCHANGE_1D and symmetry.EXCHANGE_2D is coin.EXCHANGE_2D
     assert not EXCHANGE_XY.flags.writeable
     assert np.array_equal(EXCHANGE_XY, np.kron(symmetry.EXCHANGE_1D, np.eye(2)))
-    assert "EXCHANGE_XY" not in symmetry.__all__ and not hasattr(qwalk, "EXCHANGE_XY")
+    assert "EXCHANGE_XY" not in coin.__all__ and not hasattr(qwalk, "EXCHANGE_XY")
 
 
 @pytest.mark.parametrize("quick,horizon", [(True, 100), (False, 300)])
@@ -116,11 +122,11 @@ def test_check_6_steps_one_packed_lattice_field_and_no_state(monkeypatch, quick,
     seen = []
 
     def counted(theta, p, t, k=0.0):
-        seen.append((tuple(theta), p, t))
+        seen.append((tuple(theta), as_coin(p).p, t))
         return evolve_2d(theta, p, t, k)
 
-    monkeypatch.setattr(validation, "evolve_2d", counted)
-    monkeypatch.setattr(validation, "trajectory_2d", lambda *a, **k: pytest.fail("trajectory"))
+    monkeypatch.setattr(walk2d, "evolve_2d", counted)
+    monkeypatch.setattr(walk2d, "trajectory_2d", lambda *a, **k: pytest.fail("trajectory"))
     passed, _ = validation.check_limit_2d(quick=quick)
     assert passed
     # the real e_1: its inversion and mirror images give the other three
@@ -132,13 +138,18 @@ def test_check_6_reads_the_directly_stepped_masses(monkeypatch, quick):
     # the same verdict and the same detail line as stepping each state
     states = []
 
-    def direct(field, theta):
-        states.append(theta)
-        return distribution_2d(evolve_2d(theta, 0.5, field.t)).grid
+    def direct(p, times):
+        # a propagator whose masses are the states' own, each stepped
+        def basis(t):
+            def masses(batch):
+                states.extend(batch)
+                return np.array([distribution_2d(evolve_2d(th, p, t)).grid for th in batch])
+
+            return SimpleNamespace(t=t, masses=masses)
+
+        return map(basis, times)
 
     linear = validation.check_limit_2d(quick=quick)
-    # the reader's coefficients pass the state itself to the stand-in
-    monkeypatch.setattr(validation, "_coefficients", lambda theta: theta)
-    monkeypatch.setattr(validation, "_masses", direct)
+    monkeypatch.setattr(validation, "basis_fields_2d", direct)
     assert validation.check_limit_2d(quick=quick) == linear
     assert len(states) == (2 if quick else 3)

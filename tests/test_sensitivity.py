@@ -2,13 +2,19 @@
 
 Each test plants one defect in the lattice step and asserts the exact set
 of checks that ``run_checks(quick=True)`` fails; the full gate fails the
-same sets (measured).  Check 1 reads the lattice basis from the field of
-``e_1`` through its inversion and diagonal mirror images.  It fails the two
-defects here that break the mirror and passes the two that keep it: the
-perturbed ``p``, and a coin that breaks only the inversion, which checks 6
-and 9 fail.  The staging defect is the exception: the quick gate's lattice
-buffers (t <= 100) are at most 2 MB and never staged, so only the full
-gate sees it.
+same sets (measured).  The propagator reads the lattice basis from the
+field of ``e_1`` through its inversion and diagonal mirror images, and
+check 1 reads its Gram matrix.  Check 1 fails the two defects here that
+break the mirror and passes the two that keep it: the perturbed ``p``, and
+a coin that breaks only the inversion, which checks 6, 9 and 12 fail.
+Check 12 steps each state directly and compares it with the propagator's
+field, so it fails every defect that breaks an image.  Check 8 steps
+``e_2`` beside ``e_1`` and reads only the mirror images, so it fails the
+permuted rows, which break the mirror, though each balanced state's own
+trajectory stays symmetric under them.  The staging defect
+is the exception: the quick gate's lattice buffers (t <= 100) are at most
+2 MB and never staged, so only the full gate sees it, and check 12's
+lattice horizon (t = 33) stages nothing.
 """
 
 import numpy as np
@@ -29,7 +35,7 @@ def _failing(quick: bool = True) -> set[int]:
     return {r.number for r in validation.run_checks(quick=quick) if not r.passed}
 
 
-def test_swapped_y_shifts_fail_checks_1_2_and_6(monkeypatch):
+def test_swapped_y_shifts_fail_checks_1_2_6_and_12(monkeypatch):
     # the +y mover steps like the -y mover and back: no longer a mirror of x
     up, down = walk1d._UP, walk1d._DOWN
     shifts = ((up, up), (down, down), (down, up), (up, down))
@@ -37,17 +43,18 @@ def test_swapped_y_shifts_fail_checks_1_2_and_6(monkeypatch):
     for name, value in zip(("_MIX_AXES", "_CORNERS", "_EDGES"), walk1d._geometry(shifts)):
         monkeypatch.setattr(support, name, value)
     monkeypatch.setattr(support, "_SHIFTS", shifts)
-    assert _failing() == {1, 2, 6}
+    assert _failing() == {1, 2, 6, 12}
 
 
 @pytest.mark.parametrize(
     "coin,failing",
     [
-        (lambda p: coin_2d(p)[[0, 1, 3, 2]], {1, 2, 6, 9}),  # rows 3 and 4 permuted
+        (lambda p: coin_2d(p)[[0, 1, 3, 2]], {1, 2, 6, 8, 9, 12}),  # rows 3 and 4 permuted
         (lambda p: coin_2d(p * (1 + 1e-6)), {2}),  # kron(C, C) still: the mirror holds
         # unitary, with A H A^T = -H still but E H E^T = +H: the mirror
-        # holds and the inversion breaks, which check 1 cannot see
-        (lambda p: np.kron(coin_1d(p), _rotation(p)), {6, 9}),
+        # holds and the inversion breaks, which check 1 cannot see and
+        # check 12's odd horizons do
+        (lambda p: np.kron(coin_1d(p), _rotation(p)), {6, 9, 12}),
     ],
     ids=["rows_3_and_4_permuted", "p_perturbed_by_1e-6", "inversion_broken"],
 )

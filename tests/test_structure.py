@@ -164,42 +164,130 @@ def test_check_3_makes_one_closed_form_call_per_state():
     assert "closed_form_field" not in called
 
 
-def test_checks_1_3_and_5_read_states_only_through_the_basis_routine():
-    # one routine steps the chirality basis of either lattice; check 1 reads
-    # only its Gram matrix, and one reader gives every other state's
-    # amplitudes, which checks 3, 5 and 6 read.  Besides them, one helper
-    # views the line's packed parts.  The line's basis is one packed state,
-    # (1, i) over sqrt(2); the lattice's is the real (1, 0, 0, 0), and its
-    # other three fields are that field's inversion and mirror images, read
-    # by one routine: no polarization state is stepped
-    calls = _calls_by_function("validation")
-    for check in ("check_unitarity", "check_closed_form", "check_limit_1d"):
-        stepping = {n for n in calls[check] if n.startswith(("evolve_", "trajectory_"))}
-        assert not stepping, check
-    assert "_gram" in calls["check_unitarity"]
-    assert not calls["check_unitarity"] & {"_amplitudes", "_masses"}
-    assert "_basis_fields" in calls["_gram"] & calls["check_closed_form"] & calls["check_limit_1d"]
-    assert "_amplitudes" in calls["check_closed_form"]
-    assert "_masses" in calls["check_limit_1d"] & calls["check_limit_2d"]
-    assert {n for n, called in calls.items() if "_amplitudes" in called} == {
-        "check_closed_form",
-        "_masses",
+def _names_by_function(module: str) -> dict[str, set[str]]:
+    """Names each top-level function of ``module`` reads, by function name."""
+    return {
+        top.name: {n.id for n in ast.walk(top) if isinstance(n, ast.Name)}
+        for top in _tree(module).body
+        if isinstance(top, ast.FunctionDef)
     }
-    readers = {}
+
+
+# the basis readers that moved from validation into the engine's propagator
+MOVED_READERS = {"_BASIS", "_basis_fields", "_parts", "_INVERSION", "_MIRROR", "_image",
+                 "_lattice_basis", "_inner", "_coefficients", "_amplitudes", "_masses", "_gram"}
+
+
+def test_checks_1_3_5_6_8_and_10_read_states_only_through_the_propagator():
+    # the public propagator (basis_fields_1d/2d) reads every state of these
+    # checks, directly or through the two batch bodies, and validation keeps
+    # no reader of its own; only checks 2 and 12 step a state themselves,
+    # and check 9 steps its states through symmetry's reflection residual
+    defined = set()
     for top in _tree("validation").body:
-        for node in ast.walk(top) if isinstance(top, ast.FunctionDef) else ():
-            if isinstance(node, ast.Name):
-                readers.setdefault(node.id, set()).add(top.name)
-            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "view":
-                if "float64" in ast.unparse(node.args):
-                    readers.setdefault("view(float64)", set()).add(top.name)
-    assert readers["trajectory_1d"] == readers["trajectory_2d"] == {"_basis_fields"}
-    assert "_basis_fields" in readers["evolve_1d"] & readers["evolve_2d"]
-    assert validation._BASIS == {1: (validation._R, validation._R * 1j), 2: (1, 0, 0, 0)}
-    assert readers["_BASIS"] == {"_basis_fields"}
-    assert readers["view(float64)"] == {"_parts"}
-    assert readers["_lattice_basis"] == {"_gram", "_amplitudes"}
-    assert readers["_image"] == {"_lattice_basis"}
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(top.name)
+        elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+            targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+            defined |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    assert not defined & MOVED_READERS
+    names = _names_by_function("validation")
+    stepping = {f for f, read in names.items() if {"evolve_1d", "evolve_2d"} & read}
+    assert stepping == {"check_hand_distributions", "check_propagator_witness"}
+    assert not [f for f, read in names.items() if {"trajectory_1d", "trajectory_2d"} & read]
+    assert {"reflection_identity_1d", "reflection_identity_2d"} <= names["check_reflection"]
+    reading = {
+        "check_unitarity": {"basis_fields_1d", "basis_fields_2d"},
+        "check_closed_form": {"basis_fields_1d"},
+        "check_limit_1d": {"basis_fields_1d"},
+        "check_limit_2d": {"basis_fields_2d"},
+        "check_symmetry": {"symmetric_states"},
+        "check_localization": {"time_averaged_probabilities"},
+        "check_propagator_witness": {"basis_fields_1d", "basis_fields_2d"},
+    }
+    for check, readers in reading.items():
+        assert readers <= names[check], check
+    # each batch body reads its lattice's propagator and steps nothing itself
+    for module, body in (("symmetry", "symmetric_states"),
+                         ("localization", "time_averaged_probabilities")):
+        called = _calls_by_function(module)[body]
+        assert "_propagator" in called, body
+        assert not {n for n in called if n.startswith(("evolve_", "trajectory_", "step_"))}, body
+    # the propagator steps its basis state through the oracle's own loops
+    for module, name, loops in (("walk1d", "basis_fields_1d", {"evolve_1d", "trajectory_1d"}),
+                                ("walk2d", "basis_fields_2d", {"evolve_2d", "trajectory_2d"})):
+        assert loops | {"_basis_fields"} <= _names_by_function(module)[name], name
+
+
+def test_the_one_state_forms_are_one_line_wrappers_of_the_batch_bodies():
+    # no second code path: each one-state function returns the batch body's
+    # answer for a batch of one
+    for module, name, body in (
+        ("symmetry", "empirical_symmetric_1d", "symmetric_states"),
+        ("symmetry", "empirical_symmetric_2d", "symmetric_states"),
+        ("localization", "time_averaged_probability_1d", "time_averaged_probabilities"),
+        ("localization", "time_averaged_probability_2d", "time_averaged_probabilities"),
+    ):
+        statements = _function(module, name).body
+        if isinstance(statements[0], ast.Expr):  # the docstring
+            statements = statements[1:]
+        (statement,) = statements
+        assert isinstance(statement, ast.Return), name
+        assert body in _calls_by_function(module)[name], name
+
+
+# the identities each check reads its states by: the line's propagator by
+# linearity alone (its basis is one packed state), the lattice's by
+# linearity and the inversion and mirror images of one field, except for
+# check 8's symmetry verdicts, which step e_2 too and read only the mirror
+READS_BY = {
+    "check_unitarity": {"linearity", "inversion", "mirror"},
+    "check_closed_form": {"linearity"},
+    "check_limit_1d": {"linearity"},
+    "check_limit_2d": {"linearity", "inversion", "mirror"},
+    "check_symmetry": {"linearity", "mirror"},
+    "check_localization": {"linearity", "inversion", "mirror"},
+}
+# the criteria that witness each identity by stepping states directly
+WITNESSES = {"linearity": {12}, "inversion": {9, 12}, "mirror": {12}}
+
+
+def test_every_identity_a_check_reads_by_has_a_witness():
+    # a check that reads states through the propagator must be in the table,
+    # a check that reads the lattice must list the mirror, and the inversion
+    # unless it judges the inversion itself; every identity must have a
+    # criterion that steps states with no image and no linearity, so a new
+    # identity without one fails here
+    names = _names_by_function("validation")
+    lattice = {"basis_fields_2d", "symmetric_states", "time_averaged_probabilities"}
+    propagated = lattice | {"basis_fields_1d"}
+    reading = {f for f, read in names.items() if f.startswith("check_") and read & propagated}
+    assert reading - {"check_propagator_witness"} == set(READS_BY)
+    for check, identities in READS_BY.items():
+        assert "linearity" in identities, check
+        assert ("mirror" in identities) == bool(names[check] & lattice), check
+        judged = "symmetric_states" in names[check]
+        assert ("inversion" in identities) == (bool(names[check] & lattice) and not judged), check
+    numbers = {fn.__name__: number for number, _, _, fn in validation.ALL_CHECKS}
+    direct = {"evolve_1d", "evolve_2d", "reflection_identity_1d", "reflection_identity_2d"}
+    stepping = {numbers[f] for f, read in names.items() if f in numbers and read & direct}
+    for identity in set().union(*READS_BY.values()):
+        assert WITNESSES.get(identity), identity
+        assert WITNESSES[identity] <= stepping, identity
+
+
+def test_symmetry_verdicts_step_e2_on_the_lattice():
+    # the one propagator call of symmetric_states that reads the lattice
+    # asks for e_2's stepped field: read as e_1's inversion image, every
+    # balanced state would be symmetric by construction
+    calls = [
+        node for node in ast.walk(_function("symmetry", "symmetric_states"))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "basis_fields"
+    ]
+    steps = [
+        [(k.arg, ast.literal_eval(k.value)) for k in call.keywords] for call in calls
+    ]
+    assert sorted(steps) == [[], [("step_e2", True)]]
 
 
 def test_check_5_reads_its_verdict_from_moment_report():
@@ -307,19 +395,24 @@ def test_cli_has_one_error_path_to_its_exit_codes():
 
 
 def test_checks_8_and_10_have_one_body_for_both_lattices():
-    # each check loops over one row per lattice: one call site per library
-    # function, and the 1D/2D pair only as the rows' entries
+    # each check loops over one row per lattice and calls the one batch body
+    # that serves both lattices, once per row and p (check 8 once more, for
+    # its unbalanced state to t = 3); the one-state wrappers are not called
+    names = _names_by_function("validation")
     symmetry = _function("validation", "check_symmetry")
     named = [n.id for n in ast.walk(symmetry) if isinstance(n, ast.Name)]
-    for name in ("empirical_symmetric_1d", "empirical_symmetric_2d", "in_phi_perp",
-                 "in_phi_perp_2d"):
+    for name in ("in_phi_perp", "in_phi_perp_2d"):
         assert named.count(name) == 1, name
+    assert named.count("symmetric_states") == 2
     localization = _function("validation", "check_localization")
-    judged = [
-        n for n in ast.walk(localization)
-        if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_judge_estimate"
+    called = [
+        n.func.id for n in ast.walk(localization)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
     ]
-    assert len(judged) == 1
+    assert called.count("_judge_estimate") == called.count("time_averaged_probabilities") == 1
+    wrappers = {"empirical_symmetric_1d", "empirical_symmetric_2d",
+                "time_averaged_probability_1d", "time_averaged_probability_2d"}
+    assert not set().union(*names.values()) & wrappers
 
 
 def test_closed_form_never_reads_the_flush_threshold():
@@ -430,7 +523,8 @@ ROLES = {
     "sigma": "the oracle for the line spectrum's eigenvalues",
     "group_velocity": "the oracle for the line's branch velocities",
     "limit_moment_2d": "the lattice limit convergence_report reads",
-    "EXCHANGE_1D": "the exchange constant reflection_identity_1d reads",
+    "empirical_symmetric_1d": "symmetric_states of one line state, which classify_1d reads",
+    "empirical_symmetric_2d": "empirical_symmetric_1d's role on the lattice",
     "ALL_CHECKS": "the check table run_checks iterates",
 }
 

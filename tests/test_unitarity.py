@@ -1,10 +1,11 @@
 """Criterion 1's Gram path: the evolved chirality basis stands in for every state.
 
 Check 1 reads each random state's total probability as ``theta^H G theta``
-from the Gram matrix ``G`` of the evolved basis, ``validation._gram``,
-built from one evolution on either lattice: the packed complex field on
-the line, and on the lattice the real field of ``e_1``, whose inversion and
-mirror images are the other three basis fields.  These tests hold that
+from the Gram matrix ``G`` of the evolved basis, the ``gram()`` of the
+propagator's basis field (``basis_fields_1d``/``basis_fields_2d``), built
+from one evolution on either lattice: the packed complex field on the line,
+and on the lattice the real field of ``e_1``, whose inversion and mirror
+images are the other three basis fields.  These tests hold that
 ``G`` against the basis fields evolved one by one and against states
 evolved directly, bound every state's deviation at once, pin the check's
 evolution count and its sensitivity to a planted leak, and check that a
@@ -15,10 +16,16 @@ import numpy as np
 import pytest
 
 from qwalk import validation, walk1d, walk2d
-from qwalk.walk1d import QubitState, evolve_1d
-from qwalk.walk2d import QuditState, evolve_2d
+from qwalk.walk1d import QubitState, basis_fields_1d, evolve_1d
+from qwalk.walk2d import QuditState, basis_fields_2d, evolve_2d
 
 LATTICES = {1: (evolve_1d, QubitState), 2: (evolve_2d, QuditState)}
+
+
+def _gram(dim: int, p: float, t: int) -> np.ndarray:
+    """The Gram matrix check 1 reads: the propagator's, from one evolution."""
+    (basis,) = (basis_fields_1d, basis_fields_2d)[dim - 1](p, (t,))
+    return basis.gram()
 
 
 def _direct_gram(evolve, n: int, p: float, t: int) -> np.ndarray:
@@ -33,7 +40,7 @@ def test_packed_gram_equals_the_gram_of_the_basis_fields(dim, p):
     evolve, _ = LATTICES[dim]
     t = 120
     direct = _direct_gram(evolve, 2 * dim, p, t)
-    assert np.max(np.abs(validation._gram(dim, p, t) - direct)) <= 1e-14
+    assert np.max(np.abs(_gram(dim, p, t) - direct)) <= 1e-14
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -42,7 +49,7 @@ def test_gram_gives_each_haar_state_its_total_probability(dim, p):
     evolve, cls = LATTICES[dim]
     rng = np.random.default_rng(dim * 100 + int(p * 100))
     t = 120 if dim == 1 else 60
-    g = validation._gram(dim, p, t)
+    g = _gram(dim, p, t)
     for _ in range(3):
         th = cls.random(rng)
         a = th.as_array()
@@ -54,7 +61,7 @@ def test_gram_gives_each_haar_state_its_total_probability(dim, p):
 def test_gram_bounds_every_state_at_the_quick_scales(p):
     # |theta^H (G - I) theta| <= len(G) * max|G - I| for every unit theta
     for dim, t in ((1, 100), (2, 40)):
-        g = validation._gram(dim, p, t)
+        g = _gram(dim, p, t)
         assert len(g) * np.max(np.abs(g - np.eye(len(g)))) <= 1e-12, (dim, p)
 
 
@@ -71,9 +78,9 @@ def test_check_1_evolves_the_basis_three_times_on_each_lattice(monkeypatch):
             amps = np.pad(field.amps, [(0, 0)] + [(t // 2,) * 2] * dim)
             return type(field)(t, amps)
 
-        monkeypatch.setattr(validation, name, counted)
-    for name in ("trajectory_1d", "trajectory_2d"):
-        monkeypatch.setattr(validation, name, lambda *a, **k: pytest.fail("stepped a trajectory"))
+        monkeypatch.setattr((walk1d, walk2d)[dim - 1], name, counted)
+    for module, name in ((walk1d, "trajectory_1d"), (walk2d, "trajectory_2d")):
+        monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("stepped a trajectory"))
     passed, _ = validation.check_unitarity()
     assert passed
     assert calls == {1: [1000] * 3, 2: [300] * 3}
@@ -117,9 +124,9 @@ def test_a_complex_lattice_basis_block_is_read_whole(monkeypatch):
         return new if new.t < 2 else type(new)(new.t, new.amps * np.exp(0.3j))
 
     monkeypatch.setattr(walk2d, "step_2d", phased)
-    (field,) = validation._basis_fields(2, 0.5, (40,))
-    assert field.amps.dtype == np.complex128
-    g = validation._gram(2, 0.5, 40)
+    (basis,) = basis_fields_2d(0.5, (40,))
+    assert basis.amplitude(0, 0).dtype == np.complex128
+    g = basis.gram()
     assert g.dtype == np.complex128 and np.array_equal(g, g.conj().T)
     # measured 4.0e-15
     assert np.max(np.abs(g - np.eye(4))) <= 1e-14
