@@ -130,11 +130,12 @@ def coin_2d(p: CoinParameter | float) -> np.ndarray:
 # walk modules that read the lattice basis through them: ``J`` pairs the
 # (+x, -x) movers, with ``J H1 J^T = -H1``; ``EXCHANGE_2D = blockdiag(J, J)``
 # is the inversion's and ``EXCHANGE_XY = kron(J, I)`` the diagonal
-# mirror's, ``(A theta)_c = A[c, src] theta_src`` with one ``src`` per row
+# mirror's, ``(A theta)_c = A[c, src] theta_src`` with one ``src`` per row;
+# all three are read-only, as the walk modules read them once, at import
 EXCHANGE_1D = np.array([[0.0, -1.0], [1.0, 0.0]])
 EXCHANGE_2D = np.block([[EXCHANGE_1D, np.zeros((2, 2))], [np.zeros((2, 2)), EXCHANGE_1D]])
 EXCHANGE_XY = np.kron(EXCHANGE_1D, np.eye(2))
-EXCHANGE_XY.flags.writeable = False
+EXCHANGE_1D.flags.writeable = EXCHANGE_2D.flags.writeable = EXCHANGE_XY.flags.writeable = False
 
 
 def kernel_1d(p: CoinParameter | float, wavenumber: float) -> np.ndarray:

@@ -44,8 +44,9 @@ lattice it does not: the branch-sorted integrand is not smooth, and the
 convergence is algebraic, about ``N^-1.5``.  For state (1, 0, 0, 0) at p =
 1/2, order (1, 0), the value moves by 2.37e-4, 8.39e-5 and 2.96e-5 at N =
 64 -> 128 -> 256 -> 512.
-Moment quadratures are cross-validated against the position-space oracle
-through :func:`convergence_report`.
+:func:`convergence_reports` pairs each quadrature with simulated moments
+read from the engine's propagator (``basis_fields_1d``/``_2d``), which
+criterion 12 of the acceptance gate holds to directly stepped states.
 """
 
 from __future__ import annotations
@@ -57,21 +58,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coin import EXCHANGE_XY, CoinParameter, as_coin, coin_1d, coin_2d, validate_wavenumber
-from .errors import DegenerateSpectrumError, InvalidParameterError, require_int, require_ladder
-from .walk1d import (
-    QubitState,
-    as_qubit,
-    distribution_1d,
-    moment_1d,
-    trajectory_1d,
+from .errors import (
+    DegenerateSpectrumError, InvalidParameterError, require_int, require_ladder, require_time,
 )
-from .walk2d import (
-    QuditState,
-    as_qudit,
-    distribution_2d,
-    joint_moment_2d,
-    trajectory_2d,
-)
+from .walk1d import Distribution1D, QubitState, as_qubit, moment_1d
+from .walk2d import Distribution2D, QuditState, _propagator, as_qudit, joint_moment_2d
 
 __all__ = [
     "QuadratureGrid",
@@ -82,6 +73,7 @@ __all__ = [
     "limit_moments_2d",
     "limit_moment_2d",
     "convergence_report",
+    "convergence_reports",
 ]
 
 _PHASE_GAP_MIN = 1e-8
@@ -101,7 +93,7 @@ class QuadratureGrid:
     n: int
 
     def __post_init__(self) -> None:
-        n = require_int(self.n, "grid size", 2)
+        n = require_time(self.n, "grid size", 2)
         if n & (n - 1):
             raise InvalidParameterError(f"grid size must be a power of two, got {n}")
         object.__setattr__(self, "n", n)
@@ -342,6 +334,26 @@ def _weights(H: np.ndarray, e: np.ndarray, K: np.ndarray, th: np.ndarray) -> np.
     return _real_sum(forms.conj()[:, None, :], K)[:, 0]
 
 
+def _moment_orders(orders, dim: int) -> list[tuple[int, ...]]:
+    """``orders`` as a non-empty list of moments, each a tuple of one integer
+    exponent ``>= 0`` per axis, for ``dim`` axes (on the line a bare
+    exponent is a tuple of one), of total order ``>= 1``; else
+    :class:`InvalidParameterError`."""
+    names = ("alpha", "beta")[:dim]
+    moments = [tuple(o) if np.iterable(o) else (o,) for o in orders] if np.iterable(orders) else []
+    if not moments or any(len(o) != dim for o in moments):
+        raise InvalidParameterError(
+            f"need a sequence of moment orders of one exponent each for {', '.join(names)}, "
+            f"got {orders!r}"
+        )
+    moments = [tuple(require_int(a, n) for a, n in zip(o, names)) for o in moments]
+    if any(sum(o) < 1 for o in moments):
+        raise InvalidParameterError(
+            f"need moment orders >= 0 with {' + '.join(names)} >= 1, got {moments}"
+        )
+    return moments
+
+
 def _limit_moments(thetas, p, orders, grid, dim: int) -> np.ndarray:
     """Weak-limit moments on the line (``dim`` 1) or the square lattice (2).
 
@@ -376,20 +388,9 @@ def _limit_moments(thetas, p, orders, grid, dim: int) -> np.ndarray:
     one 1D array, in a fixed order, so results are reproducible at a fixed
     grid size.
     """
-    names = ("alpha", "beta")[:dim]
-    for name, arg in (("thetas", thetas), ("orders", orders)):
-        if not np.iterable(arg):
-            raise InvalidParameterError(f"{name} must be a sequence, got {arg!r}")
-    orders = [tuple(o) if np.iterable(o) else (o,) for o in orders]
-    if not orders or any(len(o) != dim for o in orders):
-        raise InvalidParameterError(
-            f"need moment orders of one exponent each for {', '.join(names)}, got {orders}"
-        )
-    orders = [tuple(require_int(a, n) for a, n in zip(o, names)) for o in orders]
-    if any(sum(o) < 1 for o in orders):
-        raise InvalidParameterError(
-            f"need moment orders >= 0 with {' + '.join(names)} >= 1, got {orders}"
-        )
+    if not np.iterable(thetas):
+        raise InvalidParameterError(f"thetas must be a sequence, got {thetas!r}")
+    orders = _moment_orders(orders, dim)
     c = as_coin(p)
     g = _as_grid(grid)
     ths = [(as_qubit, as_qudit)[dim - 1](th).as_array() for th in thetas]
@@ -483,16 +484,61 @@ def limit_moment_2d(
 ) -> float:
     """Long-time limit of ``<(X_t/t)^alpha (Y_t/t)^beta>`` on the tensor grid.
 
-    The one-state, one-order case of :func:`limit_moments_2d`, and the
-    lattice limit :func:`convergence_report` reads.
+    The one-state, one-order case of :func:`limit_moments_2d`.
     """
     return float(_limit_moments([theta], p, [(alpha, beta)], grid, 2)[0, 0])
 
 
 def validate_time_ladder(ladder) -> tuple[int, ...]:
-    """The simulation times of :func:`convergence_report` as a tuple:
-    non-empty, strictly increasing, every time an integer ``>= 1``."""
+    """The simulation times of a convergence report as a tuple: non-empty,
+    strictly increasing, every time an integer ``>= 1``."""
     return require_ladder(ladder, "ladder time", 1)
+
+
+# each lattice's default ladder and grid size for a convergence report
+_REPORT_SCALES = (((125, 250, 500, 1000), 4096), ((75, 150, 300), 512))
+
+
+def convergence_reports(
+    states,
+    p: CoinParameter | float,
+    orders,
+    ladder: tuple[int, ...] | None = None,
+    grid: QuadratureGrid | int | None = None,
+) -> tuple[tuple[MomentReport, ...], ...]:
+    """Pair simulated pseudo-velocity moments with their quadrature limits:
+    one row of reports per state of ``states``, one report per moment of
+    ``orders``.
+
+    ``states`` is a non-empty batch of :class:`QubitState` or of
+    :class:`QuditState` instances; ``orders`` holds one exponent per axis
+    for each moment (a bare ``alpha`` on the line), of total order ``>= 1``.
+    ``ladder`` and ``grid`` default per lattice: ``(125, 250, 500, 1000)``
+    and N = 4096 on the line, ``(75, 150, 300)`` and N = 512 on the square
+    lattice.  One quadrature sweep serves every state and order, before any
+    step.  The simulated moments come by linearity from one basis trajectory
+    (``basis_fields_1d``/``_2d``), one state's distribution per time, so a
+    state's reports do not depend on the rest of the batch.
+    """
+    dim, basis_fields, theta = _propagator(states)
+    default_ladder, default_grid = _REPORT_SCALES[dim - 1]
+    # looked up per call, so rebound module names are honored
+    distribution, moment = (
+        (Distribution1D, moment_1d), (Distribution2D, joint_moment_2d)
+    )[dim - 1]
+    ladder = validate_time_ladder(default_ladder if ladder is None else ladder)
+    orders = _moment_orders(orders, dim)
+    quads = _limit_moments(theta, p, orders, default_grid if grid is None else grid, dim)
+    sims = np.empty(quads.shape + (len(ladder),))
+    for i, basis in enumerate(basis_fields(p, ladder)):
+        for row, sim in zip(theta, sims):
+            d = distribution(basis.t, basis._masses(row[None])[0])
+            sim[:, i] = [moment(d, *order) for order in orders]
+    return tuple(
+        tuple(MomentReport(o[0], o[1] if dim == 2 else None, q, ladder, s)
+              for o, q, s in zip(orders, quad, sim))
+        for quad, sim in zip(quads, sims)
+    )
 
 
 def convergence_report(
@@ -503,16 +549,13 @@ def convergence_report(
     ladder: tuple[int, ...] | None = None,
     grid: QuadratureGrid | int | None = None,
 ) -> MomentReport:
-    """Pair simulated pseudo-velocity moments with the quadrature limit.
+    """The report of :func:`convergence_reports` for one state and order.
 
     The dimension is taken from the state length (2 or 4 components); for the
     square lattice ``beta`` defaults to 0, and a line state rejects any
-    ``beta`` rather than dropping it.  ``ladder`` and ``grid`` default per
-    lattice, from one row: ``(125, 250, 500, 1000)`` and N = 4096 on the
-    line, ``(75, 150, 300)`` and N = 512 on the square lattice.  A single
-    evolution pass supplies the whole ladder; the report derives its gaps.
-    ``alpha (+ beta) = 0`` is the trivial moment: both sides are exactly 1
-    and every gap is 0, but ``p`` and ``grid`` are checked all the same.
+    ``beta`` rather than dropping it.  ``alpha (+ beta) = 0`` is the trivial
+    moment: both sides are exactly 1 and every gap is 0, but ``p``,
+    ``ladder`` and ``grid`` are checked all the same.
     """
     alpha = require_int(alpha, "alpha")
     beta = None if beta is None else require_int(beta, "beta")
@@ -525,22 +568,10 @@ def convergence_report(
     if dim == 1 and beta is not None:
         raise InvalidParameterError(f"beta applies to lattice states only, got beta={beta}")
     orders = (alpha, 0 if beta is None else beta)[:dim]
-    # built per call from the module globals, so rebound names are honored
-    as_state, limit, default_grid, default_ladder, trajectory, distribution, moment = (
-        (as_qubit, limit_moment_1d, 4096, (125, 250, 500, 1000), trajectory_1d,
-         distribution_1d, moment_1d),
-        (as_qudit, limit_moment_2d, 512, (75, 150, 300), trajectory_2d,
-         distribution_2d, joint_moment_2d),
-    )[dim - 1]
+    default_ladder, default_grid = _REPORT_SCALES[dim - 1]
     ladder = validate_time_ladder(default_ladder if ladder is None else ladder)
-    grid = default_grid if grid is None else grid
-    _as_grid(grid)  # checked here for the trivial moment too, which computes no limit
-    th = as_state(theta)
-    want = set(ladder)
-    if sum(orders) == 0:
-        quad, sims = 1.0, [1.0] * len(ladder)
-    else:
-        quad = limit(th, p, *orders, grid)
-        fields = trajectory(th, p, ladder[-1])
-        sims = [moment(distribution(f), *orders) for f in fields if f.t in want]
-    return MomentReport(alpha, orders[1] if dim == 2 else None, quad, ladder, sims)
+    grid = _as_grid(default_grid if grid is None else grid)  # for the trivial moment too
+    th = (as_qubit, as_qudit)[dim - 1](theta)
+    if sum(orders):
+        return convergence_reports([th], p, [orders], ladder, grid)[0][0]
+    return MomentReport(alpha, orders[1] if dim == 2 else None, 1.0, ladder, [1.0] * len(ladder))

@@ -20,11 +20,10 @@ field of ``e_1``, whose inversion and diagonal mirror images (the exchange
 identities of :mod:`qwalk.symmetry`) give the other three basis fields.
 Check 8 judges the inversion itself, so its lattice trajectory steps
 ``e_2``'s field too and reads only the mirror images.
-Check 1 reads each state's total probability from the basis's Gram matrix,
-check 3 each state's field, checks 5 and 6 their masses, whose moments
-:func:`moment_1d` and :func:`joint_moment_2d` take, and checks 8 and 10 call
-the batch bodies :func:`symmetric_states` and
-:func:`time_averaged_probabilities` once per lattice and ``p``.
+Check 1 reads each state's total probability from the basis's Gram matrix
+and check 3 each state's field; checks 5, 6, 8 and 10 call the batch bodies
+:func:`convergence_reports`, :func:`symmetric_states` and
+:func:`time_averaged_probabilities`.
 
 Those checks step no state themselves, so they rest on linearity and the
 images.  Criterion 12 witnesses them: it steps each basis vector and
@@ -48,7 +47,7 @@ import numpy as np
 from .closedform import alpha_coefficients, closed_form_fields, double_sum_coefficient
 from .errors import InvalidParameterError
 from .localization import localization_verdict, time_averaged_probabilities
-from .spectral import MomentReport, QuadratureGrid, limit_moment_1d, limit_moments_2d
+from .spectral import QuadratureGrid, convergence_reports, limit_moment_1d
 from .symmetry import (
     ABTable,
     extract_ab,
@@ -59,22 +58,8 @@ from .symmetry import (
     reflection_identity_2d,
     symmetric_states,
 )
-from .walk1d import (
-    Distribution1D,
-    QubitState,
-    basis_fields_1d,
-    distribution_1d,
-    evolve_1d,
-    moment_1d,
-)
-from .walk2d import (
-    Distribution2D,
-    QuditState,
-    basis_fields_2d,
-    distribution_2d,
-    evolve_2d,
-    joint_moment_2d,
-)
+from .walk1d import QubitState, basis_fields_1d, distribution_1d, evolve_1d
+from .walk2d import QuditState, basis_fields_2d, distribution_2d, evolve_2d
 
 __all__ = [
     "CheckResult",
@@ -210,42 +195,32 @@ def check_coefficients(quick: bool = False) -> tuple[bool, str]:
 def check_limit_1d(quick: bool = False) -> tuple[bool, str]:
     """5: simulated pseudo-velocity moments approach the 1D quadrature limit.
 
-    Each state's masses come by linearity from one basis trajectory per
-    ``p`` (:func:`basis_fields_1d`), and its moments from :func:`moment_1d` of their
-    :class:`Distribution1D`.  Each state and order gets a
-    :class:`MomentReport` against :func:`limit_moment_1d`, and the
-    convergence verdict is the report's own.
+    Each ``p``'s states get one row of reports from
+    :func:`convergence_reports`, which reads them by linearity from one
+    basis trajectory, and the convergence verdict is each report's own.
     """
     rng = np.random.default_rng(_SEED + 5)
     if quick:
         ladder, gridn, nstate, tol = (50, 100, 200), 1024, 2, 2e-2
     else:
         ladder, gridn, nstate, tol = (125, 250, 500, 1000), 4096, 5, 5e-3
-    grid = QuadratureGrid(gridn)
-    orders = (1, 2)
-    final_gaps, nondec = [], 0
-    for p in _P_GRID:
-        states = _random_states(QubitState, nstate, rng)
-        masses = [b.masses(states) for b in basis_fields_1d(p, ladder)]
-        for i, th in enumerate(states):
-            dists = [Distribution1D(t, m[i]) for t, m in zip(ladder, masses)]
-            for alpha in orders:
-                quad = limit_moment_1d(th, p, alpha, grid)
-                sims = tuple(moment_1d(d, alpha) for d in dists)
-                r = MomentReport(alpha, None, quad, ladder, sims)
-                final_gaps.append(r.gaps[-1])
-                nondec += not r.converged
-    ok, detail = _judged("max final gap", final_gaps, tol)
+    draws = [(p, _random_states(QubitState, nstate, rng)) for p in _P_GRID]
+    reports = [
+        r for p, states in draws for row in convergence_reports(states, p, (1, 2), ladder, gridn)
+        for r in row
+    ]
+    ok, detail = _judged("max final gap", [r.gaps[-1] for r in reports], tol)
+    nondec = [r.converged for r in reports].count(False)
     return ok and nondec == 0, f"{detail}; {nondec} ladders failed to converge"
 
 
 def check_limit_2d(quick: bool = False) -> tuple[bool, str]:
     """6: simulated joint moments approach the 2D quadrature limit.
 
-    Each state's simulated masses come by linearity from the lattice's one
-    real basis field, that of ``e_1``, and its inversion and mirror images
-    (:func:`basis_fields_2d`), and its moments from :func:`joint_moment_2d`
-    of their :class:`Distribution2D`.
+    One call of :func:`convergence_reports` at the one-time ladder ``(tmax,)``
+    reads every state from the lattice's one real basis field, that of
+    ``e_1``, and its inversion and mirror images; its quadrature sweep runs
+    before that field is stepped, which would otherwise be held through it.
     """
     rng = np.random.default_rng(_SEED + 6)
     if quick:
@@ -258,17 +233,8 @@ def check_limit_2d(quick: bool = False) -> tuple[bool, str]:
             QuditState(0.5, 0.5j, 0.5j, -0.5),
             QuditState.random(rng),
         ]
-    p = 0.5
-    orders = ((1, 0), (0, 1), (1, 1), (2, 0))
-    # one eigensolve sweep (over an eighth of the tensor grid) covers every
-    # state and order; it runs before the field is stepped, which would
-    # otherwise be held through it (the gate's ru_maxrss: 50.5 against 55.8 MB)
-    quads = limit_moments_2d(states, p, orders, QuadratureGrid(gridn))
-    (basis,) = basis_fields_2d(p, (tmax,))
-    devs = []
-    for th, row in zip(states, quads):
-        d = Distribution2D(tmax, basis.masses([th])[0])
-        devs += [abs(float(quad) - joint_moment_2d(d, a, b)) for (a, b), quad in zip(orders, row)]
+    rows = convergence_reports(states, 0.5, ((1, 0), (0, 1), (1, 1), (2, 0)), (tmax,), gridn)
+    devs = [r.gaps[-1] for row in rows for r in row]
     return _judged(f"max |sim(t={tmax}) - quad(N={gridn})|", devs, tol)
 
 

@@ -319,6 +319,8 @@ def basis_fields_2d(
     batch of :class:`QuditState`, ``amplitude(x, y)``, ``field(theta)`` and
     ``gram()``.
     """
+    if not isinstance(step_e2, bool):
+        raise InvalidParameterError(f"step_e2 must be True or False, got {step_e2!r}")
     states = ((1, 0, 0, 0), (0, 1, 0, 0)) if step_e2 else ((1, 0, 0, 0),)
     return _basis_fields(_LatticeBasis, evolve_2d, trajectory_2d, states, p, times)
 

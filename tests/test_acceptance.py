@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qwalk import validation
+from qwalk import spectral, validation
 from qwalk.errors import InvalidParameterError
 from qwalk.localization import localization_verdict
 from qwalk.symmetry import extract_ab, kns_check
@@ -140,16 +140,22 @@ def _nan_basis(p, times):
 
 
 _NAN_PLANTS = {
-    1: ("basis_fields_1d", _nan_basis),
-    2: ("distribution_1d", lambda field: SimpleNamespace(mass=lambda x: _NAN)),
-    3: ("basis_fields_1d", _nan_basis),
-    4: ("double_sum_coefficient", lambda p, t, j: _NAN),
-    5: ("limit_moment_1d", lambda th, p, alpha, grid: _NAN),
-    6: ("joint_moment_2d", lambda d, a, b: _NAN),
-    7: ("reference_table_deviation", lambda table: _NAN),
-    9: ("reflection_identity_1d", lambda th, p, t: _NAN),
-    11: ("limit_moment_1d", lambda th, p, alpha, grid: _NAN),
-    12: ("evolve_2d", lambda th, p, t: SimpleNamespace(amps=np.full((4, t + 1, t + 1), _NAN))),
+    1: (validation, "basis_fields_1d", _nan_basis),
+    2: (validation, "distribution_1d", lambda field: SimpleNamespace(mass=lambda x: _NAN)),
+    3: (validation, "basis_fields_1d", _nan_basis),
+    4: (validation, "double_sum_coefficient", lambda p, t, j: _NAN),
+    # checks 5 and 6 read both sides through spectral.convergence_reports:
+    # a NaN quadrature on the line, a NaN simulated moment on the lattice
+    5: (spectral, "_limit_moments", lambda ths, p, orders, *a: np.full((len(ths), 2), _NAN)),
+    6: (spectral, "joint_moment_2d", lambda d, a, b: _NAN),
+    7: (validation, "reference_table_deviation", lambda table: _NAN),
+    9: (validation, "reflection_identity_1d", lambda th, p, t: _NAN),
+    11: (validation, "limit_moment_1d", lambda th, p, alpha, grid: _NAN),
+    12: (
+        validation,
+        "evolve_2d",
+        lambda th, p, t: SimpleNamespace(amps=np.full((4, t + 1, t + 1), _NAN)),
+    ),
 }
 
 
@@ -157,8 +163,8 @@ _NAN_PLANTS = {
 def test_a_nan_in_a_compared_value_fails_its_check(monkeypatch, number):
     # max(worst, nan) kept worst: checks 1-4, 6, 9 and 11 passed with a NaN
     # and check 5 printed its NaN gap as 0.000e+00
-    name, stand_in = _NAN_PLANTS[number]
-    monkeypatch.setattr(validation, name, stand_in)
+    module, name, stand_in = _NAN_PLANTS[number]
+    monkeypatch.setattr(module, name, stand_in)
     fn = next(e[3] for e in validation.ALL_CHECKS if e[0] == number)
     passed, details = fn(quick=True)
     assert not passed, details

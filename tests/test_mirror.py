@@ -112,7 +112,13 @@ def test_the_mirror_is_defined_once_and_not_public():
     # the lattice basis through it
     assert coin.EXCHANGE_XY is spectral.EXCHANGE_XY is walk2d.EXCHANGE_XY
     assert symmetry.EXCHANGE_1D is coin.EXCHANGE_1D and symmetry.EXCHANGE_2D is coin.EXCHANGE_2D
-    assert not EXCHANGE_XY.flags.writeable
+    # none of the three can be edited: an edited EXCHANGE_1D moved the
+    # reflection residual to 0.559 and failed check 9, while the
+    # propagator kept reading the inversion it copied at import
+    for exchange in (EXCHANGE_XY, symmetry.EXCHANGE_1D, symmetry.EXCHANGE_2D):
+        assert not exchange.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            exchange[0, 1] = 0.0
     assert np.array_equal(EXCHANGE_XY, np.kron(symmetry.EXCHANGE_1D, np.eye(2)))
     assert "EXCHANGE_XY" not in coin.__all__ and not hasattr(qwalk, "EXCHANGE_XY")
 
@@ -141,15 +147,15 @@ def test_check_6_reads_the_directly_stepped_masses(monkeypatch, quick):
     def direct(p, times):
         # a propagator whose masses are the states' own, each stepped
         def basis(t):
-            def masses(batch):
-                states.extend(batch)
-                return np.array([distribution_2d(evolve_2d(th, p, t)).grid for th in batch])
+            def masses(rows):
+                states.extend(rows)
+                return np.array([distribution_2d(evolve_2d(th, p, t)).grid for th in rows])
 
-            return SimpleNamespace(t=t, masses=masses)
+            return SimpleNamespace(t=t, _masses=masses)
 
         return map(basis, times)
 
     linear = validation.check_limit_2d(quick=quick)
-    monkeypatch.setattr(validation, "basis_fields_2d", direct)
+    monkeypatch.setattr(walk2d, "basis_fields_2d", direct)
     assert validation.check_limit_2d(quick=quick) == linear
     assert len(states) == (2 if quick else 3)

@@ -245,6 +245,9 @@ def test_symmetric_states_stops_once_every_state_has_broken(monkeypatch):
         (lambda: basis_fields_1d(0.5, range(5, 3)), "non-empty"),
         (lambda: basis_fields_2d(0.5, (0, 2**28 + 1)), "<= 268435456"),
         (lambda: basis_fields_2d(0.5, (2**28 + 1,), step_e2=True), "<= 268435456"),
+        # both were read by truthiness: "yes" stepped e_2 and 0 did not
+        (lambda: basis_fields_2d(0.5, (3,), step_e2="yes"), "step_e2 must be True or False"),
+        (lambda: basis_fields_2d(0.5, (3,), step_e2=0), "step_e2 must be True or False"),
         (lambda: basis_fields_1d(0.5, range(-1, 5)), ">= 0"),
         (lambda: basis_fields_1d(1.5, (3,)), "open interval"),
         (lambda: next(basis_fields_1d(0.5, (3,))).amplitude(0, 0), "1 integer coordinates"),

@@ -11,7 +11,10 @@ Check 12 steps each state directly and compares it with the propagator's
 field, so it fails every defect that breaks an image.  Check 8 steps
 ``e_2`` beside ``e_1`` and reads only the mirror images, so it fails the
 permuted rows, which break the mirror, though each balanced state's own
-trajectory stays symmetric under them.  The staging defect
+trajectory stays symmetric under them.  A coin rotated from the second step
+on keeps both images exact and passes every check but the weak limit of
+check 6, and that one only from a rotation of 0.3: the gate's blind spot
+for a unitary defect that keeps the exchange identities.  The staging defect
 is the exception: the quick gate's lattice buffers (t <= 100) are at most
 2 MB and never staged, so only the full gate sees it, and check 12's
 lattice horizon (t = 33) stages nothing.
@@ -21,7 +24,7 @@ import numpy as np
 import pytest
 
 from qwalk import validation, walk1d, walk2d
-from qwalk.coin import coin_1d, coin_2d
+from qwalk.coin import as_coin, coin_1d, coin_2d
 
 
 def _rotation(p: float) -> np.ndarray:
@@ -63,6 +66,40 @@ def test_a_lattice_coin_defect_fails_exactly(monkeypatch, coin, failing):
     # builds fresh coins and the true ones stay cached for later tests
     monkeypatch.setattr(walk2d, "coin_2d", coin)
     assert _failing() == failing
+
+
+def _rotated_from_the_second_step(monkeypatch, eps: float) -> None:
+    """Step the lattice from ``t = 1`` on with the coin ``kron(R(eps), I) H``:
+    unitary, and ``J`` commutes with the rotation, so the inversion and the
+    mirror both still reverse the coin and every image stays exact; the
+    first step keeps the true coin, so check 2's ``t = 1`` masses do too."""
+    rotation = np.kron(_rotation(np.cos(eps) ** 2), np.eye(2))
+    step = walk2d.step_2d
+
+    def rotated(p):
+        return rotation @ coin_2d(p)
+
+    def stepped(field, p, k=0.0):
+        if field.t == 0:
+            return step(field, p, k)
+        coin = walk1d._frozen_coin(rotated, as_coin(p).p)
+        return walk1d._step(field, coin, walk1d._step_phase(k))
+
+    monkeypatch.setattr(walk2d, "step_2d", stepped)
+
+
+@pytest.mark.parametrize("eps,failing", [(0.1, set()), (0.3, {6})])
+def test_a_coin_rotated_from_the_second_step_fails_at_most_check_6(monkeypatch, eps, failing):
+    # the gate's blind spot: no check compares the lattice's fields with an
+    # oracle that does not step, so up to eps = 0.1 (and at 1e-6) every
+    # check passes, quick and full; at 0.3 only check 6's weak limit sees
+    # the drift (2.849e-02 in the full gate).  From the first step, check 2's
+    # t = 1 masses fail it at once: {2}, and {2, 6} in the full gate at 0.3.
+    _rotated_from_the_second_step(monkeypatch, eps)
+    results = {r.number: r for r in validation.run_checks(quick=True) if not r.passed}
+    assert set(results) == failing
+    if failing:
+        assert results[6].details.startswith("max |sim(t=100) - quad(N=128)| = 2.363e-02 ")
 
 
 def test_staged_chunks_walked_from_the_near_end_fail_checks_1_and_6_of_the_full_gate(

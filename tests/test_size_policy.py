@@ -1,12 +1,14 @@
-"""The size policy: every time, horizon and ladder entry above ``2**28``
-raises :class:`InvalidParameterError` before any work is done.
+"""The size policy: every time, horizon, ladder entry and quadrature grid
+size above ``2**28`` raises :class:`InvalidParameterError` before any work
+is done.
 
 Before the bound, a horizon of ``10**20`` raised numpy's ``ValueError`` from
 ``evolve_*`` and ``reflection_identity_*``, ``OverflowError`` from the
 trajectories and their readers, and kept ``closed_form_field(s)``,
 ``alpha_coefficients`` and ``double_sum_coefficient`` running past a 5 s
-alarm.  Each call below runs under that alarm, so a regression fails instead
-of hanging.
+alarm.  A grid of ``2**64`` nodes was built without error, and the limits
+and reports that swept it raised numpy's ``ValueError``.  Each call below
+runs under that alarm, so a regression fails instead of hanging.
 """
 
 import math
@@ -22,7 +24,13 @@ from qwalk.closedform import (
 )
 from qwalk.errors import InvalidParameterError, require_ladder, require_time
 from qwalk.localization import time_averaged_probability_1d, time_averaged_probability_2d
-from qwalk.spectral import convergence_report
+from qwalk.spectral import (
+    QuadratureGrid,
+    convergence_report,
+    convergence_reports,
+    limit_moment_1d,
+    limit_moments_2d,
+)
 from qwalk.symmetry import (
     classify_1d,
     empirical_symmetric_1d,
@@ -36,6 +44,7 @@ from qwalk.walk1d import QubitState, evolve_1d, trajectory_1d
 from qwalk.walk2d import QuditState, evolve_2d, trajectory_2d
 
 BIG = 10**20
+GRID = 2**64  # a grid size must also be a power of two
 _LINE = QubitState(1, 0)
 _LATTICE = QuditState(1, 0, 0, 0)
 _R = 1 / math.sqrt(2)
@@ -61,6 +70,13 @@ HUGE = {
     "alpha_coefficients": lambda: alpha_coefficients(0.5, BIG),
     "double_sum_coefficient": lambda: double_sum_coefficient(0.5, BIG, 0),
     "convergence_report": lambda: convergence_report(_LINE, 0.5, 1, ladder=(10, BIG), grid=64),
+    "QuadratureGrid": lambda: QuadratureGrid(GRID),
+    "limit_moment_1d": lambda: limit_moment_1d(_LINE, 0.5, 1, GRID),
+    "limit_moments_2d": lambda: limit_moments_2d([_LATTICE], 0.5, [(1, 0)], GRID),
+    "convergence_report_grid": lambda: convergence_report(
+        _LATTICE, 0.5, 1, ladder=(2, 4), grid=GRID
+    ),
+    "convergence_reports": lambda: convergence_reports([_LATTICE], 0.5, [(1, 0)], (2, 4), GRID),
 }
 
 

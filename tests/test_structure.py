@@ -199,8 +199,8 @@ def test_checks_1_3_5_6_8_and_10_read_states_only_through_the_propagator():
     reading = {
         "check_unitarity": {"basis_fields_1d", "basis_fields_2d"},
         "check_closed_form": {"basis_fields_1d"},
-        "check_limit_1d": {"basis_fields_1d"},
-        "check_limit_2d": {"basis_fields_2d"},
+        "check_limit_1d": {"convergence_reports"},
+        "check_limit_2d": {"convergence_reports"},
         "check_symmetry": {"symmetric_states"},
         "check_localization": {"time_averaged_probabilities"},
         "check_propagator_witness": {"basis_fields_1d", "basis_fields_2d"},
@@ -209,7 +209,8 @@ def test_checks_1_3_5_6_8_and_10_read_states_only_through_the_propagator():
         assert readers <= names[check], check
     # each batch body reads its lattice's propagator and steps nothing itself
     for module, body in (("symmetry", "symmetric_states"),
-                         ("localization", "time_averaged_probabilities")):
+                         ("localization", "time_averaged_probabilities"),
+                         ("spectral", "convergence_reports")):
         called = _calls_by_function(module)[body]
         assert "_propagator" in called, body
         assert not {n for n in called if n.startswith(("evolve_", "trajectory_", "step_"))}, body
@@ -257,17 +258,19 @@ def test_every_identity_a_check_reads_by_has_a_witness():
     # a check that reads the lattice must list the mirror, and the inversion
     # unless it judges the inversion itself; every identity must have a
     # criterion that steps states with no image and no linearity, so a new
-    # identity without one fails here
+    # identity without one fails here; a batch body serves either lattice,
+    # identity, and a check reads the lattice when it builds lattice states
     names = _names_by_function("validation")
-    lattice = {"basis_fields_2d", "symmetric_states", "time_averaged_probabilities"}
-    propagated = lattice | {"basis_fields_1d"}
+    propagated = {"basis_fields_1d", "basis_fields_2d", "symmetric_states",
+                  "time_averaged_probabilities", "convergence_reports"}
     reading = {f for f, read in names.items() if f.startswith("check_") and read & propagated}
     assert reading - {"check_propagator_witness"} == set(READS_BY)
     for check, identities in READS_BY.items():
         assert "linearity" in identities, check
-        assert ("mirror" in identities) == bool(names[check] & lattice), check
+        lattice = "QuditState" in names[check]
+        assert ("mirror" in identities) == lattice, check
         judged = "symmetric_states" in names[check]
-        assert ("inversion" in identities) == (bool(names[check] & lattice) and not judged), check
+        assert ("inversion" in identities) == (lattice and not judged), check
     numbers = {fn.__name__: number for number, _, _, fn in validation.ALL_CHECKS}
     direct = {"evolve_1d", "evolve_2d", "reflection_identity_1d", "reflection_identity_2d"}
     stepping = {numbers[f] for f, read in names.items() if f in numbers and read & direct}
@@ -290,15 +293,38 @@ def test_symmetry_verdicts_step_e2_on_the_lattice():
     assert sorted(steps) == [[], [("step_e2", True)]]
 
 
-def test_check_5_reads_its_verdict_from_moment_report():
-    # check 5 reads its simulated moments through moment_1d from masses read
-    # off the basis trajectory, and the convergence rule stays the
-    # library's: the verdict is MomentReport.converged, with no gap
-    # comparison of its own
+# what checks 5 and 6 once built their reports from by hand
+REPORT_PARTS = {"limit_moment_1d", "limit_moments_2d", "limit_moment_2d", "basis_fields_1d",
+                "basis_fields_2d", "moment_1d", "joint_moment_2d", "Distribution1D",
+                "Distribution2D", "MomentReport"}
+
+
+def test_convergence_reports_is_the_one_place_a_limit_meets_a_simulation():
+    # checks 5 and 6 call it and none of its parts, and convergence_report
+    # returns its row; spectral steps nothing and builds no distribution of
+    # a field, but reads one basis trajectory through the propagator
+    names, calls = _names_by_function("validation"), _calls_by_function("validation")
+    for check in ("check_limit_1d", "check_limit_2d"):
+        assert "convergence_reports" in calls[check], check
+        assert not names[check] & REPORT_PARTS, check
+    imported = {a.name for n in ast.walk(_tree("validation")) if isinstance(n, ast.ImportFrom)
+                for a in n.names}
+    assert not imported & (REPORT_PARTS - {"limit_moment_1d", "basis_fields_1d", "basis_fields_2d"})
+    spectral_calls = _calls_by_function("spectral")
+    prefixes = ("trajectory_", "evolve_", "distribution_", "step_")
+    assert not [n for c in spectral_calls.values() for n in c if n.startswith(prefixes)]
+    assert {"_propagator", "basis_fields", "_limit_moments"} <= spectral_calls["convergence_reports"]
+    returns = [ast.unparse(n.value) for n in ast.walk(_function("spectral", "convergence_report"))
+               if isinstance(n, ast.Return)]
+    # the row, or the trivial moment's report, which computes no limit
+    assert "convergence_reports([th], p, [orders], ladder, grid)[0][0]" in returns
+    assert len(returns) == 2 and [r for r in returns if r.startswith("MomentReport(alpha")]
+
+
+def test_check_5_reads_its_verdict_from_each_report():
+    # the convergence rule stays the library's: check 5's verdict is each
+    # MomentReport's converged, with no gap comparison of its own
     body = _function("validation", "check_limit_1d")
-    called = _calls_by_function("validation")["check_limit_1d"]
-    assert {"MomentReport", "limit_moment_1d", "moment_1d"} <= called
-    assert not {n for n in called if n.startswith(("evolve_", "trajectory_"))}
     assert "converged" in {n.attr for n in ast.walk(body) if isinstance(n, ast.Attribute)}
     for compare in (n for n in ast.walk(body) if isinstance(n, ast.Compare)):
         read = {getattr(n, "attr", getattr(n, "id", None)) for n in ast.walk(compare)}
@@ -307,13 +333,14 @@ def test_check_5_reads_its_verdict_from_moment_report():
 
 def test_validation_computes_no_moment_of_its_own():
     # the package's one moment formula is walk1d._moment, behind moment_1d and
-    # joint_moment_2d: validation builds no site coordinates, and checks 5
-    # and 6 weigh no masses themselves, but read every simulated moment
-    # through those two
+    # joint_moment_2d, which convergence_reports reads every simulated
+    # moment through: validation builds no site coordinates, and checks 5
+    # and 6 weigh no masses themselves
     calls = _calls_by_function("validation")
     assert not [n for n, called in calls.items() if called & {"arange", "_moment"}]
-    for name, moment in (("check_limit_1d", "moment_1d"), ("check_limit_2d", "joint_moment_2d")):
-        assert moment in calls[name], name
+    assert {"moment", "distribution"} <= _calls_by_function("spectral")["convergence_reports"]
+    assert {"moment_1d", "joint_moment_2d"} <= _names_by_function("spectral")["convergence_reports"]
+    for name in ("check_limit_1d", "check_limit_2d"):
         assert not calls[name] & {"vdot", "dot", "einsum", "sum", "multiply", "reduce"}, name
         body = _function("validation", name)
         weighing = [
@@ -330,7 +357,8 @@ def test_moment_report_derives_its_gaps():
     (cls,) = [c for c in _tree("spectral").body if getattr(c, "name", None) == "MomentReport"]
     fields = {n.target.id for n in cls.body if isinstance(n, ast.AnnAssign)}
     assert fields == {"alpha", "beta", "quadrature", "times", "simulated"}
-    for module, name in (("spectral", "convergence_report"), ("validation", "check_limit_1d")):
+    for module, name in (("spectral", "convergence_report"), ("spectral", "convergence_reports"),
+                         ("validation", "check_limit_1d"), ("validation", "check_limit_2d")):
         (body,) = [f for f in _tree(module).body if getattr(f, "name", None) == name]
         for node in ast.walk(body):
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
@@ -522,7 +550,9 @@ ROLES = {
     "closed_form_field": "the one-time case of closed_form_fields, held to evolve_1d",
     "sigma": "the oracle for the line spectrum's eigenvalues",
     "group_velocity": "the oracle for the line's branch velocities",
-    "limit_moment_2d": "the lattice limit convergence_report reads",
+    "limit_moment_2d": "the one-state, one-order case of limit_moments_2d",
+    "limit_moments_2d": "the lattice's public limit sweep, held to an eig + QR reference",
+    "trajectory_2d": "the ladder loop basis_fields_2d steps its basis through",
     "empirical_symmetric_1d": "symmetric_states of one line state, which classify_1d reads",
     "empirical_symmetric_2d": "empirical_symmetric_1d's role on the lattice",
     "ALL_CHECKS": "the check table run_checks iterates",
