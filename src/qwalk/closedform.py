@@ -15,10 +15,11 @@ directly on the coefficient arrays, which stays exact in index bookkeeping
 and keeps every intermediate bounded (``|alpha_t(x')| <= 1/sqrt(q)``
 pointwise on the unit circle); coefficients that underflow below the
 smallest normal ``float64`` are shed from the tails.  One run of the
-recurrence serves a whole increasing ladder of times, and the last ladder's
-run serves the next state too: :func:`closed_form_fields` assembles the
-field at each requested time, and :func:`closed_form_field` and
-:func:`alpha_coefficients` are its one-time cases.
+recurrence serves a whole increasing ladder of times and every state:
+:func:`closed_form_amplitudes` assembles a batch of states' amplitude
+blocks at each requested time, :func:`closed_form_fields` is its one-state
+form, and :func:`closed_form_field` and :func:`alpha_coefficients` are
+one-time cases.  The last ladder's run is kept for the next call.
 
 Position-space amplitudes follow by reading off Fourier coefficients of
 ``e^{i t k} (alpha_t S + alpha_{t-1} I) Theta``:
@@ -35,7 +36,6 @@ tested invariant, not an assumption.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
@@ -43,7 +43,7 @@ import numpy as np
 
 from .coin import CoinParameter, as_coin
 from .errors import InvalidParameterError, require_int, require_ladder, require_real, require_time
-from .walk1d import QubitState, WaveField1D, _checked_array, _phase, as_qubit, init_1d
+from .walk1d import QubitState, WaveField1D, _checked_array, _phase, as_qubit
 
 __all__ = [
     "LaurentCoefficients",
@@ -51,6 +51,7 @@ __all__ = [
     "double_sum_coefficient",
     "closed_form_field",
     "closed_form_fields",
+    "closed_form_amplitudes",
 ]
 
 
@@ -162,10 +163,10 @@ def _alpha_ladder(p: CoinParameter, times: tuple[int, ...]) -> tuple[tuple[np.nd
     arrays, kept for the last ``(p, times)`` only.
 
     The recurrence does not depend on the state, so a caller that asks for
-    the same ladder state after state (acceptance check 3, 20 states per
-    ``p``) runs it once.  The memo holds ``2 t - 1`` ``float64`` per time
-    ``t``, at most half the ``complex128`` block of the field
-    :func:`closed_form_fields` returns for it, and no more than one ladder.
+    the same ladder state after state runs it once.  The memo holds ``2 t -
+    1`` ``float64`` per time ``t``, at most half the ``complex128`` block of
+    one state that :func:`closed_form_amplitudes` yields for it, and no more
+    than one ladder.
     """
     pairs = tuple(_alpha_pairs(p, times))
     for pair in pairs:
@@ -199,29 +200,94 @@ def double_sum_coefficient(p: CoinParameter | float, t: int, j: int) -> float:
     identity is a tested invariant.
 
     The alternating terms reach ~2^t while the result stays O(1), so the sum
-    is evaluated in exact rational arithmetic (every float ``p`` is an exact
-    rational; one factor of ``sqrt(p)`` remains for odd ``t``) and rounded
-    once at the end.
+    is evaluated exactly and rounded once at the end (one factor of
+    ``sqrt(p)`` remains for odd ``t``).  Every float ``p`` is an exact ratio
+    ``num / den`` of integers, so with ``h = floor(t / 2)`` the sum is the
+    integer ``sum_m coeff_m num^(h-m) den^m`` over ``den^h``, and Python's
+    integer true division rounds that quotient correctly, as
+    ``float(Fraction)`` does.
     """
     c = as_coin(p)
     t, j = require_time(t, "degree t"), require_int(j, "index j", None)
     if not 0 <= j <= t:
         raise InvalidParameterError(f"index j must lie in [0, {t}], got {j}")
-    p_exact = Fraction(c.p)
+    num, den = c.p.as_integer_ratio()
     parity = t % 2
     half = (t - parity) // 2
-    total = Fraction(0)
+    total = 0
     # the terms with 0 <= j - m <= t - 2 m
     for m in range(min(j, t - j) + 1):
         r = j - m
         coeff = math.comb(t - m, m) * math.comb(t - 2 * m, r)
         if r % 2:
             coeff = -coeff
-        total += coeff * p_exact ** (half - m)
-    value = float(total)
+        total += coeff * num ** (half - m) * den**m
+    value = total / den**half
     if parity:
         value *= math.sqrt(c.p)
     return value
+
+
+def closed_form_amplitudes(
+    states,
+    p: CoinParameter | float,
+    times,
+    k: float = 0.0,
+) -> Iterator[np.ndarray]:
+    """The amplitude blocks of a batch of line states at each time of a
+    strictly increasing ladder, computed without stepping, lazily.
+
+    ``states`` is a non-empty sequence of qubits, each coerced by
+    :func:`qwalk.walk1d.as_qubit`.  Each yielded block is a read-only
+    ``complex128`` array of shape ``(len(states), 2, t + 1)``, batch axis
+    first, row ``i`` the field of ``states[i]`` laid out as a
+    :class:`WaveField1D`'s.  One run of the ``alpha`` recurrence serves the
+    whole ladder and every state; the run's coefficients are kept until
+    another ``p`` or ladder is asked for (:func:`_alpha_ladder`).  Every
+    state is assembled from them by the same elementwise operations, so a
+    batch of one gives the bits of any larger batch.  Inputs are checked
+    here, before the first block is built.
+    """
+    times, ph = require_ladder(times, "time", 0), _phase(k)
+    try:
+        states = list(states)
+    except TypeError:
+        raise InvalidParameterError(f"need a sequence of states, got {states!r}") from None
+    if not states:
+        raise InvalidParameterError("need at least one state")
+    return _blocks([as_qubit(s) for s in states], as_coin(p), times, ph)
+
+
+def _blocks(
+    ths: list[QubitState], c: CoinParameter, times: tuple[int, ...], ph: complex
+) -> Iterator[np.ndarray]:
+    """:func:`closed_form_amplitudes` of the checked ``ths``, ``c``,
+    ``times`` and per-step phase ``ph``."""
+    sp, sq = math.sqrt(c.p), math.sqrt(c.q)
+    d = np.array([th.as_array() for th in ths])[:, :, None]
+    d1, d2 = d[:, 0], d[:, 1]
+    # each state's coefficient of a_t in either component, in complex scalar
+    # arithmetic: the bits of the one-state assembly
+    u = np.array([sp * th.d1 + sq * th.d2 for th in ths])[:, None]
+    w = np.array([sq * th.d1 - sp * th.d2 for th in ths])[:, None]
+    if times[0] == 0:
+        d.flags.writeable = False
+        yield d
+        times = times[1:]
+    for t, (a_t, a_tm1) in zip(times, _alpha_ladder(c, times), strict=True):
+        amps = np.zeros((len(ths), 2, t + 1), dtype=np.complex128)
+        # site x = 2 m - t;  a_t[.] packed with frequency n = 2 i - (t - 1)
+        amps[:, 0, 1:] += u * a_t                      # needs a_t at x - 1
+        amps[:, 1, :-1] += w * a_t                     # needs a_t at x + 1
+        # a_{t-1} at x; alpha_0 is empty, so t = 1 adds nothing here
+        amps[:, 0, 1:-1] += d1 * a_tm1
+        amps[:, 1, 1:-1] += d2 * a_tm1
+        # the stepped oracle's per-step phase raised to the t: finite for every
+        # finite k, where exp(1j * k * t) overflows once |k t| exceeds 1.8e308;
+        # in place, since the block is yielded as built
+        amps *= ph**t
+        amps.flags.writeable = False
+        yield amps
 
 
 def closed_form_fields(
@@ -231,33 +297,15 @@ def closed_form_fields(
     k: float = 0.0,
 ) -> tuple[WaveField1D, ...]:
     """Amplitude fields at each time of a strictly increasing ladder, computed
-    without stepping.
+    without stepping: :func:`closed_form_amplitudes` of the one state.
 
-    One run of the ``alpha`` recurrence serves the whole ladder, and only the
-    requested fields are assembled; the run's coefficients are kept until
-    another ``p`` or ladder is asked for (:func:`_alpha_ladder`).  Each
-    field must equal ``evolve_1d(theta, p, t, k)`` amplitude-by-amplitude;
+    Each field must equal ``evolve_1d(theta, p, t, k)`` amplitude-by-amplitude;
     ``t = 0`` is the initial field.
     """
-    times, ph = require_ladder(times, "time", 0), _phase(k)
-    th, c = as_qubit(theta), as_coin(p)
-    sp, sq = math.sqrt(c.p), math.sqrt(c.q)
-    out = [init_1d(th)] if times[0] == 0 else []
-    later = times[len(out):]
-    for t, (a_t, a_tm1) in zip(later, _alpha_ladder(c, later), strict=True):
-        amps = np.zeros((2, t + 1), dtype=np.complex128)
-        # site x = 2 m - t;  a_t[.] packed with frequency n = 2 i - (t - 1)
-        amps[0, 1:] += (sp * th.d1 + sq * th.d2) * a_t     # needs a_t at x - 1
-        amps[1, :-1] += (sq * th.d1 - sp * th.d2) * a_t    # needs a_t at x + 1
-        # a_{t-1} at x; alpha_0 is empty, so t = 1 adds nothing here
-        amps[0, 1:-1] += th.d1 * a_tm1
-        amps[1, 1:-1] += th.d2 * a_tm1
-        # the stepped oracle's per-step phase raised to the t: finite for every
-        # finite k, where exp(1j * k * t) overflows once |k t| exceeds 1.8e308;
-        # in place, since the block becomes the field's own
-        amps *= ph**t
-        out.append(WaveField1D._built(t, amps))
-    return tuple(out)
+    return tuple(
+        WaveField1D._built(b.shape[-1] - 1, b[0])
+        for b in closed_form_amplitudes([theta], p, times, k)
+    )
 
 
 def closed_form_field(

@@ -74,11 +74,13 @@ every balanced state's masses would be inversion-symmetric whatever the
 step did, since ``U^t (E theta) = (-1)^t E F U^t theta`` would then hold
 by construction.
 
-One residual serves both lattices: ``reflection_identity_1d`` and
-``reflection_identity_2d`` return ``max |flip(amps) - c E amps|`` with
-``c = (-1)^t (+-i)``, where ``flip`` reverses every spatial axis of the
-amplitude block and ``E`` is the module's own ``EXCHANGE_1D`` or
-``EXCHANGE_2D``; the residual code holds no copy of either constant.
+One residual body serves both lattices: :func:`reflection_residuals` steps
+a balanced state once, directly, and returns at each time of a ladder
+``max |flip(amps) - c E amps|`` with ``c = (-1)^t (+-i)``, where ``flip``
+reverses every spatial axis of the amplitude block and ``E`` is the
+module's own ``EXCHANGE_1D`` or ``EXCHANGE_2D``; the residual code holds no
+copy of either constant.  ``reflection_identity_1d`` and
+``reflection_identity_2d`` are its one-time forms.
 
 The expectation table extractor reproduces, at p = 1/2, the classical
 coefficient sequences ``a_t`` (from state (1, 0)) and ``b_t`` (from state
@@ -99,17 +101,18 @@ from itertools import islice
 import numpy as np
 
 from .coin import EXCHANGE_1D, EXCHANGE_2D, CoinParameter
-from .errors import InvalidParameterError, PreconditionError, require_time
+from .errors import InvalidParameterError, PreconditionError, require_ladder, require_time
 from .walk1d import (
     QubitState,
     _checked_array,
     _of_type,
+    _stepped,
     as_qubit,
     distribution_1d,
     evolve_1d,
     trajectory_1d,
 )
-from .walk2d import _propagator, as_qudit, evolve_2d
+from .walk2d import QuditState, _propagator, as_qudit, evolve_2d, trajectory_2d
 
 __all__ = [
     "EXCHANGE_1D",
@@ -127,6 +130,7 @@ __all__ = [
     "in_phi_perp_2d",
     "empirical_symmetric_2d",
     "reflection_identity_2d",
+    "reflection_residuals",
 ]
 
 _CLASS_TOL = 1e-12
@@ -265,27 +269,51 @@ def _pattern_branch(state) -> int:
     )
 
 
-def _reflection_residual(state, evolve, exchange: np.ndarray, p, t: int) -> float:
-    """``max |flip(amps) - c exchange amps|`` at time ``t``, ``c = (-1)^t (+-i)``.
+def reflection_residuals(theta, p: CoinParameter | float, times) -> tuple[float, ...]:
+    """Max amplitude residual of the exchange identity, ``max |flip(amps) -
+    c E amps|`` with ``c = (-1)^t (+-i)``, at each of the strictly
+    increasing ``times`` (integers ``>= 1``).
 
-    ``flip`` reverses every spatial axis, so each site is paired with its
-    inversion image: the identity is evaluated on the reflected field.
+    ``theta`` is a :class:`QubitState` proportional to ``(1, +-i)``, with
+    ``E = EXCHANGE_1D``, or a :class:`QuditState` proportional to ``(1,
+    +-i, +-i, -1)``, with ``E = EXCHANGE_2D``.  ``flip`` reverses every
+    spatial axis, so each site is paired with its inversion image: the
+    identity is evaluated on the reflected field.  The state is stepped
+    once, directly, by ``evolve_*`` for a single time and by
+    ``trajectory_*`` for a ladder, and never read through the propagator,
+    whose lattice basis rests on the inversion this judges.  The caller
+    asserts the residuals against its tolerance.
     """
-    branch = _pattern_branch(state)
-    field = evolve(state, p, require_time(t, "time", 1))
+    for cls, evolve, trajectory, exchange in (
+        (QubitState, evolve_1d, trajectory_1d, EXCHANGE_1D),
+        (QuditState, evolve_2d, trajectory_2d, EXCHANGE_2D),
+    ):
+        if isinstance(theta, cls):
+            break
+    else:
+        raise InvalidParameterError(f"need a QubitState or a QuditState, got {theta!r}")
+    branch = _pattern_branch(theta)
+    fields = _stepped(evolve, trajectory, (theta,), p, require_ladder(times, "time", 1))
+    return tuple(_residual(field, branch, exchange) for (field,) in fields)
+
+
+def _residual(field, branch: int, exchange: np.ndarray) -> float:
+    """``max |flip(amps) - c exchange amps|`` of ``field``, ``c = (-1)^t
+    (+-i)`` on the ``branch`` of its state's pattern."""
     amps, c = field.amps, (-1) ** field.t * (1j * branch)
     flipped = np.flip(amps, axis=tuple(range(1, amps.ndim)))
     return float(np.max(np.abs(flipped - c * np.tensordot(exchange, amps, axes=1))))
 
 
 def reflection_identity_1d(theta, p: CoinParameter | float, t: int) -> float:
-    """Max amplitude residual of the 1D exchange identity at time ``t``.
+    """Max amplitude residual of the 1D exchange identity at time ``t``:
+    :func:`reflection_residuals` of the state at the one time.
 
     Uses ``EXCHANGE_1D``; evaluated on the reflected field (the mirrored
     walk orientation).  The caller asserts the returned residual against
     its tolerance.
     """
-    return _reflection_residual(as_qubit(theta), evolve_1d, EXCHANGE_1D, p, t)
+    return reflection_residuals(as_qubit(theta), p, (t,))[0]
 
 
 def in_phi_perp_2d(theta) -> bool:
@@ -304,9 +332,10 @@ def empirical_symmetric_2d(theta, p: CoinParameter | float, horizon: int) -> boo
 
 
 def reflection_identity_2d(theta, p: CoinParameter | float, t: int) -> float:
-    """Max amplitude residual of the 2D exchange identity at time ``t``.
+    """Max amplitude residual of the 2D exchange identity at time ``t``:
+    :func:`reflection_residuals` of the state at the one time.
 
     Uses the operative constant ``EXCHANGE_2D``; evaluated on the reflected
     field, pairing each site with its inversion image.
     """
-    return _reflection_residual(as_qudit(theta), evolve_2d, EXCHANGE_2D, p, t)
+    return reflection_residuals(as_qudit(theta), p, (t,))[0]

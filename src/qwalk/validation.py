@@ -21,7 +21,9 @@ identities of :mod:`qwalk.symmetry`) give the other three basis fields.
 Check 8 judges the inversion itself, so its lattice trajectory steps
 ``e_2``'s field too and reads only the mirror images.
 Check 1 reads each state's total probability from the basis's Gram matrix
-and check 3 each state's field; checks 5, 6, 8 and 10 call the batch bodies
+and check 3 every state's amplitude block at once (``amplitudes``), against
+the batch's closed-form block (:func:`closed_form_amplitudes`), one pair per
+``p`` and time; checks 5, 6, 8 and 10 call the batch bodies
 :func:`convergence_reports`, :func:`symmetric_states` and
 :func:`time_averaged_probabilities`.
 
@@ -29,7 +31,9 @@ Those checks step no state themselves, so they rest on linearity and the
 images.  Criterion 12 witnesses them: it steps each basis vector and
 two Haar states directly (``evolve_*``) and compares them with the
 propagator's fields.  Only checks 2 and 12 step states here; check 9 steps
-its balanced states through :mod:`qwalk.symmetry`'s reflection residual.
+each balanced state once, directly, through :mod:`qwalk.symmetry`'s
+:func:`reflection_residuals`, which reads its residual at every time of the
+horizon.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from .closedform import alpha_coefficients, closed_form_fields, double_sum_coefficient
+from .closedform import alpha_coefficients, closed_form_amplitudes, double_sum_coefficient
 from .errors import InvalidParameterError
 from .localization import localization_verdict, time_averaged_probabilities
 from .spectral import QuadratureGrid, convergence_reports, limit_moment_1d
@@ -54,8 +58,7 @@ from .symmetry import (
     in_phi_perp,
     in_phi_perp_2d,
     kns_check,
-    reflection_identity_1d,
-    reflection_identity_2d,
+    reflection_residuals,
     symmetric_states,
 )
 from .walk1d import QubitState, basis_fields_1d, distribution_1d, evolve_1d
@@ -162,9 +165,11 @@ def check_closed_form(quick: bool = False) -> tuple[bool, str]:
     """3: closed-form amplitudes equal the stepped oracle within 1e-10.
 
     The oracle is stepped once per ``p``, for the chirality basis
-    (:func:`basis_fields_1d`), and each random state's field is read from it
-    by linearity.  The closed form, the layer under test, is evaluated for
-    each complex state.
+    (:func:`basis_fields_1d`), and every random state's field is read from
+    it by linearity.  The closed form, the layer under test, is evaluated
+    for the whole batch of complex states at once
+    (:func:`closed_form_amplitudes`).  Each time's two blocks are compared
+    and dropped before the next time's are built.
     """
     rng = np.random.default_rng(_SEED + 3)
     tmax, nstate = (50, 5) if quick else (200, 20)
@@ -172,10 +177,10 @@ def check_closed_form(quick: bool = False) -> tuple[bool, str]:
     times = tuple(t for t in (*range(1, 51), 60, 80, 100, 125, 150, 175, 200) if t <= tmax)
     devs = []
     for p in ps:
-        basis = list(basis_fields_1d(p, times))
-        for th in _random_states(QubitState, nstate, rng):
-            fields = zip(basis, closed_form_fields(th, p, times), strict=True)
-            devs += [np.max(np.abs(cf.amps - b.field(th).amps)) for b, cf in fields]
+        states = _random_states(QubitState, nstate, rng)
+        closed = closed_form_amplitudes(states, p, times)
+        blocks = zip(basis_fields_1d(p, times), closed, strict=True)
+        devs += [np.max(np.abs(cf - b.amplitudes(states))) for b, cf in blocks]
     return _judged("max amplitude deviation", devs, 1e-10, f", t<= {tmax}")
 
 
@@ -312,15 +317,21 @@ def check_symmetry(quick: bool = False) -> tuple[bool, str]:
 
 
 def check_reflection(quick: bool = False) -> tuple[bool, str]:
-    """9: exchange-identity residuals stay at rounding level."""
+    """9: exchange-identity residuals stay at rounding level.
+
+    Each balanced state is stepped once, directly, and its residual read at
+    every time of its horizon (:func:`reflection_residuals`), with no
+    propagator: this check witnesses the inversion the lattice's propagator
+    reads its basis by.
+    """
     t1max, t2max = (10, 5) if quick else (20, 10)
     devs = []
     for p in _P_GRID:
         for sgn in (1, -1):
             th1 = QubitState(_R, _R * 1j * sgn)
-            devs += [reflection_identity_1d(th1, p, t) for t in range(1, t1max + 1)]
+            devs += reflection_residuals(th1, p, range(1, t1max + 1))
             th2 = QuditState(0.5, 0.5j * sgn, 0.5j * sgn, -0.5)
-            devs += [reflection_identity_2d(th2, p, t) for t in range(1, t2max + 1)]
+            devs += reflection_residuals(th2, p, range(1, t2max + 1))
     return _judged("max residual", devs, 1e-12)
 
 

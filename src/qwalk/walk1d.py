@@ -57,7 +57,8 @@ The propagator, :func:`basis_fields_1d`, serves every consumer of many
 states at one ``p``.  The walk is linear, and real at ``k = 0``, so one
 stepped field per time carries the evolved basis, and every state's field
 is ``sum_b theta_b U^t e_b``.  Each basis field gives a batch of states'
-masses, the basis x component matrix at one site and one state's field.
+masses and amplitude blocks, the basis x component matrix at one site and
+one state's field.
 On the line the basis state is the packed ``(1, i) / sqrt(2)``, stepped in
 ``complex128``.
 
@@ -746,12 +747,20 @@ class _Basis:
             return np.zeros((2 * self._DIM,) * 2)
         return self._matrix(idx)
 
+    def amplitudes(self, states) -> np.ndarray:
+        """The field blocks of each of ``states`` at time ``t``, batch axis
+        first: an array of shape ``(len(states), 2 d, t+1, ...)``, each row
+        laid out as the lattice's fields are, their components by
+        linearity.  Each row differs from stepping its state only by
+        rounding, and is computed apart from the others, so a batch of one
+        gives the bits of any larger batch.  ``states`` is as for
+        :meth:`masses`."""
+        return self._amplitudes(_rows(states, self._STATE))
+
     def field(self, theta: _State) -> _Field:
         """The field of ``theta``, a state of the lattice, at time ``t``:
-        its components by linearity.  It differs from stepping ``theta``
-        only by rounding."""
-        (amps,) = self._amplitudes(_rows([theta], self._STATE))
-        return self._FIELD._built(self.t, amps)
+        :meth:`amplitudes` of the one state."""
+        return self._FIELD._built(self.t, self.amplitudes([theta])[0])
 
     def _amplitudes(self, theta: np.ndarray) -> np.ndarray:
         """The field blocks of the states whose components are the rows of
@@ -772,18 +781,23 @@ def _rows(states, cls: type) -> np.ndarray:
     return np.array(rows)
 
 
-def _basis_fields(basis: type, evolve, trajectory, states, p, times) -> Iterator[_Basis]:
-    """``basis`` over the fields of ``states``, the basis states it reads,
-    at each of the increasing ``times``, lazily, once every input is
-    checked.  A single time is evolved in one buffer (``evolve``); a ladder
-    is read off one ``trajectory`` per state, whose fields each own a
-    block."""
+def _stepped(evolve, trajectory, states, p, times) -> Iterator[tuple[_Field, ...]]:
+    """The fields of ``states``, one tuple per time, at each of the
+    increasing ``times``, lazily, once every input is checked.  A single
+    time is evolved in one buffer (``evolve``); a ladder is read off one
+    ``trajectory`` per state, whose fields each own a block."""
     times, c = require_ladder(times, "time", 0), as_coin(p)
     if len(times) == 1:
-        return (basis(*(evolve(s, c, t) for s in states)) for t in times)
+        return (tuple(evolve(s, c, t) for s in states) for t in times)
     want = set(times)
     steps = zip(*(trajectory(s, c, times[-1]) for s in states))
-    return (basis(*fields) for fields in steps if fields[0].t in want)
+    return (fields for fields in steps if fields[0].t in want)
+
+
+def _basis_fields(basis: type, evolve, trajectory, states, p, times) -> Iterator[_Basis]:
+    """``basis`` over the fields of ``states``, the basis states it reads,
+    at each of the increasing ``times``, lazily (:func:`_stepped`)."""
+    return (basis(*fields) for fields in _stepped(evolve, trajectory, states, p, times))
 
 
 class WaveField1D(_Support1D, _Field):
@@ -941,6 +955,7 @@ def basis_fields_1d(p: CoinParameter | float, times) -> Iterator[_LineBasis]:
     :func:`evolve_1d` for a single time and by :func:`trajectory_1d` for a
     ladder.  Each basis field has ``t`` and offers ``masses(states)`` (the
     masses of a batch of :class:`QubitState`, batch axis first),
+    ``amplitudes(states)`` (their amplitude blocks, batch axis first),
     ``amplitude(x)`` (the basis x component matrix at site ``x``),
     ``field(theta)`` (one state's field) and ``gram()``.  Inputs are
     checked here, before the first field is stepped.

@@ -315,9 +315,9 @@ def basis_fields_2d(
     (0, 1, 0, 0)`` is stepped beside ``e_1``'s instead of read as its
     inversion image, so that a reader that judges the inversion symmetry
     (:func:`qwalk.symmetry.symmetric_states`) does not assume it; only the
-    mirror is then assumed.  A basis field offers ``masses(states)`` for a
-    batch of :class:`QuditState`, ``amplitude(x, y)``, ``field(theta)`` and
-    ``gram()``.
+    mirror is then assumed.  A basis field offers ``masses(states)`` and
+    ``amplitudes(states)`` for a batch of :class:`QuditState`,
+    ``amplitude(x, y)``, ``field(theta)`` and ``gram()``.
     """
     if not isinstance(step_e2, bool):
         raise InvalidParameterError(f"step_e2 must be True or False, got {step_e2!r}")

@@ -132,11 +132,14 @@ _NAN = float("nan")
 # for each numeric check, a stand-in that makes one value the check compares
 # with its tolerance NaN
 def _nan_basis(p, times):
-    """A line propagator whose Gram matrix and fields are NaN."""
+    """A line propagator whose Gram matrix and amplitude blocks are NaN."""
     for t in times:
-        nan = SimpleNamespace(amps=np.full((2, t + 1), _NAN))
         gram = np.full((2, 2), _NAN)
-        yield SimpleNamespace(t=t, gram=lambda: gram, field=lambda theta, nan=nan: nan)
+
+        def amplitudes(states, t=t):
+            return np.full((len(states), 2, t + 1), _NAN)
+
+        yield SimpleNamespace(t=t, gram=lambda: gram, amplitudes=amplitudes)
 
 
 _NAN_PLANTS = {
@@ -149,7 +152,7 @@ _NAN_PLANTS = {
     5: (spectral, "_limit_moments", lambda ths, p, orders, *a: np.full((len(ths), 2), _NAN)),
     6: (spectral, "joint_moment_2d", lambda d, a, b: _NAN),
     7: (validation, "reference_table_deviation", lambda table: _NAN),
-    9: (validation, "reflection_identity_1d", lambda th, p, t: _NAN),
+    9: (validation, "reflection_residuals", lambda th, p, times: (_NAN,) * len(times)),
     11: (validation, "limit_moment_1d", lambda th, p, alpha, grid: _NAN),
     12: (
         validation,

@@ -361,7 +361,9 @@ class TestValidate:
 
     def test_a_nan_residual_exits_3(self, monkeypatch, capsys):
         # the NaN was dropped: [PASS] ... max residual = 1.963e-16, exit 0
-        monkeypatch.setattr(validation, "reflection_identity_1d", lambda th, p, t: float("nan"))
+        monkeypatch.setattr(
+            validation, "reflection_residuals", lambda th, p, times: (float("nan"),) * len(times)
+        )
         assert run(["validate", "--quick", "--only", "reflection"]) == 3
         assert "[FAIL]  9 reflection   max residual = nan " in capsys.readouterr().out
 

@@ -1,6 +1,7 @@
 """Closed-form coefficients and their oracle equivalence."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from qwalk import closedform, walk1d
 from qwalk.closedform import (
     LaurentCoefficients,
     alpha_coefficients,
+    closed_form_amplitudes,
     closed_form_field,
     closed_form_fields,
     double_sum_coefficient,
@@ -104,6 +106,18 @@ class TestLaurentCoefficientsInput:
             LaurentCoefficients(order, values)
 
 
+def _fraction_sum(p: float, t: int, j: int) -> float:
+    """The double sum in ``Fraction`` arithmetic, rounded once: the reference
+    the integer evaluation must equal bit for bit."""
+    exact, half = Fraction(p), t // 2
+    total = sum(
+        (-1) ** (j - m) * math.comb(t - m, m) * math.comb(t - 2 * m, j - m) * exact ** (half - m)
+        for m in range(min(j, t - j) + 1)
+    )
+    value = float(Fraction(total))
+    return value * math.sqrt(p) if t % 2 else value
+
+
 class TestDoubleSum:
     def test_smallest_case(self):
         assert double_sum_coefficient(0.5, 0, 0) == pytest.approx(1.0)
@@ -124,6 +138,16 @@ class TestDoubleSum:
     def test_rejects_non_integral_indices(self, t, j):
         with pytest.raises(InvalidParameterError, match="must be an integer"):
             double_sum_coefficient(0.5, t, j)
+
+    @pytest.mark.parametrize("p", [0.1, 1 / 3, 0.5, 0.9, 0.123456789])
+    def test_equals_the_fraction_sum_hex_for_hex(self, p):
+        # the integer sum over den^h is rounded once by int true division,
+        # as float(Fraction) rounds it: the same float, also where the
+        # alternating terms reach 2^300
+        cases = [(t, j) for t in range(41) for j in range(t + 1)]
+        cases += [(300, j) for j in (0, 1, 77, 150, 299, 300)] + [(301, 150)]
+        for t, j in cases:
+            assert double_sum_coefficient(p, t, j).hex() == _fraction_sum(p, t, j).hex(), (t, j)
 
     @pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
     def test_agrees_with_recurrence(self, p):
@@ -226,6 +250,78 @@ class TestClosedFormFields:
     def test_rejects_malformed_ladder(self, times):
         with pytest.raises(InvalidParameterError):
             closed_form_fields(QubitState(1.0, 0.0), 0.5, times)
+
+
+def _one_state_blocks(th: QubitState, p: float, times, k: float) -> list[np.ndarray]:
+    """Each time's block assembled for the one state alone, in complex
+    scalar arithmetic on the same recurrence run: the per-state loop the
+    batch body replaced."""
+    sp, sq, ph = math.sqrt(p), math.sqrt(1 - p), walk1d._phase(k)
+    out = [th.as_array().reshape(2, 1)] if times[0] == 0 else []
+    later = times[len(out):]
+    for t, (a_t, a_tm1) in zip(later, closedform._alpha_ladder(CoinParameter(p), later)):
+        amps = np.zeros((2, t + 1), dtype=np.complex128)
+        amps[0, 1:] += (sp * th.d1 + sq * th.d2) * a_t
+        amps[1, :-1] += (sq * th.d1 - sp * th.d2) * a_t
+        amps[0, 1:-1] += th.d1 * a_tm1
+        amps[1, 1:-1] += th.d2 * a_tm1
+        amps *= ph**t
+        out.append(amps)
+    return out
+
+
+class TestClosedFormAmplitudes:
+    @pytest.mark.parametrize(
+        "times, k", [((0, 1, 2, 9, 40), 0.0), ((0, 3, 17), 0.7), ((5, 200), -2.5), ((0,), 0.3)]
+    )
+    def test_each_row_is_the_one_state_field_bit_for_bit(self, times, k):
+        rng = np.random.default_rng(47)
+        states = [QubitState.random(rng) for _ in range(5)] + [QubitState(1, 0), (0.6, -0.8j)]
+        blocks = list(closed_form_amplitudes(states, 0.37, times, k))
+        assert [b.shape for b in blocks] == [(len(states), 2, t + 1) for t in times]
+        for block in blocks:
+            assert block.dtype == np.complex128 and not block.flags.writeable
+        for i, th in enumerate(states):
+            # the one-state field is the batch of one: both give the bits
+            # of the one-state assembly
+            fields = closed_form_fields(th, 0.37, times, k)
+            ones = _one_state_blocks(walk1d.as_qubit(th), 0.37, times, k)
+            for block, field, one in zip(blocks, fields, ones, strict=True):
+                assert block[i].tobytes() == field.amps.tobytes() == one.tobytes()
+
+    def test_equals_the_stepped_oracle(self):
+        rng = np.random.default_rng(53)
+        states = [QubitState.random(rng) for _ in range(4)]
+        (block,) = closed_form_amplitudes(states, 0.6, (150,), 0.2)
+        for row, th in zip(block, states):
+            # measured 1.5e-15
+            assert np.max(np.abs(row - evolve_1d(th, 0.6, 150, 0.2).amps)) <= 1e-13
+
+    def test_checks_every_input_before_the_first_block(self, monkeypatch):
+        runs = []
+        pairs = closedform._alpha_pairs
+        monkeypatch.setattr(
+            closedform, "_alpha_pairs", lambda c, times: runs.append(c.p) or pairs(c, times)
+        )
+        closedform._alpha_ladder.cache_clear()
+        blocks = closed_form_amplitudes([QubitState(1, 0)], 0.45, (2, 7))
+        assert runs == []
+        assert next(blocks).shape == (1, 2, 3)
+        assert runs == [0.45]
+
+    @pytest.mark.parametrize(
+        "states, p, times, match",
+        [
+            ([], 0.5, (1,), "at least one state"),
+            (5, 0.5, (1,), "sequence of states"),
+            ([QubitState(1, 0)], 0.5, (3, 3), "strictly increasing"),
+            ([QubitState(1, 0)], 0.5, (-1, 2), ">= 0"),
+            ([QubitState(1, 0)], 1.5, (1,), "open interval"),
+        ],
+    )
+    def test_rejects_bad_input(self, states, p, times, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            closed_form_amplitudes(states, p, times)
 
 
 def _unshed_pairs(p: float, t: int) -> tuple[np.ndarray, np.ndarray]:

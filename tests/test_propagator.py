@@ -131,6 +131,26 @@ def test_a_batch_of_one_gives_the_bits_of_any_larger_batch(dim):
         batch = basis.masses(states)
         for row, state in zip(batch, states):
             assert row.tobytes() == basis.masses([state])[0].tobytes()
+        batch = basis.amplitudes(states)
+        for row, state in zip(batch, states):
+            assert row.tobytes() == basis.amplitudes([state])[0].tobytes()
+
+
+@pytest.mark.parametrize(
+    "dim,step_e2", [(1, None), (2, False), (2, True)], ids=["line", "lattice", "lattice_e2"]
+)
+def test_each_amplitude_row_is_the_one_state_field_bit_for_bit(dim, step_e2):
+    cls, basis_fields, _, evolve, _ = LATTICES[dim]
+    rng = np.random.default_rng(11 + dim)
+    states = [cls.random(rng) for _ in range(5)] + [cls(*e) for e in np.eye(2 * dim)]
+    flags = {} if step_e2 is None else {"step_e2": step_e2}
+    for basis in basis_fields(0.4, (0, 1, 20, 77), **flags):
+        batch = basis.amplitudes(states)
+        assert batch.shape == (len(states), 2 * dim) + (basis.t + 1,) * dim
+        for row, state in zip(batch, states):
+            assert row.tobytes() == basis.field(state).amps.tobytes()
+            # measured at most 2.5e-16 on the line, 1.3e-16 on the lattice
+            assert np.max(np.abs(row - evolve(state, 0.4, basis.t).amps)) <= 2e-15
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -235,6 +255,9 @@ def test_symmetric_states_stops_once_every_state_has_broken(monkeypatch):
          "need a QuditState, got QubitState"),
         (lambda: next(basis_fields_2d(0.5, (3,))).field(QubitState(1, 0)),
          "need a QuditState, got QubitState"),
+        (lambda: next(basis_fields_2d(0.5, (3,))).amplitudes([QubitState(1, 0)]),
+         "need a QuditState, got QubitState"),
+        (lambda: next(basis_fields_1d(0.5, (3,))).amplitudes([]), "at least one state"),
         (lambda: next(basis_fields_1d(0.5, (3,))).masses(5), "sequence of states"),
         (lambda: basis_fields_1d(0.5, (4, 4)), "strictly increasing"),
         (lambda: basis_fields_1d(0.5, (5, 3)), "strictly increasing"),

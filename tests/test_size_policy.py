@@ -18,6 +18,7 @@ import pytest
 
 from qwalk.closedform import (
     alpha_coefficients,
+    closed_form_amplitudes,
     closed_form_field,
     closed_form_fields,
     double_sum_coefficient,
@@ -39,6 +40,7 @@ from qwalk.symmetry import (
     extract_ab,
     reflection_identity_1d,
     reflection_identity_2d,
+    reflection_residuals,
 )
 from qwalk.walk1d import QubitState, evolve_1d, trajectory_1d
 from qwalk.walk2d import QuditState, evolve_2d, trajectory_2d
@@ -56,6 +58,12 @@ HUGE = {
     "trajectory_2d": lambda: trajectory_2d(_LATTICE, 0.5, BIG),
     "reflection_identity_1d": lambda: reflection_identity_1d((_R, _R * 1j), 0.5, BIG),
     "reflection_identity_2d": lambda: reflection_identity_2d((0.5, 0.5j, 0.5j, -0.5), 0.5, BIG),
+    "reflection_residuals_1d": lambda: reflection_residuals(
+        QubitState(_R, _R * 1j), 0.5, (1, BIG)
+    ),
+    "reflection_residuals_2d": lambda: reflection_residuals(
+        QuditState(0.5, 0.5j, 0.5j, -0.5), 0.5, (1, BIG)
+    ),
     "empirical_symmetric_1d": lambda: empirical_symmetric_1d(_LINE, 0.5, BIG),
     "empirical_symmetric_2d": lambda: empirical_symmetric_2d(_LATTICE, 0.5, BIG),
     "expectation_series": lambda: expectation_series(_LINE, 0.5, BIG),
@@ -67,6 +75,7 @@ HUGE = {
     ),
     "closed_form_field": lambda: closed_form_field(_LINE, 0.5, BIG),
     "closed_form_fields": lambda: closed_form_fields(_LINE, 0.5, (1, BIG)),
+    "closed_form_amplitudes": lambda: closed_form_amplitudes([_LINE, _LINE], 0.5, (1, BIG)),
     "alpha_coefficients": lambda: alpha_coefficients(0.5, BIG),
     "double_sum_coefficient": lambda: double_sum_coefficient(0.5, BIG, 0),
     "convergence_report": lambda: convergence_report(_LINE, 0.5, 1, ladder=(10, BIG), grid=64),

@@ -148,20 +148,24 @@ def test_lattice_sweep_builds_no_eigenvector():
 
 
 def test_every_closed_form_reads_the_one_recurrence_pass():
-    # closed_form_fields reads the run through its one-ladder memo
+    # the batch body's blocks read the run through its one-ladder memo
     calls = _calls_by_function("closedform")
     assert {n for n, called in calls.items() if "_alpha_pairs" in called} == {
         "alpha_coefficients",
         "_alpha_ladder",
     }
-    assert "_alpha_ladder" in calls["closed_form_fields"]
+    assert {n for n, called in calls.items() if "_alpha_ladder" in called} == {"_blocks"}
+    assert "_blocks" in calls["closed_form_amplitudes"]
+    assert "closed_form_amplitudes" in calls["closed_form_fields"]
     assert "closed_form_fields" in calls["closed_form_field"]
 
 
-def test_check_3_makes_one_closed_form_call_per_state():
+def test_check_3_reads_both_sides_as_one_batch_per_p_and_time():
+    # one closed-form block and one propagator block per (p, t), every
+    # state at once: no one-state field on either side
     called = _calls_by_function("validation")["check_closed_form"]
-    assert "closed_form_fields" in called
-    assert "closed_form_field" not in called
+    assert {"closed_form_amplitudes", "amplitudes", "basis_fields_1d"} <= called
+    assert not called & {"closed_form_fields", "closed_form_field", "field"}
 
 
 def _names_by_function(module: str) -> dict[str, set[str]]:
@@ -182,7 +186,7 @@ def test_checks_1_3_5_6_8_and_10_read_states_only_through_the_propagator():
     # the public propagator (basis_fields_1d/2d) reads every state of these
     # checks, directly or through the two batch bodies, and validation keeps
     # no reader of its own; only checks 2 and 12 step a state themselves,
-    # and check 9 steps its states through symmetry's reflection residual
+    # and check 9 steps its states through symmetry's reflection residuals
     defined = set()
     for top in _tree("validation").body:
         if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
@@ -195,7 +199,12 @@ def test_checks_1_3_5_6_8_and_10_read_states_only_through_the_propagator():
     stepping = {f for f, read in names.items() if {"evolve_1d", "evolve_2d"} & read}
     assert stepping == {"check_hand_distributions", "check_propagator_witness"}
     assert not [f for f, read in names.items() if {"trajectory_1d", "trajectory_2d"} & read]
-    assert {"reflection_identity_1d", "reflection_identity_2d"} <= names["check_reflection"]
+    assert "reflection_residuals" in names["check_reflection"]
+    # which step each state directly, through the oracle's own loops, and
+    # never read the propagator, whose lattice basis rests on the inversion
+    read = _names_by_function("symmetry")["reflection_residuals"]
+    assert {"evolve_1d", "evolve_2d", "trajectory_1d", "trajectory_2d", "_stepped"} <= read
+    assert not read & {"_propagator", "basis_fields_1d", "basis_fields_2d"}
     reading = {
         "check_unitarity": {"basis_fields_1d", "basis_fields_2d"},
         "check_closed_form": {"basis_fields_1d"},
@@ -228,6 +237,9 @@ def test_the_one_state_forms_are_one_line_wrappers_of_the_batch_bodies():
         ("symmetry", "empirical_symmetric_2d", "symmetric_states"),
         ("localization", "time_averaged_probability_1d", "time_averaged_probabilities"),
         ("localization", "time_averaged_probability_2d", "time_averaged_probabilities"),
+        ("closedform", "closed_form_fields", "closed_form_amplitudes"),
+        ("symmetry", "reflection_identity_1d", "reflection_residuals"),
+        ("symmetry", "reflection_identity_2d", "reflection_residuals"),
     ):
         statements = _function(module, name).body
         if isinstance(statements[0], ast.Expr):  # the docstring
@@ -272,7 +284,7 @@ def test_every_identity_a_check_reads_by_has_a_witness():
         judged = "symmetric_states" in names[check]
         assert ("inversion" in identities) == (lattice and not judged), check
     numbers = {fn.__name__: number for number, _, _, fn in validation.ALL_CHECKS}
-    direct = {"evolve_1d", "evolve_2d", "reflection_identity_1d", "reflection_identity_2d"}
+    direct = {"evolve_1d", "evolve_2d", "reflection_residuals"}
     stepping = {numbers[f] for f, read in names.items() if f in numbers and read & direct}
     for identity in set().union(*READS_BY.values()):
         assert WITNESSES.get(identity), identity
@@ -546,15 +558,18 @@ ROLES = {
     "kernel_2d": "kernel_1d's role on the square lattice",
     "step_1d": "the step trajectory_1d and evolve_1d iterate",
     "step_2d": "the step trajectory_2d and evolve_2d iterate",
+    "init_1d": "the field trajectory_1d and evolve_1d start from",
     "init_2d": "the field trajectory_2d and evolve_2d start from",
+    "closed_form_fields": "closed_form_amplitudes of one state, as fields",
     "closed_form_field": "the one-time case of closed_form_fields, held to evolve_1d",
     "sigma": "the oracle for the line spectrum's eigenvalues",
     "group_velocity": "the oracle for the line's branch velocities",
     "limit_moment_2d": "the one-state, one-order case of limit_moments_2d",
     "limit_moments_2d": "the lattice's public limit sweep, held to an eig + QR reference",
-    "trajectory_2d": "the ladder loop basis_fields_2d steps its basis through",
     "empirical_symmetric_1d": "symmetric_states of one line state, which classify_1d reads",
     "empirical_symmetric_2d": "empirical_symmetric_1d's role on the lattice",
+    "reflection_identity_1d": "reflection_residuals of one line state at one time",
+    "reflection_identity_2d": "reflection_identity_1d's role on the lattice",
     "ALL_CHECKS": "the check table run_checks iterates",
 }
 

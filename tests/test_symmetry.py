@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qwalk import symmetry
 from qwalk.errors import InvalidParameterError, PreconditionError
 from qwalk.spectral import limit_moment_1d
 from qwalk.symmetry import (
@@ -21,6 +22,7 @@ from qwalk.symmetry import (
     kns_check,
     reflection_identity_1d,
     reflection_identity_2d,
+    reflection_residuals,
 )
 from qwalk.walk1d import QubitState
 from qwalk.walk2d import QuditState, distribution_2d, evolve_2d, trajectory_2d
@@ -289,3 +291,63 @@ class TestReflectionIdentity2D:
         # while the block constant leaves rounding noise only
         predicted_ok = c * np.einsum("ab,bij->aij", EXCHANGE_2D, amps)
         assert np.max(np.abs(inverted - predicted_ok)) <= 1e-12
+
+
+_BALANCED = [
+    QubitState(R, R * 1j),
+    QubitState(R, -R * 1j),
+    QuditState(0.5, 0.5j, 0.5j, -0.5),
+    QuditState(0.5, -0.5j, -0.5j, -0.5),
+]
+
+
+class TestReflectionResiduals:
+    @pytest.mark.parametrize("state", _BALANCED, ids=["1d+", "1d-", "2d+", "2d-"])
+    @pytest.mark.parametrize("p", [0.3, 0.5])
+    def test_each_residual_is_the_one_time_identity_bit_for_bit(self, state, p):
+        # the ladder reads one trajectory, the one-time identity one
+        # evolution: the same field, so the same residual
+        one = reflection_identity_1d if isinstance(state, QubitState) else reflection_identity_2d
+        times = (1, 2, 3, 8, 13)
+        residuals = reflection_residuals(state, p, times)
+        assert len(residuals) == len(times)
+        for t, r in zip(times, residuals):
+            assert isinstance(r, float)
+            assert r.hex() == one(state, p, t).hex(), t
+            assert r <= 1e-12
+
+    @pytest.mark.parametrize("state", _BALANCED[::2], ids=["1d", "2d"])
+    def test_steps_the_state_once(self, monkeypatch, state):
+        dim = 1 if isinstance(state, QubitState) else 2
+        seen = []
+
+        def counted(name):
+            loop = getattr(symmetry, name)
+
+            def stepped(theta, p, t):
+                seen.append((name, t))
+                return loop(theta, p, t)
+
+            monkeypatch.setattr(symmetry, name, stepped)
+
+        counted(f"trajectory_{dim}d")
+        counted(f"evolve_{dim}d")
+        reflection_residuals(state, 0.4, range(1, 12))
+        reflection_residuals(state, 0.4, (7,))
+        assert seen == [(f"trajectory_{dim}d", 11), (f"evolve_{dim}d", 7)]
+
+    @pytest.mark.parametrize(
+        "theta, times, error, match",
+        [
+            ((R, R * 1j), (1,), InvalidParameterError, "QubitState or a QuditState"),
+            (QubitState(1.0, 0.0), (1,), PreconditionError, r"\(1, \+-i\)"),
+            (QuditState(1, 0, 0, 0), (1,), PreconditionError, r"\(1, \+-i, \+-i, -1\)"),
+            (QubitState(R, R * 1j), (0, 1), InvalidParameterError, ">= 1"),
+            (QubitState(R, R * 1j), (3, 3), InvalidParameterError, "strictly increasing"),
+            (QubitState(R, R * 1j), (), InvalidParameterError, "non-empty"),
+            (QubitState(R, R * 1j), 4, InvalidParameterError, "ladder"),
+        ],
+    )
+    def test_rejects_bad_input(self, theta, times, error, match):
+        with pytest.raises(error, match=match):
+            reflection_residuals(theta, 0.5, times)
